@@ -203,7 +203,10 @@ def cmd_normalcone(args) -> tuple[dict, int]:
         "active_constraints": list(cone.active),
     }
     if args.oracle:
-        cloud = sd.sampled_normal_cone_oracle(spec, point, params)
+        try:
+            cloud = sd.sampled_normal_cone_oracle(spec, point, params)
+        except sd.SubdiffError as err:
+            raise CliError(f"oracle: {err}", EXIT_INPUT) from None
         results["oracle"] = {
             "cluster_centers": cloud.cluster_centers.tolist(),
             "accepted_points": int(cloud.points.shape[0]),

@@ -147,10 +147,7 @@ def lp_feasible(problem: LPProblem) -> LPOutcome:
 
     m = len(rows)
     if m == 0:
-        x = shifts.copy()
-        for k, (j, sgn) in enumerate(cols):
-            pass
-        return LPFeasible(x)
+        return LPFeasible(shifts.copy())
 
     # Slack columns for inequalities, then standard-form equalities.
     A = np.array(rows, dtype=float)
@@ -553,12 +550,6 @@ def _absorb_parts(parts: list[Polytope]) -> list[Polytope]:
     return kept
 
 
-def unions_equal(a: PolytopeUnion, b: PolytopeUnion, tol: float = TOL_GEOM) -> bool:
-    if len(a.parts) != len(b.parts):
-        return False
-    return all(polytopes_equal(p, q, tol) for p, q in zip(a.parts, b.parts))
-
-
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
     if a.dim != b.dim:
         raise DimensionError("minkowski sum dim mismatch")
@@ -683,13 +674,6 @@ class ConeSpec:
         return np.vstack([c for c in cols if c.shape[0]]) if any(
             c.shape[0] for c in cols
         ) else np.zeros((0, self.dim))
-
-
-def cone_sum(cones: Sequence[ConeSpec]) -> ConeSpec:
-    dim = cones[0].dim
-    gens = np.vstack([c.generators for c in cones]) if cones else np.zeros((0, dim))
-    lin = np.vstack([c.lineality for c in cones]) if cones else np.zeros((0, dim))
-    return ConeSpec(dim, gens, lin).canonicalize()
 
 
 def cones_equal(a: ConeSpec, b: ConeSpec) -> bool:

@@ -149,6 +149,18 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def _param_values(line: str, conv, many: bool = False) -> tuple:
+    """The values after a [params] key: exactly one, or with many=True
+    one or more, each converted by conv."""
+    vals = line.split()[1:]
+    if not vals or (len(vals) > 1 and not many):
+        raise ProblemFileError(f"bad [params] line {line!r}: wrong number of values")
+    try:
+        return tuple(conv(v) for v in vals)
+    except ValueError as err:
+        raise ProblemFileError(f"bad [params] line {line!r}: {err}") from None
+
+
 def parse_problem_file(text: str) -> ProblemFile:
     sections: dict[str, list[str]] = {}
     current: str | None = None
@@ -213,7 +225,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         if not lower_constraints:
             raise ProblemFileError("[lower] needs at least one constraint")
     upper_space = full_space if y_names else x_space
-    upper_objective, _upper_raw = (None, ())
+    upper_objective = None
     upper_constraints: list[ex.FunctionDef] = []
     if "upper" in sections:
         objective = None
@@ -278,22 +290,24 @@ def parse_problem_file(text: str) -> ProblemFile:
     dirs_per_radius = sd.DEFAULT_PARAMS.dirs_per_radius
     kappa_grid = bl.DEFAULT_KAPPA_GRID
     for line in sections.get("params", []):
-        toks = line.split()
-        key = toks[0]
+        key = line.split()[0]
         if key == "seed":
-            seed = int(toks[1])
+            (seed,) = _param_values(line, int)
         elif key == "tau_act":
-            tau_act = float(toks[1])
+            (tau_act,) = _param_values(line, float)
         elif key == "radii":
-            radii = tuple(float(v) for v in toks[1:])
+            radii = _param_values(line, float, many=True)
         elif key == "dirs_per_radius":
-            dirs_per_radius = int(toks[1])
+            (dirs_per_radius,) = _param_values(line, int)
         elif key == "kappa_grid":
-            kappa_grid = tuple(float(v) for v in toks[1:])
+            kappa_grid = _param_values(line, float, many=True)
         else:
             raise ProblemFileError(f"unknown [params] key {key!r}")
 
-    params = sd.SampleParams(radii=radii, dirs_per_radius=dirs_per_radius, seed=seed)
+    try:
+        params = sd.SampleParams(radii=radii, dirs_per_radius=dirs_per_radius, seed=seed)
+    except sd.SubdiffError as err:
+        raise ProblemFileError(f"bad [params]: {err}") from None
     digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ProblemFile(
         x_names=tuple(x_names),

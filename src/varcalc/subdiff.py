@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize as sciopt
+from scipy.spatial import cKDTree
 
 from varcalc import expr as ex
 from varcalc.convgeom import (
@@ -273,11 +274,6 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
     if best is None:
         raise ProjectionUnavailable("no feasible active-set projection found")
     return best
-
-
-def set_distance(spec: SetSpec, point: Sequence[float]) -> float:
-    w = project_onto(spec, point)
-    return float(np.linalg.norm(np.asarray(point, dtype=float) - w))
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +811,23 @@ def normal_cone(
     return NormalCone(tuple(uniq), "verified", active)
 
 
+def _projection_grid(
+    spec: SetSpec, p: np.ndarray, r: float, grid_factor: int, tol: float
+) -> tuple[np.ndarray, float]:
+    """Feasible points of the local lattice around p at radius r (half
+    width 2.5 r) and the lattice step: r / grid_factor up to two
+    dimensions, r / 16 in three."""
+    step = r / grid_factor if p.shape[0] <= 2 else r / 16
+    half = 2.5 * r
+    axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    feas = pts[feasible_mask(spec, pts, tol)]
+    if feas.shape[0] == 0:
+        raise SubdiffError(f"projection grid found no feasible points at radius {r}")
+    return feas, step
+
+
 def sampled_normal_cone_oracle(
     spec: SetSpec,
     x: Sequence[float],
@@ -823,7 +836,17 @@ def sampled_normal_cone_oracle(
 ) -> OracleCloud:
     """Normal directions accumulated from Euclidean projections onto a
     dense local feasible grid: directions (x_k - w_k)/|x_k - w_k| for
-    sampled x_k near the point.  Deterministic for a fixed seed.
+    sampled x_k = x + r d near the point, where w_k ranges over the grid
+    points within dmin + step^2/(2 dmin) of x_k (dmin the distance to the
+    nearest one).  Deterministic for a fixed seed.
+
+    Sample points closer than r/2 to the grid are skipped: their
+    directions are dominated by grid error.  The rest give normals
+    accurate to a few hundredths of a radian in one and two dimensions
+    (step r/64) and to about 0.15 rad in three (step r/16: every direction
+    for the halfspace z <= 0 at the origin lies within 0.122 rad of
+    (0, 0, 1), every cluster center for the wedge y >= -x, z >= -x within
+    0.143 rad of its cone).
 
     The grid uses a near-machine feasibility tolerance: a loose tolerance
     admits a sliver of width sqrt(tol) along curved boundaries, which
@@ -839,27 +862,25 @@ def sampled_normal_cone_oracle(
     collected: list[np.ndarray] = []
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(p)))
     for r in params.radii:
-        step = r / grid_factor if dim <= 2 else r / 16
-        half = 2.5 * r
-        axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        mask = feasible_mask(spec, pts, grid_tol)
-        feas = pts[mask]
-        if feas.shape[0] == 0:
-            raise SubdiffError(
-                f"projection grid found no feasible points at radius {r}"
-            )
-        for d in dirs:
-            q = p + r * d
-            dists = np.linalg.norm(feas - q[None, :], axis=1)
+        feas, step = _projection_grid(spec, p, r, grid_factor, grid_tol)
+        tree = cKDTree(feas)
+        Q = p + r * dirs
+        dtree, _ = tree.query(Q)
+        # The tree's distances agree with the numpy ones below to a few
+        # ulps, so the 1e-9 margins keep every point the scan would accept
+        # among the candidates; distances, skip test and acceptance are
+        # then decided on numpy distances alone, as a dense scan would.
+        keep = np.flatnonzero(dtree > (r / 2) * (1 - 1e-9))
+        reach = (dtree[keep] + step**2 / (2 * dtree[keep])) * (1 + 1e-9)
+        balls = tree.query_ball_point(Q[keep], reach, return_sorted=True)
+        for k, idx in zip(keep, balls):
+            q = Q[k]
+            cand = feas[idx]
+            dists = np.linalg.norm(cand - q[None, :], axis=1)
             dmin = float(dists.min())
-            # directions from sample points near the set are dominated by
-            # grid error; only distances well above the resolution give
-            # normals accurate to a few hundredths of a radian
-            if dmin <= 32 * step:
+            if dmin <= r / 2:
                 continue
-            near = feas[dists <= dmin + step**2 / (2 * dmin)]
+            near = cand[dists <= dmin + step**2 / (2 * dmin)]
             for w in near:
                 v = q - w
                 collected.append(v / np.linalg.norm(v))
@@ -1236,9 +1257,10 @@ def verify_difference_rule(
     params: SampleParams = DEFAULT_PARAMS,
 ) -> RuleReport:
     """Difference rule for regular subgradients, checked at vertices
-    (sufficient by convexity of the sets involved); optionally also the
-    minimizer necessary condition that the second regular subdifferential
-    be contained in the first."""
+    (sufficient by convexity of the sets involved), and the minimizer
+    necessary condition that the second regular subdifferential be
+    contained in the first; a claimed local minimizer that breaks it is
+    reported as refuted."""
     p = np.asarray(x, dtype=float)
     r1 = regular_subdifferential(f1, p, params)
     r2 = regular_subdifferential(f2, p, params)
@@ -1259,19 +1281,18 @@ def verify_difference_rule(
                     if isinstance(out, NotMember):
                         worst = max(worst, out.margin)
     detail: dict = {}
-    if claimed_local_minimizer or True:
-        containment = 0.0
-        if r1 is None:
-            containment = math.inf
-        else:
-            for v in r2.vertices:
-                out = minkowski_membership(v, r1)
-                if isinstance(out, NotMember):
-                    containment = max(containment, out.margin)
-        detail["minimizer_condition_margin"] = containment
-        detail["minimizer_condition_holds"] = containment <= 1e-6
-        if claimed_local_minimizer and containment > 1e-6:
-            detail["claim_refuted"] = True
+    containment = 0.0
+    if r1 is None:
+        containment = math.inf
+    else:
+        for v in r2.vertices:
+            out = minkowski_membership(v, r1)
+            if isinstance(out, NotMember):
+                containment = max(containment, out.margin)
+    detail["minimizer_condition_margin"] = containment
+    detail["minimizer_condition_holds"] = containment <= 1e-6
+    if claimed_local_minimizer and containment > 1e-6:
+        detail["claim_refuted"] = True
     return RuleReport("difference", worst <= 1e-6, worst, detail)
 
 

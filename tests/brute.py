@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's LP machinery: membership is decided
 by dense enumeration over lattice weight grids, so they can cross-check
-the simplex-based decisions independently.
+the simplex-based decisions independently.  The sampled normal-cone
+oracle's nearest-point search is checked against a dense scan over every
+grid point.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from varcalc import subdiff as S
 from varcalc.convgeom import Polytope
 
 WEIGHT_STEP = 1e-2
@@ -146,3 +149,25 @@ def regular_subgradient_halfspace_check(
             if evaluate(fn, point + r * d) - fx < r * (float(candidate @ d) - eps):
                 return False
     return True
+
+
+def dense_normal_cone_oracle(spec, x, params) -> S.OracleCloud:
+    """The projection oracle with a dense nearest-point scan: every sample
+    point's distance to every feasible grid point."""
+    p = np.asarray(x, dtype=float)
+    collected = []
+    grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(p)))
+    for r in params.radii:
+        feas, step = S._projection_grid(spec, p, r, 64, grid_tol)
+        for d in params.directions(spec.dim):
+            q = p + r * d
+            dists = np.linalg.norm(feas - q[None, :], axis=1)
+            dmin = float(dists.min())
+            if dmin <= r / 2:
+                continue
+            near = feas[dists <= dmin + step**2 / (2 * dmin)]
+            for w in near:
+                v = q - w
+                collected.append(v / np.linalg.norm(v))
+    cloud = np.array(collected) if collected else np.zeros((0, spec.dim))
+    return S.OracleCloud(points=cloud, cluster_centers=S._cluster(cloud, 0.02))

@@ -60,6 +60,25 @@ def test_parse_errors():
         parse_problem_file("[vars]\nupper x\n[candidates]\na 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["seed", "seed abc", "seed 1 2", "tau_act", "dirs_per_radius x", "radii 1 2", "radii",
+     "radii 1e-2 x", "kappa_grid"],
+)
+def test_bad_params_exit2(tmp_path, capsys, line):
+    path = tmp_path / "params.vp"
+    path.write_text(WORKED.read_text() + line + "\n")
+    with pytest.raises(ProblemFileError, match="params"):
+        parse_problem_file(path.read_text())
+    code, out, err = run_cli(
+        ["normalcone", str(path), "--set", "lower", "--at", "origin", "--oracle", "--json"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad problem file" in err
+
+
 # ---------------------------------------------------------------------------
 # subdiff command
 
@@ -139,6 +158,31 @@ origin 0 0
     assert code == 3
     report = json.loads(out)
     assert "refused" in report["results"]
+
+
+def test_cmd_normalcone_oracle_refusal_exit2(tmp_path, capsys):
+    # four dimensions: the projection oracle supports at most three
+    text = """
+[vars]
+upper x
+lower y
+lower z
+lower w
+[lower]
+objective y
+constraint (- 0 (+ x y))
+[candidates]
+origin 0 0 0 0
+"""
+    path = tmp_path / "four.vp"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["normalcone", str(path), "--set", "lower", "--at", "origin", "--oracle", "--json"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "dim <= 3" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,60 @@
+"""Golden outputs: the exit code and the sha256 of the `--json` stdout of
+CLI commands on the shipped problem files at seed 7.
+
+A change that alters any of these bytes says why in CHANGES.md and
+rewrites the hashes with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from varcalc import cli
+from varcalc.problemfile import parse_problem_file
+
+ROOT = Path(__file__).resolve().parent.parent
+HASHES = ROOT / "tests" / "golden" / "hashes.json"
+FILES = ("problems/worked.vp", "problems/kink.vp")
+SEED = "7"
+
+
+def commands() -> list[tuple[str, ...]]:
+    out = []
+    for rel in FILES:
+        pf = parse_problem_file((ROOT / rel).read_text())
+        for cand in pf.candidates:
+            out.append(("normalcone", rel, "--set", "lower", "--at", cand, "--oracle"))
+            out.append(("subdiff", rel, "--fn", "lower.objective", "--at", cand, "--oracle"))
+        out.append(("verify", rel))
+    return out
+
+
+def run(cmd: tuple[str, ...]) -> dict:
+    argv = [cmd[0], str(ROOT / cmd[1]), *cmd[2:], "--json", "--seed", SEED]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("cmd", commands(), ids=" ".join)
+def test_golden_json(cmd):
+    expected = json.loads(HASHES.read_text())[" ".join(cmd)]
+    assert run(cmd) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    hashes = {" ".join(cmd): run(cmd) for cmd in commands()}
+    HASHES.parent.mkdir(exist_ok=True)
+    HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")

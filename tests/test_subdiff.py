@@ -7,8 +7,11 @@ from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
 
+from tests.brute import dense_normal_cone_oracle
+
 XS = E.VarSpace.of("x")
 XY = E.VarSpace.of("x", "y")
+XYZ = E.VarSpace.of("x", "y", "z")
 
 FAST = S.SampleParams(dirs_per_radius=64)
 
@@ -251,6 +254,51 @@ def test_projection_oracle_graph_abs_covers_both_branches():
     for target in (np.array([1.0, 1.0]) / math.sqrt(2), np.array([-1.0, 1.0]) / math.sqrt(2)):
         angles = [math.acos(np.clip(d @ target, -1, 1)) for d in cloud.points]
         assert min(angles) <= 0.05
+
+
+def test_projection_oracle_3d_halfspace():
+    spec = S.SetSpec.sublevel([f("z", XYZ)])
+    cloud = S.sampled_normal_cone_oracle(spec, [0.0, 0.0, 0.0])
+    assert cloud.points.shape[0] > 0
+    angles = np.arccos(np.clip(cloud.points @ np.array([0.0, 0.0, 1.0]), -1, 1))
+    assert float(angles.max()) <= 0.15
+
+
+PROJECTION_CASES = {
+    "halfline": (S.SetSpec.sublevel([f("x")]), [0.0], S.SampleParams(dirs_per_radius=16)),
+    "disk": (
+        S.SetSpec.sublevel([f("(- (+ (* x x) (* y y)) 1)", XY)]),
+        [1.0, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
+    ),
+    "abs-graph": (
+        S.SetSpec.graph([f("(- (abs x) y)", XY), f("(- y (abs x))", XY)], 1, 1),
+        [0.0, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=64),
+    ),
+    "max-corner": (
+        S.SetSpec.sublevel([f("(max x y)", XY)]),
+        [0.0, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=64),
+    ),
+    "halfspace-3d": (
+        S.SetSpec.sublevel([f("z", XYZ)]),
+        [0.0, 0.0, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", sorted(PROJECTION_CASES))
+def test_projection_oracle_equals_dense_scan(case, seed):
+    spec, x, params = PROJECTION_CASES[case]
+    params = S.SampleParams(params.radii, params.dirs_per_radius, seed=seed)
+    got = S.sampled_normal_cone_oracle(spec, x, params)
+    ref = dense_normal_cone_oracle(spec, x, params)
+    assert got.points.shape[0] > 0
+    assert np.array_equal(got.points, ref.points)
+    assert np.array_equal(got.cluster_centers, ref.cluster_centers)
 
 
 # ---------------------------------------------------------------------------
