@@ -1,5 +1,5 @@
 """Golden outputs: the exit code and the sha256 of the `--json` stdout of
-CLI commands on the shipped problem files at seed 7.
+CLI commands on the shipped problem files and the builtins at seed 7.
 
 A change that alters any of these bytes says why in CHANGES.md and
 rewrites the hashes with
@@ -34,12 +34,17 @@ def commands() -> list[tuple[str, ...]]:
         for cand in pf.candidates:
             out.append(("normalcone", rel, "--set", "lower", "--at", cand, "--oracle"))
             out.append(("subdiff", rel, "--fn", "lower.objective", "--at", cand, "--oracle"))
+            for theorem in ("t74", "t83"):
+                out.append(("certify", rel, "--at", cand, "--theorem", theorem, "--kappa", "4"))
         out.append(("verify", rel))
+        out.append(("valuefn", rel, "--x-range", "-1", "1", "0.1"))
+    out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
+    out.append(("verify", "--builtin-corpus"))
     return out
 
 
 def run(cmd: tuple[str, ...]) -> dict:
-    argv = [cmd[0], str(ROOT / cmd[1]), *cmd[2:], "--json", "--seed", SEED]
+    argv = [str(ROOT / a) if a in FILES else a for a in cmd] + ["--json", "--seed", SEED]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
