@@ -113,35 +113,6 @@ class NoCertificate:
 # Fritz John / KKT conditions for single-level Lipschitz programs
 
 
-def _zero_combination(parts: Sequence[Polytope]) -> tuple[np.ndarray, list[np.ndarray]] | float:
-    """Solve 0 in sum_i lambda_i conv(P_i) with lambda >= 0 summing to 1.
-
-    Returns (multipliers, chosen vectors) on success or the infeasibility
-    margin on failure."""
-    dim = parts[0].dim
-    blocks = [P.vertices for P in parts]
-    sizes = [b.shape[0] for b in blocks]
-    nvars = sum(sizes)
-    M = np.vstack(blocks)
-    cons = [LinearConstraint(M[:, d], "==", 0.0) for d in range(dim)]
-    cons.append(LinearConstraint(np.ones(nvars), "==", 1.0))
-    out = lp_feasible(LPProblem(nvars, cons))
-    if isinstance(out, LPInfeasible):
-        return out.margin
-    if not isinstance(out, LPFeasible):
-        raise BilevelError(f"LP breakdown: {out.reason}")
-    z = out.assignment
-    lams, vecs = [], []
-    off = 0
-    for b, k in zip(blocks, sizes):
-        w = z[off : off + k]
-        lam = float(w.sum())
-        lams.append(lam)
-        vecs.append((b.T @ w) / lam if lam > TOL_COMP else np.zeros(dim))
-        off += k
-    return np.array(lams), vecs
-
-
 def check_lipschitz_kkt(
     prog: LipschitzProgram,
     x: Sequence[float],
@@ -173,7 +144,7 @@ def check_lipschitz_kkt(
     mfcq_witness = None
     if active:
         for combo in itertools.product(*(u.parts for u in act_subs)):
-            out = _zero_combination(list(combo))
+            out = sd.zero_combination(list(combo))
             if not isinstance(out, float):
                 mfcq_holds = False
                 lams, vecs = out
@@ -198,7 +169,7 @@ def check_lipschitz_kkt(
     if len(combos) > MAX_COMBOS:
         raise sd.CombinatorialOverflow("too many branch choices in the KKT search")
     for combo in combos:
-        out = _zero_combination(list(combo))
+        out = sd.zero_combination(list(combo))
         if isinstance(out, float):
             best_margin = min(best_margin, out)
             continue
@@ -261,13 +232,6 @@ class PenalizedProgram:
             ex.evaluate(self.problem.upper_cost, p)
             + self.kappa * (ex.evaluate(self.problem.lower_cost, p) - theta)
         )
-
-    def constraint_values(self, x, y) -> list[float]:
-        xv = np.asarray(x, dtype=float)
-        p = np.concatenate([xv, np.asarray(y, dtype=float)])
-        vals = [ex.evaluate(f, p) for f in self.problem.lower_constraints]
-        vals += [ex.evaluate(g, xv) for g in self.problem.upper_constraints]
-        return vals
 
 
 def build_penalized(bp: BilevelProblem, kappa: float, grid: vf.GridSpec) -> PenalizedProgram:
@@ -360,26 +324,29 @@ def partial_calmness_probe(
     samples: list[tuple[np.ndarray, float, float]] = []  # (point, psi diff, |nu|)
     accuracy = 0.0
     theta_cache: dict[tuple, tuple[float, float]] = {}
-    for r in params.radii:
-        for d in dirs:
-            q = p + r * d
-            xq = q[: bp.x_dim]
-            if any(ex.evaluate(f, q) > TOL_GEOM for f in bp.lower_constraints):
+    qs = np.vstack([p + r * dirs for r in params.radii])
+    feasible = np.ones(qs.shape[0], dtype=bool)
+    for f in bp.lower_constraints:
+        feasible &= ex.eval_batch(f, qs) <= TOL_GEOM
+    for g in bp.upper_constraints:
+        feasible &= ex.eval_batch(g, qs[:, : bp.x_dim]) <= TOL_GEOM
+    qs = qs[feasible]
+    phis = ex.eval_batch(bp.lower_cost, qs).tolist()
+    psis = ex.eval_batch(bp.upper_cost, qs).tolist()
+    for q, phi, psi in zip(qs, phis, psis):
+        xq = q[: bp.x_dim]
+        key = tuple(np.round(xq, 12))
+        if key not in theta_cache:
+            try:
+                s = vf.evaluate_value(lower, xq, grid, refine=2)
+            except vf.InfeasibleOnBox:
                 continue
-            if any(ex.evaluate(g, xq) > TOL_GEOM for g in bp.upper_constraints):
-                continue
-            key = tuple(np.round(xq, 12))
-            if key not in theta_cache:
-                try:
-                    s = vf.evaluate_value(lower, xq, grid, refine=2)
-                except vf.InfeasibleOnBox:
-                    continue
-                slope = vf._argmin_cost_slope(lower, xq, s)
-                theta_cache[key] = (s.theta, 2.0 * s.step * (slope + 1.0))
-            theta, err = theta_cache[key]
-            accuracy = max(accuracy, err)
-            nu = theta - ex.evaluate(bp.lower_cost, q)
-            samples.append((q, ex.evaluate(bp.upper_cost, q) - psi_ref, max(0.0, abs(nu) - err)))
+            slope = vf._argmin_cost_slope(lower, xq, s)
+            theta_cache[key] = (s.theta, 2.0 * s.step * (slope + 1.0))
+        theta, err = theta_cache[key]
+        accuracy = max(accuracy, err)
+        nu = theta - phi
+        samples.append((q, psi - psi_ref, max(0.0, abs(nu) - err)))
 
     violations: list[dict] = []
     kappa_validated = None
@@ -430,7 +397,7 @@ def regularity_check(
         if not unions:
             return None
         for combo in itertools.product(*(u.parts for u in unions)):
-            out = _zero_combination(list(combo))
+            out = sd.zero_combination(list(combo))
             if not isinstance(out, float):
                 lams, vecs = out
                 top = float(lams.max())

@@ -9,8 +9,9 @@
     varcalc verify [FILE | --builtin-corpus]
     varcalc extremal --builtin halfplanes|boundary|nonextremal
 
-Exit codes: 0 ok, 2 input error, 3 computation refusal (qualification),
-4 no certificate, 5 hypothesis failure.  JSON reports (--json) are byte
+Exit codes: 0 ok, 2 input error (including a non-finite function value),
+3 computation refusal (qualification, LP breakdown), 4 no certificate,
+5 hypothesis failure.  JSON reports (--json) are byte
 identical for identical inputs and seed; timing appears only in the
 human-readable output.
 """
@@ -31,7 +32,7 @@ from varcalc import corpus as cp
 from varcalc import expr as ex
 from varcalc import subdiff as sd
 from varcalc import valuefn as vf
-from varcalc.convgeom import ConeSpec, Polytope, PolytopeUnion, hausdorff_distance
+from varcalc.convgeom import ConeSpec, GeometryError, Polytope, PolytopeUnion, hausdorff_distance
 from varcalc.problemfile import ProblemFile, ProblemFileError, parse_problem_file
 
 EXIT_OK = 0
@@ -519,6 +520,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except ex.ExprError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except GeometryError as err:
+        print(f"error: refused: {err}", file=sys.stderr)
+        return EXIT_REFUSED
     _emit(report, args.json, time.monotonic() - start)
     return code
 

@@ -13,14 +13,28 @@ with max/min/abs and is therefore locally Lipschitz on all of R^n.
 For piecewise analysis an abs node behaves as a two-branch max over
 (arg, -arg); max/min nodes branch over their children.  Branches are
 addressed by the node's path from the root (tuple of child indices).
+
+Each FunctionDef is lowered once to a tape: its nodes in post-order,
+each entry (kind, child slots, payload, path), a slot being an entry's
+position and the root the last entry.  All numeric work is two passes
+over the tape on an (N, dim) array of points; scalar entry points use
+one row.  The forward pass computes every node's value and, given
+tau_act, each piecewise node's (N, branches) activity mask; given a
+branch selection, piecewise nodes take the selected branch's value.  The
+reverse pass propagates adjoints from the root along one selection and
+returns the (N, dim) branch gradients and each reached piecewise node's
+adjoint.  Arithmetic is numpy float64 in tape order: sums and products
+accumulate left to right with + and *, pow is numpy's power, and
+overflow gives inf or nan (the passes run under np.errstate); evaluate
+and gradient_and_contexts raise ExprError on a non-finite result.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +44,7 @@ MAX_DIM = 8
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_OPS = {"+", "-", "*", "pow", "abs", "max", "min"}
+_KINDS = {"+": "add", "-": "sub", "*": "mul", "pow": "intpow", "abs": "abs", "max": "max", "min": "min"}
 
 
 class ExprError(ValueError):
@@ -65,7 +79,7 @@ class VarSpace:
         if len(self.names) > MAX_DIM:
             raise ExprError(f"dim {len(self.names)} exceeds supported maximum {MAX_DIM}")
         for nm in self.names:
-            if not _IDENT_RE.match(nm) or nm in _OPS:
+            if not _IDENT_RE.match(nm) or nm in _KINDS:
                 raise ExprError(f"invalid variable name {nm!r}")
 
     @property
@@ -135,19 +149,13 @@ PIECEWISE_KINDS = ("max", "min", "abs")
 Path = tuple[int, ...]
 
 
-def branch_count(node: ExprNode) -> int:
-    if node.kind == "abs":
-        return 2
-    return len(node.children)
+class Op(NamedTuple):
+    """One tape entry; args are the slots of the children."""
 
-
-def branch_child(node: ExprNode, index: int) -> tuple[ExprNode, bool]:
-    """Return (child expression, negate flag) for one piecewise branch."""
-    if node.kind == "abs":
-        if index not in (0, 1):
-            raise ExprError("abs branch index must be 0 or 1")
-        return node.children[0], index == 1
-    return node.children[index], False
+    kind: str
+    args: tuple[int, ...]
+    payload: float | int | None
+    path: Path
 
 
 @dataclass(frozen=True)
@@ -156,28 +164,53 @@ class FunctionDef:
     root: ExprNode
 
     def __post_init__(self):
-        for path, node in walk(self.root):
-            if node.kind == "var" and node.payload >= self.space.dim:
+        for op in self.tape:
+            if op.kind == "var" and op.payload >= self.space.dim:
                 raise ExprError(
-                    f"variable index {node.payload} out of range for dim {self.space.dim}"
+                    f"variable index {op.payload} out of range for dim {self.space.dim}"
                 )
 
+    @cached_property
+    def tape(self) -> tuple[Op, ...]:
+        tape: list[Op] = []
 
-def walk(node: ExprNode, path: Path = ()) -> Iterator[tuple[Path, ExprNode]]:
-    yield path, node
-    for i, ch in enumerate(node.children):
-        yield from walk(ch, path + (i,))
+        def visit(n: ExprNode, path: Path) -> int:
+            args = tuple(visit(c, path + (i,)) for i, c in enumerate(n.children))
+            tape.append(Op(n.kind, args, n.payload, path))
+            return len(tape) - 1
 
+        visit(self.root, ())
+        return tuple(tape)
 
-def piecewise_paths(root: ExprNode) -> list[Path]:
-    return [p for p, n in walk(root) if n.kind in PIECEWISE_KINDS]
+    @cached_property
+    def piecewise(self) -> dict[Path, int]:
+        """Slot of each piecewise node, in path order."""
+        slots = [(op.path, i) for i, op in enumerate(self.tape) if op.kind in PIECEWISE_KINDS]
+        return dict(sorted(slots))
 
-
-def node_at(root: ExprNode, path: Path) -> ExprNode:
-    node = root
-    for i in path:
-        node = node.children[i]
-    return node
+    @cached_property
+    def affine(self) -> tuple[np.ndarray, float] | None:
+        """affine_parts, detected from no piecewise nodes, a constant
+        gradient at probe points and exact agreement of the affine model
+        at the probes."""
+        if self.piecewise:
+            return None
+        dim = self.space.dim
+        rng = np.random.default_rng(20240901)
+        probes = rng.uniform(-1.3, 1.7, size=(4, dim))
+        vals, _ = _forward(self, np.vstack([probes, np.zeros((1, dim))]), selection={})
+        grads, _ = _reverse(self, vals, {})
+        if not (np.all(np.isfinite(vals[-1])) and np.all(np.isfinite(grads))):
+            return None
+        g0 = grads[0].copy()
+        g0.flags.writeable = False
+        if not all(np.allclose(g, g0, atol=1e-10, rtol=0) for g in grads[1:4]):
+            return None
+        b = float(vals[-1][4])
+        for p, v in zip(probes, vals[-1][:4]):
+            if abs(float(v) - (float(g0 @ p) + b)) > 1e-9 * (1 + abs(b)):
+                return None
+        return g0, b
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +259,7 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
         if pos >= len(tokens):
             raise ParseError("unclosed list", len(text))
         head, head_off = tokens[pos]
-        if head not in _OPS:
+        if head not in _KINDS:
             raise ParseError(f"expected operator, got {head!r}", head_off)
         pos += 1
         args: list[ExprNode] = []
@@ -264,28 +297,12 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
         return k
 
     def build(head: str, args: list[ExprNode], exponent: int | None, off: int) -> ExprNode:
+        if head == "pow" and (len(args) != 1 or exponent is None):
+            raise ParseError("pow takes an expression and an integer exponent", off)
         try:
-            if head == "+":
-                return ExprNode("add", tuple(args))
-            if head == "-":
-                return ExprNode("sub", tuple(args))
-            if head == "*":
-                return ExprNode("mul", tuple(args))
-            if head == "pow":
-                if len(args) != 1 or exponent is None:
-                    raise ParseError("pow takes an expression and an integer exponent", off)
-                return ExprNode("intpow", tuple(args), exponent)
-            if head == "abs":
-                return ExprNode("abs", tuple(args))
-            if head == "max":
-                return ExprNode("max", tuple(args))
-            if head == "min":
-                return ExprNode("min", tuple(args))
+            return ExprNode(_KINDS[head], tuple(args), exponent)
         except ExprError as e:
-            if isinstance(e, ParseError):
-                raise
             raise ParseError(str(e), off) from None
-        raise ParseError(f"unknown operator {head!r}", off)
 
     root = parse_expr()
     if pos != len(tokens):
@@ -309,10 +326,125 @@ def to_text(f: FunctionDef | ExprNode, space: VarSpace | None = None) -> str:
             return space.names[n.payload]
         if n.kind == "intpow":
             return f"(pow {pr(n.children[0])} {n.payload})"
-        head = {"add": "+", "sub": "-", "mul": "*", "abs": "abs", "max": "max", "min": "min"}[n.kind]
+        head = next(h for h, k in _KINDS.items() if k == n.kind)
         return "(" + head + " " + " ".join(pr(c) for c in n.children) + ")"
 
     return pr(node)
+
+
+# ---------------------------------------------------------------------------
+# The two passes
+
+
+def _forward(
+    f: FunctionDef,
+    pts: np.ndarray,
+    tau_act: float | None = None,
+    selection: Mapping[Path, int] | None = None,
+) -> tuple[list, dict[int, np.ndarray]]:
+    """Values of the tape's slots over the rows of pts, and with tau_act
+    the activity mask of each piecewise slot.
+
+    Without a selection a slot's value is dropped once its parent is
+    computed, so only the root's (last) value survives; with one every
+    value is kept for the reverse pass.
+    """
+    n = pts.shape[0]
+    vals: list = [None] * len(f.tape)
+    masks: dict[int, np.ndarray] = {}
+    with np.errstate(all="ignore"):
+        for i, (kind, args, payload, path) in enumerate(f.tape):
+            xs = [vals[j] for j in args]
+            if kind == "const":
+                v = np.full(n, payload)
+            elif kind == "var":
+                v = pts[:, payload]
+            elif kind == "add":
+                v = xs[0]
+                for x in xs[1:]:
+                    v = v + x
+            elif kind == "sub":
+                v = -xs[0] if len(xs) == 1 else xs[0] - xs[1]
+            elif kind == "mul":
+                v = xs[0]
+                for x in xs[1:]:
+                    v = v * x
+            elif kind == "intpow":
+                v = xs[0] ** payload
+            elif kind == "abs":
+                v = np.abs(xs[0])
+                if tau_act is not None:
+                    tie, pos = v <= tau_act, xs[0] > 0
+                    masks[i] = np.stack([tie | pos, tie | ~pos], axis=1)
+            elif kind == "max":
+                v = np.maximum.reduce(xs)
+                if tau_act is not None:
+                    masks[i] = np.stack([x >= v - tau_act for x in xs], axis=1)
+            else:
+                v = np.minimum.reduce(xs)
+                if tau_act is not None:
+                    masks[i] = np.stack([x <= v + tau_act for x in xs], axis=1)
+            if selection is not None and kind in PIECEWISE_KINDS:
+                b = selection.get(path)
+                if b is None:
+                    raise ExprError(f"branch selection missing piecewise node at {path}")
+                if not 0 <= b < (2 if kind == "abs" else len(xs)):
+                    raise ExprError(f"branch index {b} out of range at {path}")
+                v = (-xs[0] if b else xs[0]) if kind == "abs" else xs[b]
+            vals[i] = v
+            if selection is None:
+                for j in args:
+                    vals[j] = None
+    return vals, masks
+
+
+def _reverse(
+    f: FunctionDef, vals: list, selection: Mapping[Path, int]
+) -> tuple[np.ndarray, dict[Path, np.ndarray]]:
+    """Branch gradients (N, dim) of the composition fixed by the
+    selection, and the adjoint of each piecewise node the selection
+    reaches; vals come from the forward pass with the same selection."""
+    tape = f.tape
+    n = vals[-1].shape[0]
+    adj: list = [None] * len(tape)
+    adj[-1] = np.ones(n)
+    contexts: dict[Path, np.ndarray] = {}
+    with np.errstate(all="ignore"):
+        for i in range(len(tape) - 1, -1, -1):
+            a = adj[i]
+            kind, args, payload, path = tape[i]
+            if a is None or not args:
+                continue
+            if kind == "add":
+                for j in args:
+                    adj[j] = a
+            elif kind == "sub":
+                adj[args[0]] = -a if len(args) == 1 else a
+                if len(args) == 2:
+                    adj[args[1]] = -a
+            elif kind == "mul":
+                for pos, j in enumerate(args):
+                    others = 1.0
+                    for q, m in enumerate(args):
+                        if q != pos:
+                            others = others * vals[m]
+                    adj[j] = a * others
+            elif kind == "intpow":
+                if payload:
+                    adj[args[0]] = a * payload * vals[args[0]] ** (payload - 1)
+            else:
+                contexts[path] = a
+                b = selection[path]
+                if kind == "abs":
+                    adj[args[0]] = -a if b else a
+                else:
+                    adj[args[b]] = a
+        # leaves in tape order: each gradient entry sums left to right
+        grad = np.zeros((n, f.space.dim))
+        for (kind, _, payload, _), a in zip(tape, adj):
+            if kind == "var" and a is not None:
+                grad[:, payload] += a
+    return grad, contexts
 
 
 # ---------------------------------------------------------------------------
@@ -330,70 +462,32 @@ def as_point(space: VarSpace, coords: Sequence[float]) -> np.ndarray:
     return p
 
 
-def evaluate(f: FunctionDef, point: Sequence[float]) -> float:
-    p = as_point(f.space, point)
-
-    def ev(n: ExprNode) -> float:
-        if n.kind == "const":
-            return n.payload
-        if n.kind == "var":
-            return float(p[n.payload])
-        vals = [ev(c) for c in n.children]
-        if n.kind == "add":
-            return math.fsum(vals)
-        if n.kind == "sub":
-            return -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-        if n.kind == "mul":
-            out = 1.0
-            for v in vals:
-                out *= v
-            return out
-        if n.kind == "intpow":
-            return vals[0] ** n.payload
-        if n.kind == "abs":
-            return abs(vals[0])
-        if n.kind == "max":
-            return max(vals)
-        return min(vals)
-
-    return ev(f.root)
-
-
-def eval_batch(f: FunctionDef, points: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an (N, dim) array of points."""
+def _as_points(f: FunctionDef, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != f.space.dim:
         raise DimensionMismatchError(
             f"expected (N, {f.space.dim}) array, got shape {pts.shape}"
         )
+    return pts
 
-    def ev(n: ExprNode) -> np.ndarray:
-        if n.kind == "const":
-            return np.full(pts.shape[0], n.payload)
-        if n.kind == "var":
-            return pts[:, n.payload]
-        vals = [ev(c) for c in n.children]
-        if n.kind == "add":
-            out = vals[0].copy()
-            for v in vals[1:]:
-                out += v
-            return out
-        if n.kind == "sub":
-            return -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-        if n.kind == "mul":
-            out = vals[0].copy()
-            for v in vals[1:]:
-                out *= v
-            return out
-        if n.kind == "intpow":
-            return vals[0] ** n.payload
-        if n.kind == "abs":
-            return np.abs(vals[0])
-        if n.kind == "max":
-            return np.maximum.reduce(vals)
-        return np.minimum.reduce(vals)
 
-    return ev(f.root)
+def _finite(values, p: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ExprError(f"non-finite value at point {p.tolist()}")
+
+
+def evaluate(f: FunctionDef, point: Sequence[float]) -> float:
+    """f at the point; ExprError if the value is not finite."""
+    p = as_point(f.space, point)
+    vals, _ = _forward(f, p[None, :])
+    _finite(vals[-1], p)
+    return float(vals[-1][0])
+
+
+def eval_batch(f: FunctionDef, points: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation on an (N, dim) array of points."""
+    vals, _ = _forward(f, _as_points(f, points))
+    return vals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,53 +521,36 @@ class ActivePattern:
         return out
 
 
-def active_pattern(f: FunctionDef, point: Sequence[float], tau_act: float = TAU_ACT_DEFAULT) -> ActivePattern:
-    """Active branches within absolute tolerance tau_act at the point."""
+def active_patterns(
+    f: FunctionDef, points: np.ndarray, tau_act: float = TAU_ACT_DEFAULT
+) -> tuple[list[ActivePattern], np.ndarray]:
+    """The distinct active patterns over the rows of points, in order of
+    first occurrence, and the index of each row's pattern in that list."""
     if tau_act <= 0:
         raise ExprError("tau_act must be positive")
-    p = as_point(f.space, point)
-    sels: list[tuple[Path, tuple[int, ...]]] = []
+    pts = _as_points(f, points)
+    _, masks = _forward(f, pts, tau_act)
+    if not masks:
+        return [ActivePattern(())], np.zeros(pts.shape[0], dtype=np.intp)
+    cols = [masks[slot] for slot in f.piecewise.values()]
+    rows, first, inverse = np.unique(np.hstack(cols), axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    bounds = np.cumsum([0] + [c.shape[1] for c in cols])
+    patterns = [
+        ActivePattern(tuple(
+            (path, tuple(np.flatnonzero(row[lo:hi]).tolist()))
+            for path, lo, hi in zip(f.piecewise, bounds[:-1], bounds[1:])
+        ))
+        for row in rows[order]
+    ]
+    return patterns, rank[inverse.reshape(-1)]
 
-    def ev(n: ExprNode, path: Path) -> float:
-        if n.kind == "const":
-            return n.payload
-        if n.kind == "var":
-            return float(p[n.payload])
-        vals = [ev(c, path + (i,)) for i, c in enumerate(n.children)]
-        if n.kind == "add":
-            return math.fsum(vals)
-        if n.kind == "sub":
-            return -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-        if n.kind == "mul":
-            out = 1.0
-            for v in vals:
-                out *= v
-            return out
-        if n.kind == "intpow":
-            return vals[0] ** n.payload
-        if n.kind == "abs":
-            a = vals[0]
-            if abs(a) <= tau_act:
-                act = (0, 1)
-            elif a > 0:
-                act = (0,)
-            else:
-                act = (1,)
-            sels.append((path, act))
-            return abs(a)
-        if n.kind == "max":
-            top = max(vals)
-            act = tuple(i for i, v in enumerate(vals) if v >= top - tau_act)
-            sels.append((path, act))
-            return top
-        bot = min(vals)
-        act = tuple(i for i, v in enumerate(vals) if v <= bot + tau_act)
-        sels.append((path, act))
-        return bot
 
-    ev(f.root, ())
-    sels.sort(key=lambda s: s[0])
-    return ActivePattern(tuple(sels))
+def active_pattern(f: FunctionDef, point: Sequence[float], tau_act: float = TAU_ACT_DEFAULT) -> ActivePattern:
+    """Active branches within absolute tolerance tau_act at the point."""
+    return active_patterns(f, as_point(f.space, point)[None, :], tau_act)[0][0]
 
 
 def branch_combinations(pattern: ActivePattern) -> list[dict[Path, int]]:
@@ -485,90 +562,27 @@ def branch_combinations(pattern: ActivePattern) -> list[dict[Path, int]]:
     return combos
 
 
+def branch_gradients(
+    f: FunctionDef, points: np.ndarray, selection: Mapping[Path, int]
+) -> tuple[np.ndarray, dict[Path, np.ndarray]]:
+    """Gradients (N, dim) of the smooth composition fixed by the branch
+    selection at the rows of points, plus the sensitivity of f to each
+    reached piecewise node's output (its adjoint), one value per row.
+    Every branch is polynomial, so this is exact up to rounding."""
+    vals, _ = _forward(f, _as_points(f, points), selection=selection)
+    return _reverse(f, vals, selection)
+
+
 def gradient_and_contexts(
     f: FunctionDef, point: Sequence[float], selection: Mapping[Path, int]
 ) -> tuple[np.ndarray, dict[Path, float]]:
-    """Gradient of the smooth composition fixed by the branch selection,
-    plus the sensitivity of f to each piecewise node's output (its adjoint).
-
-    One forward pass for values, one reverse pass for adjoints; every
-    branch is polynomial so this is exact up to rounding.
-    """
+    """branch_gradients at one point; ExprError if f or the gradient is
+    not finite there."""
     p = as_point(f.space, point)
-    values: dict[Path, float] = {}
-
-    def fwd(n: ExprNode, path: Path) -> float:
-        if n.kind == "const":
-            v = n.payload
-        elif n.kind == "var":
-            v = float(p[n.payload])
-        else:
-            vals = [fwd(c, path + (i,)) for i, c in enumerate(n.children)]
-            if n.kind == "add":
-                v = math.fsum(vals)
-            elif n.kind == "sub":
-                v = -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-            elif n.kind == "mul":
-                v = 1.0
-                for x in vals:
-                    v *= x
-            elif n.kind == "intpow":
-                v = vals[0] ** n.payload
-            else:
-                if path not in selection:
-                    raise ExprError(f"branch selection missing piecewise node at {path}")
-                b = selection[path]
-                if b >= branch_count(n):
-                    raise ExprError(f"branch index {b} out of range at {path}")
-                child, negate = branch_child(n, b)
-                v = -vals[0] if negate else vals[b if n.kind != "abs" else 0]
-        values[path] = v
-        return v
-
-    fwd(f.root, ())
-
-    grad = np.zeros(f.space.dim)
-    contexts: dict[Path, float] = {}
-
-    def back(n: ExprNode, path: Path, adj: float) -> None:
-        if n.kind in PIECEWISE_KINDS:
-            contexts[path] = adj
-        if n.kind == "const":
-            return
-        if n.kind == "var":
-            grad[n.payload] += adj
-            return
-        if n.kind == "add":
-            for i, c in enumerate(n.children):
-                back(c, path + (i,), adj)
-        elif n.kind == "sub":
-            if len(n.children) == 1:
-                back(n.children[0], path + (0,), -adj)
-            else:
-                back(n.children[0], path + (0,), adj)
-                back(n.children[1], path + (1,), -adj)
-        elif n.kind == "mul":
-            vals = [values[path + (i,)] for i in range(len(n.children))]
-            for i, c in enumerate(n.children):
-                others = 1.0
-                for j, v in enumerate(vals):
-                    if j != i:
-                        others *= v
-                back(c, path + (i,), adj * others)
-        elif n.kind == "intpow":
-            k = n.payload
-            if k == 0:
-                return
-            base = values[path + (0,)]
-            back(n.children[0], path + (0,), adj * k * base ** (k - 1))
-        else:
-            b = selection[path]
-            _, negate = branch_child(n, b)
-            child_index = 0 if n.kind == "abs" else b
-            back(n.children[child_index], path + (child_index,), -adj if negate else adj)
-
-    back(f.root, (), 1.0)
-    return grad, contexts
+    vals, _ = _forward(f, p[None, :], selection=selection)
+    grad, contexts = _reverse(f, vals, selection)
+    _finite([vals[-1][0], *grad[0]], p)
+    return grad[0], {path: float(a[0]) for path, a in contexts.items()}
 
 
 def branch_gradient(
@@ -728,22 +742,6 @@ def is_syntactically_convex(f: FunctionDef) -> bool:
 
 
 def affine_parts(f: FunctionDef) -> tuple[np.ndarray, float] | None:
-    """Return (w, b) with f(x) = <w, x> + b, or None if f is not affine.
-
-    Detection: no piecewise nodes, constant gradient at probe points and
-    exact agreement of the affine model at a further probe set.
-    """
-    if piecewise_paths(f.root):
-        return None
-    dim = f.space.dim
-    rng = np.random.default_rng(20240901)
-    probes = rng.uniform(-1.3, 1.7, size=(4, dim))
-    g0 = branch_gradient(f, probes[0], {})
-    for p in probes[1:]:
-        if not np.allclose(branch_gradient(f, p, {}), g0, atol=1e-10, rtol=0):
-            return None
-    b = evaluate(f, np.zeros(dim))
-    for p in probes:
-        if abs(evaluate(f, p) - (float(g0 @ p) + b)) > 1e-9 * (1 + abs(b)):
-            return None
-    return g0, b
+    """Return (w, b) with f(x) = <w, x> + b, or None if f is not affine;
+    computed once per FunctionDef."""
+    return f.affine

@@ -149,16 +149,16 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def _param_values(line: str, conv, many: bool = False) -> tuple:
-    """The values after a [params] key: exactly one, or with many=True
-    one or more, each converted by conv."""
+def _param_values(line: str, conv, count: int | None = 1, section: str = "params") -> tuple:
+    """The values after a line's key, each converted by conv: exactly
+    count of them, or one or more when count is None."""
     vals = line.split()[1:]
-    if not vals or (len(vals) > 1 and not many):
-        raise ProblemFileError(f"bad [params] line {line!r}: wrong number of values")
+    if not vals or (count is not None and len(vals) != count):
+        raise ProblemFileError(f"bad [{section}] line {line!r}: wrong number of values")
     try:
         return tuple(conv(v) for v in vals)
     except ValueError as err:
-        raise ProblemFileError(f"bad [params] line {line!r}: {err}") from None
+        raise ProblemFileError(f"bad [{section}] line {line!r}: {err}") from None
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -199,7 +199,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     full_space = ex.VarSpace(tuple(x_names + y_names))
     x_space = ex.VarSpace(tuple(x_names))
 
-    def parse_section_functions(name: str, space: ex.VarSpace):
+    def parse_section_functions(name: str, space: ex.VarSpace, constraint_space: ex.VarSpace):
         objective = None
         constraints = []
         for line in sections.get(name, []):
@@ -210,7 +210,7 @@ def parse_problem_file(text: str) -> ProblemFile:
                     raise ProblemFileError(f"[{name}] has two objectives")
                 objective = ex.parse_function(rest, space)
             elif key == "constraint":
-                constraints.append(ex.parse_function(rest, space))
+                constraints.append(ex.parse_function(rest, constraint_space))
             else:
                 raise ProblemFileError(f"unknown [{name}] key {key!r}")
         return objective, tuple(constraints)
@@ -219,26 +219,14 @@ def parse_problem_file(text: str) -> ProblemFile:
     if "lower" in sections:
         if not y_names:
             raise ProblemFileError("a [lower] section needs lower variables")
-        lower_objective, lower_constraints = parse_section_functions("lower", full_space)
+        lower_objective, lower_constraints = parse_section_functions("lower", full_space, full_space)
         if lower_objective is None:
             raise ProblemFileError("[lower] needs an objective")
         if not lower_constraints:
             raise ProblemFileError("[lower] needs at least one constraint")
-    upper_space = full_space if y_names else x_space
-    upper_objective = None
-    upper_constraints: list[ex.FunctionDef] = []
-    if "upper" in sections:
-        objective = None
-        for line in sections["upper"]:
-            key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if key == "objective":
-                objective = ex.parse_function(rest, upper_space)
-            elif key == "constraint":
-                upper_constraints.append(ex.parse_function(rest, x_space))
-            else:
-                raise ProblemFileError(f"unknown [upper] key {key!r}")
-        upper_objective = objective
+    upper_objective, upper_constraints = parse_section_functions(
+        "upper", full_space if y_names else x_space, x_space
+    )
 
     dim = len(x_names) + len(y_names)
     candidates: dict[str, np.ndarray] = {}
@@ -261,28 +249,30 @@ def parse_problem_file(text: str) -> ProblemFile:
         stencil_radius = 0.2
         stencil_count = 4
         for line in sections["grid"]:
-            toks = line.split()
-            if toks[0] == "box":
-                if len(toks) != 4:
-                    raise ProblemFileError(f"bad box line {line!r}")
-                boxes[toks[1]] = (float(toks[2]), float(toks[3]))
-            elif toks[0] == "resolution":
-                resolution = int(toks[1])
-            elif toks[0] == "stencil_radius":
-                stencil_radius = float(toks[1])
-            elif toks[0] == "stencil_count":
-                stencil_count = int(toks[1])
+            key = line.split()[0]
+            if key == "box":
+                name, lo, hi = _param_values(line, str, 3, "grid")
+                boxes[name] = _param_values(f"{name} {lo} {hi}", float, 2, "grid")
+            elif key == "resolution":
+                (resolution,) = _param_values(line, int, section="grid")
+            elif key == "stencil_radius":
+                (stencil_radius,) = _param_values(line, float, section="grid")
+            elif key == "stencil_count":
+                (stencil_count,) = _param_values(line, int, section="grid")
             else:
-                raise ProblemFileError(f"unknown [grid] key {toks[0]!r}")
+                raise ProblemFileError(f"unknown [grid] key {key!r}")
         missing = [n for n in y_names if n not in boxes]
         if missing:
             raise ProblemFileError(f"[grid] missing box for lower variables: {missing}")
-        grid = vf.GridSpec(
-            y_box=tuple(boxes[n] for n in y_names),
-            resolution=resolution,
-            x_stencil_radius=stencil_radius,
-            x_stencil_count=stencil_count,
-        )
+        try:
+            grid = vf.GridSpec(
+                y_box=tuple(boxes[n] for n in y_names),
+                resolution=resolution,
+                x_stencil_radius=stencil_radius,
+                x_stencil_count=stencil_count,
+            )
+        except vf.ValueFnError as err:
+            raise ProblemFileError(f"bad [grid]: {err}") from None
 
     seed = 0
     tau_act = ex.TAU_ACT_DEFAULT
@@ -296,11 +286,11 @@ def parse_problem_file(text: str) -> ProblemFile:
         elif key == "tau_act":
             (tau_act,) = _param_values(line, float)
         elif key == "radii":
-            radii = _param_values(line, float, many=True)
+            radii = _param_values(line, float, None)
         elif key == "dirs_per_radius":
             (dirs_per_radius,) = _param_values(line, int)
         elif key == "kappa_grid":
-            kappa_grid = _param_values(line, float, many=True)
+            kappa_grid = _param_values(line, float, None)
         else:
             raise ProblemFileError(f"unknown [params] key {key!r}")
 
@@ -315,7 +305,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         lower_objective=lower_objective,
         lower_constraints=lower_constraints,
         upper_objective=upper_objective,
-        upper_constraints=tuple(upper_constraints),
+        upper_constraints=upper_constraints,
         candidates=candidates,
         grid=grid,
         seed=seed,

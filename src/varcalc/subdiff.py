@@ -303,7 +303,7 @@ def _pattern_is_max_like(pattern: ex.ActivePattern, f: ex.FunctionDef, contexts)
     for path, act in pattern.selections:
         if len(act) < 2:
             continue
-        kind = ex.node_at(f.root, path).kind
+        kind = f.tape[f.piecewise[path]].kind
         vals = [ctx.get(path, 0.0) for ctx in contexts]
         if all(abs(v) <= tol for v in vals):
             continue
@@ -410,10 +410,10 @@ def _realizable_patterns(
     dirs = params.directions(f.space.dim)
     for level, r in enumerate(params.radii):
         smallest = level == len(params.radii) - 1
-        for d in dirs:
-            pat = ex.active_pattern(f, p + r * d, tau_act)
+        patterns, inverse = ex.active_patterns(f, p + r * dirs, tau_act)
+        for pat, count in zip(patterns, np.bincount(inverse).tolist()):
             info = census.setdefault(pat.key(), {"count": 0, "smallest": False})
-            info["count"] += 1
+            info["count"] += count
             if smallest:
                 info["smallest"] = True
                 chosen.setdefault(pat.key(), pat)
@@ -542,16 +542,17 @@ def _cluster(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _accepts(
-    f: ex.FunctionDef,
     u: np.ndarray,
+    fu: float,
     candidates: np.ndarray,
     stencil: np.ndarray,
+    f_stencil: np.ndarray,
     eps: float,
 ) -> np.ndarray:
     """Vectorized epsilon-relaxed regular-subgradient test at u: keep v
-    with f(w) - f(u) >= <v, w-u> - eps*|w-u| on every stencil point w."""
-    fu = ex.evaluate(f, u)
-    gains = ex.eval_batch(f, stencil) - fu  # (S,)
+    with f(w) - f(u) >= <v, w-u> - eps*|w-u| on every stencil point w,
+    given fu = f(u) and f_stencil = f over the stencil."""
+    gains = f_stencil - fu  # (S,)
     offs = stencil - u[None, :]  # (S, dim)
     norms = np.linalg.norm(offs, axis=1)
     lhs = candidates @ offs.T  # (C, S)
@@ -585,15 +586,21 @@ def sampled_subdiff_oracle(
     raw: list[np.ndarray] = []
     for level, (r, eps) in enumerate(zip(params.radii, params.eps_sequence)):
         rho = np.array([r / 32, r / 64])
-        for di, d in enumerate(dirs):
-            u = p + r * d
-            pat = ex.active_pattern(f, u, tau_act)
-            if not pat.is_smooth():
-                continue
-            sel = {path: act[0] for path, act in pat.selections}
-            v = ex.branch_gradient(f, u, sel)
-            stencil = np.vstack([u[None, :] + rr * stencil_dirs for rr in rho])
-            if _accepts(f, u, v[None, :], stencil, eps)[0]:
+        us = p + r * dirs
+        patterns, inverse = ex.active_patterns(f, us, tau_act)
+        smooth = [pat.is_smooth() for pat in patterns]
+        grads = np.zeros_like(us)
+        for k, pat in enumerate(patterns):
+            if smooth[k]:
+                sel = {path: act[0] for path, act in pat.selections}
+                grads[inverse == k] = ex.branch_gradients(f, us[inverse == k], sel)[0]
+        # stencils[di] = [u + rr * s for rr in rho for s in stencil_dirs], u = us[di]
+        stencils = us[:, None, :] + (rho[:, None, None] * stencil_dirs).reshape(1, -1, dim)
+        values = ex.eval_batch(f, np.vstack([us, stencils.reshape(-1, dim)]))
+        f_stencils = values[len(us) :].reshape(len(us), -1)
+        for di, k in enumerate(inverse.tolist()):
+            v = grads[di]
+            if smooth[k] and _accepts(us[di], values[di], v[None, :], stencils[di], f_stencils[di], eps)[0]:
                 accepted.setdefault(di, {})[level] = v
                 raw.append(v)
 
@@ -618,7 +625,8 @@ def sampled_subdiff_oracle(
         [p[None, :] + r * stencil_dirs for r in params.radii]
     )
     eps_fill = params.eps_sequence[0]
-    keep = _accepts(f, p, fill, stencil, eps_fill)
+    values = ex.eval_batch(f, np.vstack([p[None, :], stencil]))
+    keep = _accepts(p, values[0], fill, stencil, values[1:], eps_fill)
     fill_accepted = fill[keep]
     raw.extend(fill_accepted)
 
@@ -699,29 +707,33 @@ class NormalCone:
         return self.parts[0].dim
 
 
-def _check_positive_combination_of_zero(
-    part_choices: list[Polytope], dim: int
-) -> np.ndarray | None:
-    """Find lambda >= 0, sum = 1, with 0 in sum_j lambda_j * conv(P_j);
-    returns the witness multipliers or None."""
-    blocks = [P.vertices for P in part_choices]
-    nvars = sum(b.shape[0] for b in blocks)
+def zero_combination(parts: Sequence[Polytope]) -> tuple[np.ndarray, list[np.ndarray]] | float:
+    """Solve 0 in sum_i lambda_i conv(P_i) with lambda >= 0 summing to 1.
+
+    Returns (multipliers, chosen vectors) on success or the infeasibility
+    margin on failure; an LP breakdown raises GeometryError."""
+    dim = parts[0].dim
+    blocks = [P.vertices for P in parts]
+    sizes = [b.shape[0] for b in blocks]
+    nvars = sum(sizes)
     M = np.vstack(blocks)
     cons = [LinearConstraint(M[:, d], "==", 0.0) for d in range(dim)]
     cons.append(LinearConstraint(np.ones(nvars), "==", 1.0))
     out = lp_feasible(LPProblem(nvars, cons))
     if isinstance(out, LPInfeasible):
-        return None
+        return out.margin
     if not isinstance(out, LPFeasible):
-        raise GeometryError(f"LP breakdown in qualification check: {out.reason}")
+        raise GeometryError(f"LP breakdown in zero-combination check: {out.reason}")
     z = out.assignment
-    lams = []
+    lams, vecs = [], []
     off = 0
-    for b in blocks:
-        lams.append(float(z[off : off + b.shape[0]].sum()))
-        off += b.shape[0]
-    lams = np.array(lams)
-    return lams / lams.max()
+    for b, k in zip(blocks, sizes):
+        w = z[off : off + k]
+        lam = float(w.sum())
+        lams.append(lam)
+        vecs.append((b.T @ w) / lam if lam > 1e-9 else np.zeros(dim))
+        off += k
+    return np.array(lams), vecs
 
 
 def normal_cone(
@@ -789,8 +801,9 @@ def normal_cone(
     if len(combos) > MAX_BRANCH_COMBOS:
         raise CombinatorialOverflow("too many branch choices in normal cone")
     for choice in combos:
-        witness = _check_positive_combination_of_zero(list(choice), dim)
-        if witness is not None:
+        out = zero_combination(list(choice))
+        if not isinstance(out, float):
+            witness = out[0] / out[0].max()
             raise QualificationError(
                 "qualification condition fails: a nonzero nonnegative combination "
                 "of active constraint subgradients vanishes",

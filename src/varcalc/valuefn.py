@@ -439,13 +439,11 @@ def regular_value_subdiff_outer(
 def _argmin_cost_slope(prob: ParametricProblem, xv: np.ndarray, sample: ValueSample) -> float:
     """Sampled bound on the cost's decision-variable slope near the
     argminimum set (controls the grid-snapping error of theta)."""
-    worst = 0.0
     h = max(sample.step, 1e-7)
-    for ym in sample.argmins[:8]:
-        p = np.concatenate([xv, ym])
-        for a in range(prob.y_dim):
-            e = np.zeros_like(p)
-            e[prob.x_dim + a] = h
-            d = abs(ex.evaluate(prob.cost, p + e) - ex.evaluate(prob.cost, p - e)) / (2 * h)
-            worst = max(worst, d)
-    return worst
+    steps = np.zeros((prob.y_dim, prob.x_dim + prob.y_dim))
+    steps[:, prob.x_dim :] = h * np.eye(prob.y_dim)
+    ps = [np.concatenate([xv, ym]) for ym in sample.argmins[:8]]
+    if not ps:
+        return 0.0
+    vals = ex.eval_batch(prob.cost, np.array([p + s * e for p in ps for e in steps for s in (1, -1)]))
+    return max([0.0, *(np.abs(vals[0::2] - vals[1::2]) / (2 * h)).tolist()])

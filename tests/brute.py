@@ -4,15 +4,18 @@ These deliberately avoid the library's LP machinery: membership is decided
 by dense enumeration over lattice weight grids, so they can cross-check
 the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
-grid point.
+grid point, and the expression layer's tape passes against a recursive
+interpreter over the expression tree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc.convgeom import Polytope
 
@@ -171,3 +174,99 @@ def dense_normal_cone_oracle(spec, x, params) -> S.OracleCloud:
                 collected.append(v / np.linalg.norm(v))
     cloud = np.array(collected) if collected else np.zeros((0, spec.dim))
     return S.OracleCloud(points=cloud, cluster_centers=S._cluster(cloud, 0.02))
+
+
+class NonFinite(ArithmeticError):
+    """A value of the reference interpreter overflowed."""
+
+
+def _power(a: float, k: int) -> float:
+    # numpy's power, which the expression layer uses; it can differ from
+    # Python's float ** int in the last bit
+    return float(np.power(np.array([a]), k)[0])
+
+
+def reference_forward(f, point, tau_act=E.TAU_ACT_DEFAULT, selection=None):
+    """(value, active pattern, value of every node by path) of f at the
+    point, by a recursive walk over the tree in Python floats: sums and
+    products left to right, piecewise nodes taking the selected branch's
+    value when a selection is given.  Raises NonFinite on any non-finite
+    node value."""
+    values = {}
+    sels = []
+
+    def ev(n, path):
+        if n.kind == "const":
+            v = n.payload
+        elif n.kind == "var":
+            v = float(point[n.payload])
+        else:
+            vals = [ev(c, path + (i,)) for i, c in enumerate(n.children)]
+            if n.kind in ("add", "mul"):
+                v = vals[0]
+                for x in vals[1:]:
+                    v = v + x if n.kind == "add" else v * x
+            elif n.kind == "sub":
+                v = -vals[0] if len(vals) == 1 else vals[0] - vals[1]
+            elif n.kind == "intpow":
+                v = _power(vals[0], n.payload)
+            elif n.kind == "abs":
+                a = vals[0]
+                v = abs(a)
+                sels.append((path, (0, 1) if abs(a) <= tau_act else (0,) if a > 0 else (1,)))
+            elif n.kind == "max":
+                v = max(vals)
+                sels.append((path, tuple(i for i, x in enumerate(vals) if x >= v - tau_act)))
+            else:
+                v = min(vals)
+                sels.append((path, tuple(i for i, x in enumerate(vals) if x <= v + tau_act)))
+            if selection is not None and n.kind in E.PIECEWISE_KINDS:
+                b = selection[path]
+                v = (-vals[0] if b else vals[0]) if n.kind == "abs" else vals[b]
+        if not math.isfinite(v):
+            raise NonFinite(path)
+        values[path] = v
+        return v
+
+    value = ev(f.root, ())
+    return value, E.ActivePattern(tuple(sorted(sels))), values
+
+
+def reference_gradient(f, point, selection):
+    """(gradient, adjoint of each reached piecewise node) of the smooth
+    composition fixed by the selection: a recursive reverse pass, each
+    gradient entry summed over the variable's leaves left to right."""
+    _, _, values = reference_forward(f, point, selection=selection)
+    grad = np.zeros(f.space.dim)
+    contexts = {}
+
+    def back(n, path, adj):
+        if n.kind in E.PIECEWISE_KINDS:
+            contexts[path] = adj
+            b = selection[path]
+            i = 0 if n.kind == "abs" else b
+            back(n.children[i], path + (i,), -adj if n.kind == "abs" and b else adj)
+        elif n.kind == "var":
+            grad[n.payload] += adj
+        elif n.kind == "add":
+            for i, c in enumerate(n.children):
+                back(c, path + (i,), adj)
+        elif n.kind == "sub":
+            back(n.children[0], path + (0,), adj if len(n.children) == 2 else -adj)
+            if len(n.children) == 2:
+                back(n.children[1], path + (1,), -adj)
+        elif n.kind == "mul":
+            for i, c in enumerate(n.children):
+                others = 1.0
+                for j in range(len(n.children)):
+                    if j != i:
+                        others *= values[path + (j,)]
+                back(c, path + (i,), adj * others)
+        elif n.kind == "intpow" and n.payload:
+            base = values[path + (0,)]
+            back(n.children[0], path + (0,), adj * n.payload * _power(base, n.payload - 1))
+
+    back(f.root, (), 1.0)
+    if not np.all(np.isfinite(grad)):
+        raise NonFinite("gradient")
+    return grad, contexts

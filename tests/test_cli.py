@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from varcalc import cli
+from varcalc import subdiff as sd
+from varcalc.convgeom import LPBreakdown
 from varcalc.problemfile import parse_problem_file, ProblemFileError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +79,37 @@ def test_bad_params_exit2(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert "bad problem file" in err
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("resolution 401", "resolution abc"),
+        ("resolution 401", "resolution"),
+        ("resolution 401", "resolution 1"),
+        ("stencil_count 4", "stencil_count x"),
+        ("box y -2 2", "box y 1 0"),
+        ("box y -2 2", "box y a 2"),
+        ("box y -2 2", "box y"),
+    ],
+)
+def test_bad_grid_exit2(tmp_path, capsys, old, new):
+    path = tmp_path / "grid.vp"
+    path.write_text(WORKED.read_text().replace(old, new))
+    with pytest.raises(ProblemFileError, match="grid"):
+        parse_problem_file(path.read_text())
+    code, out, err = run_cli(["valuefn", str(path), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad problem file" in err
+
+
+def test_second_upper_objective_rejected():
+    text = WORKED.read_text().replace(
+        "objective (+ (* x x) (* y y))", "objective (+ (* x x) (* y y))\nobjective x"
+    )
+    with pytest.raises(ProblemFileError, match=r"\[upper\] has two objectives"):
+        parse_problem_file(text)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +216,37 @@ origin 0 0 0 0
     assert code == 2
     assert out == ""
     assert "dim <= 3" in err
+
+
+def test_cmd_subdiff_non_finite_value_exit2(tmp_path, capsys):
+    text = """
+[vars]
+upper x
+lower y
+[lower]
+objective (pow y 100000)
+constraint (- y 2e300)
+[candidates]
+huge 0 1e300
+"""
+    path = tmp_path / "huge.vp"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["subdiff", str(path), "--fn", "lower.objective", "--at", "huge", "--json"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-finite value" in err
+
+
+def test_cmd_normalcone_lp_breakdown_exit3(capsys, monkeypatch):
+    monkeypatch.setattr(sd, "lp_feasible", lambda problem: LPBreakdown("stalled"))
+    code, out, err = run_cli(
+        ["normalcone", str(KINK), "--set", "lower", "--at", "top", "--json"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert "LP breakdown" in err
 
 
 # ---------------------------------------------------------------------------

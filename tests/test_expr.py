@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tests import brute
 from varcalc import expr as E
 
 
@@ -63,9 +64,11 @@ _node_strategy = st.deferred(
         st.floats(-4, 4, allow_nan=False).map(lambda c: E.const(round(c, 3))),
         st.integers(0, 1).map(E.var),
         st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("add", t)),
+        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(lambda t: E.ExprNode("add", t)),
         st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("sub", t)),
         st.tuples(_node_strategy).map(lambda t: E.ExprNode("sub", t)),
         st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("mul", t)),
+        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(lambda t: E.ExprNode("mul", t)),
         st.tuples(_node_strategy, st.integers(0, 4)).map(
             lambda t: E.ExprNode("intpow", (t[0],), t[1])
         ),
@@ -84,6 +87,45 @@ def test_print_parse_round_trip(node):
     g = E.FunctionDef(XY, node)
     text = E.to_text(g)
     assert E.parse_function(text, XY).root == node
+
+
+# kinks of the generated expressions, and coordinates off the binary grid
+# so that sums round
+_coord = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.integers(-3000, 3000).map(lambda k: k / 997))
+
+
+def _scaled(c, node):
+    return E.ExprNode("mul", (E.const(c), node))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_node_strategy, st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5))
+def test_tape_passes_equal_reference_interpreter(node, points):
+    # a sum of four terms in which each variable has several leaves, so
+    # that the summation order and the order in which a variable's leaves
+    # add up in the gradient both show
+    terms = (node, _scaled(0.1, node), _scaled(0.3, E.var(0)), _scaled(0.7, E.var(1)))
+    g = E.FunctionDef(XY, E.ExprNode("add", terms))
+    pts = np.array(points, dtype=float)
+    try:
+        refs = [brute.reference_forward(g, p) for p in pts]
+    except brute.NonFinite:
+        assume(False)
+    values = E.eval_batch(g, pts)
+    patterns, inverse = E.active_patterns(g, pts)
+    for i, (p, (value, pattern, _)) in enumerate(zip(pts, refs)):
+        assert E.evaluate(g, p) == value
+        assert values[i] == value
+        assert E.active_pattern(g, p) == pattern
+        assert patterns[inverse[i]] == pattern
+        for sel in E.branch_combinations(pattern)[:8]:
+            try:
+                ref_grad, ref_contexts = brute.reference_gradient(g, p, sel)
+            except brute.NonFinite:
+                continue
+            grad, contexts = E.gradient_and_contexts(g, p, sel)
+            assert np.array_equal(grad, ref_grad)
+            assert contexts == ref_contexts
 
 
 # ---------------------------------------------------------------------------
