@@ -44,7 +44,8 @@ MAX_DIM = 8
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_KINDS = {"+": "add", "-": "sub", "*": "mul", "pow": "intpow", "abs": "abs", "max": "max", "min": "min"}
+PIECEWISE_KINDS = ("max", "min", "abs")
+_KINDS = {"+": "add", "-": "sub", "*": "mul", "pow": "intpow", **{k: k for k in PIECEWISE_KINDS}}
 
 
 class ExprError(ValueError):
@@ -143,8 +144,6 @@ def const(c: float) -> ExprNode:
 def var(i: int) -> ExprNode:
     return ExprNode("var", payload=int(i))
 
-
-PIECEWISE_KINDS = ("max", "min", "abs")
 
 Path = tuple[int, ...]
 
@@ -533,7 +532,8 @@ def active_patterns(
     if not masks:
         return [ActivePattern(())], np.zeros(pts.shape[0], dtype=np.intp)
     cols = [masks[slot] for slot in f.piecewise.values()]
-    rows, first, inverse = np.unique(np.hstack(cols), axis=0, return_index=True, return_inverse=True)
+    bits = np.hstack(cols)
+    rows, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -588,8 +588,7 @@ def gradient_and_contexts(
 def branch_gradient(
     f: FunctionDef, point: Sequence[float], selection: Mapping[Path, int]
 ) -> np.ndarray:
-    grad, _ = gradient_and_contexts(f, point, selection)
-    return grad
+    return gradient_and_contexts(f, point, selection)[0]
 
 
 # ---------------------------------------------------------------------------

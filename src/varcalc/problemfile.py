@@ -219,7 +219,9 @@ def parse_problem_file(text: str) -> ProblemFile:
     if "lower" in sections:
         if not y_names:
             raise ProblemFileError("a [lower] section needs lower variables")
-        lower_objective, lower_constraints = parse_section_functions("lower", full_space, full_space)
+        lower_objective, lower_constraints = parse_section_functions(
+            "lower", full_space, full_space
+        )
         if lower_objective is None:
             raise ProblemFileError("[lower] needs an objective")
         if not lower_constraints:
@@ -286,11 +288,11 @@ def parse_problem_file(text: str) -> ProblemFile:
         elif key == "tau_act":
             (tau_act,) = _param_values(line, float)
         elif key == "radii":
-            radii = _param_values(line, float, None)
+            radii = _param_values(line, float, count=None)
         elif key == "dirs_per_radius":
             (dirs_per_radius,) = _param_values(line, int)
         elif key == "kappa_grid":
-            kappa_grid = _param_values(line, float, None)
+            kappa_grid = _param_values(line, float, count=None)
         else:
             raise ProblemFileError(f"unknown [params] key {key!r}")
 

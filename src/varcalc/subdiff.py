@@ -600,7 +600,9 @@ def sampled_subdiff_oracle(
         f_stencils = values[len(us) :].reshape(len(us), -1)
         for di, k in enumerate(inverse.tolist()):
             v = grads[di]
-            if smooth[k] and _accepts(us[di], values[di], v[None, :], stencils[di], f_stencils[di], eps)[0]:
+            if smooth[k] and _accepts(
+                us[di], values[di], v[None, :], stencils[di], f_stencils[di], eps
+            )[0]:
                 accepted.setdefault(di, {})[level] = v
                 raw.append(v)
 

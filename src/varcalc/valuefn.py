@@ -445,5 +445,6 @@ def _argmin_cost_slope(prob: ParametricProblem, xv: np.ndarray, sample: ValueSam
     ps = [np.concatenate([xv, ym]) for ym in sample.argmins[:8]]
     if not ps:
         return 0.0
-    vals = ex.eval_batch(prob.cost, np.array([p + s * e for p in ps for e in steps for s in (1, -1)]))
+    stencil = np.array([p + s * e for p in ps for e in steps for s in (1, -1)])
+    vals = ex.eval_batch(prob.cost, stencil)
     return max([0.0, *(np.abs(vals[0::2] - vals[1::2]) / (2 * h)).tolist()])

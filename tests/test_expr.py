@@ -64,11 +64,12 @@ _node_strategy = st.deferred(
         st.floats(-4, 4, allow_nan=False).map(lambda c: E.const(round(c, 3))),
         st.integers(0, 1).map(E.var),
         st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("add", t)),
-        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(lambda t: E.ExprNode("add", t)),
         st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("sub", t)),
         st.tuples(_node_strategy).map(lambda t: E.ExprNode("sub", t)),
         st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("mul", t)),
-        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(lambda t: E.ExprNode("mul", t)),
+        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(
+            lambda t: E.ExprNode("mul", t)
+        ),
         st.tuples(_node_strategy, st.integers(0, 4)).map(
             lambda t: E.ExprNode("intpow", (t[0],), t[1])
         ),
@@ -91,7 +92,9 @@ def test_print_parse_round_trip(node):
 
 # kinks of the generated expressions, and coordinates off the binary grid
 # so that sums round
-_coord = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.integers(-3000, 3000).map(lambda k: k / 997))
+_coord = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0]), st.integers(-3000, 3000).map(lambda k: k / 997)
+)
 
 
 def _scaled(c, node):
