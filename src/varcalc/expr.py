@@ -576,13 +576,12 @@ def branch_gradients(
 def gradient_and_contexts(
     f: FunctionDef, point: Sequence[float], selection: Mapping[Path, int]
 ) -> tuple[np.ndarray, dict[Path, float]]:
-    """branch_gradients at one point; ExprError if f or the gradient is
-    not finite there."""
+    """branch_gradients at one point; ExprError if the gradient is not
+    finite there."""
     p = as_point(f.space, point)
-    vals, _ = _forward(f, p[None, :], selection=selection)
-    grad, contexts = _reverse(f, vals, selection)
-    _finite([vals[-1][0], *grad[0]], p)
-    return grad[0], {path: float(a[0]) for path, a in contexts.items()}
+    grads, contexts = branch_gradients(f, p[None, :], selection)
+    _finite(grads, p)
+    return grads[0], {path: float(a[0]) for path, a in contexts.items()}
 
 
 def branch_gradient(

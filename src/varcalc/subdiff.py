@@ -627,8 +627,8 @@ def sampled_subdiff_oracle(
         [p[None, :] + r * stencil_dirs for r in params.radii]
     )
     eps_fill = params.eps_sequence[0]
-    values = ex.eval_batch(f, np.vstack([p[None, :], stencil]))
-    keep = _accepts(p, values[0], fill, stencil, values[1:], eps_fill)
+    f_fill = ex.eval_batch(f, np.vstack([p[None, :], stencil]))
+    keep = _accepts(p, f_fill[0], fill, stencil, f_fill[1:], eps_fill)
     fill_accepted = fill[keep]
     raw.extend(fill_accepted)
 
