@@ -437,48 +437,49 @@ def clip_polytope(
 # Distances
 
 
-def _project_affine_subset(p: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:
-    """Projection of p onto aff(S) with barycentric weights summing to one.
-
-    Solved as unconstrained least squares after parametrizing the weights
-    on the sum-to-one affine subspace, so degenerate subsets are fine.
-    """
-    k = S.shape[0]
-    w0 = np.full(k, 1.0 / k)
-    # nullspace basis of the all-ones row
-    _, _, vt = np.linalg.svd(np.ones((1, k)))
-    N = vt[1:].T  # k x (k-1)
-    A = S.T @ N  # dim x (k-1)
-    rhs = p - S.T @ w0
-    z, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    w = w0 + N @ z
-    q = S.T @ w
-    return float(np.linalg.norm(p - q)), w
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    # one dot product per row, as np.linalg.norm takes for a single vector
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
-def point_to_polytope_distance(p: Sequence[float], poly: Polytope) -> float:
-    """Exact Euclidean distance from a point to conv(vertices).
+def point_to_polytope_distances(P: np.ndarray, poly: Polytope) -> np.ndarray:
+    """Exact Euclidean distance from each row of P to conv(vertices).
 
     Enumerates faces via vertex subsets of size <= dim+1; by the
-    Caratheodory argument at least one subset realizes the projection.
+    Caratheodory argument at least one subset realizes each projection.
+    A subset projects all rows onto its affine hull at once: barycentric
+    weights are parametrized on the sum-to-one subspace, so degenerate
+    subsets are fine, and found by one least-squares solve with a
+    right-hand side per row.  Per-row products go through one
+    matrix-vector product each (a matrix-matrix product would round
+    differently), so every row's distance is the same float as for that
+    point alone.
     """
-    p = np.asarray(p, dtype=float)
+    P = np.asarray(P, dtype=float)
     V = poly.vertices
-    if p.shape != (poly.dim,):
+    if P.ndim != 2 or P.shape[1] != poly.dim:
         raise DimensionError("point dim mismatch")
-    best = math.inf
-    kmax = min(V.shape[0], poly.dim + 1)
-    for size in range(1, kmax + 1):
+    best = np.full(P.shape[0], math.inf)
+    for size in range(1, min(V.shape[0], poly.dim + 1) + 1):
+        w0 = np.full(size, 1.0 / size)
+        # nullspace basis of the all-ones row
+        _, _, vt = np.linalg.svd(np.ones((1, size)))
+        N = vt[1:].T  # size x (size-1)
         for subset in itertools.combinations(range(V.shape[0]), size):
             S = V[list(subset)]
             if size == 1:
-                d = float(np.linalg.norm(p - S[0]))
-                best = min(best, d)
+                best = np.minimum(best, _row_norms(P - S[0]))
                 continue
-            d, w = _project_affine_subset(p, S)
-            if np.all(w >= -1e-9):
-                best = min(best, d)
+            Z = np.linalg.lstsq(S.T @ N, (P - S.T @ w0).T, rcond=None)[0]
+            W = w0 + np.matmul(N, np.ascontiguousarray(Z.T)[:, :, None])[:, :, 0]
+            d = _row_norms(P - np.matmul(S.T, W[:, :, None])[:, :, 0])
+            best = np.where(np.all(W >= -1e-9, axis=1), np.minimum(best, d), best)
     return best
+
+
+def point_to_polytope_distance(p: Sequence[float], poly: Polytope) -> float:
+    """Exact Euclidean distance from a point to conv(vertices)."""
+    return float(point_to_polytope_distances(np.asarray(p, dtype=float)[None], poly)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +604,7 @@ class ConeSpec:
             g = _dedupe_rows(g, 1e-9)
         l = self.lineality
         if l.shape[0]:
-            q, r = np.linalg.qr(l.T)
-            keep = np.abs(np.diag(r)) > 1e-12 if r.ndim == 2 else np.array([abs(r) > 1e-12])
-            basis = q[:, : l.shape[0]].T[keep[: l.shape[0]]] if l.shape[0] else l
+            q, _ = np.linalg.qr(l.T)
             rank = np.linalg.matrix_rank(l, tol=1e-10)
             basis = q[:, :rank].T
             # canonical signs: first nonzero coordinate positive
@@ -853,8 +852,9 @@ def hausdorff_distance(
     Combines directed point-to-set distances over deterministic in-part
     sample points (exact for convex inputs, where the max of the convex
     distance function sits at a vertex) with a support-function gap over
-    n_dirs directions.  Symmetric by construction; singleton parts are
-    handled vectorized so large oracle clouds stay cheap.
+    n_dirs directions.  Symmetric by construction.  Each part of the
+    target set takes every sample point in one batch, singleton parts as
+    a plain nearest-point search, so large oracle clouds stay cheap.
     """
     ua, ub = _as_union(a), _as_union(b)
     if ua.dim != ub.dim:
@@ -873,13 +873,8 @@ def hausdorff_distance(
             best = np.sqrt(d2.min(axis=1))
         else:
             best = np.full(pts.shape[0], math.inf)
-        if v_multi:
-            for i in range(pts.shape[0]):
-                if best[i] <= 0:
-                    continue
-                best[i] = min(
-                    best[i], min(point_to_polytope_distance(pts[i], q) for q in v_multi)
-                )
+        for q in v_multi:
+            best = np.minimum(best, point_to_polytope_distances(pts, q))
         return float(best.max(initial=0.0))
 
     dirs = directions(ua.dim, n_dirs)

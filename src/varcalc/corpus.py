@@ -15,7 +15,7 @@ from varcalc.convgeom import (
     Polytope,
     PolytopeUnion,
     hausdorff_distance,
-    point_to_polytope_distance,
+    point_to_polytope_distances,
 )
 
 X = ex.VarSpace.of("x")
@@ -172,9 +172,8 @@ def run_verify_suite(
                 CheckResult("regular-empty", entry.name, result.regular is None, 0.0)
             )
         elif result.regular is not None:
-            worst = max(
-                point_to_polytope_distance(v, result.basic.hull())
-                for v in result.regular.vertices
+            worst = float(
+                point_to_polytope_distances(result.regular.vertices, result.basic.hull()).max()
             )
             report.checks.append(
                 CheckResult("regular-in-basic-hull", entry.name, worst <= 1e-7, worst)
@@ -192,9 +191,7 @@ def run_verify_suite(
 
         neg_hull = result.basic.negate().hull()
         neg_basic = sd.basic_subdifferential(ex.negate(f), p, params)
-        worst = max(
-            point_to_polytope_distance(v, neg_hull) for v in neg_basic.all_vertices()
-        )
+        worst = float(point_to_polytope_distances(neg_basic.all_vertices(), neg_hull).max())
         report.checks.append(
             CheckResult("negation-hull-inclusion", entry.name, worst <= 1e-7, worst)
         )

@@ -46,7 +46,7 @@ from varcalc.convgeom import (
     hausdorff_distance,
     lp_feasible,
     minkowski_membership,
-    point_to_union_distance,
+    point_to_polytope_distances,
     union_minkowski_sum,
 )
 
@@ -1075,11 +1075,9 @@ class RuleReport:
 
 
 def _directed_union_margin(a: PolytopeUnion, b: PolytopeUnion) -> float:
-    worst = 0.0
-    for part in a.parts:
-        for q in part.sample_points():
-            worst = max(worst, point_to_union_distance(q, b))
-    return worst
+    pts = np.vstack([part.sample_points() for part in a.parts])
+    dists = np.min([point_to_polytope_distances(pts, q) for q in b.parts], axis=0)
+    return float(dists.max(initial=0.0))
 
 
 def verify_sum_rule(

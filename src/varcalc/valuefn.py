@@ -27,6 +27,8 @@ from varcalc.convgeom import (
 from varcalc import subdiff as sd
 
 TOL_ARG = 1e-6
+# cap on resolution ** y_dim, the points of one grid pass: 401**2 fits, 401**3 (~64M) not
+MAX_GRID_POINTS = 1 << 20
 
 
 class ValueFnError(ValueError):
@@ -90,6 +92,9 @@ class GridSpec:
                 raise ValueFnError("box bounds must be finite with lo < hi")
         if self.x_stencil_radius <= 0 or self.x_stencil_count < 1:
             raise ValueFnError("stencil radius/count must be positive")
+        if self.resolution ** len(self.y_box) > MAX_GRID_POINTS:
+            n = f"{self.resolution}**{len(self.y_box)} = {self.resolution ** len(self.y_box)}"
+            raise ValueFnError(f"{n} grid points exceed the budget of {MAX_GRID_POINTS}")
 
     @property
     def step(self) -> float:

@@ -4,16 +4,19 @@ These deliberately avoid the library's LP machinery: membership is decided
 by dense enumeration over lattice weight grids, so they can cross-check
 the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
-grid point, and the expression layer's tape passes against a recursive
-interpreter over the expression tree.
+grid point, the expression layer's tape passes against a recursive
+interpreter over the expression tree, and the batched point-to-polytope
+distance against a one-point-at-a-time face enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from varcalc import expr as E
 from varcalc import subdiff as S
@@ -109,33 +112,15 @@ def brute_force_membership(inst: Instance) -> bool:
     if not inst.scaled:
         return bool(np.any(np.linalg.norm(residuals, axis=1) <= TARGET_TOL))
 
-    # hash the residuals on a TARGET_TOL grid, then enumerate scaled-term
-    # contributions and look them up (checking neighbor cells)
-    cell = {}
-    for r in residuals:
-        key = tuple(np.round(r / TARGET_TOL).astype(int))
-        cell.setdefault(key, []).append(r)
-
     q = inst.scaled[0]
     grids = [np.arange(0.0, 3.0 + WEIGHT_STEP / 2, WEIGHT_STEP)] * q.num_vertices
     mesh = np.meshgrid(*grids, indexing="ij")
     gw = np.stack([m.ravel() for m in mesh], axis=1)
     contribs = gw @ q.vertices
-
-    dim = inst.target.shape[0]
-    neighbor_offsets = np.stack(
-        np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    for c in contribs:
-        key = np.round(c / TARGET_TOL).astype(int)
-        for off in neighbor_offsets:
-            bucket = cell.get(tuple(key + off))
-            if bucket is None:
-                continue
-            for r in bucket:
-                if np.linalg.norm(r - c) <= TARGET_TOL:
-                    return True
-    return False
+    # member iff some scaled-term contribution lies within TARGET_TOL of
+    # some residual: one nearest-residual query per contribution
+    nearest, _ = cKDTree(residuals).query(contribs)
+    return bool(np.any(nearest <= TARGET_TOL))
 
 
 def regular_subgradient_halfspace_check(
@@ -270,3 +255,37 @@ def reference_gradient(f, point, selection):
     if not np.all(np.isfinite(grad)):
         raise NonFinite("gradient")
     return grad, contexts
+
+
+def _project_affine_subset(p: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:
+    """Projection of p onto aff(S) with barycentric weights summing to one,
+    as unconstrained least squares on the sum-to-one affine subspace."""
+    k = S.shape[0]
+    w0 = np.full(k, 1.0 / k)
+    # nullspace basis of the all-ones row
+    _, _, vt = np.linalg.svd(np.ones((1, k)))
+    N = vt[1:].T  # k x (k-1)
+    A = S.T @ N  # dim x (k-1)
+    rhs = p - S.T @ w0
+    z, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    w = w0 + N @ z
+    q = S.T @ w
+    return float(np.linalg.norm(p - q)), w
+
+
+def reference_point_to_polytope_distance(p, poly: Polytope) -> float:
+    """Distance from one point to conv(vertices) by enumerating vertex
+    subsets of size <= dim+1, one point and one subset at a time."""
+    p = np.asarray(p, dtype=float)
+    V = poly.vertices
+    best = math.inf
+    for size in range(1, min(V.shape[0], poly.dim + 1) + 1):
+        for subset in itertools.combinations(range(V.shape[0]), size):
+            S = V[list(subset)]
+            if size == 1:
+                best = min(best, float(np.linalg.norm(p - S[0])))
+                continue
+            d, w = _project_affine_subset(p, S)
+            if np.all(w >= -1e-9):
+                best = min(best, d)
+    return best

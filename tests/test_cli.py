@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,39 @@ def test_bad_grid_exit2(tmp_path, capsys, old, new):
     assert code == 2
     assert out == ""
     assert "bad problem file" in err
+
+
+def test_grid_over_budget_exit2(tmp_path, capsys):
+    # three lower variables at the default resolution 401 would be a
+    # ~64M-point grid; it is refused while parsing, before any allocation
+    text = """
+[vars]
+upper x
+lower y
+lower z
+lower w
+[lower]
+objective (+ y z w)
+constraint (- (abs x) (+ y z w))
+[candidates]
+origin 0 0 0 0
+[grid]
+box y -1 1
+box z -1 1
+box w -1 1
+"""
+    tracemalloc.start()
+    with pytest.raises(ProblemFileError, match="grid points"):
+        parse_problem_file(text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "three.vp"
+    path.write_text(text)
+    code, out, err = run_cli(["valuefn", str(path), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad problem file" in err and "grid points" in err
 
 
 def test_second_upper_objective_rejected():

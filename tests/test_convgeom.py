@@ -184,6 +184,79 @@ def test_point_distance_exact():
     assert G.point_to_polytope_distance([2.0, 2.0], sq) == pytest.approx(np.sqrt(2.0))
 
 
+def _distance_case(rng, dim, nv, kind, n_points):
+    """Vertices of one shape (general, rounded to 0.1, with a duplicate or
+    with a collinear vertex) and points on its vertices, on its faces,
+    inside, near and far away."""
+    V = rng.standard_normal((nv, dim))
+    if kind == "rounded":
+        V = np.round(V, 1)
+    elif kind == "duplicate" and nv > 1:
+        V[-1] = V[0]
+    elif kind == "collinear" and nv > 2:
+        V[-1] = 0.3 * V[0] + 0.7 * V[1]
+    pts = [V]
+    while sum(len(p) for p in pts) < n_points:
+        k = int(rng.integers(1, min(nv, dim + 1) + 1))
+        W = np.zeros((8, nv))
+        W[:, rng.choice(nv, size=k, replace=False)] = rng.dirichlet(np.ones(k), size=8)
+        pts.append(W @ V)  # on a face (or inside when k = dim+1)
+        pts.append(np.round(W @ V, 1))
+        pts.append(V[rng.integers(nv, size=4)] + 1e-3 * rng.standard_normal((4, dim)))
+        pts.append(100.0 * rng.standard_normal((4, dim)))
+    return G.Polytope.create(V, canonicalize=False), np.vstack(pts)[:n_points]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_distance_equals_reference_bitwise(dim):
+    # margins enter the JSON at full precision, so the batched kernel must
+    # produce the one-point routine's floats exactly, in small batches,
+    # single rows and batches of more than 1000 rows
+    from tests.brute import reference_point_to_polytope_distance as ref
+
+    rng = np.random.default_rng(dim)
+    for nv in range(1, 7):
+        for kind in ("general", "rounded", "duplicate", "collinear"):
+            poly, P = _distance_case(rng, dim, nv, kind, 40)
+            want = np.array([ref(p, poly) for p in P])
+            assert np.array_equal(G.point_to_polytope_distances(P, poly), want)
+            for i in range(0, len(P), 8):
+                one = G.point_to_polytope_distances(P[i : i + 1], poly)
+                assert np.array_equal(one, want[i : i + 1])
+                assert G.point_to_polytope_distance(P[i], poly) == want[i]
+    poly, P = _distance_case(rng, dim, 6, "duplicate", 1200)
+    want = np.array([ref(p, poly) for p in P])
+    assert np.array_equal(G.point_to_polytope_distances(P, poly), want)
+
+
+def test_distance_matches_slsqp_qp():
+    # independent check: min ||V^T w - p|| over simplex weights w by SciPy
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(11)
+    simplex = {"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(w.size)}
+    for dim in (1, 2, 3):
+        for nv in range(1, 7):
+            V = rng.standard_normal((nv, dim))
+            poly = G.Polytope.create(V, canonicalize=False)
+            P = 1.5 * rng.standard_normal((6, dim))
+            got = G.point_to_polytope_distances(P, poly)
+            for p, d in zip(P, got):
+                res = minimize(
+                    lambda w: float((V.T @ w - p) @ (V.T @ w - p)),
+                    np.full(nv, 1.0 / nv),
+                    jac=lambda w: 2.0 * V @ (V.T @ w - p),
+                    method="SLSQP",
+                    bounds=[(0.0, 1.0)] * nv,
+                    constraints=[simplex],
+                    options={"ftol": 1e-14, "maxiter": 500},
+                )
+                # SLSQP's weights are feasible, so its distance bounds the
+                # true one from above whether or not it reports success
+                assert res.x.min() >= -1e-9 and abs(res.x.sum() - 1.0) <= 1e-9
+                assert abs(np.linalg.norm(V.T @ res.x - p) - d) <= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # hausdorff
 

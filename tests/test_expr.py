@@ -59,26 +59,29 @@ def test_negation_vs_subtraction():
     assert f("(- x 1)").root == E.ExprNode("sub", (E.var(0), E.const(1.0)))
 
 
-_node_strategy = st.deferred(
-    lambda: st.one_of(
-        st.floats(-4, 4, allow_nan=False).map(lambda c: E.const(round(c, 3))),
-        st.integers(0, 1).map(E.var),
-        st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("add", t)),
-        st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("sub", t)),
-        st.tuples(_node_strategy).map(lambda t: E.ExprNode("sub", t)),
-        st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("mul", t)),
-        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(
-            lambda t: E.ExprNode("mul", t)
-        ),
-        st.tuples(_node_strategy, st.integers(0, 4)).map(
+def _operators(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda t: E.ExprNode("add", t)),
+        st.tuples(children, children).map(lambda t: E.ExprNode("sub", t)),
+        st.tuples(children).map(lambda t: E.ExprNode("sub", t)),
+        st.tuples(children, children).map(lambda t: E.ExprNode("mul", t)),
+        st.tuples(children, children, children).map(lambda t: E.ExprNode("mul", t)),
+        st.tuples(children, st.integers(0, 4)).map(
             lambda t: E.ExprNode("intpow", (t[0],), t[1])
         ),
-        st.tuples(_node_strategy).map(lambda t: E.ExprNode("abs", t)),
-        st.tuples(_node_strategy, _node_strategy, _node_strategy).map(
-            lambda t: E.ExprNode("max", t)
-        ),
-        st.tuples(_node_strategy, _node_strategy).map(lambda t: E.ExprNode("min", t)),
+        st.tuples(children).map(lambda t: E.ExprNode("abs", t)),
+        st.tuples(children, children, children).map(lambda t: E.ExprNode("max", t)),
+        st.tuples(children, children).map(lambda t: E.ExprNode("min", t)),
     )
+
+
+_node_strategy = st.recursive(
+    st.one_of(
+        st.floats(-4, 4, allow_nan=False).map(lambda c: E.const(round(c, 3))),
+        st.integers(0, 1).map(E.var),
+    ),
+    _operators,
+    max_leaves=32,
 )
 
 

@@ -97,6 +97,12 @@ def test_isc_trivial_for_constant_cost():
     assert report.verdict
 
 
+def test_grid_point_budget():
+    assert V.GridSpec(y_box=((-2.0, 2.0),) * 2).resolution ** 2 <= V.MAX_GRID_POINTS
+    with pytest.raises(V.ValueFnError, match="grid points"):
+        V.GridSpec(y_box=((-2.0, 2.0),) * 3)
+
+
 def test_isc_rejects_non_optimal_reference():
     with pytest.raises(V.ValueFnError):
         V.inner_semicontinuity_probe(parabola_problem(), [0.0, 1.0], GRID, FAST)
