@@ -323,7 +323,6 @@ def partial_calmness_probe(
 
     samples: list[tuple[np.ndarray, float, float]] = []  # (point, psi diff, |nu|)
     accuracy = 0.0
-    theta_cache: dict[tuple, tuple[float, float]] = {}
     qs = np.vstack([p + r * dirs for r in params.radii])
     feasible = np.ones(qs.shape[0], dtype=bool)
     for f in bp.lower_constraints:
@@ -333,17 +332,25 @@ def partial_calmness_probe(
     qs = qs[feasible]
     phis = ex.eval_batch(bp.lower_cost, qs).tolist()
     psis = ex.eval_batch(bp.upper_cost, qs).tolist()
-    for q, phi, psi in zip(qs, phis, psis):
-        xq = q[: bp.x_dim]
-        key = tuple(np.round(xq, 12))
-        if key not in theta_cache:
-            try:
-                s = vf.evaluate_value(lower, xq, grid, refine=2)
-            except vf.InfeasibleOnBox:
-                continue
-            slope = vf._argmin_cost_slope(lower, xq, s)
-            theta_cache[key] = (s.theta, 2.0 * s.step * (slope + 1.0))
-        theta, err = theta_cache[key]
+    xqs = qs[:, : bp.x_dim]
+    values = vf.evaluate_values(lower, xqs, grid, refine=2)
+    # parameters equal to 12 decimals share theta: each such key takes the
+    # value at its first sample feasible on the box, and its samples before
+    # that one are skipped
+    keys = [tuple(np.round(xq, 12)) for xq in xqs]
+    heads: dict[tuple, int] = {}
+    for i, (key, s) in enumerate(zip(keys, values)):
+        if key not in heads and not isinstance(s, vf.InfeasibleOnBox):
+            heads[key] = i
+    slopes = vf._argmin_cost_slopes(lower, [values[i] for i in heads.values()])
+    errs = {
+        key: 2.0 * values[i].step * (slope + 1.0) for (key, i), slope in zip(heads.items(), slopes)
+    }
+    for i, (q, phi, psi) in enumerate(zip(qs, phis, psis)):
+        head = heads.get(keys[i])
+        if head is None or head > i:
+            continue
+        theta, err = values[head].theta, errs[keys[i]]
         accuracy = max(accuracy, err)
         nu = theta - phi
         samples.append((q, psi - psi_ref, max(0.0, abs(nu) - err)))

@@ -229,18 +229,27 @@ def cmd_valuefn(args) -> tuple[dict, int]:
         if pf.x_dim != 1:
             raise CliError("--x-range needs a single upper variable", EXIT_INPUT)
         lo, hi, step = args.x_range
-        count = int(round((hi - lo) / step)) + 1
+        if not all(np.isfinite(args.x_range)):
+            raise CliError("--x-range values must be finite", EXIT_INPUT)
+        if step <= 0 or lo > hi:
+            raise CliError("--x-range needs STEP > 0 and LO <= HI", EXIT_INPUT)
+        span = (hi - lo) / step
+        if span > vf.MAX_GRID_POINTS or int(round(span)) + 1 > vf.MAX_GRID_POINTS:
+            raise CliError(f"--x-range has more than {vf.MAX_GRID_POINTS} points", EXIT_INPUT)
+        count = int(round(span)) + 1
         xs = [np.array([lo + i * step]) for i in range(count)]
     else:
         xs = [c[: pf.x_dim] for c in pf.candidates.values()]
         if not xs:
             raise CliError("no candidates and no --x-range given", EXIT_INPUT)
+    try:
+        samples = vf.evaluate_values(prob, np.array(xs), pf.grid)
+    except vf.ValueFnError as err:
+        raise CliError(str(err), EXIT_INPUT) from None
     rows = []
-    for x in xs:
-        try:
-            sample = vf.evaluate_value(prob, x, pf.grid)
-        except vf.InfeasibleOnBox as err:
-            raise CliError(str(err), EXIT_INPUT) from None
+    for x, sample in zip(xs, samples):
+        if isinstance(sample, vf.InfeasibleOnBox):
+            raise CliError(str(sample), EXIT_INPUT)
         rows.append(
             {
                 "x": x.tolist(),

@@ -1373,14 +1373,14 @@ def extremal_principle_solve(
             gamma, _ = gamma_and_projections(pt)
             return gamma + float(np.dot(pt - x_ref, pt - x_ref))
 
-        def grad(pt: np.ndarray) -> np.ndarray:
+        def value_and_grad(pt: np.ndarray) -> tuple[float, np.ndarray]:
+            # one projection per set and iterate: L-BFGS-B wants both at every point
             gamma, ws = gamma_and_projections(pt)
-            if gamma < 1e-14:
-                return 2 * (pt - x_ref)
             g = 2 * (pt - x_ref)
-            for ai, w in zip(a, ws):
-                g = g + (pt + ai - w) / gamma
-            return g
+            if gamma >= 1e-14:
+                for ai, w in zip(a, ws):
+                    g = g + (pt + ai - w) / gamma
+            return gamma + float(np.dot(pt - x_ref, pt - x_ref)), g
 
         scale = max(np.linalg.norm(ai) for ai in a)
         starts = [x_ref.copy(), x_ref - np.mean(a, axis=0)]
@@ -1391,9 +1391,9 @@ def extremal_principle_solve(
         best_x, best_val = None, math.inf
         for s0 in starts:
             res = sciopt.minimize(
-                objective,
+                value_and_grad,
                 s0,
-                jac=grad,
+                jac=True,
                 method="L-BFGS-B",
                 options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12},
             )

@@ -5,10 +5,20 @@ user-supplied box (global lower-level optimality is the meaning of the
 value function, so no local solver is ever used).  Queries that need more
 accuracy than the grid step can run extra exhaustive passes on a shrunken
 box certified by a Lipschitz bound around the near-optimal cells.
+
+evaluate_values searches many parameters at once: rows with the same
+bytes are searched once, and every parameter still refining goes through
+the same pass, each on its own box, with at most BATCH_POINTS points per
+expression evaluation (one parameter's grid when that is larger).  A row
+whose box holds no feasible grid point gets its InfeasibleOnBox back in
+place of a sample.  The probes and estimates below, and the bilevel
+calmness probe, pass all their parameters in one call; evaluate_value is
+the one-parameter form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,6 +39,8 @@ from varcalc import subdiff as sd
 TOL_ARG = 1e-6
 # cap on resolution ** y_dim, the points of one grid pass: 401**2 fits, 401**3 (~64M) not
 MAX_GRID_POINTS = 1 << 20
+# points per eval_batch call of a batched search; sets its working memory
+BATCH_POINTS = 1 << 14
 
 
 class ValueFnError(ValueError):
@@ -110,14 +122,158 @@ class GridSpec:
 class ValueSample:
     x: np.ndarray
     theta: float
-    argmins: list[np.ndarray]
+    argmins: np.ndarray  # (k, y_dim): the grid points within TOL_ARG of theta
     step: float
 
 
-def _grid_points(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def _eval_chunked(f: ex.FunctionDef, pts: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        [ex.eval_batch(f, pts[i : i + BATCH_POINTS]) for i in range(0, len(pts), BATCH_POINTS)]
+    )
+
+
+def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
+    """Per row, the largest finite |difference quotient| of the row's grid
+    values along any axis of its box, 0 when there is none."""
+    k, d = lo.shape
+    arr = values.reshape((k,) + (resolution,) * d)
+    worst = np.zeros(k)
+    for a in range(d):
+        h = (hi[:, a] - lo[:, a]) / (resolution - 1)
+        q = np.abs(np.diff(arr, axis=a + 1)) / h.reshape((k,) + (1,) * d)
+        q[~np.isfinite(q)] = -np.inf
+        worst = np.maximum(worst, q.reshape(k, -1).max(axis=1))
+    return worst
+
+
+def _grid_pass(
+    prob: ParametricProblem,
+    xs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    resolution: int,
+    last: bool,
+) -> tuple[list, tuple | None]:
+    """One exhaustive pass for the parameters xs (K rows), each on its own
+    box [lo[k], hi[k]].  Returns each row's ValueSample or InfeasibleOnBox
+    and, unless this is the last pass, the boxes shrunk around the cells
+    that could still hide the minimum with a mask of the rows that shrank."""
+    (k, d), n = lo.shape, prob.x_dim
+    cube = (k,) + (resolution,) * d
+    # per row, the scalar linspace bit for bit; increasing along each axis
+    axes = np.linspace(lo, hi, resolution, axis=1)
+    # the (x, y) points of each row's grid, y in np.meshgrid(..., indexing="ij") order
+    pts = np.empty(cube + (n + d,))
+    pts[..., :n] = xs.reshape((k,) + (1,) * d + (n,))
+    for a in range(d):
+        shape = (k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)
+        pts[..., n + a] = axes[:, :, a].reshape(shape)
+    pts = pts.reshape(k, -1, n + d)
+    size = pts.shape[1]
+    flat = pts.reshape(k * size, n + d)
+    step = ((hi - lo) / (resolution - 1)).max(axis=1)
+    mask = np.ones((k, size), dtype=bool)
+    worst = np.full((k, size), -np.inf)
+    for f in prob.constraints:
+        vals = _eval_chunked(f, flat).reshape(k, size)
+        mask &= vals <= TOL_GEOM
+        worst = np.maximum(worst, vals)
+    feasible = mask.any(axis=1)
+    costs = _eval_chunked(prob.cost, flat).reshape(k, size)
+    costs_feasible = np.where(mask, costs, np.inf)
+    theta = costs_feasible.min(axis=1)
+    near = costs_feasible <= (theta + TOL_ARG)[:, None]
+    out: list = []
+    if not feasible.all():
+        slope = _slope_bounds(worst, lo, hi, resolution)
+    for r in range(k):
+        if feasible[r]:
+            argmins = pts[r, near[r], n:]
+            out.append(ValueSample(xs[r].copy(), float(theta[r]), argmins, float(step[r])))
+        else:
+            out.append(InfeasibleOnBox(float(worst[r].min()), float(step[r]), float(slope[r])))
+    if last:
+        return out, None
+    margin = 2.0 * (_slope_bounds(costs, lo, hi, resolution) + 1.0) * step
+    candidates = (costs_feasible <= (theta + margin)[:, None]).reshape(cube)
+    # the extreme candidate coordinates along an increasing axis sit at the
+    # first and last grid index any candidate has on it
+    new_lo, new_hi = np.empty_like(lo), np.empty_like(hi)
+    rows = np.arange(k)
+    for a in range(d):
+        hit = candidates.any(axis=tuple(b + 1 for b in range(d) if b != a))
+        first = hit.argmax(axis=1)
+        last_hit = resolution - 1 - hit[:, ::-1].argmax(axis=1)
+        new_lo[:, a] = axes[rows, first, a] - 2 * step
+        new_hi[:, a] = axes[rows, last_hit, a] + 2 * step
+    # clip to the box as Python's max/min would, keeping the new bound on ties
+    new_lo = np.where(lo > new_lo, lo, new_lo)
+    new_hi = np.where(hi < new_hi, hi, new_hi)
+    shrunk = ((new_hi - new_lo) < (hi - lo) * 0.75).any(axis=1)
+    # an infeasible row stops here; so does a row with theta = nan, which
+    # has no candidate cell to shrink around
+    shrunk &= feasible & ~np.isnan(theta)
+    return out, (new_lo, new_hi, shrunk)
+
+
+def evaluate_values(
+    prob: ParametricProblem,
+    xs: Sequence[Sequence[float]] | np.ndarray,
+    grid: GridSpec,
+    refine: int = 0,
+) -> list[ValueSample | InfeasibleOnBox]:
+    """Exhaustive grid minimization of the lower-level cost at each
+    parameter row of xs, in one batched search.
+
+    Returns, per row, the ValueSample of that parameter or the
+    InfeasibleOnBox that says no grid point of its box is feasible; the
+    error is returned, not raised, so one infeasible row does not hide the
+    others.  Rows with the same bytes share one search and one result
+    object (-0.0 and 0.0 stay apart: x*y at x = -0.0 has theta = -0.0).
+
+    Every parameter still refining is searched in the same pass, each on
+    its own box: the points of as many parameters as fit in BATCH_POINTS
+    (at least one) go through one eval_batch per function, and a single
+    grid larger than BATCH_POINTS is evaluated in slices of that size.
+    refine > 0 repeats the search on a box shrunk around the near-optimal
+    cells (window certified by a sampled slope bound), which reduces the
+    step without ever invoking a local solver; a parameter stops refining
+    when its box no longer shrinks.  Each result equals, bit for bit, a
+    search of that parameter alone.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != prob.x_dim:
+        raise ValueFnError(f"parameters must be rows of dimension {prob.x_dim}")
+    if len(grid.y_box) != prob.y_dim:
+        raise ValueFnError("grid box must match the decision dimension")
+    if not np.isfinite(xs).all():
+        raise ValueFnError("parameters must be finite")
+    index: dict[bytes, int] = {}
+    owner = [index.setdefault(x.tobytes(), len(index)) for x in xs]
+    unique = np.empty((len(index), prob.x_dim))
+    unique[owner] = xs
+
+    n, res = len(unique), grid.resolution
+    lo = np.tile([b[0] for b in grid.y_box], (n, 1)).astype(float)
+    hi = np.tile([b[1] for b in grid.y_box], (n, 1)).astype(float)
+    per = max(1, BATCH_POINTS // res**prob.y_dim)
+    results: list = [None] * n
+    active = np.arange(n)
+    for level in range(refine + 1):
+        going = []
+        for start in range(0, active.size, per):
+            rows = active[start : start + per]
+            out, boxes = _grid_pass(prob, unique[rows], lo[rows], hi[rows], res, level == refine)
+            for r, sample in zip(rows, out):
+                results[r] = sample
+            if boxes is not None:
+                new_lo, new_hi, shrunk = boxes
+                lo[rows[shrunk]], hi[rows[shrunk]] = new_lo[shrunk], new_hi[shrunk]
+                going.append(rows[shrunk])
+        if not going:
+            break
+        active = np.concatenate(going)
+    return [results[i] for i in owner]
 
 
 def evaluate_value(
@@ -126,76 +282,15 @@ def evaluate_value(
     grid: GridSpec,
     refine: int = 0,
 ) -> ValueSample:
-    """Exhaustive grid minimization of the lower-level cost at parameter x.
-
-    refine > 0 repeats the exhaustive search on a box shrunk around the
-    near-optimal cells (window certified by a sampled slope bound), which
-    reduces the step without ever invoking a local solver.
-    """
+    """evaluate_values at the one parameter x; raises InfeasibleOnBox
+    when no grid point of the box is feasible."""
     xv = np.asarray(x, dtype=float)
     if xv.shape != (prob.x_dim,):
         raise ValueFnError(f"parameter must have dimension {prob.x_dim}")
-    if len(grid.y_box) != prob.y_dim:
-        raise ValueFnError("grid box must match the decision dimension")
-
-    box = list(grid.y_box)
-    result: ValueSample | None = None
-    for _ in range(refine + 1):
-        ys = _grid_points(box, grid.resolution)
-        pts = np.hstack([np.tile(xv, (ys.shape[0], 1)), ys])
-        step = max((hi - lo) / (grid.resolution - 1) for lo, hi in box)
-        mask = np.ones(ys.shape[0], dtype=bool)
-        worst = np.full(ys.shape[0], -np.inf)
-        for f in prob.constraints:
-            vals = ex.eval_batch(f, pts)
-            mask &= vals <= TOL_GEOM
-            worst = np.maximum(worst, vals)
-        if not np.any(mask):
-            slope = _slope_bound(worst, box, grid.resolution)
-            raise InfeasibleOnBox(float(worst.min()), step, slope)
-        costs = ex.eval_batch(prob.cost, pts)
-        costs_feasible = np.where(mask, costs, np.inf)
-        theta = float(costs_feasible.min())
-        near = costs_feasible <= theta + TOL_ARG
-        argmins = [ys[i].copy() for i in np.nonzero(near)[0]]
-        result = ValueSample(x=xv.copy(), theta=theta, argmins=argmins, step=step)
-        # shrink the box around cells that could still hide the minimum
-        cost_slope = _slope_bound(costs, box, grid.resolution)
-        margin = 2.0 * (cost_slope + 1.0) * step
-        candidates = np.nonzero(costs_feasible <= theta + margin)[0]
-        new_box = []
-        shrunk = False
-        for a in range(prob.y_dim):
-            lo = float(ys[candidates, a].min()) - 2 * step
-            hi = float(ys[candidates, a].max()) + 2 * step
-            lo = max(lo, box[a][0])
-            hi = min(hi, box[a][1])
-            if hi - lo < (box[a][1] - box[a][0]) * 0.75:
-                shrunk = True
-            new_box.append((lo, hi))
-        if not shrunk:
-            break
-        box = new_box
-    return result
-
-
-def _slope_bound(values: np.ndarray, box, resolution: int) -> float:
-    shape = (resolution,) * len(box)
-    arr = values.reshape(shape)
-    worst = 0.0
-    for a, (lo, hi) in enumerate(box):
-        h = (hi - lo) / (resolution - 1)
-        d = np.abs(np.diff(arr, axis=a)) / h
-        finite = d[np.isfinite(d)]
-        if finite.size:
-            worst = max(worst, float(finite.max()))
-    return worst
-
-
-def value_function_on_line(
-    prob: ParametricProblem, xs: Sequence[Sequence[float]], grid: GridSpec
-) -> list[ValueSample]:
-    return [evaluate_value(prob, x, grid) for x in xs]
+    (out,) = evaluate_values(prob, xv[None, :], grid, refine)
+    if isinstance(out, InfeasibleOnBox):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +317,26 @@ def inner_semicontinuity_probe(
     radius.  A numerical probe, not a proof."""
     p = np.asarray(point, dtype=float)
     xb, yb = p[: prob.x_dim], p[prob.x_dim :]
-    base = evaluate_value(prob, xb, grid)
+    dirs = directions(prob.x_dim, max(2 * prob.x_dim, min(16, params.dirs_per_radius)), params.seed)
+    stencil = [xb + r * dirs for r in params.radii]
+    base, *values = evaluate_values(prob, np.vstack([xb, *stencil]), grid)
+    if isinstance(base, InfeasibleOnBox):
+        raise base
     feasible = all(ex.evaluate(f, p) <= TOL_GEOM for f in prob.constraints)
     if not feasible or ex.evaluate(prob.cost, p) > base.theta + 10 * TOL_ARG + 10 * base.step:
         raise ValueFnError("reference decision is not lower-level optimal on the grid")
-    dirs = directions(prob.x_dim, max(2 * prob.x_dim, min(16, params.dirs_per_radius)), params.seed)
     threshold = 10.0 * base.step
     worst_x, worst_d = None, 0.0
     verdict = True
-    for level, r in enumerate(params.radii):
-        smallest = level == len(params.radii) - 1
-        for d in dirs:
-            xk = xb + r * d
-            try:
-                sample = evaluate_value(prob, xk, grid)
-            except InfeasibleOnBox:
-                continue
-            dist = min(float(np.linalg.norm(yb - ym)) for ym in sample.argmins)
-            if dist > worst_d:
-                worst_d, worst_x = dist, xk.copy()
-            if smallest and dist > threshold:
-                verdict = False
+    smallest = len(values) - len(dirs)  # the last radius's samples
+    for i, sample in enumerate(values):
+        if isinstance(sample, InfeasibleOnBox):
+            continue
+        dist = min(float(np.linalg.norm(yb - ym)) for ym in sample.argmins)
+        if dist > worst_d:
+            worst_d, worst_x = dist, sample.x.copy()
+        if i >= smallest and dist > threshold:
+            verdict = False
     return ISCReport(verdict=verdict, worst_x=worst_x, worst_distance=worst_d, threshold=threshold)
 
 
@@ -385,16 +479,16 @@ def lipschitz_verdict(
         }
     )
     xb = p[: prob.x_dim]
-    theta0 = evaluate_value(prob, xb, grid, refine=2).theta
-    modulus = 0.0
     dirs = directions(prob.x_dim, 2 * prob.x_dim, params.seed)
-    for r in params.radii:
-        for d in dirs:
-            try:
-                th = evaluate_value(prob, xb + r * d, grid, refine=2).theta
-            except InfeasibleOnBox:
-                continue
-            modulus = max(modulus, abs(th - theta0) / r)
+    stencil = [xb + r * dirs for r in params.radii]
+    base, *values = evaluate_values(prob, np.vstack([xb, *stencil]), grid, refine=2)
+    if isinstance(base, InfeasibleOnBox):
+        raise base
+    modulus = 0.0
+    for i, sample in enumerate(values):
+        if not isinstance(sample, InfeasibleOnBox):
+            r = params.radii[i // len(dirs)]
+            modulus = max(modulus, abs(sample.theta - base.theta) / r)
     return LipschitzVerdict(verdict=report.verdict, modulus_estimate=modulus, ledger=ledger)
 
 
@@ -415,41 +509,56 @@ def regular_value_subdiff_outer(
     None encodes an empty intersection."""
     xv = np.asarray(x, dtype=float)
     n = prob.x_dim
-    theta0 = evaluate_value(prob, xv, grid, refine=2)
-    slope = _argmin_cost_slope(prob, xv, theta0)
     radii = sorted(grid.stencil_radii())[:2]
     dirs = directions(n, max(params.dirs_per_radius, 2 * n), params.seed)
+    stencil = [xv + r * dirs for r in radii]
+    theta0, *values = evaluate_values(prob, np.vstack([xv, *stencil]), grid, refine=2)
+    if isinstance(theta0, InfeasibleOnBox):
+        raise theta0
+    (slope,) = _argmin_cost_slopes(prob, [theta0])
     normals, offsets, quotients = [], [], []
-    fine_step = theta0.step
-    for r in radii:
-        eps = 3.0 * (slope + 0.1) * fine_step / r + 1e-6
-        for d in dirs:
-            try:
-                th = evaluate_value(prob, xv + r * d, grid, refine=2).theta
-            except InfeasibleOnBox:
-                continue
-            q = (th - theta0.theta) / r
-            normals.append(d)
-            offsets.append(q + eps)
-            quotients.append(q)
+    for i, sample in enumerate(values):
+        if isinstance(sample, InfeasibleOnBox):
+            continue
+        r, d = radii[i // len(dirs)], dirs[i % len(dirs)]
+        eps = 3.0 * (slope + 0.1) * theta0.step / r + 1e-6
+        q = (sample.theta - theta0.theta) / r
+        normals.append(d)
+        offsets.append(q + eps)
+        quotients.append(q)
     if not normals:
         raise ValueFnError("no stencil direction stayed feasible")
     bound = max(abs(q) for q in quotients) + 1.0
-    box = Polytope.create(_grid_points([(-bound, bound)] * n, 2), canonicalize=False)
+    corners = np.array(list(itertools.product((-bound, bound), repeat=n)))
+    box = Polytope.create(corners, canonicalize=False)
     from varcalc.convgeom import clip_polytope
 
     return clip_polytope(convex_hull(box.vertices), np.array(normals), np.array(offsets))
 
 
-def _argmin_cost_slope(prob: ParametricProblem, xv: np.ndarray, sample: ValueSample) -> float:
-    """Sampled bound on the cost's decision-variable slope near the
-    argminimum set (controls the grid-snapping error of theta)."""
-    h = max(sample.step, 1e-7)
-    steps = np.zeros((prob.y_dim, prob.x_dim + prob.y_dim))
-    steps[:, prob.x_dim :] = h * np.eye(prob.y_dim)
-    ps = [np.concatenate([xv, ym]) for ym in sample.argmins[:8]]
-    if not ps:
-        return 0.0
-    stencil = np.array([p + s * e for p in ps for e in steps for s in (1, -1)])
-    vals = ex.eval_batch(prob.cost, stencil)
-    return max([0.0, *(np.abs(vals[0::2] - vals[1::2]) / (2 * h)).tolist()])
+def _argmin_cost_slopes(prob: ParametricProblem, samples: Sequence[ValueSample]) -> list[float]:
+    """Per sample, a sampled bound on the cost's decision-variable slope
+    near its argminimum set (controls the grid-snapping error of theta),
+    from central differences at up to eight argmins, all samples in one
+    eval_batch."""
+    if not samples:
+        return []
+    dim = prob.x_dim + prob.y_dim
+    stencils, hs = [], []
+    for sample in samples:
+        h = max(sample.step, 1e-7)
+        steps = np.zeros((prob.y_dim, dim))
+        steps[:, prob.x_dim :] = h * np.eye(prob.y_dim)
+        ys = sample.argmins[:8]
+        ps = np.hstack([np.tile(sample.x, (len(ys), 1)), ys])
+        # rows p + e, p - e for each argmin p and axis step e, in that order
+        signed = np.array([1.0, -1.0])[:, None] * steps[:, None, :]
+        stencils.append((ps[:, None, None, :] + signed).reshape(-1, dim))
+        hs.append(h)
+    vals = ex.eval_batch(prob.cost, np.vstack(stencils))
+    out, start = [], 0
+    for stencil, h in zip(stencils, hs):
+        v = vals[start : start + len(stencil)]
+        start += len(stencil)
+        out.append(max([0.0, *(np.abs(v[0::2] - v[1::2]) / (2 * h)).tolist()]))
+    return out

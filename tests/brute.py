@@ -5,8 +5,9 @@ by dense enumeration over lattice weight grids, so they can cross-check
 the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
-interpreter over the expression tree, and the batched point-to-polytope
-distance against a one-point-at-a-time face enumeration.
+interpreter over the expression tree, the batched point-to-polytope
+distance against a one-point-at-a-time face enumeration, and the batched
+value-function search against a one-parameter-at-a-time grid loop.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from scipy.spatial import cKDTree
 
 from varcalc import expr as E
 from varcalc import subdiff as S
-from varcalc.convgeom import Polytope
+from varcalc import valuefn as V
+from varcalc.convgeom import TOL_GEOM, Polytope
 
 WEIGHT_STEP = 1e-2
 TARGET_TOL = 1e-6
@@ -289,3 +291,73 @@ def reference_point_to_polytope_distance(p, poly: Polytope) -> float:
             if np.all(w >= -1e-9):
                 best = min(best, d)
     return best
+
+
+def _grid_points(box, resolution: int) -> np.ndarray:
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def reference_evaluate_value(prob, x, grid, refine: int = 0):
+    """Exhaustive grid minimization of the lower-level cost at one
+    parameter x, one refine pass at a time (argmins as a list of rows);
+    raises InfeasibleOnBox when no grid point is feasible."""
+    xv = np.asarray(x, dtype=float)
+    if xv.shape != (prob.x_dim,):
+        raise V.ValueFnError(f"parameter must have dimension {prob.x_dim}")
+    if len(grid.y_box) != prob.y_dim:
+        raise V.ValueFnError("grid box must match the decision dimension")
+
+    box = list(grid.y_box)
+    result = None
+    for _ in range(refine + 1):
+        ys = _grid_points(box, grid.resolution)
+        pts = np.hstack([np.tile(xv, (ys.shape[0], 1)), ys])
+        step = max((hi - lo) / (grid.resolution - 1) for lo, hi in box)
+        mask = np.ones(ys.shape[0], dtype=bool)
+        worst = np.full(ys.shape[0], -np.inf)
+        for f in prob.constraints:
+            vals = E.eval_batch(f, pts)
+            mask &= vals <= TOL_GEOM
+            worst = np.maximum(worst, vals)
+        if not np.any(mask):
+            slope = _slope_bound(worst, box, grid.resolution)
+            raise V.InfeasibleOnBox(float(worst.min()), step, slope)
+        costs = E.eval_batch(prob.cost, pts)
+        costs_feasible = np.where(mask, costs, np.inf)
+        theta = float(costs_feasible.min())
+        near = costs_feasible <= theta + V.TOL_ARG
+        argmins = [ys[i].copy() for i in np.nonzero(near)[0]]
+        result = V.ValueSample(x=xv.copy(), theta=theta, argmins=argmins, step=step)
+        # shrink the box around cells that could still hide the minimum
+        cost_slope = _slope_bound(costs, box, grid.resolution)
+        margin = 2.0 * (cost_slope + 1.0) * step
+        candidates = np.nonzero(costs_feasible <= theta + margin)[0]
+        new_box = []
+        shrunk = False
+        for a in range(prob.y_dim):
+            lo = float(ys[candidates, a].min()) - 2 * step
+            hi = float(ys[candidates, a].max()) + 2 * step
+            lo = max(lo, box[a][0])
+            hi = min(hi, box[a][1])
+            if hi - lo < (box[a][1] - box[a][0]) * 0.75:
+                shrunk = True
+            new_box.append((lo, hi))
+        if not shrunk:
+            break
+        box = new_box
+    return result
+
+
+def _slope_bound(values: np.ndarray, box, resolution: int) -> float:
+    shape = (resolution,) * len(box)
+    arr = values.reshape(shape)
+    worst = 0.0
+    for a, (lo, hi) in enumerate(box):
+        h = (hi - lo) / (resolution - 1)
+        d = np.abs(np.diff(arr, axis=a)) / h
+        finite = d[np.isfinite(d)]
+        if finite.size:
+            worst = max(worst, float(finite.max()))
+    return worst

@@ -323,6 +323,39 @@ def test_cmd_valuefn_missing_grid(tmp_path, capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize(
+    "x_range",
+    [
+        ("-1", "1", "0"),
+        ("-1", "1", "-0.1"),
+        ("-1", "1", "nan"),
+        ("-1", "1", "inf"),
+        ("nan", "1", "0.1"),
+        ("-1", "inf", "0.1"),
+        ("1", "-1", "0.1"),
+        ("-1", "1", "1e-300"),
+        ("0", "1e308", "1e-10"),
+        ("0", "1048576", "1"),
+    ],
+)
+def test_cmd_valuefn_bad_x_range_exit2(capsys, x_range):
+    # refused before any parameter is allocated: non-finite values, STEP <= 0,
+    # LO > HI, or more than valuefn.MAX_GRID_POINTS (2**20) parameters
+    code, out, err = run_cli(["valuefn", str(KINK), "--x-range", *x_range, "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --x-range") and "Traceback" not in err
+
+
+def test_cmd_valuefn_non_finite_candidate_exit2(tmp_path, capsys):
+    path = tmp_path / "inf.vp"
+    path.write_text(KINK.read_text().replace("top 0 1", "top inf 1"))
+    code, out, err = run_cli(["valuefn", str(path), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # certify command
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tests import brute as B
 from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
@@ -69,9 +72,121 @@ def test_value_refine_passes_reduce_error():
     assert out.theta == pytest.approx(0.31**2, abs=1e-6)
 
 
+XYZ = E.VarSpace.of("x", "y", "z")
+
+
+def infeasible_left_problem():
+    # minimize y*y subject to y <= x - 3: on the box [-2, 2] feasible iff x >= 1
+    return V.ParametricProblem(f("(* y y)"), (f("(+ (- y x) 3)"),), 1, 1)
+
+
+def two_lower_problem():
+    # two lower variables; the box stops being feasible for x < -1
+    g = lambda t: E.parse_function(t, XYZ)
+    cost = g("(+ (* 2 y) z (* x y))")
+    return V.ParametricProblem(cost, (g("(- 0 (+ x y))"), g("(- (abs z) (+ 1 x))")), 1, 2)
+
+
+def _exactness_rows(seed: int) -> np.ndarray:
+    # 0.0 beside -0.0, repeated rows, rounded rows on the 0.1 lattice and
+    # random rows, more than one chunk of either grid
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate(
+        [[0.0, -0.0, 0.0, 1.0, -0.0, 1.0], np.round(rng.uniform(-1.5, 2.5, 40), 1),
+         rng.uniform(-1.5, 2.5, 60)]
+    )
+    return xs[:, None]
+
+
+def assert_same_as_reference(prob, xs, grid, refine):
+    got = V.evaluate_values(prob, xs, grid, refine)
+    assert len(got) == len(xs)
+    for x, out in zip(xs, got):
+        try:
+            ref = B.reference_evaluate_value(prob, x, grid, refine)
+        except V.InfeasibleOnBox as err:
+            assert type(out) is V.InfeasibleOnBox
+            assert str(out) == str(err)
+            assert repr((out.margin, out.step, out.slope_bound)) == repr(
+                (err.margin, err.step, err.slope_bound)
+            )
+            continue
+        assert isinstance(out, V.ValueSample)
+        assert repr(out.theta) == repr(ref.theta)
+        assert out.step == ref.step
+        assert out.x.tobytes() == ref.x.tobytes()
+        assert out.argmins.shape == (len(ref.argmins), prob.y_dim)
+        assert [y.tobytes() for y in out.argmins] == [y.tobytes() for y in ref.argmins]
+    return got
+
+
+@pytest.mark.parametrize(
+    "make,grid",
+    [
+        (bang_problem, GRID),
+        (infeasible_left_problem, GRID),
+        (two_lower_problem, V.GridSpec(y_box=((-2.0, 2.0), (-1.5, 2.5)), resolution=21)),
+    ],
+)
+@pytest.mark.parametrize("refine", [0, 2])
+def test_batched_value_equals_reference_loop(make, grid, refine):
+    prob = make()
+    xs = _exactness_rows(refine)
+    assert len(xs) > V.BATCH_POINTS // grid.resolution**prob.y_dim  # several chunks
+    got = assert_same_as_reference(prob, xs, grid, refine)
+    if make is bang_problem:
+        # x = -0.0 makes every cost x*y a zero of the other sign
+        assert repr(got[0].theta) == "0.0" and repr(got[1].theta) == "-0.0"
+    if make is infeasible_left_problem:
+        assert any(isinstance(out, V.InfeasibleOnBox) for out in got)
+    if refine:
+        # rows stop refining at different passes, so their final steps differ
+        steps = {out.step for out in got if isinstance(out, V.ValueSample)}
+        assert len(steps) >= 3
+
+
+def test_batched_value_splits_one_grid_over_chunks(monkeypatch):
+    # a grid larger than the chunk budget is evaluated in slices of it
+    monkeypatch.setattr(V, "BATCH_POINTS", 100)
+    assert_same_as_reference(parabola_problem(), np.array([[0.3], [-0.7], [0.3]]), GRID, 2)
+
+
+def test_batched_value_rejects_bad_rows():
+    with pytest.raises(V.ValueFnError, match="finite"):
+        V.evaluate_values(parabola_problem(), [[0.0], [np.nan]], GRID)
+    with pytest.raises(V.ValueFnError, match="finite"):
+        V.evaluate_values(parabola_problem(), [[np.inf]], GRID)
+    with pytest.raises(V.ValueFnError, match="dimension"):
+        V.evaluate_values(parabola_problem(), [[0.0, 1.0]], GRID)
+    assert V.evaluate_values(parabola_problem(), np.empty((0, 1)), GRID) == []
+
+
+def test_batched_value_memory_is_bounded():
+    # 2 000 parameters on a 101**2 grid, three passes each: one parameter
+    # per chunk of BATCH_POINTS = 2**14 points, a few tens of float64
+    # arrays of that size at a time.  Raising the budget raises the
+    # benchmark's peak_rss_mb; this bound has to move with it on purpose.
+    prob = V.ParametricProblem(
+        E.parse_function("(+ (* 2 y) z)", XYZ),
+        (E.parse_function("(- 0 (+ x y))", XYZ), E.parse_function("(- 0 (+ x z))", XYZ)),
+        1,
+        2,
+    )
+    grid = V.GridSpec(y_box=((-2.0, 2.0), (-2.0, 2.0)), resolution=101)
+    xs = np.linspace(-1.0, 1.0, 2000)[:, None]
+    tracemalloc.start()
+    try:
+        out = V.evaluate_values(prob, xs, grid, refine=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert all(abs(s.theta + 3.0 * x) <= 3.0 * s.step for s, (x,) in zip(out, xs))
+
+
 def test_value_line_matches_analytic_w():
     xs = [[x] for x in np.round(np.arange(-1.0, 1.0001, 0.1), 10)]
-    samples = V.value_function_on_line(w_problem(), xs, GRID)
+    samples = V.evaluate_values(w_problem(), xs, GRID)
     for x, s in zip(xs, samples):
         assert s.theta == pytest.approx(-x[0], abs=1e-6)
 
@@ -183,7 +298,7 @@ def test_lipschitz_verdict_bang_with_override():
     out = V.lipschitz_verdict(bang_problem(), [0.0, -1.0], GRID, FAST, override_isc=True)
     assert out.verdict
     xs = [[x] for x in np.round(np.arange(-1.0, 1.0001, 0.1), 10)]
-    for x, s in zip(xs, V.value_function_on_line(bang_problem(), xs, GRID)):
+    for x, s in zip(xs, V.evaluate_values(bang_problem(), xs, GRID)):
         assert s.theta == pytest.approx(-abs(x[0]), abs=1e-4)
 
 
