@@ -1376,11 +1376,13 @@ def extremal_principle_solve(
         def value_and_grad(pt: np.ndarray) -> tuple[float, np.ndarray]:
             # one projection per set and iterate: L-BFGS-B wants both at every point
             gamma, ws = gamma_and_projections(pt)
+            value = gamma + float(np.dot(pt - x_ref, pt - x_ref))
             g = 2 * (pt - x_ref)
-            if gamma >= 1e-14:
-                for ai, w in zip(a, ws):
-                    g = g + (pt + ai - w) / gamma
-            return gamma + float(np.dot(pt - x_ref, pt - x_ref)), g
+            if gamma < 1e-14:
+                return value, g
+            for ai, w in zip(a, ws):
+                g = g + (pt + ai - w) / gamma
+            return value, g
 
         scale = max(np.linalg.norm(ai) for ai in a)
         starts = [x_ref.copy(), x_ref - np.mean(a, axis=0)]
