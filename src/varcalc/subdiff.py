@@ -18,9 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+# eager though unused: bench/tracer.py reads sciopt; lazy imports slowed certify (CHANGES.md)
 from scipy import optimize as sciopt
 from scipy.spatial import cKDTree
 
@@ -52,6 +54,11 @@ from varcalc.convgeom import (
 
 MAX_BRANCH_COMBOS = 4096
 CLUSTER_TOL = 10 * TOL_GEOM
+# eigenvalues of a sum of face projectors at or below this count as zero
+EIG_TOL = 1e-10
+# relative size below which a face combination's least residual counts as zero
+RESIDUAL_TOL = 1e-14
+MAX_ROOT_STEPS = 100
 
 
 class SubdiffError(ValueError):
@@ -185,6 +192,38 @@ class SetSpec:
             return self.functions
         raise SubdiffError(f"{self.kind} spec has no constraint functions")
 
+    @cached_property
+    def faces(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(M, c) for every face, in a fixed order, such that p - (M p - c)
+        projects p onto the face's affine hull.  A polyhedron {Ax <= b} has
+        its interior (0, 0) first, then for each subset As of at most dim
+        rows M = pinv(As) @ As, the projector onto their span, and
+        c = pinv(As) @ bs; a singleton has the one face (I, point); a
+        product has the block-diagonal combinations of its factors' faces.
+        Raises ProjectionUnavailable for non-affine constraints."""
+        if self.kind == "singleton":
+            return [(np.eye(self.dim), self.point)]
+        if self.kind == "product":
+            out = []
+            for parts in itertools.product(*(f.faces for f in self.factors)):
+                M = np.zeros((self.dim, self.dim))
+                off = 0
+                for Mf, _ in parts:
+                    n = Mf.shape[0]
+                    M[off : off + n, off : off + n] = Mf
+                    off += n
+                out.append((M, np.concatenate([c for _, c in parts])))
+            return out
+        A, b = _polyhedron(self)
+        m, dim = A.shape
+        out = [(np.zeros((dim, dim)), np.zeros(dim))]
+        for size in range(1, min(m, dim) + 1):
+            for subset in itertools.combinations(range(m), size):
+                rows = list(subset)
+                P = np.linalg.pinv(A[rows])
+                out.append((P @ A[rows], P @ b[rows]))
+        return out
+
 
 def set_membership(spec: SetSpec, point: Sequence[float], tol: float = TOL_GEOM) -> bool:
     p = np.asarray(point, dtype=float)
@@ -236,10 +275,30 @@ def _affine_system(spec: SetSpec) -> tuple[np.ndarray, np.ndarray] | None:
     return np.array(rows), np.array(rhs)
 
 
+def _polyhedron(spec: SetSpec) -> tuple[np.ndarray, np.ndarray]:
+    system = _affine_system(spec)
+    if system is None:
+        raise ProjectionUnavailable(
+            "exact projection needs affine constraints; use the sampled oracle"
+        )
+    return system
+
+
+def _face_count(spec: SetSpec) -> int:
+    """len(spec.faces), without building any face."""
+    if spec.kind == "singleton":
+        return 1
+    if spec.kind == "product":
+        return math.prod(_face_count(f) for f in spec.factors)
+    m, dim = _polyhedron(spec)[0].shape
+    return sum(math.comb(m, size) for size in range(min(m, dim) + 1))
+
+
 def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
     """Exact Euclidean projection for polyhedral specs, singletons and
-    products of those.  Non-polyhedral sets have no closed-form projector
-    here; callers needing one should use the grid-based oracle."""
+    products of those: the nearest feasible projection onto a face's affine
+    hull.  Non-polyhedral sets have no closed-form projector here; callers
+    needing one should use the grid-based oracle."""
     p = np.asarray(point, dtype=float)
     if spec.kind == "singleton":
         return spec.point.copy()
@@ -250,27 +309,18 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
             out[off : off + f.dim] = project_onto(f, p[off : off + f.dim])
             off += f.dim
         return out
-    system = _affine_system(spec)
-    if system is None:
-        raise ProjectionUnavailable(
-            "exact projection needs affine constraints; use the sampled oracle"
-        )
-    A, b = system
+    A, b = _polyhedron(spec)
     if np.all(A @ p <= b + 1e-12):
         return p.copy()
-    m, dim = A.shape
     best = None
     best_d = math.inf
-    for size in range(1, min(m, dim) + 1):
-        for subset in itertools.combinations(range(m), size):
-            As = A[list(subset)]
-            bs = b[list(subset)]
-            # least-norm correction onto {As x = bs}
-            x = p - As.T @ np.linalg.lstsq(As @ As.T, As @ p - bs, rcond=None)[0]
-            if np.all(A @ x <= b + 1e-9):
-                d = float(np.linalg.norm(x - p))
-                if d < best_d:
-                    best, best_d = x, d
+    # the interior face, first, was just tested at the tighter tolerance
+    for M, c in spec.faces[1:]:
+        x = p - (M @ p - c)
+        if np.all(A @ x <= b + 1e-9):
+            d = float(np.linalg.norm(x - p))
+            if d < best_d:
+                best, best_d = x, d
     if best is None:
         raise ProjectionUnavailable("no feasible active-set projection found")
     return best
@@ -1330,6 +1380,55 @@ def _shift_at(shift, k: int) -> np.ndarray:
     return np.asarray(shift, dtype=float) / k
 
 
+def _face_minimizer(
+    faces: Sequence[tuple[np.ndarray, np.ndarray]], a: Sequence[np.ndarray], x_ref: np.ndarray
+) -> np.ndarray:
+    """Minimizer of |r(z)| + |z - x_ref|^2, where r stacks the residuals
+    r_i(z) = M_i (z + a_i) - c_i to one face (M_i, c_i) per set.
+
+    Stationarity gives z(gamma) = x_ref - (S + 2 gamma I)^-1 sum_i r_i(x_ref)
+    with S = sum_i M_i and gamma = |r(z(gamma))|.  With S = Q diag(lam) Q^T
+    over the eigenvalues above EIG_TOL (z stays at x_ref along the others),
+    w = Q^T sum_i r_i(x_ref) and g the least value of |r|^2,
+    |r(z(gamma))|^2 = g + 4 gamma^2 sum_j w_j^2 / (lam_j (lam_j + 2 gamma)^2),
+    so gamma is the one root of the convex decreasing
+    psi(gamma) = g / gamma^2 + sum_j 4 w_j^2 / (lam_j (lam_j + 2 gamma)^2) - 1,
+    found by Newton steps from a point left of it; psi <= 0 from the start
+    means the residual vanishes at the minimizer (gamma = 0)."""
+    S = sum(M for M, _ in faces)
+    R = [M @ (x_ref + ai) - c for (M, c), ai in zip(faces, a)]
+    lam, Q = np.linalg.eigh(S)
+    keep = lam > EIG_TOL
+    lam, Q = lam[keep], Q[:, keep]
+    w = Q.T @ sum(R)
+    z0 = Q @ (w / lam)  # x_ref - z0 is the least-residual point nearest x_ref
+    root_g = math.sqrt(sum(float(np.dot(r - M @ z0, r - M @ z0)) for (M, _), r in zip(faces, R)))
+    # a least residual at rounding level is zero: where psi(0+) is near 0 its
+    # noise would move the root by up to sqrt(noise)
+    size = math.sqrt(sum(float(np.dot(r, r)) for r in R)) + float(np.linalg.norm(z0))
+    if root_g <= RESIDUAL_TOL * size:
+        root_g = 0.0
+    w2 = w * w
+    # psi >= 0 where g / gamma^2 or any one term reaches 1: left of the root
+    gamma = max(root_g, float(np.max(np.abs(w) / np.sqrt(lam) - lam / 2, initial=0.0)))
+    for _ in range(MAX_ROOT_STEPS):
+        d = lam + 2 * gamma
+        terms = 4 * w2 / (lam * d * d)
+        psi = float(terms.sum()) - 1
+        dpsi = -4 * float((terms / d).sum())
+        if root_g > 0:  # then gamma >= root_g > 0
+            g_term = (root_g / gamma) ** 2
+            psi += g_term
+            dpsi -= 2 * g_term / gamma
+        if psi <= 0:
+            break
+        nxt = gamma - psi / dpsi
+        if not nxt > gamma:
+            break
+        gamma = nxt
+    return x_ref - Q @ (w / (lam + 2 * gamma))
+
+
 def extremal_principle_solve(
     sets: Sequence[SetSpec],
     x: Sequence[float],
@@ -1338,81 +1437,52 @@ def extremal_principle_solve(
 ) -> ExtremalTrace:
     """Constructive extremal-principle scheme.
 
-    For each k the shifted squared-distance objective is minimized by
-    multi-start quasi-Newton descent with the exact projection gradient;
-    the scheme fails with a diagnostic when the distance term vanishes
-    (the shifts then do not witness extremality at this resolution).
+    For each k the shifted objective sqrt(sum_i d^2(z + a_i, Omega_i)) +
+    |z - x|^2, strictly convex for polyhedra, singletons and products of
+    those, is minimized exactly: for every combination of one face per set
+    the face-restricted minimizer comes from ``_face_minimizer``, and the one
+    with the least true objective is kept (the minimizer's own faces
+    reproduce it).  More than MAX_BRANCH_COMBOS face combinations are
+    refused with ``CombinatorialOverflow``.  The scheme fails with a
+    diagnostic when the distance term vanishes (the shifts then do not
+    witness extremality at this resolution).
 
     A shift entry is either a base vector (schedule base/k) or a callable
     k -> vector.  euler_residuals records |sum_i v_ik|, the distance to
     the limiting Euler equation; stationarity_residuals records the Fermat
-    residual of the inner minimization and stays at solver tolerance.
+    residual of the inner minimization, a KKT certificate at rounding level.
     """
     if len(sets) < 2:
         raise SubdiffError("extremal systems need at least two sets")
     if len(shifts) != len(sets):
         raise SubdiffError("one shift sequence per set required")
     x_ref = np.asarray(x, dtype=float)
-    dim = x_ref.shape[0]
     for s in sets:
         if not set_membership(s, x_ref):
             raise SubdiffError("reference point must lie in every set")
+    # counted before any face is built: the product can be huge
+    counts = [_face_count(s) for s in sets]
+    combos = math.prod(counts)
+    if combos > MAX_BRANCH_COMBOS:
+        raise CombinatorialOverflow(
+            f"{' x '.join(map(str, counts))} = {combos} face combinations "
+            f"exceed the cap {MAX_BRANCH_COMBOS}"
+        )
 
     trace = ExtremalTrace([], [], [], [], [], [], [])
     for k in ks:
         a = [_shift_at(sh, k) for sh in shifts]
-
-        def gamma_and_projections(pt: np.ndarray):
-            ws = [project_onto(s, pt + ai) for s, ai in zip(sets, a)]
-            gamma = math.sqrt(
-                sum(float(np.dot(pt + ai - w, pt + ai - w)) for ai, w in zip(a, ws))
-            )
-            return gamma, ws
-
-        def objective(pt: np.ndarray) -> float:
-            gamma, _ = gamma_and_projections(pt)
-            return gamma + float(np.dot(pt - x_ref, pt - x_ref))
-
-        def value_and_grad(pt: np.ndarray) -> tuple[float, np.ndarray]:
-            # one projection per set and iterate: L-BFGS-B wants both at every point
-            gamma, ws = gamma_and_projections(pt)
-            value = gamma + float(np.dot(pt - x_ref, pt - x_ref))
-            g = 2 * (pt - x_ref)
-            if gamma < 1e-14:
-                return value, g
-            for ai, w in zip(a, ws):
-                g = g + (pt + ai - w) / gamma
-            return value, g
+        best = None
+        for faces in itertools.product(*(s.faces for s in sets)):
+            z = _face_minimizer(faces, a, x_ref)
+            ws = [project_onto(s, z + ai) for s, ai in zip(sets, a)]
+            g = math.sqrt(sum(float(np.dot(z + ai - w, z + ai - w)) for ai, w in zip(a, ws)))
+            val = g + float(np.dot(z - x_ref, z - x_ref))
+            if best is None or val < best[0]:
+                best = (val, z, g, ws)
+        _, xk, gamma, ws = best
 
         scale = max(np.linalg.norm(ai) for ai in a)
-        starts = [x_ref.copy(), x_ref - np.mean(a, axis=0)]
-        starts += [x_ref - ai for ai in a]
-        if scale > 0:
-            for d in directions(dim, 2 * dim):
-                starts.append(x_ref + 0.5 * scale * d)
-        best_x, best_val = None, math.inf
-        for s0 in starts:
-            res = sciopt.minimize(
-                value_and_grad,
-                s0,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12},
-            )
-            if res.fun < best_val:
-                best_val, best_x = res.fun, res.x
-        # polish: simplex refinement removes the last quasi-Newton slack
-        res = sciopt.minimize(
-            objective,
-            best_x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000},
-        )
-        if res.fun < best_val:
-            best_x = res.x
-        xk = best_x
-
-        gamma, ws = gamma_and_projections(xk)
         if gamma <= 1e-12 * (1 + scale):
             raise ExtremalityNotWitnessed(k)
         vs = [(xk + ai - w) / gamma for ai, w in zip(a, ws)]

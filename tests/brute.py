@@ -6,8 +6,10 @@ the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
 interpreter over the expression tree, the batched point-to-polytope
-distance against a one-point-at-a-time face enumeration, and the batched
-value-function search against a one-parameter-at-a-time grid loop.
+distance against a one-point-at-a-time face enumeration, the batched
+value-function search against a one-parameter-at-a-time grid loop, and
+the exact extremal-principle solver against SciPy's multi-start
+quasi-Newton descent with a simplex polish.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize as sciopt
 from scipy.spatial import cKDTree
 
 from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
-from varcalc.convgeom import TOL_GEOM, Polytope
+from varcalc.convgeom import TOL_GEOM, Polytope, directions
 
 WEIGHT_STEP = 1e-2
 TARGET_TOL = 1e-6
@@ -361,3 +364,97 @@ def _slope_bound(values: np.ndarray, box, resolution: int) -> float:
         if finite.size:
             worst = max(worst, float(finite.max()))
     return worst
+
+
+def reference_extremal_solve(
+    sets,
+    x,
+    shifts,
+    ks=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+) -> S.ExtremalTrace:
+    """Extremal-principle scheme with the k-th objective minimized by
+    multi-start L-BFGS-B (the library's exact projection gradient) and a
+    Nelder-Mead polish: the SciPy reference for the exact face-enumeration
+    solver ``subdiff.extremal_principle_solve``, with the same checks,
+    diagnostic and trace fields.
+    """
+    if len(sets) < 2:
+        raise S.SubdiffError("extremal systems need at least two sets")
+    if len(shifts) != len(sets):
+        raise S.SubdiffError("one shift sequence per set required")
+    x_ref = np.asarray(x, dtype=float)
+    dim = x_ref.shape[0]
+    for s in sets:
+        if not S.set_membership(s, x_ref):
+            raise S.SubdiffError("reference point must lie in every set")
+
+    trace = S.ExtremalTrace([], [], [], [], [], [], [])
+    for k in ks:
+        a = [S._shift_at(sh, k) for sh in shifts]
+
+        def gamma_and_projections(pt: np.ndarray):
+            ws = [S.project_onto(s, pt + ai) for s, ai in zip(sets, a)]
+            gamma = math.sqrt(
+                sum(float(np.dot(pt + ai - w, pt + ai - w)) for ai, w in zip(a, ws))
+            )
+            return gamma, ws
+
+        def objective(pt: np.ndarray) -> float:
+            gamma, _ = gamma_and_projections(pt)
+            return gamma + float(np.dot(pt - x_ref, pt - x_ref))
+
+        def value_and_grad(pt: np.ndarray) -> tuple[float, np.ndarray]:
+            # one projection per set and iterate: L-BFGS-B wants both at every point
+            gamma, ws = gamma_and_projections(pt)
+            value = gamma + float(np.dot(pt - x_ref, pt - x_ref))
+            g = 2 * (pt - x_ref)
+            if gamma < 1e-14:
+                return value, g
+            for ai, w in zip(a, ws):
+                g = g + (pt + ai - w) / gamma
+            return value, g
+
+        scale = max(np.linalg.norm(ai) for ai in a)
+        starts = [x_ref.copy(), x_ref - np.mean(a, axis=0)]
+        starts += [x_ref - ai for ai in a]
+        if scale > 0:
+            for d in directions(dim, 2 * dim):
+                starts.append(x_ref + 0.5 * scale * d)
+        best_x, best_val = None, math.inf
+        for s0 in starts:
+            res = sciopt.minimize(
+                value_and_grad,
+                s0,
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12},
+            )
+            if res.fun < best_val:
+                best_val, best_x = res.fun, res.x
+        # polish: simplex refinement removes the last quasi-Newton slack
+        res = sciopt.minimize(
+            objective,
+            best_x,
+            method="Nelder-Mead",
+            options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000},
+        )
+        if res.fun < best_val:
+            best_x = res.x
+        xk = best_x
+
+        gamma, ws = gamma_and_projections(xk)
+        if gamma <= 1e-12 * (1 + scale):
+            raise S.ExtremalityNotWitnessed(k)
+        vs = [(xk + ai - w) / gamma for ai, w in zip(a, ws)]
+        n_err = abs(sum(float(np.dot(v, v)) for v in vs) - 1.0)
+        euler = float(np.linalg.norm(sum(vs)))
+        stationarity = float(np.linalg.norm(sum(vs) + 2 * (xk - x_ref)))
+
+        trace.ks.append(int(k))
+        trace.iterates.append(xk)
+        trace.gammas.append(gamma)
+        trace.normals.append(vs)
+        trace.euler_residuals.append(euler)
+        trace.stationarity_residuals.append(stationarity)
+        trace.normalization_errors.append(n_err)
+    return trace

@@ -1,13 +1,17 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
 
-from tests.brute import dense_normal_cone_oracle
+from tests.brute import dense_normal_cone_oracle, reference_extremal_solve
 
 XS = E.VarSpace.of("x")
 XY = E.VarSpace.of("x", "y")
@@ -429,12 +433,25 @@ def test_difference_rule_vacuous_when_second_empty():
 # extremal principle
 
 
-def test_extremal_halfplanes():
+def halfplanes_system():
     upper = S.SetSpec.sublevel([f("y", XY)])  # y <= 0
     lower = S.SetSpec.sublevel([f("(- y)", XY)])  # y >= 0
-    trace = S.extremal_principle_solve(
-        [upper, lower], [0.0, 0.0], [np.array([0.0, 1.0]), np.array([0.0, 0.0])]
-    )
+    return [upper, lower], [0.0, 0.0], [np.array([0.0, 1.0]), np.array([0.0, 0.0])]
+
+
+def boundary_system():
+    omega = S.SetSpec.sublevel([f("x")])
+    point = S.SetSpec.singleton([0.0])
+    return [omega, point], [0.0], [np.array([1.0]), np.array([0.0])]
+
+
+def nonextremal_system():
+    whole = S.SetSpec.sublevel([f("-1.0", XY)])
+    return [whole, whole], [0.0, 0.0], [np.array([0.1, 0.1]), np.array([0.0, 0.0])]
+
+
+def test_extremal_halfplanes():
+    trace = S.extremal_principle_solve(*halfplanes_system())
     assert max(trace.normalization_errors) <= 1e-9
     assert trace.euler_residuals[-1] <= 1e-3
     v1, v2 = trace.normals[-1]
@@ -444,27 +461,165 @@ def test_extremal_halfplanes():
     # euler residual decreases monotonically at the tail
     tail = [r for k, r in zip(trace.ks, trace.euler_residuals) if k >= 100]
     assert all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
-    assert max(trace.stationarity_residuals) <= 1e-5
+    assert max(trace.stationarity_residuals) <= 1e-12
 
 
 def test_extremal_boundary_point_system():
-    omega = S.SetSpec.sublevel([f("x")])
-    point = S.SetSpec.singleton([0.0])
-    trace = S.extremal_principle_solve(
-        [omega, point], [0.0], [np.array([1.0]), np.array([0.0])]
-    )
+    trace = S.extremal_principle_solve(*boundary_system())
     root2 = math.sqrt(0.5)
     v1, v2 = trace.normals[-1]
     assert v1 == pytest.approx([root2], abs=1e-2)
     assert v2 == pytest.approx([-root2], abs=1e-2)
+    assert max(trace.stationarity_residuals) <= 1e-12
 
 
 def test_extremal_non_extremal_diagnostic():
-    whole = S.SetSpec.sublevel([f("-1.0", XY)])
     with pytest.raises(S.ExtremalityNotWitnessed):
-        S.extremal_principle_solve(
-            [whole, whole], [0.0, 0.0], [np.array([0.1, 0.1]), np.array([0.0, 0.0])]
+        S.extremal_principle_solve(*nonextremal_system())
+
+
+def test_extremal_projection_calls_bounded(monkeypatch):
+    """One projection per set and face combination at each k: a search
+    that evaluates the objective more often fails this count."""
+    sets, point, shifts = halfplanes_system()
+    ks = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+    calls = []
+    project = S.project_onto
+    monkeypatch.setattr(S, "project_onto", lambda spec, p: calls.append(1) or project(spec, p))
+    S.extremal_principle_solve(sets, point, shifts, ks)
+    combos = math.prod(S._face_count(s) for s in sets)
+    assert 0 < len(calls) <= len(ks) * combos * len(sets)
+
+
+def test_extremal_face_combination_cap():
+    """Two sets of 16 halfspaces in 3-D have 1 + 16 + 120 + 560 = 697 faces
+    each: the 485 809 combinations are refused up front, in well under a
+    second and without memory growing with their number."""
+    dirs = G.directions(3, 16, 3)
+    halfspace = "(+ (* {} x) (* {} y) (* {} z) -1.0)"
+    sets = [
+        S.SetSpec.sublevel([f(halfspace.format(*(sign * d)), XYZ) for d in dirs])
+        for sign in (1.0, -1.0)
+    ]
+    shifts = [np.array([0.0, 0.0, 1.0]), np.zeros(3)]
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(S.SubdiffError) as err:
+            S.extremal_principle_solve(sets, [0.0, 0.0, 0.0], shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert "697 x 697 = 485809" in str(err.value)
+    assert str(S.MAX_BRANCH_COMBOS) in str(err.value)
+
+
+def _extremal_objective(sets, shifts, point, k, z):
+    a = [S._shift_at(sh, k) for sh in shifts]
+    d2 = sum(float(np.sum((z + ai - S.project_onto(s, z + ai)) ** 2)) for s, ai in zip(sets, a))
+    return math.sqrt(d2) + float(np.dot(z - point, z - point))
+
+
+def _assert_matches_reference(sets, point, shifts, ks):
+    """At every k the exact solve is at least as good as SciPy's multi-start
+    descent with a simplex polish and lands on the same iterate and normals;
+    where it finds no distance left, the reference's is (nearly) gone too."""
+    point = np.asarray(point, dtype=float)
+    for k in ks:
+        try:
+            ref = reference_extremal_solve(sets, point, shifts, (k,))
+        except S.ExtremalityNotWitnessed:
+            ref = None
+        try:
+            new = S.extremal_principle_solve(sets, point, shifts, (k,))
+        except S.ExtremalityNotWitnessed:
+            assert ref is None or ref.gammas[0] <= 1e-6
+            continue
+        assert ref is not None, f"only the reference lost the distance term at k={k}"
+        z_new, z_ref = new.iterates[0], ref.iterates[0]
+        assert _extremal_objective(sets, shifts, point, k, z_new) <= (
+            _extremal_objective(sets, shifts, point, k, z_ref) + 1e-12
         )
+        assert np.max(np.abs(z_new - z_ref)) <= 1e-6
+        for v_new, v_ref in zip(new.normals[0], ref.normals[0]):
+            assert np.max(np.abs(v_new - v_ref)) <= 1e-6
+        assert new.stationarity_residuals[0] <= 1e-12
+
+
+@pytest.mark.parametrize("system", [halfplanes_system, boundary_system, nonextremal_system])
+def test_extremal_matches_reference_on_builtins(system):
+    _assert_matches_reference(*system(), ks=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
+
+
+def test_extremal_vanishing_distance_at_tangency():
+    """At k = 1 the minimizer (0, -1/2) lies on the vertex of
+    {y <= 0, x + y <= 0}, where the distance term stops paying exactly, so
+    the vertex face's least residual and the slope of its secular function
+    at 0 are both zero up to rounding: the exact solve must still find
+    that the distance vanished, as the reference does."""
+    corner = S.SetSpec.sublevel([f("(* 0.25 y)", XY), f("(+ (* 0.25 x) (* 0.25 y))", XY)])
+    lower = S.SetSpec.sublevel([f("(* 0.25 y)", XY)])
+    shifts = [np.array([0.0, 0.5]), np.array([0.0, 0.0])]
+    _assert_matches_reference([corner, lower], [0.0, 0.0], shifts, ks=(1,))
+
+
+SPACES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
+
+
+@st.composite
+def _polyhedron(draw, names, center):
+    """1-3 halfspaces row . (x - center) <= offset with offset >= 0."""
+    d = len(names)
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    fns = []
+    for row in rows:
+        offset = draw(st.sampled_from([0.0, 0.0, 0.5]))
+        terms = " ".join(f"(* {c / 4} {n})" for c, n in zip(row, names))
+        const = -(float(np.dot(row, center)) / 4 + offset)
+        fns.append(E.parse_function(f"(+ {terms} {const!r})", E.VarSpace.of(*names)))
+    return S.SetSpec.sublevel(fns)
+
+
+@st.composite
+def _set_containing(draw, names, center):
+    kinds = ["polyhedron", "singleton"] + (["product"] if len(names) > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "singleton":
+        return S.SetSpec.singleton(center)
+    if kind == "polyhedron":
+        return draw(_polyhedron(names, center))
+    cut = draw(st.integers(1, len(names) - 1))
+    return S.SetSpec.product(
+        [
+            draw(_set_containing(names[:cut], center[:cut])),
+            draw(_set_containing(names[cut:], center[cut:])),
+        ]
+    )
+
+
+@st.composite
+def extremal_systems(draw):
+    dim = draw(st.integers(1, 3))
+    quarter = st.integers(-4, 4).map(lambda i: i / 4)
+    point = np.array(draw(st.lists(quarter, min_size=dim, max_size=dim)))
+    n = draw(st.integers(2, 3))
+    sets = [draw(_set_containing(SPACES[dim], point)) for _ in range(n)]
+    shifts = [np.array(draw(st.lists(quarter, min_size=dim, max_size=dim))) for _ in range(n)]
+    return sets, point, shifts
+
+
+@settings(max_examples=12, deadline=None)
+@given(extremal_systems())
+def test_extremal_matches_reference_on_random_systems(system):
+    _assert_matches_reference(*system, ks=(1, 16))
 
 
 # ---------------------------------------------------------------------------
