@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,6 +109,32 @@ class NoCertificate:
     caveat: str = CAVEAT
 
 
+def _check_combos(counts: Iterable[int], search: str) -> None:
+    """Refuse a search over one branch per factor, given each factor's
+    branch count, before it solves any LP: more than MAX_COMBOS
+    combinations overflow."""
+    if math.prod(counts) > MAX_COMBOS:
+        raise sd.CombinatorialOverflow(f"too many branch combinations in {search}")
+
+
+def _qualification_witness(unions: list[PolytopeUnion]) -> dict | None:
+    """A vanishing nonzero nonnegative combination of one part per union
+    (multipliers scaled to a largest entry of 1, and the chosen vectors),
+    or None when the qualification condition holds."""
+    if not unions:
+        return None
+    _check_combos((len(u.parts) for u in unions), "the qualification check")
+    for combo in itertools.product(*(u.parts for u in unions)):
+        out = sd.zero_combination(list(combo))
+        if not isinstance(out, float):
+            lams, vecs = out
+            return {
+                "multipliers": (lams / float(lams.max())).tolist(),
+                "vectors": [v.tolist() for v in vecs],
+            }
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Fritz John / KKT conditions for single-level Lipschitz programs
 
@@ -140,20 +166,10 @@ def check_lipschitz_kkt(
     ]
 
     # generalized constraint qualification over the active subdifferentials
-    mfcq_holds = True
-    mfcq_witness = None
-    if active:
-        for combo in itertools.product(*(u.parts for u in act_subs)):
-            out = sd.zero_combination(list(combo))
-            if not isinstance(out, float):
-                mfcq_holds = False
-                lams, vecs = out
-                top = float(lams.max())
-                mfcq_witness = {
-                    "multipliers": (lams / top).tolist(),
-                    "vectors": [v.tolist() for v in vecs],
-                }
-                break
+    unions = [obj_sub] + act_subs
+    _check_combos((len(u.parts) for u in unions), "the KKT search")
+    mfcq_witness = _qualification_witness(act_subs)
+    mfcq_holds = mfcq_witness is None
 
     ledger = [
         {
@@ -165,11 +181,8 @@ def check_lipschitz_kkt(
 
     m = len(prog.inequality_constraints)
     best_margin = math.inf
-    combos = list(itertools.product(*((u.parts for u in [obj_sub] + act_subs))))
-    if len(combos) > MAX_COMBOS:
-        raise sd.CombinatorialOverflow("too many branch choices in the KKT search")
-    for combo in combos:
-        out = sd.zero_combination(list(combo))
+    for combo in itertools.product(*(range(len(u.parts)) for u in unions)):
+        out = sd.zero_combination([u.parts[i] for u, i in zip(unions, combo)])
         if isinstance(out, float):
             best_margin = min(best_margin, out)
             continue
@@ -199,7 +212,7 @@ def check_lipschitz_kkt(
             },
             u=None,
             kappa=None,
-            branch_choices={"parts": [int(obj_sub.parts.index(combo[0]))]},
+            branch_choices={"parts": [combo[0]]},
             residuals={
                 "lagrangian_inclusion": residual / scale,
                 "complementary_slackness": max(comp, default=0.0),
@@ -400,20 +413,6 @@ def regularity_check(
     p = np.asarray(point, dtype=float)
     xv = p[: bp.x_dim]
 
-    def violation(unions: list[PolytopeUnion]) -> dict | None:
-        if not unions:
-            return None
-        for combo in itertools.product(*(u.parts for u in unions)):
-            out = sd.zero_combination(list(combo))
-            if not isinstance(out, float):
-                lams, vecs = out
-                top = float(lams.max())
-                return {
-                    "multipliers": (lams / top).tolist(),
-                    "vectors": [v.tolist() for v in vecs],
-                }
-        return None
-
     lower_unions = []
     for f in bp.lower_constraints:
         if abs(ex.evaluate(f, p)) <= TOL_GEOM:
@@ -423,13 +422,13 @@ def regularity_check(
                     [Polytope.create(part.vertices[:, bp.x_dim :]) for part in full.parts]
                 )
             )
-    lower_witness = violation(lower_unions)
+    lower_witness = _qualification_witness(lower_unions)
 
     upper_unions = []
     for g in bp.upper_constraints:
         if abs(ex.evaluate(g, xv)) <= TOL_GEOM:
             upper_unions.append(sd.basic_subdifferential(g, xv, params))
-    upper_witness = violation(upper_unions)
+    upper_witness = _qualification_witness(upper_unions)
 
     return RegularityReport(
         lower_regular=lower_witness is None,
@@ -449,36 +448,22 @@ def _embed_x_block(vertices: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Block:
-    vertices: np.ndarray  # (k, rows-dim contribution per equation block)
-    convex: bool  # sum of weights == 1
-    label: str
+@dataclass(frozen=True)
+class _Term:
+    """One summand of a Lagrangian inclusion, as the vertex array of each
+    branch it may take.  A convex term is a cost subgradient: its weights
+    sum to one, and ``key``, if set, names its branch in
+    ``branch_choices``.  Any other term is a constraint's, and its weight
+    sum is the multiplier ``key[index]``."""
+
+    choices: tuple[np.ndarray, ...]
+    convex: bool
+    key: str | None = None
+    index: int = 0
 
 
-def _membership_rows(
-    blocks: list[_Block], eq_dim: int, signs: list[float]
-) -> tuple[list[LinearConstraint], int]:
-    """Equality rows sum_b sign_b * (weights_b @ vertices_b) = 0 plus the
-    convexity rows; returns the constraints and the variable count."""
-    sizes = [b.vertices.shape[0] for b in blocks]
-    nvars = sum(sizes)
-    cons: list[LinearConstraint] = []
-    for d in range(eq_dim):
-        row = np.zeros(nvars)
-        off = 0
-        for b, s, k in zip(blocks, signs, sizes):
-            row[off : off + k] = s * b.vertices[:, d]
-            off += k
-        cons.append(LinearConstraint(row, "==", 0.0))
-    off = 0
-    for b, k in zip(blocks, sizes):
-        if b.convex:
-            row = np.zeros(nvars)
-            row[off : off + k] = 1.0
-            cons.append(LinearConstraint(row, "==", 1.0))
-        off += k
-    return cons, nvars
+def _term(parts: Sequence[Polytope], convex: bool, key: str | None = None, index: int = 0) -> _Term:
+    return _Term(tuple(P.vertices for P in parts), convex, key, index)
 
 
 def _hypothesis_gate(
@@ -541,20 +526,127 @@ def _hypothesis_gate(
     return ledger
 
 
-def _active_lower(bp: BilevelProblem, p: np.ndarray) -> list[int]:
-    return [
-        i
-        for i, f in enumerate(bp.lower_constraints)
-        if abs(ex.evaluate(f, p)) <= TOL_GEOM
-    ]
+def _branch_subdiffs(
+    bp: BilevelProblem, p: np.ndarray, params: sd.SampleParams
+) -> tuple[PolytopeUnion, PolytopeUnion, dict[int, PolytopeUnion]]:
+    """Basic subdifferentials at p of the lower cost, the upper cost and
+    each active lower constraint (keyed by its index)."""
+    phi = sd.basic_subdifferential(bp.lower_cost, p, params)
+    psi = sd.basic_subdifferential(bp.upper_cost, p, params)
+    f = {
+        i: sd.basic_subdifferential(fi, p, params)
+        for i, fi in enumerate(bp.lower_constraints)
+        if abs(ex.evaluate(fi, p)) <= TOL_GEOM
+    }
+    return phi, psi, f
 
 
-def _active_upper(bp: BilevelProblem, xv: np.ndarray) -> list[int]:
+def _penalized_terms(
+    phi_sub: PolytopeUnion, psi_sub: PolytopeUnion, f_subs: dict, kappa: float, phi_key: str
+) -> list[_Term]:
+    """u = phi' + psi'/kappa + sum_i lambda_i f_i', one branch of each."""
     return [
-        j
-        for j, g in enumerate(bp.upper_constraints)
-        if abs(ex.evaluate(g, xv)) <= TOL_GEOM
-    ]
+        _term(phi_sub.parts, True, phi_key),
+        _Term(tuple(P.vertices / kappa for P in psi_sub.parts), True, "psi_part"),
+    ] + [_term(u.parts, False, "lambda", i) for i, u in f_subs.items()]
+
+
+def _certificate_search(
+    theorem_id: str,
+    bp: BilevelProblem,
+    p: np.ndarray,
+    kappa: float,
+    u_vertices: np.ndarray,
+    inclusions: tuple[tuple[str, list[_Term]], tuple[str, list[_Term]]],
+    ledger: list[dict],
+) -> StationarityCertificate | NoCertificate:
+    """Find u in the hull of ``u_vertices`` (rows over x) and multipliers
+    with u equal to the sum of each inclusion's terms: one joint LP per
+    branch combination of the terms of both inclusions, in order.  The
+    first feasible combination is the certificate; otherwise the tightest
+    infeasibility margin is reported.  ``inclusions`` pairs each term
+    list with the name of its residual."""
+    (name1, eq1), (name2, eq2) = inclusions
+    terms = eq1 + eq2
+    _check_combos((len(t.choices) for t in terms), "the certificate search")
+    u_block = _embed_x_block(u_vertices, bp.x_dim, bp.y_dim)
+    best_margin = math.inf
+    for combo in itertools.product(*(range(len(t.choices)) for t in terms)):
+        blocks = [(t.choices[i], t.convex) for t, i in zip(terms, combo)]
+        outcome = _joint_membership(u_block, blocks[: len(eq1)], blocks[len(eq1) :])
+        if isinstance(outcome, float):
+            best_margin = min(best_margin, outcome)
+            continue
+        w_u, weights = outcome[0], outcome[1:]
+        residuals = {}
+        for name, span in ((name1, range(len(eq1))), (name2, range(len(eq1), len(terms)))):
+            total = u_block.T @ w_u
+            for k in span:
+                total -= blocks[k][0].T @ weights[k]
+            residuals[name] = float(np.max(np.abs(total)))
+        multipliers = {
+            "nu": np.zeros(len(bp.lower_constraints)),
+            "lambda": np.zeros(len(bp.lower_constraints)),
+            "mu": np.zeros(len(bp.upper_constraints)),
+        }
+        for t, w in zip(terms, weights):
+            if not t.convex:
+                multipliers[t.key][t.index] = float(w.sum())
+        residuals["complementary_slackness"] = _complementarity(bp, p, multipliers)
+        return StationarityCertificate(
+            theorem_id=theorem_id,
+            multipliers={k: v.tolist() for k, v in multipliers.items()},
+            u=u_vertices.T @ w_u,
+            kappa=float(kappa),
+            branch_choices={t.key: i for t, i in zip(terms, combo) if t.convex and t.key},
+            residuals=residuals,
+            ledger=ledger,
+        )
+    return NoCertificate(theorem_id, best_margin, ledger)
+
+
+def _joint_membership(u: np.ndarray, eq1: list, eq2: list) -> list[np.ndarray] | float:
+    """Feasibility LP of u = sum of the blocks of eq1 and u = sum of the
+    blocks of eq2, with u a convex combination of the rows of ``u`` shared
+    by both.  A block is (vertices, convex): a nonnegative combination of
+    its rows, whose weights sum to one when convex.  Columns: u's weights,
+    then each block's; rows: eq1's equalities, its convexity rows (u's
+    first), then eq2's equalities and convexity rows.  Returns the weights
+    of u and of each block, or the infeasibility margin."""
+    blocks = [(u, True)] + eq1 + eq2
+    offs = list(itertools.accumulate((V.shape[0] for V, _ in blocks), initial=0))
+
+    def row(b: int, values) -> np.ndarray:
+        out = np.zeros(offs[-1])
+        out[offs[b] : offs[b + 1]] = values
+        return out
+
+    cons: list[LinearConstraint] = []
+    k = 1 + len(eq1)
+    second = range(k, len(blocks))
+    for members, normalized in ((range(1, k), range(k)), (second, second)):
+        for d in range(u.shape[1]):
+            r = row(0, u[:, d])
+            for b in members:
+                r[offs[b] : offs[b + 1]] = -blocks[b][0][:, d]
+            cons.append(LinearConstraint(r, "==", 0.0))
+        cons += [LinearConstraint(row(b, 1.0), "==", 1.0) for b in normalized if blocks[b][1]]
+    out = lp_feasible(LPProblem(offs[-1], cons))
+    if isinstance(out, LPInfeasible):
+        return out.margin
+    if not isinstance(out, LPFeasible):
+        raise BilevelError(f"LP breakdown: {out.reason}")
+    return [out.assignment[offs[b] : offs[b + 1]] for b in range(len(blocks))]
+
+
+def _complementarity(bp: BilevelProblem, p: np.ndarray, multipliers: dict) -> float:
+    worst = 0.0
+    for i, f in enumerate(bp.lower_constraints):
+        v = ex.evaluate(f, p)
+        worst = max(worst, abs(multipliers["lambda"][i] * v), abs(multipliers["nu"][i] * v))
+    for j, g in enumerate(bp.upper_constraints):
+        worst = max(worst, abs(multipliers["mu"][j] * ex.evaluate(g, p[: bp.x_dim])))
+    return worst
 
 
 def certify_T74(
@@ -575,9 +667,12 @@ def certify_T74(
     p = np.asarray(point, dtype=float)
     n, m = bp.x_dim, bp.y_dim
     ledger = _hypothesis_gate(bp, p, kappa, grid, params, override_calmness, need_upper=True)
-    estimate = vf.value_subdiff_estimate(
-        bp.lower(), p, grid, params, override_isc=override_isc
-    )
+    try:
+        estimate = vf.value_subdiff_estimate(
+            bp.lower(), p, grid, params, override_isc=override_isc
+        )
+    except vf.HypothesisNotSatisfied as err:
+        raise HypothesisFailure(str(err), ledger + err.ledger) from None
     ledger.extend(estimate.ledger)
     ledger.append(
         {
@@ -587,163 +682,33 @@ def certify_T74(
             "detail": {"notes": estimate.notes},
         }
     )
-    co_theta = estimate.basic.hull()
     xv = p[:n]
-    act_f = _active_lower(bp, p)
-    act_g = _active_upper(bp, xv)
-
-    phi_sub = sd.basic_subdifferential(bp.lower_cost, p, params)
-    psi_sub = sd.basic_subdifferential(bp.upper_cost, p, params)
-    f_subs = [sd.basic_subdifferential(bp.lower_constraints[i], p, params) for i in act_f]
-    g_subs = [
-        PolytopeUnion.create(
+    phi_sub, psi_sub, f_subs = _branch_subdiffs(bp, p, params)
+    g_subs = {
+        j: PolytopeUnion.create(
             [
                 Polytope.create(_embed_x_block(part.vertices, n, m))
-                for part in sd.basic_subdifferential(bp.upper_constraints[j], xv, params).parts
+                for part in sd.basic_subdifferential(g, xv, params).parts
             ]
         )
-        for j in act_g
+        for j, g in enumerate(bp.upper_constraints)
+        if abs(ex.evaluate(g, xv)) <= TOL_GEOM
+    }
+    convexified = [_term([phi_sub.hull()], True)] + [
+        _term([u.hull()], False, "nu", i) for i, u in f_subs.items()
     ]
-    co_phi = phi_sub.hull()
-    co_f = [u.hull() for u in f_subs]
-
-    u_block = _Block(_embed_x_block(co_theta.vertices, n, m), True, "u")
-    combo_sets = [phi_sub.parts, psi_sub.parts] + [u.parts for u in f_subs] + [
-        u.parts for u in g_subs
+    penalized = _penalized_terms(phi_sub, psi_sub, f_subs, kappa, "phi_part") + [
+        _term(u.parts, False, "mu", j) for j, u in g_subs.items()
     ]
-    combos = list(itertools.product(*combo_sets))
-    if len(combos) > MAX_COMBOS:
-        raise sd.CombinatorialOverflow("too many branch combinations in the certificate search")
-
-    best_margin = math.inf
-    for combo in combos:
-        phi_part, psi_part = combo[0], combo[1]
-        f_parts = combo[2 : 2 + len(f_subs)]
-        g_parts = combo[2 + len(f_subs) :]
-        # equation 1 (convexified): u block minus hull terms
-        blocks1 = [u_block, _Block(co_phi.vertices, True, "co_phi")]
-        signs1 = [1.0, -1.0]
-        for i, P in enumerate(co_f):
-            blocks1.append(_Block(P.vertices, False, f"co_f{i}"))
-            signs1.append(-1.0)
-        # equation 2 (penalized): u block minus branch terms
-        blocks2 = [u_block, _Block(phi_part.vertices, True, "phi")]
-        signs2 = [1.0, -1.0]
-        blocks2.append(_Block(psi_part.vertices / kappa, True, "psi_over_kappa"))
-        signs2.append(-1.0)
-        for i, P in enumerate(f_parts):
-            blocks2.append(_Block(P.vertices, False, f"f{i}"))
-            signs2.append(-1.0)
-        for j, P in enumerate(g_parts):
-            blocks2.append(_Block(P.vertices, False, f"g{j}"))
-            signs2.append(-1.0)
-
-        outcome = _joint_membership(blocks1, signs1, blocks2, signs2, n + m)
-        if isinstance(outcome, float):
-            best_margin = min(best_margin, outcome)
-            continue
-        w1, w2 = outcome
-        u = co_theta.vertices.T @ w1["u"]
-        nu = np.zeros(len(bp.lower_constraints))
-        for i, idx in enumerate(act_f):
-            nu[idx] = float(w1[f"co_f{i}"].sum())
-        lam = np.zeros(len(bp.lower_constraints))
-        for i, idx in enumerate(act_f):
-            lam[idx] = float(w2[f"f{i}"].sum())
-        mu = np.zeros(len(bp.upper_constraints))
-        for j, idx in enumerate(act_g):
-            mu[idx] = float(w2[f"g{j}"].sum())
-        res1 = _residual(u_block.vertices.T @ w1["u"], blocks1[1:], signs1[1:], w1)
-        res2 = _residual(u_block.vertices.T @ w2["u"], blocks2[1:], signs2[1:], w2)
-        comp = _complementarity(bp, p, xv, lam, mu, nu)
-        return StationarityCertificate(
-            theorem_id="T7.4",
-            multipliers={"nu": nu.tolist(), "lambda": lam.tolist(), "mu": mu.tolist()},
-            u=u,
-            kappa=float(kappa),
-            branch_choices={
-                "phi_part": phi_sub.parts.index(phi_part),
-                "psi_part": psi_sub.parts.index(psi_part),
-            },
-            residuals={
-                "convexified_inclusion": res1,
-                "penalized_inclusion": res2,
-                "complementary_slackness": comp,
-            },
-            ledger=ledger,
-        )
-    return NoCertificate("T7.4", best_margin, ledger)
-
-
-def _joint_membership(blocks1, signs1, blocks2, signs2, eq_dim):
-    """Two membership systems sharing the first block's weights; returns
-    (weights1, weights2) keyed by block label, or the infeasibility margin."""
-    cons1, n1 = _membership_rows(blocks1, eq_dim, signs1)
-    sizes1 = [b.vertices.shape[0] for b in blocks1]
-    sizes2 = [b.vertices.shape[0] for b in blocks2]
-    shared = sizes1[0]
-    n2 = sum(sizes2[1:])
-    total = n1 + n2
-
-    def expand1(c: LinearConstraint) -> LinearConstraint:
-        row = np.zeros(total)
-        row[:n1] = c.coeffs
-        return LinearConstraint(row, c.sense, c.rhs)
-
-    cons = [expand1(c) for c in cons1]
-    for d in range(eq_dim):
-        row = np.zeros(total)
-        row[:shared] = signs2[0] * blocks2[0].vertices[:, d]
-        off = n1
-        for b, s in zip(blocks2[1:], signs2[1:]):
-            k = b.vertices.shape[0]
-            row[off : off + k] = s * b.vertices[:, d]
-            off += k
-        cons.append(LinearConstraint(row, "==", 0.0))
-    off = n1
-    for b in blocks2[1:]:
-        k = b.vertices.shape[0]
-        if b.convex:
-            row = np.zeros(total)
-            row[off : off + k] = 1.0
-            cons.append(LinearConstraint(row, "==", 1.0))
-        off += k
-
-    out = lp_feasible(LPProblem(total, cons))
-    if isinstance(out, LPInfeasible):
-        return out.margin
-    if not isinstance(out, LPFeasible):
-        raise BilevelError(f"LP breakdown: {out.reason}")
-    z = out.assignment
-    w1, w2 = {}, {}
-    off = 0
-    for b in blocks1:
-        k = b.vertices.shape[0]
-        w1[b.label] = z[off : off + k]
-        off += k
-    w2["u"] = w1["u"]
-    for b in blocks2[1:]:
-        k = b.vertices.shape[0]
-        w2[b.label] = z[off : off + k]
-        off += k
-    return w1, w2
-
-
-def _residual(u_embedded: np.ndarray, blocks, signs, weights) -> float:
-    total = u_embedded.copy()
-    for b, s in zip(blocks, signs):
-        total += s * (b.vertices.T @ weights[b.label])
-    return float(np.max(np.abs(total)))
-
-
-def _complementarity(bp, p, xv, lam, mu, nu) -> float:
-    worst = 0.0
-    for i, f in enumerate(bp.lower_constraints):
-        v = ex.evaluate(f, p)
-        worst = max(worst, abs(lam[i] * v), abs(nu[i] * v))
-    for j, g in enumerate(bp.upper_constraints):
-        worst = max(worst, abs(mu[j] * ex.evaluate(g, xv)))
-    return worst
+    return _certificate_search(
+        "T7.4",
+        bp,
+        p,
+        kappa,
+        estimate.basic.hull().vertices,
+        (("convexified_inclusion", convexified), ("penalized_inclusion", penalized)),
+        ledger,
+    )
 
 
 def certify_T83(
@@ -759,7 +724,6 @@ def certify_T83(
     subdifferential, and both inclusions use the raw subdifferential
     union branches.  Only applies without upper-level constraints."""
     p = np.asarray(point, dtype=float)
-    n, m = bp.x_dim, bp.y_dim
     if bp.upper_constraints:
         raise HypothesisFailure(
             "the refined certificate applies only without upper-level constraints",
@@ -772,7 +736,7 @@ def certify_T83(
             ],
         )
     ledger = _hypothesis_gate(bp, p, kappa, grid, params, override_calmness, need_upper=False)
-    reg_theta = vf.regular_value_subdiff_outer(bp.lower(), p[:n], grid, params)
+    reg_theta = vf.regular_value_subdiff_outer(bp.lower(), p[: bp.x_dim], grid, params)
     ledger.append(
         {
             "hypothesis": "regular subdifferential of the value function nonempty",
@@ -786,75 +750,20 @@ def certify_T83(
             "(outer approximation found no candidate)",
             ledger,
         )
-    xv = p[:n]
-    act_f = _active_lower(bp, p)
-    phi_sub = sd.basic_subdifferential(bp.lower_cost, p, params)
-    psi_sub = sd.basic_subdifferential(bp.upper_cost, p, params)
-    f_subs = [sd.basic_subdifferential(bp.lower_constraints[i], p, params) for i in act_f]
-
-    u_block = _Block(_embed_x_block(reg_theta.vertices, n, m), True, "u")
-    combo_sets = (
-        [phi_sub.parts]
-        + [u.parts for u in f_subs]
-        + [phi_sub.parts, psi_sub.parts]
-        + [u.parts for u in f_subs]
+    phi_sub, psi_sub, f_subs = _branch_subdiffs(bp, p, params)
+    regular = [_term(phi_sub.parts, True, "phi_part_first")] + [
+        _term(u.parts, False, "nu", i) for i, u in f_subs.items()
+    ]
+    penalized = _penalized_terms(phi_sub, psi_sub, f_subs, kappa, "phi_part_second")
+    return _certificate_search(
+        "T8.3",
+        bp,
+        p,
+        kappa,
+        reg_theta.vertices,
+        (("regular_inclusion", regular), ("penalized_inclusion", penalized)),
+        ledger,
     )
-    combos = list(itertools.product(*combo_sets))
-    if len(combos) > MAX_COMBOS:
-        raise sd.CombinatorialOverflow("too many branch combinations in the certificate search")
-
-    k_f = len(f_subs)
-    best_margin = math.inf
-    for combo in combos:
-        phi1 = combo[0]
-        f1_parts = combo[1 : 1 + k_f]
-        phi2 = combo[1 + k_f]
-        psi2 = combo[2 + k_f]
-        f2_parts = combo[3 + k_f :]
-        blocks1 = [u_block, _Block(phi1.vertices, True, "phi1")]
-        signs1 = [1.0, -1.0]
-        for i, P in enumerate(f1_parts):
-            blocks1.append(_Block(P.vertices, False, f"f1_{i}"))
-            signs1.append(-1.0)
-        blocks2 = [u_block, _Block(phi2.vertices, True, "phi2")]
-        signs2 = [1.0, -1.0]
-        blocks2.append(_Block(psi2.vertices / kappa, True, "psi_over_kappa"))
-        signs2.append(-1.0)
-        for i, P in enumerate(f2_parts):
-            blocks2.append(_Block(P.vertices, False, f"f2_{i}"))
-            signs2.append(-1.0)
-        outcome = _joint_membership(blocks1, signs1, blocks2, signs2, n + m)
-        if isinstance(outcome, float):
-            best_margin = min(best_margin, outcome)
-            continue
-        w1, w2 = outcome
-        u = reg_theta.vertices.T @ w1["u"]
-        nu = np.zeros(len(bp.lower_constraints))
-        lam = np.zeros(len(bp.lower_constraints))
-        for i, idx in enumerate(act_f):
-            nu[idx] = float(w1[f"f1_{i}"].sum())
-            lam[idx] = float(w2[f"f2_{i}"].sum())
-        res1 = _residual(u_block.vertices.T @ w1["u"], blocks1[1:], signs1[1:], w1)
-        res2 = _residual(u_block.vertices.T @ w2["u"], blocks2[1:], signs2[1:], w2)
-        comp = _complementarity(bp, p, xv, lam, np.zeros(0), nu)
-        return StationarityCertificate(
-            theorem_id="T8.3",
-            multipliers={"nu": nu.tolist(), "lambda": lam.tolist(), "mu": []},
-            u=u,
-            kappa=float(kappa),
-            branch_choices={
-                "phi_part_first": phi_sub.parts.index(phi1),
-                "phi_part_second": phi_sub.parts.index(phi2),
-                "psi_part": psi_sub.parts.index(psi2),
-            },
-            residuals={
-                "regular_inclusion": res1,
-                "penalized_inclusion": res2,
-                "complementary_slackness": comp,
-            },
-            ledger=ledger,
-        )
-    return NoCertificate("T8.3", best_margin, ledger)
 
 
 def certify_with_kappa_sweep(

@@ -10,7 +10,8 @@
     varcalc extremal --builtin halfplanes|boundary|nonextremal
 
 Exit codes: 0 ok, 2 input error (including a non-finite function value),
-3 computation refusal (qualification, LP breakdown), 4 no certificate,
+3 computation refusal (qualification, LP breakdown, too many branch
+combinations), 4 no certificate,
 5 hypothesis failure.  JSON reports (--json) are byte
 identical for identical inputs and seed; timing appears only in the
 human-readable output.
@@ -194,6 +195,8 @@ def cmd_normalcone(args) -> tuple[dict, int]:
             {"refused": str(err), "witness": _ser(err.witness)},
         )
         return report, EXIT_REFUSED
+    except sd.CombinatorialOverflow:
+        raise  # refused in main, as for every command
     except sd.SubdiffError as err:
         raise CliError(str(err), EXIT_INPUT) from None
     results = {
@@ -532,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     except ex.ExprError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except GeometryError as err:
+    except (GeometryError, sd.CombinatorialOverflow) as err:
         print(f"error: refused: {err}", file=sys.stderr)
         return EXIT_REFUSED
     _emit(report, args.json, time.monotonic() - start)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from varcalc import bilevel as B
 from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
+from varcalc.convgeom import Polytope, PolytopeUnion
 
 XS = E.VarSpace.of("x")
 XY = E.VarSpace.of("x", "y")
@@ -30,6 +33,11 @@ def problem_w():
         x_dim=1,
         y_dim=1,
     )
+
+
+def upper_constrained_problem():
+    # problem_w with upper cost x + y^2 and the upper constraint -x <= 0
+    return replace(problem_w(), upper_cost=fxy("(+ x (* y y))"), upper_constraints=(fx("(- 0 x)"),))
 
 
 def kink_problem():
@@ -95,6 +103,44 @@ def test_kkt_mfcq_implies_unit_cost_multiplier():
         assert isinstance(out, B.StationarityCertificate)
         if out.ledger[0]["status"] == "verified":
             assert out.multipliers["lambda0"] == pytest.approx(1.0)
+
+
+def test_kkt_reports_a_later_branch_of_a_2d_union():
+    # the objective's two gradient branches at the origin are (1, 0) and
+    # (1, 1); only the second balances the constraint gradient (-1, -1)
+    ab = E.VarSpace.of("a", "b")
+    prog = B.LipschitzProgram(
+        E.parse_function("(min a (+ a b))", ab), (E.parse_function("(- 0 (+ a b))", ab),)
+    )
+    out = B.check_lipschitz_kkt(prog, [0.0, 0.0], FAST)
+    assert isinstance(out, B.StationarityCertificate)
+    assert out.branch_choices == {"parts": [1]}
+
+
+def test_over_cap_searches_refuse_before_any_lp(monkeypatch):
+    # 13 factors of two branches each: 8192 combinations > MAX_COMBOS
+    two = PolytopeUnion.create([Polytope.singleton([-1.0]), Polytope.singleton([-2.0])])
+    term = B._Term((np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])), True)
+    kkt = B.LipschitzProgram(fx("(- 0 (abs x))"), (fx("(- 0 (abs x))"),) * 12)
+    # min(-y, -2y) has the branches -1 and -2 in y, so every qualification
+    # LP is infeasible and an uncapped check would solve all 8192
+    regular = replace(problem_w(), lower_constraints=(fxy("(min (- 0 y) (- 0 (* 2 y)))"),) * 13)
+    calls = []
+    real = B.lp_feasible
+    for module in (B, S):
+        monkeypatch.setattr(module, "lp_feasible", lambda lp: calls.append(lp) or real(lp))
+    with pytest.raises(S.CombinatorialOverflow):
+        B._qualification_witness([two] * 13)
+    with pytest.raises(S.CombinatorialOverflow):
+        B._certificate_search(
+            "T7.4", problem_w(), np.zeros(2), 4.0, np.zeros((1, 1)),
+            (("first", [term] * 6), ("second", [term] * 7)), [],
+        )
+    with pytest.raises(S.CombinatorialOverflow):
+        B.check_lipschitz_kkt(kkt, [0.0], FAST)
+    with pytest.raises(S.CombinatorialOverflow):
+        B.regularity_check(regular, [0.0, 0.0], FAST)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +247,49 @@ def test_t74_calmness_hypothesis_failure_without_override():
 def test_t74_rejects_nonpositive_kappa():
     with pytest.raises(B.BilevelError):
         B.certify_T74(problem_w(), [0.0, 0.0], -1.0, GRID, FAST)
+
+
+def test_t74_active_upper_constraint():
+    out = B.certify_T74(upper_constrained_problem(), [0.0, 0.0], 4.0, GRID, FAST)
+    assert isinstance(out, B.StationarityCertificate)
+    assert out.multipliers["mu"] == pytest.approx([0.25], abs=1e-8)
+    assert out.multipliers["lambda"] == pytest.approx([1.0], abs=1e-8)
+    assert out.multipliers["nu"] == pytest.approx([1.0], abs=1e-8)
+    assert out.residuals["penalized_inclusion"] <= 1e-8
+    assert out.residuals["complementary_slackness"] <= 1e-9
+
+
+def test_t74_upper_constrained_no_certificate_off_optimum():
+    out = B.certify_T74(
+        upper_constrained_problem(), [0.5, -0.5], 4.0, GRID, FAST, override_calmness=True
+    )
+    assert isinstance(out, B.NoCertificate)
+    assert out.margin == pytest.approx(0.5)
+
+
+def test_t74_isc_failure_is_hypothesis_failure():
+    with pytest.raises(B.HypothesisFailure, match="inner semicontinuity") as info:
+        B.certify_T74(kink_problem(), [0.0, 1.0], 4.0, GRID, FAST, override_calmness=True)
+    assert [e["status"] for e in info.value.ledger][-2:] == ["overridden", "failed"]
+    # a kappa sweep goes on past the failure and reports the last one
+    with pytest.raises(B.HypothesisFailure, match="inner semicontinuity"):
+        B.certify_with_kappa_sweep(
+            B.certify_T74, kink_problem(), [0.0, 1.0], (1.0, 4.0), GRID, FAST,
+            override_calmness=True,
+        )
+
+
+@pytest.mark.parametrize("certify", [B.certify_T74, B.certify_T83])
+def test_certificate_reports_a_later_branch_of_a_2d_union(certify):
+    # psi = min(x, x + y) has the branches (1, 0) and (1, 1) at the origin;
+    # the certificate takes the second
+    bp = replace(problem_w(), upper_cost=fxy("(min x (+ x y))"))
+    out = certify(bp, [0.0, 0.0], 4.0, GRID, FAST, override_calmness=True)
+    assert isinstance(out, B.StationarityCertificate)
+    assert out.branch_choices["psi_part"] == 1
+    assert out.multipliers["lambda"] == pytest.approx([1.25], abs=1e-8)
+    assert out.multipliers["nu"] == pytest.approx([1.0], abs=1e-8)
+    assert out.u == pytest.approx([-1.0], abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,77 @@ def test_cmd_certify_t83_with_upper_constraints_exit5(tmp_path, capsys):
     assert code == 5
 
 
+def test_cmd_certify_t74_isc_failure_exit5(capsys):
+    code, out, _ = run_cli(
+        [
+            "certify",
+            str(KINK),
+            "--at",
+            "top",
+            "--theorem",
+            "t74",
+            "--kappa",
+            "4",
+            "--override-calmness",
+            "--json",
+        ],
+        capsys,
+    )
+    assert code == 5
+    report = json.loads(out)
+    assert report["results"]["outcome"] == "hypothesis-failure"
+    last = report["hypothesis_ledger"][-1]
+    assert last["hypothesis"] == "argminimum mapping inner semicontinuous at the candidate"
+    assert last["status"] == "failed"
+
+
+def _abs_sum(count: int) -> str:
+    text = "(abs x)"
+    for _ in range(count - 1):
+        text = f"(+ {text} (abs x))"
+    return text
+
+
+# 13 active lower constraints: the lower graph's normal cone overflows
+MANY_LOWER = (
+    "[vars]\nupper x\nlower y\n[lower]\nobjective y\n"
+    + "constraint (- (- 0 (abs x)) y)\n" * 13
+    + "[upper]\nobjective (+ (* x x) (* y y))\n[candidates]\norigin 0 0\n"
+    + "[grid]\nbox y -2 2\nresolution 401\n"
+)
+
+OVERFLOW_CASES = {
+    # 13 kinks of one objective: 8192 branch combinations
+    "subdiff": (
+        f"[vars]\nupper x\n[upper]\nobjective {_abs_sum(13)}\n[candidates]\norigin 0\n",
+        ["subdiff", "--fn", "upper.objective", "--at", "origin"],
+    ),
+    # objective and 12 active constraints with two branches each
+    "t61": (
+        "[vars]\nupper x\n[upper]\nobjective (- 0 (abs x))\n"
+        + "constraint (- 0 (abs x))\n" * 12
+        + "[candidates]\norigin 0\n",
+        ["certify", "--at", "origin", "--theorem", "t61"],
+    ),
+    "t74": (
+        MANY_LOWER,
+        ["certify", "--at", "origin", "--theorem", "t74", "--kappa", "4", "--override-calmness"],
+    ),
+    "normalcone": (MANY_LOWER, ["normalcone", "--set", "lower", "--at", "origin"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_combination_overflow_exit3(tmp_path, capsys, case):
+    text, argv = OVERFLOW_CASES[case]
+    path = tmp_path / "many.vp"
+    path.write_text(text)
+    code, out, err = run_cli([argv[0], str(path)] + argv[1:] + ["--json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: refused: ") and "branch" in err
+
+
 # ---------------------------------------------------------------------------
 # verify and extremal commands
 

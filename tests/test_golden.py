@@ -35,7 +35,8 @@ def commands() -> list[tuple[str, ...]]:
             out.append(("normalcone", rel, "--set", "lower", "--at", cand, "--oracle"))
             out.append(("subdiff", rel, "--fn", "lower.objective", "--at", cand, "--oracle"))
             for theorem in ("t74", "t83"):
-                out.append(("certify", rel, "--at", cand, "--theorem", theorem, "--kappa", "4"))
+                cmd = ("certify", rel, "--at", cand, "--theorem", theorem, "--kappa", "4")
+                out += [cmd, cmd + ("--override-calmness",)]
         out.append(("verify", rel))
         out.append(("valuefn", rel, "--x-range", "-1", "1", "0.1"))
     out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
