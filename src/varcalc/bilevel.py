@@ -103,9 +103,16 @@ class StationarityCertificate:
 
 @dataclass
 class NoCertificate:
+    """No branch combination gave a certificate.  ``margin`` is the least
+    infeasibility margin, reached first by ``tightest_branches`` (one
+    branch index per term, in search order), out of
+    ``combinations_tried`` combinations."""
+
     theorem_id: str
     margin: float
     ledger: list[dict]
+    tightest_branches: tuple[int, ...]
+    combinations_tried: int
     caveat: str = CAVEAT
 
 
@@ -180,17 +187,20 @@ def check_lipschitz_kkt(
     ]
 
     m = len(prog.inequality_constraints)
-    best_margin = math.inf
+    best_margin, best_combo, tried = math.inf, (), 0
     for combo in itertools.product(*(range(len(u.parts)) for u in unions)):
+        tried += 1
         out = sd.zero_combination([u.parts[i] for u, i in zip(unions, combo)])
         if isinstance(out, float):
-            best_margin = min(best_margin, out)
+            if out < best_margin:
+                best_margin, best_combo = out, combo
             continue
         lams, vecs = out
         if mfcq_holds and lams[0] <= TOL_COMP:
             # qualification guarantees a certificate with a positive cost
             # multiplier; keep searching for one
-            best_margin = min(best_margin, 0.0)
+            if 0.0 < best_margin:
+                best_margin, best_combo = 0.0, combo
             continue
         scale = lams[0] if lams[0] > TOL_COMP else 1.0
         lam_full = np.zeros(m)
@@ -219,7 +229,7 @@ def check_lipschitz_kkt(
             },
             ledger=ledger,
         )
-    return NoCertificate("T6.1", best_margin, ledger)
+    return NoCertificate("T6.1", best_margin, ledger, best_combo, tried)
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +580,14 @@ def _certificate_search(
     terms = eq1 + eq2
     _check_combos((len(t.choices) for t in terms), "the certificate search")
     u_block = _embed_x_block(u_vertices, bp.x_dim, bp.y_dim)
-    best_margin = math.inf
+    best_margin, best_combo, tried = math.inf, (), 0
     for combo in itertools.product(*(range(len(t.choices)) for t in terms)):
+        tried += 1
         blocks = [(t.choices[i], t.convex) for t, i in zip(terms, combo)]
         outcome = _joint_membership(u_block, blocks[: len(eq1)], blocks[len(eq1) :])
         if isinstance(outcome, float):
-            best_margin = min(best_margin, outcome)
+            if outcome < best_margin:
+                best_margin, best_combo = outcome, combo
             continue
         w_u, weights = outcome[0], outcome[1:]
         residuals = {}
@@ -602,7 +614,7 @@ def _certificate_search(
             residuals=residuals,
             ledger=ledger,
         )
-    return NoCertificate(theorem_id, best_margin, ledger)
+    return NoCertificate(theorem_id, best_margin, ledger, best_combo, tried)
 
 
 def _joint_membership(u: np.ndarray, eq1: list, eq2: list) -> list[np.ndarray] | float:

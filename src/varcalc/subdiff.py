@@ -214,14 +214,25 @@ class SetSpec:
                     off += n
                 out.append((M, np.concatenate([c for _, c in parts])))
             return out
+        dim = self.dim
+        return [(np.zeros((dim, dim)), np.zeros(dim))] + [
+            (M, c) for M, c, _ in self._boundary_faces
+        ]
+
+    @cached_property
+    def _boundary_faces(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(M, c, L) for every face of a polyhedron {Ax <= b} but its
+        interior, in the order of ``faces``: for each subset As of at most
+        dim rows M = pinv(As) @ As, c = pinv(As) @ bs and L = pinv(As)^T,
+        which takes the residual M p - c to the multipliers of As."""
         A, b = _polyhedron(self)
         m, dim = A.shape
-        out = [(np.zeros((dim, dim)), np.zeros(dim))]
+        out = []
         for size in range(1, min(m, dim) + 1):
             for subset in itertools.combinations(range(m), size):
                 rows = list(subset)
                 P = np.linalg.pinv(A[rows])
-                out.append((P @ A[rows], P @ b[rows]))
+                out.append((P @ A[rows], P @ b[rows], P.T))
         return out
 
 
@@ -296,9 +307,11 @@ def _face_count(spec: SetSpec) -> int:
 
 def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
     """Exact Euclidean projection for polyhedral specs, singletons and
-    products of those: the nearest feasible projection onto a face's affine
-    hull.  Non-polyhedral sets have no closed-form projector here; callers
-    needing one should use the grid-based oracle."""
+    products of those: the nearest projection onto a face's affine hull
+    that satisfies the KKT conditions, that is lies in the set and has
+    nonnegative multipliers, both up to a tolerance relative to the size of
+    the data.  Non-polyhedral sets have no closed-form projector here;
+    callers needing one should use the grid-based oracle."""
     p = np.asarray(point, dtype=float)
     if spec.kind == "singleton":
         return spec.point.copy()
@@ -310,14 +323,15 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
             off += f.dim
         return out
     A, b = _polyhedron(spec)
-    if np.all(A @ p <= b + 1e-12):
+    tol = 1e-12 * max(1.0, float(np.abs(b).max()), float(np.abs(A).max() * np.abs(p).max()))
+    if np.all(A @ p <= b + tol):
         return p.copy()
     best = None
     best_d = math.inf
-    # the interior face, first, was just tested at the tighter tolerance
-    for M, c in spec.faces[1:]:
-        x = p - (M @ p - c)
-        if np.all(A @ x <= b + 1e-9):
+    for M, c, L in spec._boundary_faces:
+        res = M @ p - c
+        x = p - res
+        if np.all(A @ x <= b + tol) and np.all(L @ res >= -tol):
             d = float(np.linalg.norm(x - p))
             if d < best_d:
                 best, best_d = x, d
@@ -879,18 +893,42 @@ def normal_cone(
 def _projection_grid(
     spec: SetSpec, p: np.ndarray, r: float, grid_factor: int, tol: float
 ) -> tuple[np.ndarray, float]:
-    """Feasible points of the local lattice around p at radius r (half
-    width 2.5 r) and the lattice step: r / grid_factor up to two
-    dimensions, r / 16 in three."""
-    step = r / grid_factor if p.shape[0] <= 2 else r / 16
+    """The feasible points of the local lattice around p at radius r (half
+    width 2.5 r) that a projection from the sphere |q - p| = r can reach,
+    in lattice order, and the lattice step: r / grid_factor up to two
+    dimensions, r / 16 in three.
+
+    Reachable ball: let B be the distance from p to its nearest feasible
+    lattice point.  The nearest one to q then lies within r + B of q, and
+    ``sampled_normal_cone_oracle`` opens a ball of radius at most
+    dmin + step^2 / r around q (it skips dmin <= r/2), so every point it
+    can use lies within R(B) = (2 r + B + step^2 / r)(1 + 1e-6) of p; the
+    relative margin covers rounding.  Feasibility is evaluated first on the
+    lattice points within R(step sqrt(dim)) of p; that ball is kept when it
+    holds a feasible point within step sqrt(dim) of p, and otherwise the
+    whole lattice is evaluated.  The squared distances come from broadcast
+    axes, so no (points, dim) array of the whole lattice is built unless
+    the second pass needs it.
+    """
+    dim = p.shape[0]
+    step = r / grid_factor if dim <= 2 else r / 16
     half = 2.5 * r
     axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    feas = pts[feasible_mask(spec, pts, tol)]
-    if feas.shape[0] == 0:
-        raise SubdiffError(f"projection grid found no feasible points at radius {r}")
-    return feas, step
+    d2 = sum(np.meshgrid(*((a - c) ** 2 for a, c in zip(axes, p)), indexing="ij", sparse=True))
+
+    def reach(b: float) -> float:
+        return (2 * r + b + step**2 / r) * (1 + 1e-6)
+
+    for radius in (reach(step * math.sqrt(dim)), math.inf):
+        idx = np.nonzero(d2 <= radius**2)
+        pts = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
+        ok = feasible_mask(spec, pts, tol)
+        feas, feas_d2 = pts[ok], d2[idx][ok]
+        if feas_d2.size:
+            bound = reach(math.sqrt(feas_d2.min()))
+            if bound <= radius:
+                return feas[feas_d2 <= bound**2], step
+    raise SubdiffError(f"projection grid found no feasible points at radius {r}")
 
 
 def sampled_normal_cone_oracle(
@@ -904,6 +942,12 @@ def sampled_normal_cone_oracle(
     sampled x_k = x + r d near the point, where w_k ranges over the grid
     points within dmin + step^2/(2 dmin) of x_k (dmin the distance to the
     nearest one).  Deterministic for a fixed seed.
+
+    Only the lattice points within 2 r + B + step^2 / r of x, B the
+    distance from x to the nearest feasible one, are searched: no
+    projection from the sampled sphere reaches further (see
+    ``_projection_grid``), so the result equals a scan of the whole
+    lattice.
 
     Sample points closer than r/2 to the grid are skipped: their
     directions are dominated by grid error.  The rest give normals
@@ -928,7 +972,9 @@ def sampled_normal_cone_oracle(
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(p)))
     for r in params.radii:
         feas, step = _projection_grid(spec, p, r, grid_factor, grid_tol)
-        tree = cKDTree(feas)
+        # the queries are exact whatever the tree's shape, and an
+        # unbalanced tree builds faster
+        tree = cKDTree(feas, balanced_tree=False)
         Q = p + r * dirs
         dtree, _ = tree.query(Q)
         # The tree's distances agree with the numpy ones below to a few
@@ -938,18 +984,17 @@ def sampled_normal_cone_oracle(
         keep = np.flatnonzero(dtree > (r / 2) * (1 - 1e-9))
         reach = (dtree[keep] + step**2 / (2 * dtree[keep])) * (1 + 1e-9)
         balls = tree.query_ball_point(Q[keep], reach, return_sorted=True)
-        for k, idx in zip(keep, balls):
-            q = Q[k]
-            cand = feas[idx]
-            dists = np.linalg.norm(cand - q[None, :], axis=1)
-            dmin = float(dists.min())
-            if dmin <= r / 2:
-                continue
-            near = cand[dists <= dmin + step**2 / (2 * dmin)]
-            for w in near:
-                v = q - w
-                collected.append(v / np.linalg.norm(v))
-    cloud = np.array(collected) if collected else np.zeros((0, dim))
+        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=keep.size)
+        owner = np.repeat(keep, sizes)
+        cand = feas[np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())]
+        dists = np.linalg.norm(cand - Q[owner], axis=1)
+        dmin = np.repeat(np.minimum.reduceat(dists, np.cumsum(sizes) - sizes), sizes)
+        near = (dmin > r / 2) & (dists <= dmin + step**2 / (2 * dmin))
+        v = Q[owner[near]] - cand[near]
+        # vecdot is the dot product np.linalg.norm takes of one vector, so
+        # the directions equal a per-vector v / norm(v) bit for bit
+        collected.append(v / np.sqrt(np.vecdot(v, v))[:, None])
+    cloud = np.concatenate(collected) if collected else np.zeros((0, dim))
     centers = _cluster(cloud, 0.02)
     return OracleCloud(points=cloud, cluster_centers=centers)
 

@@ -144,14 +144,29 @@ def regular_subgradient_halfspace_check(
     return True
 
 
+def full_projection_grid(spec, p: np.ndarray, r: float, grid_factor: int, tol: float):
+    """Every feasible point of the local lattice around p at radius r (half
+    width 2.5 r), in lattice order, and the lattice step: r / grid_factor
+    up to two dimensions, r / 16 in three."""
+    step = r / grid_factor if p.shape[0] <= 2 else r / 16
+    half = 2.5 * r
+    axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    feas = pts[S.feasible_mask(spec, pts, tol)]
+    if feas.shape[0] == 0:
+        raise S.SubdiffError(f"projection grid found no feasible points at radius {r}")
+    return feas, step
+
+
 def dense_normal_cone_oracle(spec, x, params) -> S.OracleCloud:
     """The projection oracle with a dense nearest-point scan: every sample
-    point's distance to every feasible grid point."""
+    point's distance to every feasible point of the whole lattice."""
     p = np.asarray(x, dtype=float)
     collected = []
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(p)))
     for r in params.radii:
-        feas, step = S._projection_grid(spec, p, r, 64, grid_tol)
+        feas, step = full_projection_grid(spec, p, r, 64, grid_tol)
         for d in params.directions(spec.dim):
             q = p + r * d
             dists = np.linalg.norm(feas - q[None, :], axis=1)

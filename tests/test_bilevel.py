@@ -329,6 +329,18 @@ def test_t83_no_certificate_off_optimum():
     assert isinstance(out, B.NoCertificate)
 
 
+@pytest.mark.parametrize("certify", [B.certify_T74, B.certify_T83])
+def test_no_certificate_records_the_tightest_combination(certify):
+    # the upper cost's two branches at the origin: psi_part 0 misses by more
+    # than psi_part 1, the fourth term of both theorems' searches
+    bp = replace(problem_w(), upper_cost=fxy("(min (+ (* 2 x) y) (- (* 3 y) x))"))
+    out = certify(bp, [0.0, 0.0], 4.0, GRID, FAST, override_calmness=True)
+    assert isinstance(out, B.NoCertificate)
+    assert out.margin == pytest.approx(0.25)
+    assert out.tightest_branches == (0, 0, 0, 1, 0)
+    assert out.combinations_tried == 2
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

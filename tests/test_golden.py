@@ -24,6 +24,8 @@ from varcalc.problemfile import parse_problem_file
 ROOT = Path(__file__).resolve().parent.parent
 HASHES = ROOT / "tests" / "golden" / "hashes.json"
 FILES = ("problems/worked.vp", "problems/kink.vp")
+# the one 3-D lower graph: pins the sampled normal-cone oracle's 3-D lattice
+WORKED2 = "problems/worked2.vp"
 SEED = "7"
 
 
@@ -39,13 +41,15 @@ def commands() -> list[tuple[str, ...]]:
                 out += [cmd, cmd + ("--override-calmness",)]
         out.append(("verify", rel))
         out.append(("valuefn", rel, "--x-range", "-1", "1", "0.1"))
+    out.append(("normalcone", WORKED2, "--set", "lower", "--at", "origin", "--oracle"))
+    out.append(("verify", WORKED2))
     out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
     out.append(("verify", "--builtin-corpus"))
     return out
 
 
 def run(cmd: tuple[str, ...]) -> dict:
-    argv = [str(ROOT / a) if a in FILES else a for a in cmd] + ["--json", "--seed", SEED]
+    argv = [str(ROOT / a) if a in FILES + (WORKED2,) else a for a in cmd] + ["--json", "--seed", SEED]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)

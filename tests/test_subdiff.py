@@ -18,6 +18,7 @@ XY = E.VarSpace.of("x", "y")
 XYZ = E.VarSpace.of("x", "y", "z")
 
 FAST = S.SampleParams(dirs_per_radius=64)
+WEDGE = [E.parse_function(t, XYZ) for t in ("(- 0 (+ x y))", "(- 0 (+ x z))")]
 
 
 def f(text, space=XS):
@@ -290,19 +291,69 @@ PROJECTION_CASES = {
         [0.0, 0.0, 0.0],
         S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
     ),
+    # the lower graph of the two-variable worked family
+    "wedge-3d": (
+        S.SetSpec.sublevel(WEDGE),
+        [0.0, 0.0, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
+    ),
+    "corner-off-origin": (
+        S.SetSpec.sublevel([f("(- (+ x (* 2 y)) 1.5)", XY), f("(- (- x y) 0.3)", XY)]),
+        [0.7, 0.4],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=64),
+    ),
+    # the line y = 3e-10 holds the point but no lattice point; the nearest
+    # feasible lattice points are those of the halfplane x >= 0.02
+    "thin-line": (
+        S.SetSpec.sublevel([f("(min (abs (- y 3e-10)) (- 0.02 x))", XY)]),
+        [0.0, 0.0],
+        S.SampleParams(radii=(1e-2,), dirs_per_radius=64),
+    ),
 }
+# cases whose lattice holds no feasible point within step * sqrt(dim) of
+# the point, so the oracle evaluates the whole lattice
+WHOLE_LATTICE = {"thin-line"}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("case", sorted(PROJECTION_CASES))
-def test_projection_oracle_equals_dense_scan(case, seed):
+def test_projection_oracle_equals_dense_scan(case, seed, monkeypatch):
     spec, x, params = PROJECTION_CASES[case]
     params = S.SampleParams(params.radii, params.dirs_per_radius, seed=seed)
+    passes = []
+    mask = S.feasible_mask
+    monkeypatch.setattr(S, "feasible_mask", lambda *a: passes.append(1) or mask(*a))
     got = S.sampled_normal_cone_oracle(spec, x, params)
+    monkeypatch.undo()
+    # one feasibility pass per radius on the reachable ball, and a second
+    # one on the whole lattice only where the ball held no near point
+    assert len(passes) == len(params.radii) * (2 if case in WHOLE_LATTICE else 1)
     ref = dense_normal_cone_oracle(spec, x, params)
     assert got.points.shape[0] > 0
     assert np.array_equal(got.points, ref.points)
     assert np.array_equal(got.cluster_centers, ref.cluster_centers)
+
+
+def test_projection_oracle_refuses_a_lattice_without_feasible_points():
+    # the line y = 3e-10 holds the point, within TOL_GEOM, but no lattice point
+    spec = S.SetSpec.sublevel([f("(abs (- y 3e-10))", XY)])
+    with pytest.raises(S.SubdiffError, match="no feasible points"):
+        S.sampled_normal_cone_oracle(spec, [0.0, 0.0], S.SampleParams(radii=(1e-2,), dirs_per_radius=16))
+
+
+def test_oracle_3d_memory_is_bounded():
+    # tracemalloc peak of this call: 15.3 MB searching the reachable ball,
+    # 37.0 MB when the whole 81^3 lattice was stacked as a (points, 3) array
+    spec = S.SetSpec.sublevel(WEDGE)
+    params = S.SampleParams(radii=(1e-2,), dirs_per_radius=64)
+    tracemalloc.start()
+    try:
+        out = S.sampled_normal_cone_oracle(spec, [0.0, 0.0, 0.0], params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.points.shape[0] > 0
+    assert peak < 24 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +499,24 @@ def boundary_system():
 def nonextremal_system():
     whole = S.SetSpec.sublevel([f("-1.0", XY)])
     return [whole, whole], [0.0, 0.0], [np.array([0.1, 0.1]), np.array([0.0, 0.0])]
+
+
+def test_project_onto_rejects_a_nearer_infeasible_face():
+    # the projection onto x + y = 0, (-7e-12, 7e-12), is nearer but violates
+    # y <= 0 by 7e-12, which an absolute 1e-9 feasibility tolerance admitted
+    spec = S.SetSpec.sublevel([f("y", XY), f("(+ x y)", XY)])
+    assert S.project_onto(spec, [1.1e-16, 1.4e-11]).tolist() == [1.1e-16, 0.0]
+
+
+def test_project_onto_rejects_a_face_with_negative_multipliers():
+    # a narrow cone at the origin: projections onto its edges lie within the
+    # feasibility tolerance at this scale, and only the multiplier signs
+    # single out the true one (the reference is exact rational arithmetic)
+    spec = S.SetSpec.sublevel(
+        [f(t, XY) for t in ("(- (* 0.23 x) (* 0.66 y))", "(- (* 1.95 y) (* 0.37 x))", "(- (* 0.96 x) (* 0.51 y))")]
+    )
+    got = S.project_onto(spec, [1.8395642322645864e-12, -6.185118137112988e-12])
+    assert np.allclose(got, [-2.8165149158505157e-13, -9.815127737054827e-14], rtol=1e-9, atol=0)
 
 
 def test_extremal_halfplanes():
