@@ -819,15 +819,18 @@ def directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
                     v = np.zeros(dim)
                     v[i], v[j] = si, sj
                     structured.append(v / np.linalg.norm(v))
-    out = structured[:n]
-    if len(out) < n:
+    out = [np.array(structured[:n]).reshape(-1, dim)]
+    got = len(out[0])
+    if got < n:
         rng = np.random.default_rng(seed + 774321)
-        while len(out) < n:
-            v = rng.standard_normal(dim)
-            nv = np.linalg.norm(v)
-            if nv > 1e-12:
-                out.append(v / nv)
-    return np.array(out)
+        # the whole shortfall per draw: the stream one vector at a time would use
+        while got < n:
+            v = rng.standard_normal((n - got, dim))
+            nv = np.sqrt(np.vecdot(v, v))
+            keep = nv > 1e-12
+            out.append(v[keep] / nv[keep, None])
+            got += len(out[-1])
+    return np.vstack(out)
 
 
 def point_to_union_distance(p: Sequence[float], u: PolytopeUnion) -> float:

@@ -17,8 +17,10 @@ addressed by the node's path from the root (tuple of child indices).
 Each FunctionDef is lowered once to a tape: its nodes in post-order,
 each entry (kind, child slots, payload, path), a slot being an entry's
 position and the root the last entry.  All numeric work is two passes
-over the tape on an (N, dim) array of points; scalar entry points use
-one row.  The forward pass computes every node's value and, given
+over the tape on one array per variable: the columns of an (N, dim)
+array of points, where scalar entry points use one row, or broadcastable
+arrays such as an open grid, where each op runs at the broadcast shape
+of its own inputs.  The forward pass computes every node's value and, given
 tau_act, each piecewise node's (N, branches) activity mask; given a
 branch selection, piecewise nodes take the selected branch's value.  The
 reverse pass propagates adjoints from the root along one selection and
@@ -197,7 +199,8 @@ class FunctionDef:
         dim = self.space.dim
         rng = np.random.default_rng(20240901)
         probes = rng.uniform(-1.3, 1.7, size=(4, dim))
-        vals, _ = _forward(self, np.vstack([probes, np.zeros((1, dim))]), selection={})
+        pts = np.vstack([probes, np.zeros((1, dim))])
+        vals, _ = _forward(self, pts.T, pts.shape[:1], selection={})
         grads, _ = _reverse(self, vals, {})
         if not (np.all(np.isfinite(vals[-1])) and np.all(np.isfinite(grads))):
             return None
@@ -337,27 +340,29 @@ def to_text(f: FunctionDef | ExprNode, space: VarSpace | None = None) -> str:
 
 def _forward(
     f: FunctionDef,
-    pts: np.ndarray,
+    cols: Sequence[np.ndarray],
+    ones: tuple[int, ...],
     tau_act: float | None = None,
     selection: Mapping[Path, int] | None = None,
 ) -> tuple[list, dict[int, np.ndarray]]:
-    """Values of the tape's slots over the rows of pts, and with tau_act
-    the activity mask of each piecewise slot.
+    """Values of the tape's slots, variable i read from cols[i] and each
+    const leaf filled to the shape ones (pts.T and (N,) for the rows of
+    an (N, dim) array pts), and with tau_act the activity mask of each
+    piecewise slot, which needs every value at the shape (N,).
 
     Without a selection a slot's value is dropped once its parent is
     computed, so only the root's (last) value survives; with one every
     value is kept for the reverse pass.
     """
-    n = pts.shape[0]
     vals: list = [None] * len(f.tape)
     masks: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
         for i, (kind, args, payload, path) in enumerate(f.tape):
             xs = [vals[j] for j in args]
             if kind == "const":
-                v = np.full(n, payload)
+                v = np.full(ones, payload)
             elif kind == "var":
-                v = pts[:, payload]
+                v = cols[payload]
             elif kind == "add":
                 v = xs[0]
                 for x in xs[1:]:
@@ -376,11 +381,15 @@ def _forward(
                     tie, pos = v <= tau_act, xs[0] > 0
                     masks[i] = np.stack([tie | pos, tie | ~pos], axis=1)
             elif kind == "max":
-                v = np.maximum.reduce(xs)
+                v = xs[0]
+                for x in xs[1:]:
+                    v = np.maximum(v, x)
                 if tau_act is not None:
                     masks[i] = np.stack([x >= v - tau_act for x in xs], axis=1)
             else:
-                v = np.minimum.reduce(xs)
+                v = xs[0]
+                for x in xs[1:]:
+                    v = np.minimum(v, x)
                 if tau_act is not None:
                     masks[i] = np.stack([x <= v + tau_act for x in xs], axis=1)
             if selection is not None and kind in PIECEWISE_KINDS:
@@ -478,14 +487,27 @@ def _finite(values, p: np.ndarray) -> None:
 def evaluate(f: FunctionDef, point: Sequence[float]) -> float:
     """f at the point; ExprError if the value is not finite."""
     p = as_point(f.space, point)
-    vals, _ = _forward(f, p[None, :])
+    vals, _ = _forward(f, p[:, None], (1,))
     _finite(vals[-1], p)
     return float(vals[-1][0])
 
 
 def eval_batch(f: FunctionDef, points: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an (N, dim) array of points."""
-    vals, _ = _forward(f, _as_points(f, points))
+    pts = _as_points(f, points)
+    vals, _ = _forward(f, pts.T, pts.shape[:1])
+    return vals[-1]
+
+
+def eval_open(f: FunctionDef, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """f on one broadcastable array per variable, such as an open grid
+    (x with shape (k, 1, 1), y with shape (k, r, 1), ...).  Each op runs at
+    the broadcast shape of its own inputs, so the result has the shape of
+    the variables f reads, all ones if it reads none; broadcast to the
+    full grid it equals eval_batch on the materialized points, bit for bit."""
+    if len(cols) != f.space.dim:
+        raise DimensionMismatchError(f"expected {f.space.dim} arrays, got {len(cols)}")
+    vals, _ = _forward(f, cols, (1,) * max(np.ndim(c) for c in cols))
     return vals[-1]
 
 
@@ -528,7 +550,7 @@ def active_patterns(
     if tau_act <= 0:
         raise ExprError("tau_act must be positive")
     pts = _as_points(f, points)
-    _, masks = _forward(f, pts, tau_act)
+    _, masks = _forward(f, pts.T, pts.shape[:1], tau_act)
     if not masks:
         return [ActivePattern(())], np.zeros(pts.shape[0], dtype=np.intp)
     cols = [masks[slot] for slot in f.piecewise.values()]
@@ -569,7 +591,8 @@ def branch_gradients(
     selection at the rows of points, plus the sensitivity of f to each
     reached piecewise node's output (its adjoint), one value per row.
     Every branch is polynomial, so this is exact up to rounding."""
-    vals, _ = _forward(f, _as_points(f, points), selection=selection)
+    pts = _as_points(f, points)
+    vals, _ = _forward(f, pts.T, pts.shape[:1], selection=selection)
     return _reverse(f, vals, selection)
 
 

@@ -22,9 +22,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-# eager though unused: bench/tracer.py reads sciopt; lazy imports slowed certify (CHANGES.md)
-from scipy import optimize as sciopt
-from scipy.spatial import cKDTree
 
 from varcalc import expr as ex
 from varcalc.convgeom import (
@@ -59,6 +56,16 @@ EIG_TOL = 1e-10
 # relative size below which a face combination's least residual counts as zero
 RESIDUAL_TOL = 1e-14
 MAX_ROOT_STEPS = 100
+
+
+def __getattr__(name: str):
+    # subdiff.sciopt, loaded on first read, serves only bench/tracer.py's SCIOPT: delete both together
+    if name == "sciopt":
+        from scipy import optimize
+
+        globals()["sciopt"] = optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SubdiffError(ValueError):
@@ -961,6 +968,8 @@ def sampled_normal_cone_oracle(
     admits a sliver of width sqrt(tol) along curved boundaries, which
     would tilt projection directions by far more than the grid step.
     """
+    from scipy.spatial import cKDTree  # SciPy loads on first use, not at import
+
     p = np.asarray(x, dtype=float)
     dim = spec.dim
     if dim > 3:

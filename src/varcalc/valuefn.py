@@ -8,8 +8,10 @@ box certified by a Lipschitz bound around the near-optimal cells.
 
 evaluate_values searches many parameters at once: rows with the same
 bytes are searched once, and every parameter still refining goes through
-the same pass, each on its own box, with at most BATCH_POINTS points per
-expression evaluation (one parameter's grid when that is larger).  A row
+the same pass, each on its own box, as many parameters per pass as fit in
+BATCH_POINTS grid points (at least one).  A pass evaluates each function
+once on its open grid (one array per variable, broadcast against the
+others), so an op runs only at the shape of the variables it reads.  A row
 whose box holds no feasible grid point gets its InfeasibleOnBox back in
 place of a sample.  The probes and estimates below, and the bilevel
 calmness probe, pass all their parameters in one call; evaluate_value is
@@ -39,7 +41,7 @@ from varcalc import subdiff as sd
 TOL_ARG = 1e-6
 # cap on resolution ** y_dim, the points of one grid pass: 401**2 fits, 401**3 (~64M) not
 MAX_GRID_POINTS = 1 << 20
-# points per eval_batch call of a batched search; sets its working memory
+# grid points per pass of a batched search; sets its working memory
 BATCH_POINTS = 1 << 14
 
 
@@ -126,12 +128,6 @@ class ValueSample:
     step: float
 
 
-def _eval_chunked(f: ex.FunctionDef, pts: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [ex.eval_batch(f, pts[i : i + BATCH_POINTS]) for i in range(0, len(pts), BATCH_POINTS)]
-    )
-
-
 def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
     """Per row, the largest finite |difference quotient| of the row's grid
     values along any axis of its box, 0 when there is none."""
@@ -162,36 +158,38 @@ def _grid_pass(
     cube = (k,) + (resolution,) * d
     # per row, the scalar linspace bit for bit; increasing along each axis
     axes = np.linspace(lo, hi, resolution, axis=1)
-    # the (x, y) points of each row's grid, y in np.meshgrid(..., indexing="ij") order
-    pts = np.empty(cube + (n + d,))
-    pts[..., :n] = xs.reshape((k,) + (1,) * d + (n,))
+    # the open grid of each row: x_i constant, y_a varying along axis a + 1;
+    # broadcast, it is the grid in np.meshgrid(..., indexing="ij") order
+    cols = [xs[:, i].reshape((k,) + (1,) * d) for i in range(n)]
     for a in range(d):
-        shape = (k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)
-        pts[..., n + a] = axes[:, :, a].reshape(shape)
-    pts = pts.reshape(k, -1, n + d)
-    size = pts.shape[1]
-    flat = pts.reshape(k * size, n + d)
+        cols.append(axes[:, :, a].reshape((k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)))
     step = ((hi - lo) / (resolution - 1)).max(axis=1)
-    mask = np.ones((k, size), dtype=bool)
-    worst = np.full((k, size), -np.inf)
+    mask = np.ones(cube, dtype=bool)
+    worst = np.full(cube, -np.inf)
     for f in prob.constraints:
-        vals = _eval_chunked(f, flat).reshape(k, size)
+        vals = ex.eval_open(f, cols)
         mask &= vals <= TOL_GEOM
-        worst = np.maximum(worst, vals)
-    feasible = mask.any(axis=1)
-    costs = _eval_chunked(prob.cost, flat).reshape(k, size)
-    costs_feasible = np.where(mask, costs, np.inf)
+        np.maximum(worst, vals, out=worst)
+    feasible = mask.reshape(k, -1).any(axis=1)
+    costs = np.broadcast_to(ex.eval_open(prob.cost, cols), cube)
+    costs_feasible = np.where(mask, costs, np.inf).reshape(k, -1)
     theta = costs_feasible.min(axis=1)
-    near = costs_feasible <= (theta + TOL_ARG)[:, None]
+    # an infeasible row has theta = inf, so every point would count as near
+    near = (costs_feasible <= (theta + TOL_ARG)[:, None]) & feasible[:, None]
+    owner, flat = np.nonzero(near)
+    ys = np.stack(
+        [axes[owner, i, a] for a, i in enumerate(np.unravel_index(flat, cube[1:]))], axis=1
+    )
+    argmins = np.split(ys, np.cumsum(near.sum(axis=1))[:-1])
     out: list = []
     if not feasible.all():
         slope = _slope_bounds(worst, lo, hi, resolution)
+        margins = worst.reshape(k, -1).min(axis=1)
     for r in range(k):
         if feasible[r]:
-            argmins = pts[r, near[r], n:]
-            out.append(ValueSample(xs[r].copy(), float(theta[r]), argmins, float(step[r])))
+            out.append(ValueSample(xs[r].copy(), float(theta[r]), argmins[r], float(step[r])))
         else:
-            out.append(InfeasibleOnBox(float(worst[r].min()), float(step[r]), float(slope[r])))
+            out.append(InfeasibleOnBox(float(margins[r]), float(step[r]), float(slope[r])))
     if last:
         return out, None
     margin = 2.0 * (_slope_bounds(costs, lo, hi, resolution) + 1.0) * step
@@ -232,9 +230,9 @@ def evaluate_values(
     object (-0.0 and 0.0 stay apart: x*y at x = -0.0 has theta = -0.0).
 
     Every parameter still refining is searched in the same pass, each on
-    its own box: the points of as many parameters as fit in BATCH_POINTS
-    (at least one) go through one eval_batch per function, and a single
-    grid larger than BATCH_POINTS is evaluated in slices of that size.
+    its own box: as many parameters as have BATCH_POINTS grid points
+    between them (at least one) share one open-grid evaluation per
+    function, so a single grid larger than BATCH_POINTS is one pass.
     refine > 0 repeats the search on a box shrunk around the near-optimal
     cells (window certified by a sampled slope bound), which reduces the
     step without ever invoking a local solver; a parameter stops refining
@@ -540,25 +538,23 @@ def _argmin_cost_slopes(prob: ParametricProblem, samples: Sequence[ValueSample])
     """Per sample, a sampled bound on the cost's decision-variable slope
     near its argminimum set (controls the grid-snapping error of theta),
     from central differences at up to eight argmins, all samples in one
-    eval_batch."""
+    eval_batch; a NaN difference counts for nothing."""
     if not samples:
         return []
-    dim = prob.x_dim + prob.y_dim
-    stencils, hs = [], []
-    for sample in samples:
-        h = max(sample.step, 1e-7)
-        steps = np.zeros((prob.y_dim, dim))
-        steps[:, prob.x_dim :] = h * np.eye(prob.y_dim)
-        ys = sample.argmins[:8]
-        ps = np.hstack([np.tile(sample.x, (len(ys), 1)), ys])
-        # rows p + e, p - e for each argmin p and axis step e, in that order
-        signed = np.array([1.0, -1.0])[:, None] * steps[:, None, :]
-        stencils.append((ps[:, None, None, :] + signed).reshape(-1, dim))
-        hs.append(h)
-    vals = ex.eval_batch(prob.cost, np.vstack(stencils))
-    out, start = [], 0
-    for stencil, h in zip(stencils, hs):
-        v = vals[start : start + len(stencil)]
-        start += len(stencil)
-        out.append(max([0.0, *(np.abs(v[0::2] - v[1::2]) / (2 * h)).tolist()]))
-    return out
+    dim, m = prob.x_dim + prob.y_dim, prob.y_dim
+    counts = [min(len(s.argmins), 8) for s in samples]
+    ps = np.hstack([
+        np.repeat([s.x for s in samples], counts, axis=0),
+        np.concatenate([s.argmins[:8] for s in samples]),
+    ])
+    h = np.repeat(np.maximum([s.step for s in samples], 1e-7), counts)
+    unit = np.zeros((m, dim))
+    unit[:, prob.x_dim :] = np.eye(m)
+    # rows p + e, p - e for each argmin p and axis step e, in that order
+    signed = np.array([1.0, -1.0])[:, None] * (h[:, None, None] * unit)[:, :, None, :]
+    vals = ex.eval_batch(prob.cost, (ps[:, None, None, :] + signed).reshape(-1, dim))
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN quotient, skipped below
+        q = np.abs(vals[0::2] - vals[1::2]) / np.repeat(2 * h, m)
+    # each sample's quotients behind a 0.0, the maximum skipping NaN
+    starts = np.cumsum([0] + counts[:-1]) * m
+    return np.fmax.reduceat(np.insert(q, starts, 0.0), starts + np.arange(len(samples))).tolist()

@@ -7,9 +7,10 @@ oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
 interpreter over the expression tree, the batched point-to-polytope
 distance against a one-point-at-a-time face enumeration, the batched
-value-function search against a one-parameter-at-a-time grid loop, and
-the exact extremal-principle solver against SciPy's multi-start
-quasi-Newton descent with a simplex polish.
+value-function search against a one-parameter-at-a-time grid loop, the
+batched argmin slope bound and the seeded direction fill against their
+per-sample and per-vector loops, and the exact extremal-principle solver
+against SciPy's multi-start quasi-Newton descent with a simplex polish.
 """
 
 from __future__ import annotations
@@ -379,6 +380,50 @@ def _slope_bound(values: np.ndarray, box, resolution: int) -> float:
         if finite.size:
             worst = max(worst, float(finite.max()))
     return worst
+
+
+def reference_argmin_cost_slopes(prob, samples) -> list[float]:
+    """valuefn._argmin_cost_slopes one sample at a time: central
+    differences at up to eight argmins, the largest quotient by Python's
+    max behind a 0.0 (a NaN quotient never wins)."""
+    dim = prob.x_dim + prob.y_dim
+    out = []
+    for sample in samples:
+        h = max(sample.step, 1e-7)
+        steps = np.zeros((prob.y_dim, dim))
+        steps[:, prob.x_dim :] = h * np.eye(prob.y_dim)
+        ys = sample.argmins[:8]
+        ps = np.hstack([np.tile(sample.x, (len(ys), 1)), ys])
+        signed = np.array([1.0, -1.0])[:, None] * steps[:, None, :]
+        v = E.eval_batch(prob.cost, (ps[:, None, None, :] + signed).reshape(-1, dim))
+        out.append(max([0.0, *(np.abs(v[0::2] - v[1::2]) / (2 * h)).tolist()]))
+    return out
+
+
+def reference_directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
+    """convgeom.directions with the seeded fill drawn one vector at a time,
+    a vector of norm at most 1e-12 rejected."""
+    structured = []
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        structured.append(e.copy())
+        structured.append(-e)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    v = np.zeros(dim)
+                    v[i], v[j] = si, sj
+                    structured.append(v / np.linalg.norm(v))
+    out = structured[:n]
+    rng = np.random.default_rng(seed + 774321)
+    while len(out) < n:
+        v = rng.standard_normal(dim)
+        nv = np.linalg.norm(v)
+        if nv > 1e-12:
+            out.append(v / nv)
+    return np.array(out)
 
 
 def reference_extremal_solve(

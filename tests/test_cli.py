@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -594,3 +595,18 @@ def test_console_script_determinism(tmp_path):
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"non-deterministic output for {argv[0]}"
         json.loads(outputs[0])  # valid JSON
+
+
+def test_cli_import_loads_no_scipy_optimize_or_spatial():
+    # SciPy loads where it is used: cold start of every command pays only for numpy
+    code = (
+        "import sys\n"
+        "import varcalc.cli\n"
+        "loaded = sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "from varcalc import subdiff\n"
+        "assert callable(subdiff.sciopt.minimize) and 'sciopt' in vars(subdiff)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

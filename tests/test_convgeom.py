@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests import brute as B
 from varcalc import convgeom as G
 
 
@@ -102,6 +103,75 @@ def test_lp_certificates_verify():
                     assert v >= c.rhs - 1e-7
                 else:
                     assert v == pytest.approx(c.rhs, abs=1e-7)
+
+
+def _random_lp(rng, n):
+    cons = []
+    for _ in range(int(rng.integers(1, 6))):
+        sense = ["<=", ">=", "=="][int(rng.integers(0, 3))]
+        cons.append(G.LinearConstraint(rng.integers(-3, 4, n).astype(float), sense, float(rng.integers(-5, 6))))
+    lower = rng.choice([0.0, -np.inf, -2.0], n)
+    upper = rng.choice([np.inf, 3.0, G.R_CONE], n)
+    return G.LPProblem(n, cons, lower=lower, upper=upper)
+
+
+def _degenerate_lp(rng, n):
+    # every constraint tight at one integer vertex, with repeated,
+    # scaled and all-zero rows
+    x0 = rng.integers(0, 3, n).astype(float)
+    cons = []
+    for _ in range(int(rng.integers(n, 2 * n + 3))):
+        a = rng.integers(-2, 3, n).astype(float)
+        sense = ["<=", ">=", "=="][int(rng.integers(0, 3))]
+        cons.append(G.LinearConstraint(a, sense, float(a @ x0)))
+        cons.append(G.LinearConstraint(2.0 * a, sense, float(2.0 * a @ x0)))
+    cons.append(G.LinearConstraint(np.zeros(n), "<=", 0.0))
+    if rng.random() < 0.5:
+        # cut the vertex off: infeasible by a margin of one
+        a = rng.integers(1, 3, n).astype(float)
+        cons.append(G.LinearConstraint(a, ">=", float(a @ x0) + 1.0))
+        cons.append(G.LinearConstraint(a, "<=", float(a @ x0)))
+    return G.LPProblem(n, cons, upper=np.full(n, 10.0))
+
+
+def _cap_bound_lp(rng, n):
+    # cone weights capped at R_CONE, the way membership LPs cap them: a
+    # target at scale * R_CONE along a positive combination of generators
+    gens = rng.integers(0, 4, (2, n)).astype(float)
+    gens[:, 0] = 1.0
+    w = rng.integers(1, 4, n).astype(float)
+    scale = rng.choice([0.5, 0.999, 1.001, 2.0])
+    target = scale * G.R_CONE * (gens @ w) / w.max()
+    cons = [G.LinearConstraint(g, "==", float(t)) for g, t in zip(gens, target)]
+    return G.LPProblem(n, cons, upper=np.full(n, G.R_CONE))
+
+
+@pytest.mark.parametrize("make", [_random_lp, _degenerate_lp, _cap_bound_lp])
+def test_lp_verdicts_match_highs(make):
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for _ in range(120):
+        lp = make(rng, int(rng.integers(1, 6)))
+        out = G.lp_feasible(lp)
+        assert not isinstance(out, G.LPBreakdown), out
+        rows = {s: [(c.coeffs, c.rhs) for c in lp.constraints if c.sense == s] for s in ("<=", ">=", "==")}
+        a_ub = [a for a, _ in rows["<="]] + [-a for a, _ in rows[">="]]
+        b_ub = [b for _, b in rows["<="]] + [-b for _, b in rows[">="]]
+        ref = linprog(
+            np.zeros(lp.num_vars),
+            A_ub=np.array(a_ub) if a_ub else None,
+            b_ub=np.array(b_ub) if b_ub else None,
+            A_eq=np.array([a for a, _ in rows["=="]]) if rows["=="] else None,
+            b_eq=np.array([b for _, b in rows["=="]]) if rows["=="] else None,
+            bounds=[(lo, hi) for lo, hi in zip(lp.lower, lp.upper)],
+            method="highs",
+        )
+        assert ref.status in (0, 2), ref.message
+        assert isinstance(out, G.LPFeasible) == (ref.status == 0)
+        verdicts.add(ref.status)
+    assert verdicts == {0, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +414,12 @@ def test_cones_equal_modulo_generators():
     assert G.cones_equal(a, b)
     c = G.ConeSpec.from_generators(2, [[1.0, 0.0]])
     assert not G.cones_equal(a, c)
+
+
+def test_directions_equal_the_per_vector_loop():
+    for dim in range(1, 9):
+        for seed in range(40):
+            for n in (1, 2 * dim, 16, 64, 256):
+                got, want = G.directions(dim, n, seed), B.reference_directions(dim, n, seed)
+                assert got.shape == want.shape == (n, dim)
+                assert got.tobytes() == want.tobytes()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tests import brute
@@ -132,6 +132,37 @@ def test_tape_passes_equal_reference_interpreter(node, points):
             grad, contexts = E.gradient_and_contexts(g, p, sel)
             assert np.array_equal(grad, ref_grad)
             assert contexts == ref_contexts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_node_strategy, st.sampled_from([1, 3, 40]), st.booleans(), st.integers(0, 2**32 - 1))
+@example(E.const(2.5), 3, False, 0)
+@example(E.ExprNode("intpow", (E.var(1),), 3), 40, False, 1)
+@example(E.ExprNode("max", (E.var(0), E.const(0.0), E.ExprNode("intpow", (E.var(0),), 2))), 1, True, 2)
+def test_open_grid_equals_eval_batch(node, k, both_vary, seed):
+    # k rows of an open grid: x fixed per row and y along one axis, or x
+    # and y along two axes; each row's axes are its own linspace
+    g = E.FunctionDef(XY, node)
+    rng = np.random.default_rng(seed)
+    lo = np.round(rng.uniform(-3, 0, (k, 2)), 2)
+    axes = np.linspace(lo, lo + rng.integers(1, 4, (k, 2)) / 0.997, 7, axis=1)
+    if both_vary:
+        cols = [axes[:, :, 0].reshape(k, 7, 1), axes[:, :, 1].reshape(k, 1, 7)]
+    else:
+        cols = [axes[:, :1, 0], axes[:, :, 1]]
+    pts = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    want = E.eval_batch(g, pts.reshape(-1, 2)).reshape(pts.shape[:-1])
+    got = E.eval_open(g, cols)
+    assert np.ndim(got) == pts.ndim - 1
+    got = np.broadcast_to(got, want.shape)
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))  # signed zeros
+
+
+def test_open_grid_rejects_a_missing_variable():
+    with pytest.raises(E.DimensionMismatchError):
+        E.eval_open(f("(+ x y)", XY), [np.zeros((2, 1))])
 
 
 # ---------------------------------------------------------------------------

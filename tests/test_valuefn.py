@@ -145,10 +145,22 @@ def test_batched_value_equals_reference_loop(make, grid, refine):
         assert len(steps) >= 3
 
 
-def test_batched_value_splits_one_grid_over_chunks(monkeypatch):
-    # a grid larger than the chunk budget is evaluated in slices of it
+@pytest.mark.parametrize(
+    "make,grid",
+    [
+        (parabola_problem, GRID),
+        (two_lower_problem, V.GridSpec(y_box=((-2.0, 2.0), (-1.5, 2.5)), resolution=21)),
+    ],
+)
+def test_batched_value_searches_a_grid_larger_than_the_budget(monkeypatch, make, grid):
+    # a grid larger than BATCH_POINTS is searched one parameter per pass,
+    # the whole grid at once
     monkeypatch.setattr(V, "BATCH_POINTS", 100)
-    assert_same_as_reference(parabola_problem(), np.array([[0.3], [-0.7], [0.3]]), GRID, 2)
+    rows = []
+    grid_pass = V._grid_pass
+    monkeypatch.setattr(V, "_grid_pass", lambda prob, xs, *a: rows.append(len(xs)) or grid_pass(prob, xs, *a))
+    assert_same_as_reference(make(), np.array([[0.3], [-0.7], [0.3], [-1.2]]), grid, 2)
+    assert rows and set(rows) == {1}
 
 
 def test_batched_value_rejects_bad_rows():
@@ -315,3 +327,46 @@ def test_regular_value_outer_w_problem():
 def test_regular_value_outer_empty_for_concave_kink():
     out = V.regular_value_subdiff_outer(bang_problem(), [0.0], GRID, FAST)
     assert out is None
+
+
+# ---------------------------------------------------------------------------
+# argmin slope bounds
+
+
+def _sample(x, ys, step):
+    return V.ValueSample(np.array(x, dtype=float), 0.0, np.array(ys, dtype=float), step)
+
+
+def test_argmin_cost_slopes_equal_the_per_sample_loop(monkeypatch):
+    # y**300 overflows past |y| = 10.5: at y = 11 both stencil values are
+    # inf (quotient NaN), at y = 10.56 with step 0.1 one is (quotient inf)
+    g = lambda t: E.parse_function(t, XYZ)
+    cases = [
+        (V.ParametricProblem(f("(+ (* x y) (pow y 300))"), (), 1, 1), [
+            _sample([0.3], [[0.25]], 0.01),
+            _sample([-0.0], [[11.0], [0.5], *[[0.1 * i] for i in range(10)]], 0.01),
+            _sample([1.5], [[11.0]], 0.01),
+            _sample([0.7], [[0.2], [10.56], [-0.3]], 0.1),
+            _sample([0.2], np.empty((0, 1)), 0.01),
+            _sample([2.0], [[-0.4], [0.4]], 1e-9),
+        ]),
+        (V.ParametricProblem(g("(+ (* x y) (pow z 300) (abs y))"), (), 1, 2), [
+            _sample([0.3], [[0.0, 0.25]], 0.02),
+            _sample([-1.0], [[0.1 * i, 11.0 - i] for i in range(12)], 0.05),
+            _sample([0.5], [[0.0, 11.0]], 0.05),
+            _sample([0.0], [[1.0, 10.56]], 0.1),
+            _sample([0.4], np.empty((0, 2)), 0.02),
+        ]),
+    ]
+    for prob, samples in cases:
+        with np.errstate(invalid="ignore"):
+            want = B.reference_argmin_cost_slopes(prob, samples)
+        calls = []
+        eval_batch = E.eval_batch
+        monkeypatch.setattr(E, "eval_batch", lambda *a: calls.append(1) or eval_batch(*a))
+        got = V._argmin_cost_slopes(prob, samples)
+        monkeypatch.setattr(E, "eval_batch", eval_batch)
+        assert repr(got) == repr(want)
+        assert len(calls) == 1
+        assert np.inf in got and 0.0 in got
+    assert V._argmin_cost_slopes(cases[0][0], []) == []
