@@ -14,25 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from varcalc import expr as ex
 from varcalc import subdiff as sd
 from varcalc import valuefn as vf
-from varcalc.convgeom import (
-    LinearConstraint,
-    LPFeasible,
-    LPInfeasible,
-    LPProblem,
-    Polytope,
-    PolytopeUnion,
-    TOL_GEOM,
-    lp_feasible,
-)
+from varcalc.convgeom import Polytope, PolytopeUnion, TOL_GEOM, lp_weights
 
-MAX_COMBOS = 4096
 TOL_COMP = 1e-9
 
 CAVEAT = (
@@ -116,32 +106,6 @@ class NoCertificate:
     caveat: str = CAVEAT
 
 
-def _check_combos(counts: Iterable[int], search: str) -> None:
-    """Refuse a search over one branch per factor, given each factor's
-    branch count, before it solves any LP: more than MAX_COMBOS
-    combinations overflow."""
-    if math.prod(counts) > MAX_COMBOS:
-        raise sd.CombinatorialOverflow(f"too many branch combinations in {search}")
-
-
-def _qualification_witness(unions: list[PolytopeUnion]) -> dict | None:
-    """A vanishing nonzero nonnegative combination of one part per union
-    (multipliers scaled to a largest entry of 1, and the chosen vectors),
-    or None when the qualification condition holds."""
-    if not unions:
-        return None
-    _check_combos((len(u.parts) for u in unions), "the qualification check")
-    for combo in itertools.product(*(u.parts for u in unions)):
-        out = sd.zero_combination(list(combo))
-        if not isinstance(out, float):
-            lams, vecs = out
-            return {
-                "multipliers": (lams / float(lams.max())).tolist(),
-                "vectors": [v.tolist() for v in vecs],
-            }
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Fritz John / KKT conditions for single-level Lipschitz programs
 
@@ -174,8 +138,8 @@ def check_lipschitz_kkt(
 
     # generalized constraint qualification over the active subdifferentials
     unions = [obj_sub] + act_subs
-    _check_combos((len(u.parts) for u in unions), "the KKT search")
-    mfcq_witness = _qualification_witness(act_subs)
+    sd.check_combinations((len(u.parts) for u in unions), "the KKT search")
+    mfcq_witness = sd.qualification_witness(act_subs)
     mfcq_holds = mfcq_witness is None
 
     ledger = [
@@ -432,13 +396,13 @@ def regularity_check(
                     [Polytope.create(part.vertices[:, bp.x_dim :]) for part in full.parts]
                 )
             )
-    lower_witness = _qualification_witness(lower_unions)
+    lower_witness = sd.qualification_witness(lower_unions)
 
     upper_unions = []
     for g in bp.upper_constraints:
         if abs(ex.evaluate(g, xv)) <= TOL_GEOM:
             upper_unions.append(sd.basic_subdifferential(g, xv, params))
-    upper_witness = _qualification_witness(upper_unions)
+    upper_witness = sd.qualification_witness(upper_unions)
 
     return RegularityReport(
         lower_regular=lower_witness is None,
@@ -578,7 +542,7 @@ def _certificate_search(
     list with the name of its residual."""
     (name1, eq1), (name2, eq2) = inclusions
     terms = eq1 + eq2
-    _check_combos((len(t.choices) for t in terms), "the certificate search")
+    sd.check_combinations((len(t.choices) for t in terms), "the certificate search")
     u_block = _embed_x_block(u_vertices, bp.x_dim, bp.y_dim)
     best_margin, best_combo, tried = math.inf, (), 0
     for combo in itertools.product(*(range(len(t.choices)) for t in terms)):
@@ -627,28 +591,24 @@ def _joint_membership(u: np.ndarray, eq1: list, eq2: list) -> list[np.ndarray] |
     of u and of each block, or the infeasibility margin."""
     blocks = [(u, True)] + eq1 + eq2
     offs = list(itertools.accumulate((V.shape[0] for V, _ in blocks), initial=0))
-
-    def row(b: int, values) -> np.ndarray:
-        out = np.zeros(offs[-1])
-        out[offs[b] : offs[b + 1]] = values
-        return out
-
-    cons: list[LinearConstraint] = []
+    rows, rhs = [], []
     k = 1 + len(eq1)
     second = range(k, len(blocks))
     for members, normalized in ((range(1, k), range(k)), (second, second)):
-        for d in range(u.shape[1]):
-            r = row(0, u[:, d])
-            for b in members:
-                r[offs[b] : offs[b + 1]] = -blocks[b][0][:, d]
-            cons.append(LinearConstraint(r, "==", 0.0))
-        cons += [LinearConstraint(row(b, 1.0), "==", 1.0) for b in normalized if blocks[b][1]]
-    out = lp_feasible(LPProblem(offs[-1], cons))
-    if isinstance(out, LPInfeasible):
-        return out.margin
-    if not isinstance(out, LPFeasible):
-        raise BilevelError(f"LP breakdown: {out.reason}")
-    return [out.assignment[offs[b] : offs[b + 1]] for b in range(len(blocks))]
+        eq = np.zeros((u.shape[1], offs[-1]))
+        eq[:, : offs[1]] = u.T
+        for b in members:
+            eq[:, offs[b] : offs[b + 1]] = -blocks[b][0].T
+        convex = [b for b in normalized if blocks[b][1]]
+        sums = np.zeros((len(convex), offs[-1]))
+        for i, b in enumerate(convex):
+            sums[i, offs[b] : offs[b + 1]] = 1.0
+        rows += [eq, sums]
+        rhs += [np.zeros(u.shape[1]), np.ones(len(convex))]
+    z = lp_weights(np.vstack(rows), np.concatenate(rhs), "the certificate search")
+    if isinstance(z, float):
+        return z
+    return [z[offs[b] : offs[b + 1]] for b in range(len(blocks))]
 
 
 def _complementarity(bp: BilevelProblem, p: np.ndarray, multipliers: dict) -> float:

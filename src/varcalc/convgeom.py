@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,46 +36,6 @@ class DimensionError(GeometryError):
 
 
 @dataclass
-class LinearConstraint:
-    coeffs: np.ndarray
-    sense: str  # "<=", ">=", "=="
-    rhs: float
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.sense not in ("<=", ">=", "=="):
-            raise GeometryError(f"bad constraint sense {self.sense!r}")
-        if not np.all(np.isfinite(self.coeffs)) or not math.isfinite(self.rhs):
-            raise GeometryError("constraint has non-finite coefficients")
-
-
-@dataclass
-class LPProblem:
-    """Feasibility problem: find x with lower <= x <= upper satisfying all
-    constraints.  Objective optimization is out of scope; only the
-    feasibility mode is implemented."""
-
-    num_vars: int
-    constraints: list[LinearConstraint] = field(default_factory=list)
-    lower: np.ndarray | None = None  # default 0
-    upper: np.ndarray | None = None  # default +inf
-
-    def __post_init__(self):
-        if self.num_vars <= 0 or self.num_vars > MAX_LP_VARS:
-            raise GeometryError(f"num_vars must be in 1..{MAX_LP_VARS}")
-        if self.lower is None:
-            self.lower = np.zeros(self.num_vars)
-        else:
-            self.lower = np.asarray(self.lower, dtype=float)
-        if self.upper is None:
-            self.upper = np.full(self.num_vars, np.inf)
-        else:
-            self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (self.num_vars,) or self.upper.shape != (self.num_vars,):
-            raise GeometryError("bound arrays must match num_vars")
-
-
-@dataclass
 class LPFeasible:
     assignment: np.ndarray
 
@@ -93,103 +53,62 @@ class LPBreakdown:
 LPOutcome = LPFeasible | LPInfeasible | LPBreakdown
 
 
-def lp_feasible(problem: LPProblem) -> LPOutcome:
-    """Phase-1 simplex with Bland's rule.
+def lp_feasible(A, b, upper=None) -> LPOutcome:
+    """Find z with A z = b, z >= 0 and z <= upper wherever upper is finite.
 
-    Free variables are split, shifted variables absorb finite lower
-    bounds, finite upper bounds become rows.  Numerical breakdown is a
-    distinct outcome, never silently reported as infeasible.
+    Phase-1 simplex with Bland's rule: each finite upper bound becomes a
+    row z_j + s_j = upper_j whose slack s_j is a column after those of A,
+    and rows with a negative right-hand side are negated.  The assignment
+    found is checked against every row and bound.  Numerical breakdown is
+    a distinct outcome, never silently reported as infeasible.  Non-finite
+    A or b, a NaN or -inf bound, or more than MAX_LP_VARS columns raise
+    GeometryError.
     """
-    n = problem.num_vars
-    lower = problem.lower
-    upper = problem.upper
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2:
+        raise DimensionError("LP rows must form a matrix")
+    n = A.shape[1]
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    if b.shape != A.shape[:1] or upper.shape != (n,):
+        raise DimensionError("LP rows, right-hand side and bounds do not match")
+    if not 0 < n <= MAX_LP_VARS:
+        raise GeometryError(f"an LP takes 1..{MAX_LP_VARS} columns, got {n}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(upper > -np.inf)):
+        raise GeometryError("LP data must be finite")
 
-    # Column layout for the standard-form variables.
-    col_of: list[tuple[int, float, int]] = []  # (orig index, sign, shift-kind)
-    shifts = np.zeros(n)
-    cols = []
-    for j in range(n):
-        lo, hi = lower[j], upper[j]
-        if math.isfinite(lo):
-            shifts[j] = lo
-            cols.append((j, 1.0))
-        elif math.isinf(lo) and lo < 0:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-        else:
-            raise GeometryError("lower bound must be finite or -inf")
-
-    ncols = len(cols)
-    rows: list[np.ndarray] = []
-    senses: list[str] = []
-    rhss: list[float] = []
-
-    def expand(coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(ncols)
-        for k, (j, sgn) in enumerate(cols):
-            out[k] = coeffs[j] * sgn
-        return out
-
-    for c in problem.constraints:
-        if c.coeffs.shape != (n,):
-            raise DimensionError("constraint length does not match num_vars")
-        rows.append(expand(c.coeffs))
-        senses.append(c.sense)
-        rhss.append(c.rhs - float(c.coeffs @ shifts))
-    for j in range(n):
-        hi = upper[j]
-        if math.isfinite(hi):
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(expand(e))
-            senses.append("<=")
-            rhss.append(hi - shifts[j])
-
-    m = len(rows)
-    if m == 0:
-        return LPFeasible(shifts.copy())
-
-    # Slack columns for inequalities, then standard-form equalities.
-    A = np.array(rows, dtype=float)
-    b = np.array(rhss, dtype=float)
-    slack_cols = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            slack_cols.append((i, 1.0))
-        elif s == ">=":
-            slack_cols.append((i, -1.0))
-    S = np.zeros((m, len(slack_cols)))
-    for k, (i, sgn) in enumerate(slack_cols):
-        S[i, k] = sgn
-    A = np.hstack([A, S])
-
-    neg = b < 0
-    A[neg] *= -1.0
-    b = np.abs(b)
-
-    result = _phase1_simplex(A, b)
-    if isinstance(result, (LPInfeasible, LPBreakdown)):
+    capped = np.flatnonzero(np.isfinite(upper))
+    m, k = A.shape[0], capped.size
+    M = np.zeros((m + k, n + k))
+    M[:m, :n] = A
+    M[m + np.arange(k), capped] = 1.0
+    M[m:, n:] = np.eye(k)
+    rhs = np.concatenate([b, upper[capped]])
+    M[rhs < 0] *= -1.0
+    result = _phase1_simplex(M, np.abs(rhs))
+    if not isinstance(result, np.ndarray):
         return result
-    z = result
-    x = shifts.copy()
-    for k, (j, sgn) in enumerate(cols):
-        x[j] += sgn * z[k]
-
+    z = result[:n]
     # Certificate check: the assignment must satisfy everything.
-    for c in problem.constraints:
-        v = float(c.coeffs @ x)
-        ok = (
-            v <= c.rhs + 1e-7
-            if c.sense == "<="
-            else v >= c.rhs - 1e-7
-            if c.sense == ">="
-            else abs(v - c.rhs) <= 1e-7
-        )
-        if not ok:
-            return LPBreakdown(f"assignment violates constraint by {abs(v - c.rhs):.3e}")
-    if np.any(x < lower - 1e-7) or np.any(x > upper + 1e-7):
+    residual = float(np.abs(A @ z - b).max(initial=0.0))
+    if residual > 1e-7:
+        return LPBreakdown(f"assignment violates constraint by {residual:.3e}")
+    if np.any(z < -1e-7) or np.any(z > upper + 1e-7):
         return LPBreakdown("assignment violates variable bounds")
-    return LPFeasible(x)
+    return LPFeasible(z)
+
+
+def lp_weights(A, b, what: str, upper=None) -> np.ndarray | float:
+    """The assignment ``lp_feasible(A, b, upper)`` finds, or its
+    infeasibility margin (a float) when there is none.  This is where an
+    LP breakdown becomes an error: GeometryError("LP breakdown in <what>:
+    ..."), which the CLI reports as a refusal (exit 3)."""
+    out = lp_feasible(A, b, upper)
+    if isinstance(out, LPBreakdown):
+        raise GeometryError(f"LP breakdown in {what}: {out.reason}")
+    if isinstance(out, LPInfeasible):
+        return out.margin
+    return out.assignment
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray | LPInfeasible | LPBreakdown:
@@ -283,15 +202,9 @@ def _lex_sorted(V: np.ndarray) -> np.ndarray:
 
 
 def _in_hull_lp(target: np.ndarray, V: np.ndarray, tol: float = 1e-7) -> bool:
-    k = V.shape[0]
-    dim = V.shape[1]
-    cons = [LinearConstraint(np.ones(k), "==", 1.0)]
-    for d in range(dim):
-        cons.append(LinearConstraint(V[:, d], "==", float(target[d])))
-    out = lp_feasible(LPProblem(k, cons))
-    if isinstance(out, LPBreakdown):
-        raise GeometryError(f"LP breakdown during hull membership: {out.reason}")
-    return isinstance(out, LPFeasible)
+    A = np.vstack([np.ones(V.shape[0]), V.T])
+    b = np.concatenate([[1.0], target])
+    return not isinstance(lp_weights(A, b, "hull membership"), float)
 
 
 @dataclass(frozen=True)
@@ -648,7 +561,6 @@ class ConeSpec:
         nl = self.lineality.shape[0]
         if ng + nl == 0:
             return False
-        k = ng + 2 * nl
         cols = []
         if ng:
             cols.append(self.generators.T)
@@ -656,12 +568,8 @@ class ConeSpec:
             cols.append(self.lineality.T)
             cols.append(-self.lineality.T)
         M = np.hstack(cols)
-        cons = [LinearConstraint(M[d], "==", float(v[d])) for d in range(self.dim)]
-        problem = LPProblem(k, cons, upper=np.full(k, R_CONE))
-        out = lp_feasible(problem)
-        if isinstance(out, LPBreakdown):
-            raise GeometryError(f"LP breakdown in cone membership: {out.reason}")
-        return isinstance(out, LPFeasible)
+        out = lp_weights(M, v, "cone membership", np.full(M.shape[1], R_CONE))
+        return not isinstance(out, float)
 
     def translate_columns(self) -> np.ndarray:
         """Columns spanning the cone for LP assembly: generators plus +/-
@@ -774,20 +682,14 @@ def minkowski_membership(
     for lo, hi in cone_slices:
         upper[lo:hi] = R_CONE
 
-    cons = []
-    for d in range(dim):
-        cons.append(LinearConstraint(M[:, d], "==", float(t[d])))
-    for lo, hi in convex_rows:
-        row = np.zeros(nvars)
-        row[lo:hi] = 1.0
-        cons.append(LinearConstraint(row, "==", 1.0))
-
-    out = lp_feasible(LPProblem(nvars, cons, upper=upper))
-    if isinstance(out, LPBreakdown):
-        raise GeometryError(f"LP breakdown in membership: {out.reason}")
-    if isinstance(out, LPInfeasible):
-        return NotMember(out.margin)
-    z = out.assignment
+    sums = np.zeros((len(convex_rows), nvars))
+    for i, (lo, hi) in enumerate(convex_rows):
+        sums[i, lo:hi] = 1.0
+    A = np.vstack([M.T, sums])
+    b = np.concatenate([t, np.ones(len(convex_rows))])
+    z = lp_weights(A, b, "Minkowski membership", upper)
+    if isinstance(z, float):
+        return NotMember(z)
     at_cap = any(np.any(z[lo:hi] > R_CONE * (1 - 1e-6)) for lo, hi in cone_slices)
     return Membership(
         base_weights=z[: base.num_vertices],

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,11 +27,6 @@ from varcalc import expr as ex
 from varcalc.convgeom import (
     ConeSpec,
     DimensionError,
-    GeometryError,
-    LinearConstraint,
-    LPFeasible,
-    LPInfeasible,
-    LPProblem,
     Membership,
     NotMember,
     Polytope,
@@ -43,7 +38,7 @@ from varcalc.convgeom import (
     clip_polytope,
     directions,
     hausdorff_distance,
-    lp_feasible,
+    lp_weights,
     minkowski_membership,
     point_to_polytope_distances,
     union_minkowski_sum,
@@ -352,11 +347,13 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
 
 
 def _combo_data(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePattern):
-    combos = ex.branch_combinations(pattern)
-    if len(combos) > MAX_BRANCH_COMBOS:
+    # counted before any combination is built: the product can be huge
+    count = pattern.num_combinations()
+    if count > MAX_BRANCH_COMBOS:
         raise CombinatorialOverflow(
-            f"{len(combos)} branch combinations exceed the cap {MAX_BRANCH_COMBOS}"
+            f"{count} branch combinations exceed the cap {MAX_BRANCH_COMBOS}"
         )
+    combos = ex.branch_combinations(pattern)
     grads = []
     contexts = []
     for sel in combos:
@@ -788,16 +785,11 @@ def zero_combination(parts: Sequence[Polytope]) -> tuple[np.ndarray, list[np.nda
     dim = parts[0].dim
     blocks = [P.vertices for P in parts]
     sizes = [b.shape[0] for b in blocks]
-    nvars = sum(sizes)
     M = np.vstack(blocks)
-    cons = [LinearConstraint(M[:, d], "==", 0.0) for d in range(dim)]
-    cons.append(LinearConstraint(np.ones(nvars), "==", 1.0))
-    out = lp_feasible(LPProblem(nvars, cons))
-    if isinstance(out, LPInfeasible):
-        return out.margin
-    if not isinstance(out, LPFeasible):
-        raise GeometryError(f"LP breakdown in zero-combination check: {out.reason}")
-    z = out.assignment
+    A = np.vstack([M.T, np.ones(M.shape[0])])
+    z = lp_weights(A, np.concatenate([np.zeros(dim), [1.0]]), "the zero-combination check")
+    if isinstance(z, float):
+        return z
     lams, vecs = [], []
     off = 0
     for b, k in zip(blocks, sizes):
@@ -807,6 +799,33 @@ def zero_combination(parts: Sequence[Polytope]) -> tuple[np.ndarray, list[np.nda
         vecs.append((b.T @ w) / lam if lam > 1e-9 else np.zeros(dim))
         off += k
     return np.array(lams), vecs
+
+
+def check_combinations(counts: Iterable[int], search: str) -> None:
+    """Refuse a search over one branch per factor, given each factor's
+    branch count, before it enumerates anything: more than
+    MAX_BRANCH_COMBOS combinations overflow."""
+    if math.prod(counts) > MAX_BRANCH_COMBOS:
+        raise CombinatorialOverflow(f"too many branch combinations in {search}")
+
+
+def qualification_witness(unions: Sequence[PolytopeUnion]) -> dict | None:
+    """A vanishing nonzero nonnegative combination of one part per union
+    (multipliers scaled to a largest entry of 1, and the chosen vectors),
+    or None when the positive-combination qualification condition holds.
+    One zero-combination LP per branch combination, in order."""
+    if not unions:
+        return None
+    check_combinations((len(u.parts) for u in unions), "the qualification check")
+    for combo in itertools.product(*(u.parts for u in unions)):
+        out = zero_combination(list(combo))
+        if not isinstance(out, float):
+            lams, vecs = out
+            return {
+                "multipliers": (lams / float(lams.max())).tolist(),
+                "vectors": [v.tolist() for v in vecs],
+            }
+    return None
 
 
 def normal_cone(
@@ -870,23 +889,18 @@ def normal_cone(
         )
 
     subdiffs = [basic_subdifferential(fns[j], p, params, tau_act) for j in active]
-    combos = list(itertools.product(*(u.parts for u in subdiffs)))
-    if len(combos) > MAX_BRANCH_COMBOS:
-        raise CombinatorialOverflow("too many branch choices in normal cone")
-    for choice in combos:
-        out = zero_combination(list(choice))
-        if not isinstance(out, float):
-            witness = out[0] / out[0].max()
-            raise QualificationError(
-                "qualification condition fails: a nonzero nonnegative combination "
-                "of active constraint subgradients vanishes",
-                {
-                    "multipliers": witness.tolist(),
-                    "active_constraints": list(active),
-                },
-            )
+    witness = qualification_witness(subdiffs)
+    if witness is not None:
+        raise QualificationError(
+            "qualification condition fails: a nonzero nonnegative combination "
+            "of active constraint subgradients vanishes",
+            {
+                "multipliers": witness["multipliers"],
+                "active_constraints": list(active),
+            },
+        )
     parts = []
-    for choice in combos:
+    for choice in itertools.product(*(u.parts for u in subdiffs)):
         gens = np.vstack([P.vertices for P in choice])
         parts.append(ConeSpec.from_generators(dim, gens))
     # distinct parts only
@@ -1338,25 +1352,32 @@ def verify_intersection_rule(
 
 
 def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | None:
+    """Normals, one per cone, that sum to zero while some coordinate of one
+    of them is at least 1 in absolute value: one LP per block, coordinate
+    and sign, with the ">= 1" row made an equality by a surplus column
+    after the weights.  Returns the blocks' weight sums scaled to a
+    largest entry of 1, or None when the qualification condition holds."""
     col_blocks = [c.translate_columns() for c in cones]
     sizes = [b.shape[0] for b in col_blocks]
     nvars = sum(sizes)
     if nvars == 0:
         return None
     M = np.vstack([b for b in col_blocks if b.shape[0]])
+    A = np.zeros((dim + 1, nvars + 1))
+    A[:dim, :nvars] = M.T
+    A[dim, nvars] = -1.0
+    rhs = np.concatenate([np.zeros(dim), [1.0]])
+    upper = np.concatenate([np.full(nvars, R_CONE), [np.inf]])
     for j, block in enumerate(col_blocks):
         if block.shape[0] == 0:
             continue
         off = sum(sizes[:j])
         for k in range(dim):
             for sign in (1.0, -1.0):
-                cons = [LinearConstraint(M[:, d], "==", 0.0) for d in range(dim)]
-                row = np.zeros(nvars)
-                row[off : off + sizes[j]] = sign * block[:, k]
-                cons.append(LinearConstraint(row, ">=", 1.0))
-                out = lp_feasible(LPProblem(nvars, cons, upper=np.full(nvars, R_CONE)))
-                if isinstance(out, LPFeasible):
-                    z = out.assignment
+                A[dim, :nvars] = 0.0
+                A[dim, off : off + sizes[j]] = sign * block[:, k]
+                z = lp_weights(A, rhs, "the qualification check", upper)
+                if not isinstance(z, float):
                     lams = []
                     for i, sz in enumerate(sizes):
                         o = sum(sizes[:i])

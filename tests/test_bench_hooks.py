@@ -42,3 +42,24 @@ def test_tracer_install_resolves_targets_and_uninstall_restores(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_counts_lp_outcomes(monkeypatch, capsys):
+    """The tracer's LP counters read ``lp_feasible``'s return values: a
+    certificate run must count LPs, some feasible and none broken down."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    worked = BENCH.parent / "problems" / "worked.vp"
+    argv = ["certify", str(worked), "--at", "origin", "--theorem", "t74", "--kappa", "4", "--json"]
+    recorder = tracer.install()
+    try:
+        code = varcalc.cli.main(argv)
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = recorder.metrics()
+    assert metrics["convgeom.lp_feasible.calls"] > 0
+    assert metrics["convgeom.lp_feasible.feasible_ratio"] > 0
+    assert metrics["convgeom.lp_feasible.breakdowns"] == 0

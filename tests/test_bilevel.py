@@ -1,9 +1,11 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from varcalc import bilevel as B
+from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
@@ -118,7 +120,7 @@ def test_kkt_reports_a_later_branch_of_a_2d_union():
 
 
 def test_over_cap_searches_refuse_before_any_lp(monkeypatch):
-    # 13 factors of two branches each: 8192 combinations > MAX_COMBOS
+    # 13 factors of two branches each: 8192 combinations > MAX_BRANCH_COMBOS
     two = PolytopeUnion.create([Polytope.singleton([-1.0]), Polytope.singleton([-2.0])])
     term = B._Term((np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])), True)
     kkt = B.LipschitzProgram(fx("(- 0 (abs x))"), (fx("(- 0 (abs x))"),) * 12)
@@ -126,11 +128,18 @@ def test_over_cap_searches_refuse_before_any_lp(monkeypatch):
     # LP is infeasible and an uncapped check would solve all 8192
     regular = replace(problem_w(), lower_constraints=(fxy("(min (- 0 y) (- 0 (* 2 y)))"),) * 13)
     calls = []
-    real = B.lp_feasible
-    for module in (B, S):
-        monkeypatch.setattr(module, "lp_feasible", lambda lp: calls.append(lp) or real(lp))
+    real = G.lp_feasible
+
+    def spy(*lp):
+        # hull LPs build the subdifferentials whose parts are counted; any
+        # other LP would belong to a search that should have refused
+        if sys._getframe(2).f_code.co_name != "_in_hull_lp":
+            calls.append(lp)
+        return real(*lp)
+
+    monkeypatch.setattr(G, "lp_feasible", spy)
     with pytest.raises(S.CombinatorialOverflow):
-        B._qualification_witness([two] * 13)
+        S.qualification_witness([two] * 13)
     with pytest.raises(S.CombinatorialOverflow):
         B._certificate_search(
             "T7.4", problem_w(), np.zeros(2), 4.0, np.zeros((1, 1)),

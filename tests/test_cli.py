@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from varcalc import cli
-from varcalc import subdiff as sd
+from varcalc import convgeom
 from varcalc.convgeom import LPBreakdown
 from varcalc.problemfile import parse_problem_file, ProblemFileError
 
@@ -275,13 +276,47 @@ huge 0 1e300
 
 
 def test_cmd_normalcone_lp_breakdown_exit3(capsys, monkeypatch):
-    monkeypatch.setattr(sd, "lp_feasible", lambda problem: LPBreakdown("stalled"))
+    monkeypatch.setattr(convgeom, "lp_feasible", lambda *lp: LPBreakdown("stalled"))
     code, out, err = run_cli(
         ["normalcone", str(KINK), "--set", "lower", "--at", "top", "--json"], capsys
     )
     assert code == 3
     assert out == ""
     assert "LP breakdown" in err
+
+
+def test_cmd_certify_lp_breakdown_exit3(capsys, monkeypatch):
+    # a broken-down certificate LP is a refusal, not an input error
+    monkeypatch.setattr(convgeom, "lp_feasible", lambda *lp: LPBreakdown("stalled"))
+    code, out, err = run_cli(
+        ["certify", str(WORKED), "--at", "origin", "--theorem", "t74", "--kappa", "4", "--json"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "LP breakdown" in err
+
+
+def test_cmd_subdiff_branch_cap_refuses_before_enumerating(tmp_path, capsys):
+    # 40 tied kinks at 0 have 2**40 branch combinations: refused from
+    # their count, in well under a second and without building any
+    path = tmp_path / "abs40.vp"
+    terms = " ".join(["(abs x)"] * 40)
+    path.write_text(f"[vars]\nupper x\n[upper]\nobjective (+ {terms})\n[candidates]\norigin 0\n")
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            ["subdiff", str(path), "--fn", "upper.objective", "--at", "origin", "--json"], capsys
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert code == 3
+    assert out == ""
+    assert "1099511627776 branch combinations" in err
 
 
 # ---------------------------------------------------------------------------

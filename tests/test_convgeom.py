@@ -57,18 +57,28 @@ def test_hull_collinear_degenerate():
 # LP
 
 
-def test_lp_infeasible_pair():
-    lp = G.LPProblem(
-        1,
-        [G.LinearConstraint([1.0], ">=", 0.0), G.LinearConstraint([1.0], "<=", -1.0)],
-        lower=np.array([-np.inf]),
-    )
-    assert isinstance(G.lp_feasible(lp), G.LPInfeasible)
+def _standard_form(rows, senses, rhs, upper):
+    """A z = b, 0 <= z <= upper for rows with senses "<=", ">=", "==": one
+    slack column (+1) or surplus column (-1) per inequality, after the
+    variables, with no upper bound."""
+    rows = np.array(rows, dtype=float)
+    sign = {"<=": 1.0, ">=": -1.0}
+    ineq = [i for i, s in enumerate(senses) if s != "=="]
+    slacks = np.zeros((len(senses), len(ineq)))
+    for k, i in enumerate(ineq):
+        slacks[i, k] = sign[senses[i]]
+    A = np.hstack([rows, slacks])
+    return A, np.array(rhs, dtype=float), np.concatenate([upper, np.full(len(ineq), np.inf)])
+
+
+def _random_rows(rng, n, count, rhs_hi):
+    senses = [["<=", ">=", "=="][int(rng.integers(0, 3))] for _ in range(count)]
+    rows = rng.integers(-3, 4, (count, n)).astype(float)
+    return rows, senses, rng.integers(-rhs_hi, rhs_hi + 1, count).astype(float)
 
 
 def test_lp_feasible_simplex_edge():
-    lp = G.LPProblem(2, [G.LinearConstraint([1.0, 1.0], "==", 1.0)])
-    out = G.lp_feasible(lp)
+    out = G.lp_feasible([[1.0, 1.0]], [1.0])
     assert isinstance(out, G.LPFeasible)
     x = out.assignment
     assert x[0] + x[1] == pytest.approx(1.0, abs=1e-9)
@@ -87,51 +97,57 @@ def test_lp_certificates_verify():
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(2, 5))
-        cons = []
-        for _ in range(int(rng.integers(1, 4))):
-            sense = ["<=", ">=", "=="][int(rng.integers(0, 3))]
-            cons.append(G.LinearConstraint(rng.integers(-3, 4, n).astype(float), sense, float(rng.integers(-3, 4))))
-        out = G.lp_feasible(G.LPProblem(n, cons, upper=np.full(n, 10.0)))
+        rows, senses, rhs = _random_rows(rng, n, int(rng.integers(1, 4)), 3)
+        A, b, upper = _standard_form(rows, senses, rhs, np.full(n, 10.0))
+        out = G.lp_feasible(A, b, upper)
         assert not isinstance(out, G.LPBreakdown)
         if isinstance(out, G.LPFeasible):
-            x = out.assignment
-            for c in cons:
-                v = float(c.coeffs @ x)
-                if c.sense == "<=":
-                    assert v <= c.rhs + 1e-7
-                elif c.sense == ">=":
-                    assert v >= c.rhs - 1e-7
-                else:
-                    assert v == pytest.approx(c.rhs, abs=1e-7)
+            z = out.assignment
+            assert A @ z == pytest.approx(b, abs=1e-7)
+            assert np.all(z >= -1e-7) and np.all(z <= upper + 1e-7)
+
+
+@pytest.mark.parametrize(
+    "A, b, upper",
+    [
+        ([[1.0, np.nan]], [1.0], None),
+        ([[1.0, 1.0]], [np.inf], None),
+        ([[1.0, 1.0]], [1.0], [1.0, np.nan]),
+        ([[1.0, 1.0]], [1.0], [1.0, -np.inf]),
+        (np.ones((1, G.MAX_LP_VARS + 1)), [1.0], None),
+        (np.ones((1, 0)), [1.0], None),
+    ],
+)
+def test_lp_rejects_non_finite_or_oversized_data(A, b, upper):
+    with pytest.raises(G.GeometryError):
+        G.lp_feasible(A, b, upper)
 
 
 def _random_lp(rng, n):
-    cons = []
-    for _ in range(int(rng.integers(1, 6))):
-        sense = ["<=", ">=", "=="][int(rng.integers(0, 3))]
-        cons.append(G.LinearConstraint(rng.integers(-3, 4, n).astype(float), sense, float(rng.integers(-5, 6))))
-    lower = rng.choice([0.0, -np.inf, -2.0], n)
-    upper = rng.choice([np.inf, 3.0, G.R_CONE], n)
-    return G.LPProblem(n, cons, lower=lower, upper=upper)
+    rows, senses, rhs = _random_rows(rng, n, int(rng.integers(1, 6)), 5)
+    return _standard_form(rows, senses, rhs, rng.choice([np.inf, 3.0, G.R_CONE], n))
 
 
 def _degenerate_lp(rng, n):
-    # every constraint tight at one integer vertex, with repeated,
-    # scaled and all-zero rows
+    # every row tight at one integer vertex, with repeated, scaled and
+    # all-zero rows
     x0 = rng.integers(0, 3, n).astype(float)
-    cons = []
+    rows, senses, cut = [], [], []
     for _ in range(int(rng.integers(n, 2 * n + 3))):
         a = rng.integers(-2, 3, n).astype(float)
-        sense = ["<=", ">=", "=="][int(rng.integers(0, 3))]
-        cons.append(G.LinearConstraint(a, sense, float(a @ x0)))
-        cons.append(G.LinearConstraint(2.0 * a, sense, float(2.0 * a @ x0)))
-    cons.append(G.LinearConstraint(np.zeros(n), "<=", 0.0))
+        rows += [a, 2.0 * a]
+        senses += [["<=", ">=", "=="][int(rng.integers(0, 3))]] * 2
+        cut += [0.0, 0.0]
+    rows.append(np.zeros(n))
+    senses.append("<=")
+    cut.append(0.0)
     if rng.random() < 0.5:
         # cut the vertex off: infeasible by a margin of one
         a = rng.integers(1, 3, n).astype(float)
-        cons.append(G.LinearConstraint(a, ">=", float(a @ x0) + 1.0))
-        cons.append(G.LinearConstraint(a, "<=", float(a @ x0)))
-    return G.LPProblem(n, cons, upper=np.full(n, 10.0))
+        rows += [a, a]
+        senses += [">=", "<="]
+        cut += [1.0, 0.0]
+    return _standard_form(rows, senses, np.array(rows) @ x0 + cut, np.full(n, 10.0))
 
 
 def _cap_bound_lp(rng, n):
@@ -142,8 +158,7 @@ def _cap_bound_lp(rng, n):
     w = rng.integers(1, 4, n).astype(float)
     scale = rng.choice([0.5, 0.999, 1.001, 2.0])
     target = scale * G.R_CONE * (gens @ w) / w.max()
-    cons = [G.LinearConstraint(g, "==", float(t)) for g, t in zip(gens, target)]
-    return G.LPProblem(n, cons, upper=np.full(n, G.R_CONE))
+    return gens, target, np.full(n, G.R_CONE)
 
 
 @pytest.mark.parametrize("make", [_random_lp, _degenerate_lp, _cap_bound_lp])
@@ -153,19 +168,14 @@ def test_lp_verdicts_match_highs(make):
     rng = np.random.default_rng(23)
     verdicts = set()
     for _ in range(120):
-        lp = make(rng, int(rng.integers(1, 6)))
-        out = G.lp_feasible(lp)
+        A, b, upper = make(rng, int(rng.integers(1, 6)))
+        out = G.lp_feasible(A, b, upper)
         assert not isinstance(out, G.LPBreakdown), out
-        rows = {s: [(c.coeffs, c.rhs) for c in lp.constraints if c.sense == s] for s in ("<=", ">=", "==")}
-        a_ub = [a for a, _ in rows["<="]] + [-a for a, _ in rows[">="]]
-        b_ub = [b for _, b in rows["<="]] + [-b for _, b in rows[">="]]
         ref = linprog(
-            np.zeros(lp.num_vars),
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array([a for a, _ in rows["=="]]) if rows["=="] else None,
-            b_eq=np.array([b for _, b in rows["=="]]) if rows["=="] else None,
-            bounds=[(lo, hi) for lo, hi in zip(lp.lower, lp.upper)],
+            np.zeros(A.shape[1]),
+            A_eq=A,
+            b_eq=b,
+            bounds=np.column_stack([np.zeros(A.shape[1]), upper]),
             method="highs",
         )
         assert ref.status in (0, 2), ref.message

@@ -441,6 +441,15 @@ def test_intersection_rule_opposite_halflines_refused():
     assert report.detail["witness_multipliers"] == pytest.approx([1.0, 1.0], abs=1e-7)
 
 
+def test_intersection_rule_qualification_lp_breakdown_raises(monkeypatch):
+    # a broken-down qualification LP must not read as "the condition holds"
+    s1 = S.SetSpec.sublevel([f("(- y x)", XY)])
+    s2 = S.SetSpec.sublevel([f("(- y)", XY)])
+    monkeypatch.setattr(G, "lp_feasible", lambda *lp: G.LPBreakdown("stalled"))
+    with pytest.raises(G.GeometryError, match="LP breakdown in the qualification check"):
+        S.verify_intersection_rule([s1, s2], [0.0, 0.0], FAST)
+
+
 def test_intersection_rule_wedge():
     s1 = S.SetSpec.sublevel([f("(- y x)", XY)])
     s2 = S.SetSpec.sublevel([f("(- y)", XY)])
