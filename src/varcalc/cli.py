@@ -163,7 +163,7 @@ def cmd_subdiff(args) -> tuple[dict, int]:
         results["oracle"] = {
             "cluster_centers": cloud.cluster_centers.tolist(),
             "accepted_points": int(cloud.points.shape[0]),
-            "hausdorff_vs_basic": hausdorff_distance(result.basic, cloud.as_union()),
+            "hausdorff_vs_basic": hausdorff_distance(result.basic, cloud.as_singletons()),
         }
     return _report("subdiff", pf.digest, _seed(pf, args), results), EXIT_OK
 
@@ -412,7 +412,7 @@ def _verify_file(pf: ProblemFile, params: sd.SampleParams) -> cp.VerifyReport:
             point = pf.point_for(fn, cand)
             result = sd.full_subdifferential(fn, point, params, pf.tau_act)
             cloud = sd.sampled_subdiff_oracle(fn, point, params, pf.tau_act)
-            d = hausdorff_distance(result.basic, cloud.as_union())
+            d = hausdorff_distance(result.basic, cloud.as_singletons())
             report.checks.append(
                 cp.CheckResult(
                     "oracle-consistency", f"{fname}@{cname}", d <= cp.ORACLE_HAUSDORFF_TOL, d

@@ -201,7 +201,7 @@ def _lex_sorted(V: np.ndarray) -> np.ndarray:
     return V[order]
 
 
-def _in_hull_lp(target: np.ndarray, V: np.ndarray, tol: float = 1e-7) -> bool:
+def _in_hull_lp(target: np.ndarray, V: np.ndarray) -> bool:
     A = np.vstack([np.ones(V.shape[0]), V.T])
     b = np.concatenate([[1.0], target])
     return not isinstance(lp_weights(A, b, "hull membership"), float)
@@ -240,13 +240,13 @@ class Polytope:
     def singleton(point: Sequence[float]) -> "Polytope":
         return Polytope(np.asarray(point, dtype=float).reshape(1, -1))
 
-    def contains(self, point: Sequence[float], tol: float = 1e-7) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             raise DimensionError("point dim mismatch")
         if self.num_vertices == 1:
-            return bool(np.linalg.norm(p - self.vertices[0]) <= tol)
-        return _in_hull_lp(p, self.vertices, tol)
+            return bool(np.linalg.norm(p - self.vertices[0]) <= 1e-7)
+        return _in_hull_lp(p, self.vertices)
 
     def support(self, direction: np.ndarray) -> float:
         return float(np.max(self.vertices @ np.asarray(direction, dtype=float)))
@@ -438,8 +438,8 @@ class PolytopeUnion:
     def all_vertices(self) -> np.ndarray:
         return np.vstack([p.vertices for p in self.parts])
 
-    def contains(self, point: Sequence[float], tol: float = 1e-7) -> bool:
-        return any(p.contains(point, tol) for p in self.parts)
+    def contains(self, point: Sequence[float]) -> bool:
+        return any(p.contains(point) for p in self.parts)
 
     def negate(self) -> "PolytopeUnion":
         return PolytopeUnion.create([Polytope(-p.vertices) for p in self.parts])
@@ -739,40 +739,51 @@ def point_to_union_distance(p: Sequence[float], u: PolytopeUnion) -> float:
     return min(point_to_polytope_distance(p, part) for part in u.parts)
 
 
-def _as_union(x: Polytope | PolytopeUnion) -> PolytopeUnion:
-    return x if isinstance(x, PolytopeUnion) else PolytopeUnion.create([x])
-
-
-def _split_singletons(u: PolytopeUnion) -> tuple[np.ndarray | None, list[Polytope]]:
+def _hausdorff_operand(
+    x: Polytope | PolytopeUnion | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, list[Polytope]]:
+    """(every vertex in part order, the singleton parts' points or None,
+    the parts with two or more vertices); an (N, dim) array is N
+    singletons."""
+    if isinstance(x, np.ndarray):
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise GeometryError("union needs at least one part")
+        if not np.all(np.isfinite(x)):
+            raise GeometryError("vertices must be finite")
+        return x, x, []
+    u = x if isinstance(x, PolytopeUnion) else PolytopeUnion.create([x])
     singles = [p.vertices[0] for p in u.parts if p.num_vertices == 1]
     multi = [p for p in u.parts if p.num_vertices > 1]
-    return (np.array(singles) if singles else None), multi
+    return np.vstack([p.vertices for p in u.parts]), (np.array(singles) if singles else None), multi
 
 
 def hausdorff_distance(
-    a: Polytope | PolytopeUnion, b: Polytope | PolytopeUnion, n_dirs: int = 32
+    a: Polytope | PolytopeUnion | np.ndarray,
+    b: Polytope | PolytopeUnion | np.ndarray,
+    n_dirs: int = 32,
 ) -> float:
     """Hausdorff distance estimate for unions of polytopes.
 
     Combines directed point-to-set distances over deterministic in-part
     sample points (exact for convex inputs, where the max of the convex
     distance function sits at a vertex) with a support-function gap over
-    n_dirs directions.  Symmetric by construction.  Each part of the
-    target set takes every sample point in one batch, singleton parts as
-    a plain nearest-point search, so large oracle clouds stay cheap.
+    n_dirs directions.  Symmetric by construction.  Either side may be an
+    (N, dim) array, read as the union of N singletons, so a large oracle
+    cloud needs no polytope per point.  Each part of the target set takes
+    every sample point in one batch, singletons as one plain
+    nearest-point search.
     """
-    ua, ub = _as_union(a), _as_union(b)
-    if ua.dim != ub.dim:
+    va, a_singles, a_multi = _hausdorff_operand(a)
+    vb, b_singles, b_multi = _hausdorff_operand(b)
+    dim = va.shape[1]
+    if vb.shape[1] != dim:
         raise DimensionError("hausdorff dim mismatch")
-    if n_dirs < 2 * ua.dim:
+    if n_dirs < 2 * dim:
         raise GeometryError("n_dirs must be at least 2*dim")
 
-    def directed(u: PolytopeUnion, v: PolytopeUnion) -> float:
-        v_singles, v_multi = _split_singletons(v)
-        samples = []
-        for part in u.parts:
-            samples.append(part.vertices if part.num_vertices == 1 else part.sample_points())
-        pts = np.vstack(samples)
+    def directed(u_singles, u_multi, v_singles, v_multi) -> float:
+        samples = [] if u_singles is None else [u_singles]
+        pts = np.vstack(samples + [part.sample_points() for part in u_multi])
         if v_singles is not None:
             d2 = ((pts[:, None, :] - v_singles[None, :, :]) ** 2).sum(axis=2)
             best = np.sqrt(d2.min(axis=1))
@@ -782,8 +793,10 @@ def hausdorff_distance(
             best = np.minimum(best, point_to_polytope_distances(pts, q))
         return float(best.max(initial=0.0))
 
-    dirs = directions(ua.dim, n_dirs)
-    va = np.vstack([p.vertices for p in ua.parts])
-    vb = np.vstack([p.vertices for p in ub.parts])
+    dirs = directions(dim, n_dirs)
     sup_gap = float(np.max(np.abs((va @ dirs.T).max(axis=0) - (vb @ dirs.T).max(axis=0))))
-    return max(directed(ua, ub), directed(ub, ua), sup_gap)
+    return max(
+        directed(a_singles, a_multi, b_singles, b_multi),
+        directed(b_singles, b_multi, a_singles, a_multi),
+        sup_gap,
+    )

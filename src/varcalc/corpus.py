@@ -162,7 +162,7 @@ def run_verify_suite(
 
         if with_oracle:
             cloud = sd.sampled_subdiff_oracle(f, p, params)
-            d = hausdorff_distance(result.basic, cloud.as_union())
+            d = hausdorff_distance(result.basic, cloud.as_singletons())
             report.checks.append(
                 CheckResult("oracle-consistency", entry.name, d <= ORACLE_HAUSDORFF_TOL, d)
             )

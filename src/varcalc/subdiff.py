@@ -563,69 +563,134 @@ class OracleCloud:
     points: np.ndarray
     cluster_centers: np.ndarray
 
-    def as_union(self) -> PolytopeUnion:
+    def as_singletons(self) -> np.ndarray:
+        """The cluster centers, as the (N, dim) array of singletons that
+        hausdorff_distance takes.  Centers need not be pairwise separated
+        (see ``_cluster``), but no distance needs them to be."""
         if self.cluster_centers.shape[0] == 0:
             raise SubdiffError("oracle accepted no subgradient candidates")
-        # cluster centers are pairwise separated by construction; no
-        # canonicalization pass needed (and unions can be large)
-        return PolytopeUnion(
-            tuple(Polytope(c.reshape(1, -1)) for c in self.cluster_centers)
-        )
+        return self.cluster_centers
+
+
+def _cell_codes(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """One integer per row of integer cell keys, and the offset that turns
+    a code into the code of each of the 3^dim neighbour cells, in
+    ``itertools.product((-1, 0, 1), repeat=dim)`` order.
+
+    Each column's keys are ranked so that equal keys get equal ranks and
+    keys one apart ranks one apart, all others at least two; the ranks
+    are packed in mixed radix with a free digit on either side.  So
+    code + offset is the code of a cell holding a point exactly when the
+    neighbour cell holds that point, and never wraps.
+    """
+    ranks, radix = [], []
+    for col in keys.T:
+        u, inv = np.unique(col, return_inverse=True)
+        rank = np.concatenate([[1], 1 + np.cumsum(np.where(u[1:] == u[:-1] + 1, 1, 2))])
+        ranks.append(rank[inv])
+        radix.append(int(rank[-1]) + 2)
+    strides = [math.prod(radix[:k]) for k in range(len(radix))]
+    # Python integers in an object array keep codes past int64 exact
+    dtype = np.int64 if math.prod(radix) < 2**62 else object
+    codes = sum(r.astype(dtype) * s for r, s in zip(ranks, strides))
+    offsets = [
+        sum(o * s for o, s in zip(off, strides))
+        for off in itertools.product((-1, 0, 1), repeat=len(radix))
+    ]
+    return codes, offsets
 
 
 def _cluster(points: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy clustering at the given tolerance via a spatial hash (cells
-    of size tol, neighbor cells checked); returns cluster centroids in a
-    canonical lexicographic order."""
+    """Greedy clustering at the given tolerance via a spatial hash; returns
+    cluster centroids in a canonical lexicographic order.
+
+    Points are taken in lexicographic order.  Each one joins the first
+    center within tol of it, searching the 3^dim cells of size tol around
+    its own cell in ``itertools.product`` order and each cell's centers in
+    the order they were made, and moves that center to the running mean
+    ``c + (q - c) / n``; otherwise it makes a new center, filed under its
+    own cell.  A center stays filed under the cell of the point that made
+    it while its mean drifts, so centers are not pairwise separated: two
+    can end up within tol of each other.
+
+    A point with no other point in its 3^dim block of cells makes its own
+    center and is never joined: a point that searched its cell would lie
+    in its block, and the block relation is symmetric.  Nor does it change
+    any other point's search.  Such points are emitted as they are, and
+    the greedy pass runs on the rest alone, which gives the same centers
+    as a pass over all points.
+
+    Distances are taken with ``math.dist``.  It and ``np.linalg.norm``
+    can fall on different sides of tol only within a relative 1e-9 of it
+    (for tol far from the float range's ends); there ``np.linalg.norm(q -
+    c) <= tol`` decides.
+    """
     if points.shape[0] == 0:
         return points
     dim = points.shape[1]
     order = np.lexsort(tuple(points[:, k] for k in range(dim - 1, -1, -1)))
     pts = points[order]
-    cells: dict[tuple, list[int]] = {}
-    centers: list[np.ndarray] = []
-    counts: list[int] = []
-    neighbor = list(itertools.product(*([(-1, 0, 1)] * dim)))
-    for q in pts:
-        key = tuple(np.floor(q / tol).astype(np.int64))
-        hit = -1
-        for off in neighbor:
-            cell = tuple(k + o for k, o in zip(key, off))
-            for idx in cells.get(cell, ()):
-                if np.linalg.norm(q - centers[idx]) <= tol:
-                    hit = idx
-                    break
-            if hit >= 0:
-                break
+    codes, offsets = _cell_codes(np.floor(pts / tol).astype(np.int64))
+    occupied, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    alone = counts[inverse] == 1
+    for off in offsets:
+        if off:
+            nb = codes + off
+            alone &= occupied[np.minimum(np.searchsorted(occupied, nb), occupied.size - 1)] != nb
+
+    lo, hi = tol * (1 - 1e-9), tol * (1 + 1e-9)
+
+    def near(q: list[float], c: list[float]) -> bool:
+        d = math.dist(q, c)
+        return d < lo or (d <= hi and bool(np.linalg.norm(np.subtract(q, c)) <= tol))
+
+    rest = np.flatnonzero(~alone)
+    cells: dict[int, list[int]] = {}
+    centers: list[list[float]] = []
+    sizes: list[int] = []
+    made_by: list[int] = []
+    for i, q, code in zip(rest.tolist(), pts[rest].tolist(), codes[rest].tolist()):
+        hit = next(
+            (idx for off in offsets for idx in cells.get(code + off, ()) if near(q, centers[idx])),
+            -1,
+        )
         if hit >= 0:
-            counts[hit] += 1
-            centers[hit] = centers[hit] + (q - centers[hit]) / counts[hit]
+            sizes[hit] += 1
+            centers[hit] = [c + (a - c) / sizes[hit] for a, c in zip(q, centers[hit])]
         else:
-            centers.append(q.copy())
-            counts.append(1)
-            cells.setdefault(key, []).append(len(centers) - 1)
-    out = np.array(centers)
+            cells.setdefault(code, []).append(len(centers))
+            centers.append(q)
+            sizes.append(1)
+            made_by.append(i)
+    lone = np.flatnonzero(alone)
+    out = np.concatenate([pts[lone], np.array(centers).reshape(-1, dim)])
+    # the order a pass over all points makes centers in, so that rows the
+    # sort below ties (0.0 and -0.0) come out in the same order
+    out = out[np.argsort(np.concatenate([lone, np.array(made_by, dtype=np.intp)]))]
     order = np.lexsort(tuple(out[:, k] for k in range(dim - 1, -1, -1)))
     return out[order]
 
 
 def _accepts(
-    u: np.ndarray,
-    fu: float,
+    us: np.ndarray,
+    fus: np.ndarray,
     candidates: np.ndarray,
-    stencil: np.ndarray,
-    f_stencil: np.ndarray,
+    stencils: np.ndarray,
+    f_stencils: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Vectorized epsilon-relaxed regular-subgradient test at u: keep v
-    with f(w) - f(u) >= <v, w-u> - eps*|w-u| on every stencil point w,
-    given fu = f(u) and f_stencil = f over the stencil."""
-    gains = f_stencil - fu  # (S,)
-    offs = stencil - u[None, :]  # (S, dim)
-    norms = np.linalg.norm(offs, axis=1)
-    lhs = candidates @ offs.T  # (C, S)
-    ok = lhs <= gains[None, :] + eps * norms[None, :] + 1e-14
-    return np.all(ok, axis=1)
+    """Vectorized epsilon-relaxed regular-subgradient test at D base
+    points: keep candidate v of u with f(w) - f(u) >= <v, w-u> - eps*|w-u|
+    on every stencil point w of u, given fus = f(u) and f_stencils = f
+    over the stencils.  Shapes: us (D, dim), fus (D,), candidates
+    (D, C, dim), stencils (D, S, dim), f_stencils (D, S); returns (D, C).
+    A row's verdicts do not depend on the other rows."""
+    gains = f_stencils - fus[:, None]  # (D, S)
+    offs = stencils - us[:, None, :]  # (D, S, dim)
+    norms = np.linalg.norm(offs, axis=2)
+    lhs = np.matmul(candidates, offs.transpose(0, 2, 1))  # (D, C, S)
+    ok = lhs <= (gains + eps * norms + 1e-14)[:, None, :]
+    return np.all(ok, axis=2)
 
 
 def sampled_subdiff_oracle(
@@ -666,13 +731,13 @@ def sampled_subdiff_oracle(
         stencils = us[:, None, :] + (rho[:, None, None] * stencil_dirs).reshape(1, -1, dim)
         values = ex.eval_batch(f, np.vstack([us, stencils.reshape(-1, dim)]))
         f_stencils = values[len(us) :].reshape(len(us), -1)
-        for di, k in enumerate(inverse.tolist()):
-            v = grads[di]
-            if smooth[k] and _accepts(
-                us[di], values[di], v[None, :], stencils[di], f_stencils[di], eps
-            )[0]:
-                accepted.setdefault(di, {})[level] = v
-                raw.append(v)
+        tried = np.flatnonzero(np.asarray(smooth)[inverse])
+        ok = _accepts(
+            us[tried], values[tried], grads[tried, None, :], stencils[tried], f_stencils[tried], eps
+        )[:, 0]
+        for di in tried[ok].tolist():
+            accepted.setdefault(di, {})[level] = grads[di]
+            raw.append(grads[di])
 
     limits: list[np.ndarray] = []
     last = len(params.radii) - 1
@@ -696,7 +761,7 @@ def sampled_subdiff_oracle(
     )
     eps_fill = params.eps_sequence[0]
     f_fill = ex.eval_batch(f, np.vstack([p[None, :], stencil]))
-    keep = _accepts(p, f_fill[0], fill, stencil, f_fill[1:], eps_fill)
+    keep = _accepts(p[None], f_fill[:1], fill[None], stencil[None], f_fill[None, 1:], eps_fill)[0]
     fill_accepted = fill[keep]
     raw.extend(fill_accepted)
 

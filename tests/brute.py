@@ -9,8 +9,10 @@ interpreter over the expression tree, the batched point-to-polytope
 distance against a one-point-at-a-time face enumeration, the batched
 value-function search against a one-parameter-at-a-time grid loop, the
 batched argmin slope bound and the seeded direction fill against their
-per-sample and per-vector loops, and the exact extremal-principle solver
-against SciPy's multi-start quasi-Newton descent with a simplex polish.
+per-sample and per-vector loops, the oracles' batched acceptance test and
+cell-skipping clustering against their per-direction and per-point loops,
+and the exact extremal-principle solver against SciPy's multi-start
+quasi-Newton descent with a simplex polish.
 """
 
 from __future__ import annotations
@@ -179,7 +181,71 @@ def dense_normal_cone_oracle(spec, x, params) -> S.OracleCloud:
                 v = q - w
                 collected.append(v / np.linalg.norm(v))
     cloud = np.array(collected) if collected else np.zeros((0, spec.dim))
-    return S.OracleCloud(points=cloud, cluster_centers=S._cluster(cloud, 0.02))
+    return S.OracleCloud(points=cloud, cluster_centers=reference_cluster(cloud, 0.02))
+
+
+def reference_cluster(points: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy clustering at the given tolerance via a spatial hash (cells
+    of size tol, neighbor cells checked); returns cluster centroids in a
+    canonical lexicographic order."""
+    if points.shape[0] == 0:
+        return points
+    dim = points.shape[1]
+    order = np.lexsort(tuple(points[:, k] for k in range(dim - 1, -1, -1)))
+    pts = points[order]
+    cells: dict[tuple, list[int]] = {}
+    centers: list[np.ndarray] = []
+    counts: list[int] = []
+    neighbor = list(itertools.product(*([(-1, 0, 1)] * dim)))
+    for q in pts:
+        key = tuple(np.floor(q / tol).astype(np.int64))
+        hit = -1
+        for off in neighbor:
+            cell = tuple(k + o for k, o in zip(key, off))
+            for idx in cells.get(cell, ()):
+                if np.linalg.norm(q - centers[idx]) <= tol:
+                    hit = idx
+                    break
+            if hit >= 0:
+                break
+        if hit >= 0:
+            counts[hit] += 1
+            centers[hit] = centers[hit] + (q - centers[hit]) / counts[hit]
+        else:
+            centers.append(q.copy())
+            counts.append(1)
+            cells.setdefault(key, []).append(len(centers) - 1)
+    out = np.array(centers)
+    order = np.lexsort(tuple(out[:, k] for k in range(dim - 1, -1, -1)))
+    return out[order]
+
+
+def reference_accepts_one(
+    u: np.ndarray,
+    fu: float,
+    candidates: np.ndarray,
+    stencil: np.ndarray,
+    f_stencil: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """Vectorized epsilon-relaxed regular-subgradient test at u: keep v
+    with f(w) - f(u) >= <v, w-u> - eps*|w-u| on every stencil point w,
+    given fu = f(u) and f_stencil = f over the stencil."""
+    gains = f_stencil - fu  # (S,)
+    offs = stencil - u[None, :]  # (S, dim)
+    norms = np.linalg.norm(offs, axis=1)
+    lhs = candidates @ offs.T  # (C, S)
+    ok = lhs <= gains[None, :] + eps * norms[None, :] + 1e-14
+    return np.all(ok, axis=1)
+
+
+def reference_accepts(us, fus, candidates, stencils, f_stencils, eps) -> np.ndarray:
+    """The acceptance test one base point at a time, with the arguments of
+    the batched ``subdiff._accepts``."""
+    out = np.zeros(candidates.shape[:2], dtype=bool)
+    for d in range(us.shape[0]):
+        out[d] = reference_accepts_one(us[d], fus[d], candidates[d], stencils[d], f_stencils[d], eps)
+    return out
 
 
 class NonFinite(ArithmeticError):

@@ -632,6 +632,24 @@ def test_console_script_determinism(tmp_path):
         json.loads(outputs[0])  # valid JSON
 
 
+def test_verify_runs_load_no_scipy_optimize_or_spatial():
+    # the corpus and a problem file's oracle checks run on numpy alone
+    code = (
+        "import contextlib, io, sys\n"
+        "from varcalc import cli\n"
+        "for argv in (['verify', '--builtin-corpus', '--json'], ['verify', sys.argv[1], '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.spatial')))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(WORKED)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_import_loads_no_scipy_optimize_or_spatial():
     # SciPy loads where it is used: cold start of every command pays only for numpy
     code = (

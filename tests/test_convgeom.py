@@ -337,6 +337,20 @@ def test_distance_matches_slsqp_qp():
                 assert abs(np.linalg.norm(V.T @ res.x - p) - d) <= 1e-7
 
 
+def test_contains_segment_and_singleton():
+    seg = G.Polytope.create([[0.0], [1.0]])
+    assert seg.contains([1.0]) and seg.contains([0.25])
+    assert not seg.contains([1.1]) and not seg.contains([-1e-3])
+    point = G.Polytope.singleton([0.0])
+    assert point.contains([5e-8]) and not point.contains([2e-7])
+    union = G.PolytopeUnion.create([point, G.Polytope.create([[2.0], [3.0]])])
+    assert union.contains([-5e-8]) and union.contains([2.5])
+    assert not union.contains([1.0])
+    # membership has one fixed tolerance: 1e-7 for a singleton, the LP's for a hull
+    with pytest.raises(TypeError):
+        seg.contains([1.1], tol=0.5)
+
+
 # ---------------------------------------------------------------------------
 # hausdorff
 
@@ -374,6 +388,29 @@ def test_hausdorff_zero_iff_equal_canonical():
     c = G.PolytopeUnion.single(G.Polytope.create([[0, 0], [1, 0], [0, 1.5]]))
     assert G.hausdorff_distance(a, c) > 1e-6
     assert a.canonical_key() != c.canonical_key()
+
+
+def test_hausdorff_reads_an_array_as_singletons():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        hull = G.Polytope.create(rng.uniform(-1, 1, (dim + 1, dim)))
+        sym = G.PolytopeUnion.create([hull, G.Polytope.singleton(rng.uniform(-1, 1, dim))])
+        cloud = rng.uniform(-1.2, 1.2, (200, dim))
+        cloud[7] = -0.0
+        parts = G.PolytopeUnion(tuple(G.Polytope(c.reshape(1, -1)) for c in cloud))
+        assert G.hausdorff_distance(sym, cloud) == G.hausdorff_distance(sym, parts)
+        assert G.hausdorff_distance(cloud, sym) == G.hausdorff_distance(parts, sym)
+        assert G.hausdorff_distance(cloud, cloud[::-1]) == 0.0
+
+
+def test_hausdorff_rejects_an_empty_or_non_finite_array():
+    sym = G.PolytopeUnion.single(G.Polytope.singleton([0.0, 0.0]))
+    with pytest.raises(G.GeometryError, match="at least one part"):
+        G.hausdorff_distance(sym, np.zeros((0, 2)))
+    with pytest.raises(G.GeometryError, match="finite"):
+        G.hausdorff_distance(sym, np.array([[0.0, np.nan]]))
+    with pytest.raises(G.DimensionError):
+        G.hausdorff_distance(sym, np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------

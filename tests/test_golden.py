@@ -1,5 +1,6 @@
 """Golden outputs: the exit code and the sha256 of the `--json` stdout of
-CLI commands on the shipped problem files and the builtins at seed 7.
+CLI commands on the shipped problem files and the builtins at seed 7,
+and of the corpus and one subdifferential oracle at seed 2 as well.
 
 A change that alters any of these bytes says why in CHANGES.md and
 rewrites the hashes with
@@ -27,6 +28,7 @@ FILES = ("problems/worked.vp", "problems/kink.vp")
 # the one 3-D lower graph: pins the sampled normal-cone oracle's 3-D lattice
 WORKED2 = "problems/worked2.vp"
 SEED = "7"
+SECOND_SEED = "2"
 
 
 def commands() -> list[tuple[str, ...]]:
@@ -45,11 +47,16 @@ def commands() -> list[tuple[str, ...]]:
     out.append(("verify", WORKED2))
     out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
     out.append(("verify", "--builtin-corpus"))
+    # a second seed moves every sampled point the oracles cluster
+    out.append(("verify", "--builtin-corpus", "--seed", SECOND_SEED))
+    kink_top = ("subdiff", "problems/kink.vp", "--fn", "lower.objective", "--at", "top", "--oracle")
+    out.append(kink_top + ("--seed", SECOND_SEED))
     return out
 
 
 def run(cmd: tuple[str, ...]) -> dict:
-    argv = [str(ROOT / a) if a in FILES + (WORKED2,) else a for a in cmd] + ["--json", "--seed", SEED]
+    seed = [] if "--seed" in cmd else ["--seed", SEED]
+    argv = [str(ROOT / a) if a in FILES + (WORKED2,) else a for a in cmd] + ["--json", *seed]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)

@@ -4,14 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
 
-from tests.brute import dense_normal_cone_oracle, reference_extremal_solve
+from tests.brute import (
+    dense_normal_cone_oracle,
+    reference_accepts,
+    reference_cluster,
+    reference_extremal_solve,
+)
 
 XS = E.VarSpace.of("x")
 XY = E.VarSpace.of("x", "y")
@@ -140,9 +145,8 @@ def test_singular_is_zero_cone():
 
 def test_oracle_abs_covers_interval():
     cloud = S.sampled_subdiff_oracle(f("(abs x)"), [0.0], FAST)
-    union = cloud.as_union()
     sym = G.PolytopeUnion.single(interval(-1.0, 1.0))
-    assert G.hausdorff_distance(sym, union) <= 0.05
+    assert G.hausdorff_distance(sym, cloud.as_singletons()) <= 0.05
 
 
 def test_oracle_smooth_single_cluster():
@@ -163,6 +167,94 @@ def test_oracle_deterministic_given_seed():
     b = S.sampled_subdiff_oracle(f("(abs x)"), [0.0], FAST)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.cluster_centers, b.cluster_centers)
+
+
+def test_oracle_without_candidates_refuses_the_hausdorff_check():
+    empty = S.OracleCloud(points=np.zeros((0, 1)), cluster_centers=np.zeros((0, 1)))
+    with pytest.raises(S.SubdiffError, match="accepted no subgradient"):
+        empty.as_singletons()
+
+
+@st.composite
+def _clouds(draw):
+    """Clouds on and around the cell lattice of tol: multiples of tol / 2
+    (cell boundaries, and points exactly tol apart across them), -0.0,
+    floats near and far, with some rows repeated."""
+    dim = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([1e-8, 0.02]))
+    coord = st.one_of(
+        st.integers(-8, 8).map(lambda k: k * tol / 2),
+        st.just(-0.0),
+        st.floats(-4 * tol, 4 * tol),
+        st.floats(-40 * tol, 40 * tol),
+    )
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), max_size=60))
+    repeats = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=10)) if rows else []
+    pts = np.array(rows + [rows[i] for i in repeats], dtype=float).reshape(-1, dim)
+    return pts, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds())
+@example((np.array([[0.0], [-0.0], [0.0], [-0.0]]), 0.02))
+@example((np.array([[0.01, -0.0], [0.03, 0.0], [0.03, -0.0], [-0.01, 0.0]]), 0.02))
+@example((np.array([[1e-8, 0.0, -0.0], [2e-8, 0.0, 0.0], [3e-8, 1e-8, -0.0]]), 1e-8))
+# pairs at distance tol where math.dist and np.linalg.norm fall on either side of it
+@example((np.array([[-0.06291361663541686, -0.017875635694664802],
+                    [-0.043914996330340225, -0.011626441626344491]]), 0.02))
+@example((np.array([[-2.194105201671051e-08, 1.9027209800176897e-08],
+                    [-2.1730633449082022e-08, 2.9024995756397264e-08]]), 1e-8))
+def test_cluster_equals_the_per_point_loop(cloud):
+    pts, tol = cloud
+    assert S._cluster(pts, tol).tobytes() == reference_cluster(pts, tol).tobytes()
+
+
+def test_cluster_codes_past_int64_stay_exact():
+    # 7-D cells ranked over 600 points need codes beyond int64
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, (600, 7))
+    pts[::3] = pts[1::3] + 0.2 * S.CLUSTER_TOL
+    codes, _ = S._cell_codes(np.floor(pts / S.CLUSTER_TOL).astype(np.int64))
+    assert codes.dtype == object
+    got = S._cluster(pts, S.CLUSTER_TOL)
+    assert got.shape[0] == 400
+    assert got.tobytes() == reference_cluster(pts, S.CLUSTER_TOL).tobytes()
+
+
+def test_cluster_centers_need_not_be_separated():
+    # 1.5 moves the first center to 1.0, which stays filed under the cell
+    # of 0.5, so 2.0 at distance tol from it starts a center of its own
+    pts = np.array([[0.5], [1.5], [2.0]])
+    assert S._cluster(pts, 1.0).tolist() == [[1.0], [2.0]]
+    assert reference_cluster(pts, 1.0).tolist() == [[1.0], [2.0]]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_oracle_acceptance_and_clusters_equal_the_loops_on_the_corpus(seed, monkeypatch):
+    from varcalc.corpus import CORPUS
+
+    params = S.SampleParams(seed=seed)
+    calls = {"_accepts": 0, "_cluster": 0}
+    accepts, cluster = S._accepts, S._cluster
+
+    def checked_accepts(*args):
+        calls["_accepts"] += 1
+        got = accepts(*args)
+        assert np.array_equal(got, reference_accepts(*args))
+        return got
+
+    def checked_cluster(pts, tol):
+        calls["_cluster"] += 1
+        got = cluster(pts, tol)
+        assert got.tobytes() == reference_cluster(pts, tol).tobytes()
+        return got
+
+    monkeypatch.setattr(S, "_accepts", checked_accepts)
+    monkeypatch.setattr(S, "_cluster", checked_cluster)
+    for entry in CORPUS:
+        S.sampled_subdiff_oracle(entry.function(), np.asarray(entry.point), params)
+    # one acceptance test per radius and one for the fill, per entry
+    assert calls == {"_accepts": len(CORPUS) * (len(params.radii) + 1), "_cluster": len(CORPUS)}
 
 
 # ---------------------------------------------------------------------------
