@@ -303,6 +303,17 @@ def partial_calmness_probe(
         raise BilevelError("a value-function grid is required")
     p = np.asarray(point, dtype=float)
     _bilevel_feasible(bp, p, grid)
+    return _calmness_probe(bp, p, kappa_grid, grid, params)
+
+
+def _calmness_probe(
+    bp: BilevelProblem,
+    p: np.ndarray,
+    kappa_grid: Sequence[float],
+    grid: vf.GridSpec,
+    params: sd.SampleParams,
+) -> CalmnessProbeReport:
+    """partial_calmness_probe at a candidate already checked feasible."""
     psi_ref = ex.evaluate(bp.upper_cost, p)
     dim = bp.x_dim + bp.y_dim
     dirs = params.directions(dim)
@@ -324,7 +335,7 @@ def partial_calmness_probe(
     # parameters equal to 12 decimals share theta: each such key takes the
     # value at its first sample feasible on the box, and its samples before
     # that one are skipped
-    keys = [tuple(np.round(xq, 12)) for xq in xqs]
+    keys = list(map(tuple, np.round(xqs, 12).tolist()))
     heads: dict[tuple, int] = {}
     for i, (key, s) in enumerate(zip(keys, values)):
         if key not in heads and not isinstance(s, vf.InfeasibleOnBox):
@@ -479,7 +490,7 @@ def _hypothesis_gate(
             {"hypothesis": f"partial calmness with constant {kappa}", "status": "overridden", "detail": {}}
         )
     else:
-        probe = partial_calmness_probe(bp, point, (kappa,), grid, params)
+        probe = _calmness_probe(bp, point, (kappa,), grid, params)
         ok = probe.kappa_validated is not None
         ledger.append(
             {

@@ -6,20 +6,24 @@ value function, so no local solver is ever used).  Queries that need more
 accuracy than the grid step can run extra exhaustive passes on a shrunken
 box certified by a Lipschitz bound around the near-optimal cells.
 
-evaluate_values searches many parameters at once: rows with the same
-bytes are searched once, and every parameter still refining goes through
-the same pass, each on its own box, as many parameters per pass as fit in
-BATCH_POINTS grid points (at least one).  A pass evaluates each function
-once on its open grid (one array per variable, broadcast against the
-others), so an op runs only at the shape of the variables it reads.  A row
-whose box holds no feasible grid point gets its InfeasibleOnBox back in
-place of a sample.  The probes and estimates below, and the bilevel
+evaluate_values searches many parameters at once.  A pass evaluates each
+function once on an open grid (one array per variable, broadcast against
+the others), so an op runs only at the shape of the variables it reads,
+and as many parameters share a pass as fit in BATCH_POINTS grid points
+(at least one), each on its own box.  When the cost reads no parameter
+variable, a parameter enters a pass only through its box and the
+feasibility masks of the constraints that do read one, so the parameters
+whose box and masks agree byte for byte are searched once, as one group:
+a feasible group's sample serves every member, each with its own x.  A
+row whose box holds no feasible grid point gets its InfeasibleOnBox back
+in place of a sample.  The probes and estimates below, and the bilevel
 calmness probe, pass all their parameters in one call; evaluate_value is
 the one-parameter form.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -142,6 +146,24 @@ def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution
     return worst
 
 
+def _reads(f: ex.FunctionDef) -> set[int]:
+    """The indices of the variables f's tape reads."""
+    return {op.payload for op in f.tape if op.kind == "var"}
+
+
+def _open_grid(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
+    """Each row's axes, (K, resolution, d), and the open grid of the rows:
+    x_i constant, y_a varying along axis a + 1; broadcast, it is each row's
+    grid in np.meshgrid(..., indexing="ij") order."""
+    k, d = lo.shape
+    # per row, the scalar linspace bit for bit; increasing along each axis
+    axes = np.linspace(lo, hi, resolution, axis=1)
+    cols = [xs[:, i].reshape((k,) + (1,) * d) for i in range(xs.shape[1])]
+    for a in range(d):
+        cols.append(axes[:, :, a].reshape((k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)))
+    return axes, cols
+
+
 def _grid_pass(
     prob: ParametricProblem,
     xs: np.ndarray,
@@ -154,15 +176,9 @@ def _grid_pass(
     box [lo[k], hi[k]].  Returns each row's ValueSample or InfeasibleOnBox
     and, unless this is the last pass, the boxes shrunk around the cells
     that could still hide the minimum with a mask of the rows that shrank."""
-    (k, d), n = lo.shape, prob.x_dim
+    k, d = lo.shape
     cube = (k,) + (resolution,) * d
-    # per row, the scalar linspace bit for bit; increasing along each axis
-    axes = np.linspace(lo, hi, resolution, axis=1)
-    # the open grid of each row: x_i constant, y_a varying along axis a + 1;
-    # broadcast, it is the grid in np.meshgrid(..., indexing="ij") order
-    cols = [xs[:, i].reshape((k,) + (1,) * d) for i in range(n)]
-    for a in range(d):
-        cols.append(axes[:, :, a].reshape((k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)))
+    axes, cols = _open_grid(xs, lo, hi, resolution)
     step = ((hi - lo) / (resolution - 1)).max(axis=1)
     mask = np.ones(cube, dtype=bool)
     worst = np.full(cube, -np.inf)
@@ -214,6 +230,66 @@ def _grid_pass(
     return out, (new_lo, new_hi, shrunk)
 
 
+def _search(
+    prob: ParametricProblem,
+    xs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rows: np.ndarray,
+    resolution: int,
+    last: bool,
+    results: list,
+) -> np.ndarray:
+    """Search the parameters xs[rows], as many per pass as have
+    BATCH_POINTS grid points between them (at least one): store each row's
+    result in results, move each row that shrank to its new box in lo and
+    hi, and return the mask of those rows."""
+    per = max(1, BATCH_POINTS // resolution ** lo.shape[1])
+    shrunk = np.zeros(rows.size, dtype=bool)
+    for start in range(0, rows.size, per):
+        chunk = rows[start : start + per]
+        out, boxes = _grid_pass(prob, xs[chunk], lo[chunk], hi[chunk], resolution, last)
+        for r, sample in zip(chunk, out):
+            results[r] = sample
+        if boxes is not None:
+            new_lo, new_hi, s = boxes
+            lo[chunk[s]], hi[chunk[s]] = new_lo[s], new_hi[s]
+            shrunk[start : start + per] = s
+    return shrunk
+
+
+def _group_rows(
+    keyed: Sequence[ex.FunctionDef],
+    xs: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    resolution: int,
+) -> np.ndarray:
+    """Per row, its group's index, in order of first appearance: rows share
+    a group when their boxes and the masks vals <= TOL_GEOM of the keyed
+    constraints, each at its own open-grid shape, agree byte for byte.  The
+    16-byte BLAKE2b digest of those bytes is the key, and the keys are
+    built for as many rows at a time as have BATCH_POINTS mask points."""
+    k, n = len(xs), xs.shape[1]
+    # a mask has a grid axis for each decision variable its constraint reads
+    points = sum(resolution ** sum(i >= n for i in _reads(f)) for f in keyed)
+    per = max(1, BATCH_POINTS // max(points, 1))
+    groups: dict[bytes, int] = {}
+    out = np.empty(k, dtype=np.intp)
+    for start in range(0, k, per):
+        sl = slice(start, start + per)
+        _, cols = _open_grid(xs[sl], lo[sl], hi[sl], resolution)
+        parts = [lo[sl].view(np.uint8), hi[sl].view(np.uint8)]
+        for f in keyed:
+            mask = ex.eval_open(f, cols) <= TOL_GEOM
+            parts.append(np.packbits(mask.reshape(len(mask), -1), axis=1))
+        out[sl] = [
+            groups.setdefault(hashlib.blake2b(key, digest_size=16).digest(), len(groups))
+            for key in map(bytes, np.hstack(parts))
+        ]
+    return out
+
+
 def evaluate_values(
     prob: ParametricProblem,
     xs: Sequence[Sequence[float]] | np.ndarray,
@@ -226,8 +302,8 @@ def evaluate_values(
     Returns, per row, the ValueSample of that parameter or the
     InfeasibleOnBox that says no grid point of its box is feasible; the
     error is returned, not raised, so one infeasible row does not hide the
-    others.  Rows with the same bytes share one search and one result
-    object (-0.0 and 0.0 stay apart: x*y at x = -0.0 has theta = -0.0).
+    others.  Rows with the same bytes share one result object (-0.0 and
+    0.0 stay apart: x*y at x = -0.0 has theta = -0.0).
 
     Every parameter still refining is searched in the same pass, each on
     its own box: as many parameters as have BATCH_POINTS grid points
@@ -236,8 +312,19 @@ def evaluate_values(
     refine > 0 repeats the search on a box shrunk around the near-optimal
     cells (window certified by a sampled slope bound), which reduces the
     step without ever invoking a local solver; a parameter stops refining
-    when its box no longer shrinks.  Each result equals, bit for bit, a
-    search of that parameter alone.
+    when its box no longer shrinks.
+
+    When the cost's tape reads no parameter variable, each level first
+    groups the parameters by the bytes a pass reads for them: the box and,
+    for each constraint that reads a parameter variable, the mask of its
+    feasible grid points (a constraint that reads none depends on the box
+    alone).  A feasible row's theta, argmins, step and next box are
+    functions of those bytes, so one pass per group gives every member the
+    same values with its own x, and the members shrink together.  An
+    infeasible row's margin and slope bound come from its own constraint
+    values, so the other members of a group infeasible on its box are
+    searched one row each.  Each result equals, bit for bit, a search of
+    that parameter alone.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != prob.x_dim:
@@ -254,23 +341,34 @@ def evaluate_values(
     n, res = len(unique), grid.resolution
     lo = np.tile([b[0] for b in grid.y_box], (n, 1)).astype(float)
     hi = np.tile([b[1] for b in grid.y_box], (n, 1)).astype(float)
-    per = max(1, BATCH_POINTS // res**prob.y_dim)
+    reads_x = lambda f: min(_reads(f), default=prob.x_dim) < prob.x_dim
+    keyed = None if reads_x(prob.cost) else [f for f in prob.constraints if reads_x(f)]
     results: list = [None] * n
     active = np.arange(n)
     for level in range(refine + 1):
-        going = []
-        for start in range(0, active.size, per):
-            rows = active[start : start + per]
-            out, boxes = _grid_pass(prob, unique[rows], lo[rows], hi[rows], res, level == refine)
-            for r, sample in zip(rows, out):
-                results[r] = sample
-            if boxes is not None:
-                new_lo, new_hi, shrunk = boxes
-                lo[rows[shrunk]], hi[rows[shrunk]] = new_lo[shrunk], new_hi[shrunk]
-                going.append(rows[shrunk])
-        if not going:
+        last = level == refine
+        if keyed is None:
+            active = active[_search(prob, unique, lo, hi, active, res, last, results)]
+        else:
+            group = _group_rows(keyed, unique[active], lo[active], hi[active], res)
+            heads = active[np.unique(group, return_index=True)[1]]
+            shrunk = _search(prob, unique, lo, hi, heads, res, last, results)
+            alone = []
+            for r, head in zip(active, heads[group]):
+                if r == head:
+                    continue
+                sample = results[head]
+                if isinstance(sample, InfeasibleOnBox):
+                    alone.append(r)
+                else:
+                    results[r] = ValueSample(unique[r].copy(), sample.theta, sample.argmins, sample.step)
+            # infeasible rows stop refining, so theirs is a last pass
+            _search(prob, unique, lo, hi, np.array(alone, dtype=np.intp), res, True, results)
+            # a member's box has its head's bytes and shrinks with it
+            lo[active], hi[active] = lo[heads][group], hi[heads][group]
+            active = active[shrunk[group]]
+        if not active.size:
             break
-        active = np.concatenate(going)
     return [results[i] for i in owner]
 
 

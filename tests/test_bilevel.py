@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
 from varcalc.convgeom import Polytope, PolytopeUnion
+from varcalc.problemfile import parse_problem_file
+
+ROOT = Path(__file__).resolve().parent.parent
 
 XS = E.VarSpace.of("x")
 XY = E.VarSpace.of("x", "y")
@@ -190,6 +194,24 @@ def test_calmness_validates_small_kappa_for_linear_lower_level():
 def test_calmness_precondition_rejects_suboptimal_candidate():
     with pytest.raises(B.BilevelError):
         B.partial_calmness_probe(problem_w(), [0.0, 1.0], (1.0,), GRID, FAST)
+
+
+def test_certify_checks_the_candidate_once_and_groups_the_probe(monkeypatch):
+    # problems/worked2.vp: the probe's parameters take 1 278 one-row passes
+    # of the 101**2 grid when each is searched alone; grouped by box and
+    # feasibility masks, 63.  The candidate's own search takes 3.
+    pf = parse_problem_file((ROOT / "problems" / "worked2.vp").read_text())
+    rows, checks = [], []
+    grid_pass, feasible = V._grid_pass, B._bilevel_feasible
+    monkeypatch.setattr(V, "_grid_pass", lambda prob, xs, *a: rows.append(len(xs)) or grid_pass(prob, xs, *a))
+    monkeypatch.setattr(B, "_bilevel_feasible", lambda *a: checks.append(1) or feasible(*a))
+    bp, cand = pf.bilevel_problem(), pf.candidate("origin")
+    probe = B.partial_calmness_probe(bp, cand, (4.0,), pf.grid, pf.sample_params)
+    assert probe.kappa_validated == 4.0
+    assert sum(rows) <= 66 and len(checks) == 1
+    out = B.certify_T83(bp, cand, 4.0, pf.grid, pf.sample_params)
+    assert isinstance(out, B.StationarityCertificate)
+    assert len(checks) == 2
 
 
 def test_calmness_exhausted_grid_reports_witnesses():

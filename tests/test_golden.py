@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HASHES = ROOT / "tests" / "golden" / "hashes.json"
 FILES = ("problems/worked.vp", "problems/kink.vp")
 # the one 3-D lower graph: pins the sampled normal-cone oracle's 3-D lattice
+# and the two-variable value-function search
 WORKED2 = "problems/worked2.vp"
 SEED = "7"
 SECOND_SEED = "2"
@@ -45,6 +46,10 @@ def commands() -> list[tuple[str, ...]]:
         out.append(("valuefn", rel, "--x-range", "-1", "1", "0.1"))
     out.append(("normalcone", WORKED2, "--set", "lower", "--at", "origin", "--oracle"))
     out.append(("verify", WORKED2))
+    # the one certify and value function with two lower variables
+    for theorem in ("t74", "t83"):
+        out.append(("certify", WORKED2, "--at", "origin", "--theorem", theorem, "--kappa", "4"))
+    out.append(("valuefn", WORKED2, "--x-range", "-1", "1", "0.1"))
     out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
     out.append(("verify", "--builtin-corpus"))
     # a second seed moves every sampled point the oracles cluster

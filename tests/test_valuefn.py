@@ -163,6 +163,64 @@ def test_batched_value_searches_a_grid_larger_than_the_budget(monkeypatch, make,
     assert rows and set(rows) == {1}
 
 
+def _count_rows(monkeypatch):
+    # the number of rows of each _grid_pass call
+    rows = []
+    grid_pass = V._grid_pass
+    monkeypatch.setattr(V, "_grid_pass", lambda prob, xs, *a: rows.append(len(xs)) or grid_pass(prob, xs, *a))
+    return rows
+
+
+@pytest.mark.parametrize("refine", [0, 2])
+def test_grouped_value_search_is_exact_for_close_rows(monkeypatch, refine):
+    # the cost y reads no x: 200 rows within 1e-3 of x = 0.3 differ only in
+    # whether the one grid point y = -0.3 of that window is feasible
+    xs = np.linspace(0.3 - 1e-3, 0.3 + 1e-3, 200)[:, None]
+    rows = _count_rows(monkeypatch)
+    got = assert_same_as_reference(w_problem(), xs, GRID, refine)
+    if refine == 0:
+        assert sum(rows) <= 2
+    assert len({out.x.tobytes() for out in got}) == len(xs)
+
+
+def test_grouped_value_search_keeps_each_infeasible_margin(monkeypatch):
+    # y <= x - 3 has no grid point on [-2, 2] for x < 1: the rows left of 1
+    # form one group, infeasible on the box, and are searched one row each
+    xs = np.linspace(1.0 - 1e-3, 1.0 + 1e-3, 41)[:, None]
+    rows = _count_rows(monkeypatch)
+    got = assert_same_as_reference(infeasible_left_problem(), xs, GRID, 2)
+    margins = [out.margin for out in got if isinstance(out, V.InfeasibleOnBox)]
+    assert len(margins) == 20 and len(set(margins)) == 20
+    # level 0: one pass for the two groups' heads, one for the other 19
+    # infeasible rows
+    assert rows[:2] == [2, 19]
+
+
+def test_grouped_value_search_is_exact_in_two_dimensions():
+    # the cost reads no x; the third constraint reads no x either, so only
+    # the box decides its mask
+    g = lambda t: E.parse_function(t, XYZ)
+    prob = V.ParametricProblem(
+        g("(+ y (* 2 z))"),
+        (g("(- 0 (+ x y))"), g("(- (abs z) (+ 1 x))"), g("(- (abs (- y z)) 2.5)")),
+        1,
+        2,
+    )
+    grid = V.GridSpec(y_box=((-2.0, 2.0), (-1.5, 2.5)), resolution=21)
+    got = assert_same_as_reference(prob, _exactness_rows(2), grid, 2)
+    assert any(isinstance(out, V.InfeasibleOnBox) for out in got)
+
+
+def test_value_search_is_ungrouped_when_the_cost_reads_x(monkeypatch):
+    def no_grouping(*a):
+        raise AssertionError("rows grouped although the cost reads x")
+
+    monkeypatch.setattr(V, "_group_rows", no_grouping)
+    got = assert_same_as_reference(bang_problem(), _exactness_rows(2), GRID, 2)
+    # x = -0.0 makes every cost x*y a zero of the other sign
+    assert repr(got[0].theta) == "0.0" and repr(got[1].theta) == "-0.0"
+
+
 def test_batched_value_rejects_bad_rows():
     with pytest.raises(V.ValueFnError, match="finite"):
         V.evaluate_values(parabola_problem(), [[0.0], [np.nan]], GRID)
@@ -194,6 +252,39 @@ def test_batched_value_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 4 << 20
     assert all(abs(s.theta + 3.0 * x) <= 3.0 * s.step for s, (x,) in zip(out, xs))
+
+
+def _peak_memory(prob, xs, grid):
+    tracemalloc.start()
+    try:
+        out = V.evaluate_values(prob, xs, grid, refine=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_batched_value_memory_is_bounded_when_the_cost_reads_x():
+    # as above, but the cost reads x, so every parameter is its own search
+    g = lambda t: E.parse_function(t, XYZ)
+    prob = V.ParametricProblem(
+        g("(+ (* 2 y) z (* x y))"), (g("(- 0 (+ x y))"), g("(- 0 (+ x z))")), 1, 2
+    )
+    grid = V.GridSpec(y_box=((-2.0, 2.0), (-2.0, 2.0)), resolution=101)
+    xs = np.linspace(-1.0, 1.0, 2000)[:, None]
+    out, peak = _peak_memory(prob, xs, grid)
+    assert peak < 4 << 20
+    # y = z = -x: theta = -3x - x**2
+    assert all(abs(s.theta + 3.0 * x + x * x) <= 4.0 * s.step for s, (x,) in zip(out, xs))
+
+
+def test_batched_value_memory_is_bounded_for_many_close_rows():
+    # 5 000 parameters on a 401-point grid, a few hundred groups: the keys
+    # are built a few rows at a time and kept as short digests
+    xs = np.linspace(-0.05, 0.05, 5000)[:, None]
+    out, peak = _peak_memory(w_problem(), xs, GRID)
+    assert peak < 4 << 20
+    assert all(abs(s.theta + x) <= s.step for s, (x,) in zip(out, xs))
 
 
 def test_value_line_matches_analytic_w():
