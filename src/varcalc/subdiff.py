@@ -269,6 +269,25 @@ def feasible_mask(spec: SetSpec, pts: np.ndarray, tol: float = TOL_GEOM) -> np.n
     return mask
 
 
+def feasible_open(spec: SetSpec, cols: Sequence[np.ndarray], tol: float = TOL_GEOM) -> np.ndarray:
+    """feasible_mask on one broadcastable array per coordinate, such as an
+    open grid (see ``ex.eval_open``).  Broadcast to the grid, it equals
+    feasible_mask on the materialized points bit for bit."""
+    if spec.kind == "singleton":
+        # the sum and square root np.linalg.norm takes along a row
+        return np.sqrt(sum((c - v) ** 2 for c, v in zip(cols, spec.point))) <= tol
+    mask = np.True_
+    if spec.kind == "product":
+        off = 0
+        for f in spec.factors:
+            mask = mask & feasible_open(f, cols[off : off + f.dim], tol)
+            off += f.dim
+        return mask
+    for f in spec.functions:
+        mask = mask & (ex.eval_open(f, cols) <= tol)
+    return mask
+
+
 class ProjectionUnavailable(SubdiffError):
     pass
 
@@ -977,51 +996,70 @@ def normal_cone(
 
 
 def _projection_grid(
-    spec: SetSpec, p: np.ndarray, r: float, grid_factor: int, tol: float
-) -> tuple[np.ndarray, float]:
-    """The feasible points of the local lattice around p at radius r (half
-    width 2.5 r) that a projection from the sphere |q - p| = r can reach,
-    in lattice order, and the lattice step: r / grid_factor up to two
-    dimensions, r / 16 in three.
+    spec: SetSpec, p: np.ndarray, r: float, Q: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The boundary layer of the feasible lattice around p at radius r
+    that a projection from the samples Q can reach, in lattice order; a
+    mask of the samples that lie within 2 step sqrt(dim) of a feasible
+    lattice point; and the lattice step.  The lattice has half width
+    2.5 r and step r / 64 up to two dimensions, r / 16 in three, so that
+    r / 2 is at least 8 steps; the samples lie on the sphere |q - p| = r.
+
+    Feasibility is evaluated once per constraint on the lattice axes
+    (``feasible_open``); no (points, dim) array of the lattice is built.
 
     Reachable ball: let B be the distance from p to its nearest feasible
     lattice point.  The nearest one to q then lies within r + B of q, and
     ``sampled_normal_cone_oracle`` opens a ball of radius at most
     dmin + step^2 / r around q (it skips dmin <= r/2), so every point it
     can use lies within R(B) = (2 r + B + step^2 / r)(1 + 1e-6) of p; the
-    relative margin covers rounding.  Feasibility is evaluated first on the
-    lattice points within R(step sqrt(dim)) of p; that ball is kept when it
-    holds a feasible point within step sqrt(dim) of p, and otherwise the
-    whole lattice is evaluated.  The squared distances come from broadcast
-    axes, so no (points, dim) array of the whole lattice is built unless
-    the second pass needs it.
+    relative margin covers rounding.
+
+    Layer: the feasible points within R(B) with an axis neighbour that is
+    infeasible or off the lattice.  Let q have dmin > r/2 >= 8 steps to
+    the feasible lattice, and let w be a feasible point with |q - w| at
+    most dmin + step^2 / (2 dmin) (plus the oracle's 1e-9 margin).  One
+    step from w along its largest offset towards q comes at least
+    step / sqrt(dim) - O(step^2 / dmin) closer to q, so under dmin: that
+    neighbour is infeasible or off the lattice, and w lies on the layer.
+    So is the nearest feasible point of any q farther than
+    step sqrt(dim) / 2 from the lattice's feasible points.  A sample with
+    no feasible lattice point among the 4^dim around its own cell is that
+    far, and a sample with one lies within 2 step sqrt(dim) < r/2; the
+    oracle skips it, as a scan of the whole lattice would.  Every other
+    nearest-point and ball query gives the same points, in the same
+    order, on the layer as on the whole lattice.
     """
     dim = p.shape[0]
-    step = r / grid_factor if dim <= 2 else r / 16
+    step = r / 64 if dim <= 2 else r / 16
     half = 2.5 * r
     axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
-    d2 = sum(np.meshgrid(*((a - c) ** 2 for a, c in zip(axes, p)), indexing="ij", sparse=True))
-
-    def reach(b: float) -> float:
-        return (2 * r + b + step**2 / r) * (1 + 1e-6)
-
-    for radius in (reach(step * math.sqrt(dim)), math.inf):
-        idx = np.nonzero(d2 <= radius**2)
-        pts = np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
-        ok = feasible_mask(spec, pts, tol)
-        feas, feas_d2 = pts[ok], d2[idx][ok]
-        if feas_d2.size:
-            bound = reach(math.sqrt(feas_d2.min()))
-            if bound <= radius:
-                return feas[feas_d2 <= bound**2], step
-    raise SubdiffError(f"projection grid found no feasible points at radius {r}")
+    shape = tuple(a.size for a in axes)
+    cols = [a.reshape((1,) * k + (-1,) + (1,) * (dim - k - 1)) for k, a in enumerate(axes)]
+    ok = np.broadcast_to(feasible_open(spec, cols, tol), shape)
+    if not ok.any():
+        raise SubdiffError(f"projection grid found no feasible points at radius {r}")
+    d2 = sum((c - v) ** 2 for c, v in zip(cols, p))
+    b2 = np.min(d2, where=ok, initial=np.inf)
+    bound = (2 * r + math.sqrt(b2) + step**2 / r) * (1 + 1e-6)
+    pad = np.pad(ok, 1)  # False off the lattice
+    inner = tuple(slice(1, n + 1) for n in shape)
+    interior = np.ones(shape, dtype=bool)
+    for k, n in enumerate(shape):
+        for lo in (0, 2):
+            interior &= pad[inner[:k] + (slice(lo, lo + n),) + inner[k + 1 :]]
+    layer = np.nonzero(ok & ~interior & (d2 <= bound**2))
+    cell = np.floor((Q - [a[0] for a in axes]) / step).astype(np.intp)
+    close = np.zeros(Q.shape[0], dtype=bool)
+    for off in itertools.product(range(-1, 3), repeat=dim):
+        close |= ok[tuple((cell + off).T)]
+    return np.stack([a[i] for a, i in zip(axes, layer)], axis=1), close, step
 
 
 def sampled_normal_cone_oracle(
     spec: SetSpec,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    grid_factor: int = 64,
 ) -> OracleCloud:
     """Normal directions accumulated from Euclidean projections onto a
     dense local feasible grid: directions (x_k - w_k)/|x_k - w_k| for
@@ -1029,11 +1067,12 @@ def sampled_normal_cone_oracle(
     points within dmin + step^2/(2 dmin) of x_k (dmin the distance to the
     nearest one).  Deterministic for a fixed seed.
 
-    Only the lattice points within 2 r + B + step^2 / r of x, B the
-    distance from x to the nearest feasible one, are searched: no
-    projection from the sampled sphere reaches further (see
-    ``_projection_grid``), so the result equals a scan of the whole
-    lattice.
+    Only the boundary layer of the feasible lattice, within
+    2 r + B + step^2 / r of x (B the distance from x to the nearest
+    feasible lattice point), is searched: every point a kept sample can
+    use lies there, and every sample whose nearest point may not is
+    skipped (see ``_projection_grid``), so the result equals a scan of
+    the whole lattice.
 
     Sample points closer than r/2 to the grid are skipped: their
     directions are dominated by grid error.  The rest give normals
@@ -1059,22 +1098,26 @@ def sampled_normal_cone_oracle(
     collected: list[np.ndarray] = []
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(p)))
     for r in params.radii:
-        feas, step = _projection_grid(spec, p, r, grid_factor, grid_tol)
+        Q = p + r * dirs
+        layer, close, step = _projection_grid(spec, p, r, Q, grid_tol)
+        far = np.flatnonzero(~close)
+        if far.size == 0:
+            continue
         # the queries are exact whatever the tree's shape, and an
         # unbalanced tree builds faster
-        tree = cKDTree(feas, balanced_tree=False)
-        Q = p + r * dirs
-        dtree, _ = tree.query(Q)
+        tree = cKDTree(layer, balanced_tree=False)
+        dtree, _ = tree.query(Q[far])
         # The tree's distances agree with the numpy ones below to a few
         # ulps, so the 1e-9 margins keep every point the scan would accept
         # among the candidates; distances, skip test and acceptance are
         # then decided on numpy distances alone, as a dense scan would.
-        keep = np.flatnonzero(dtree > (r / 2) * (1 - 1e-9))
-        reach = (dtree[keep] + step**2 / (2 * dtree[keep])) * (1 + 1e-9)
+        kept = dtree > (r / 2) * (1 - 1e-9)
+        keep, dtree = far[kept], dtree[kept]
+        reach = (dtree + step**2 / (2 * dtree)) * (1 + 1e-9)
         balls = tree.query_ball_point(Q[keep], reach, return_sorted=True)
         sizes = np.fromiter(map(len, balls), dtype=np.intp, count=keep.size)
         owner = np.repeat(keep, sizes)
-        cand = feas[np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())]
+        cand = layer[np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())]
         dists = np.linalg.norm(cand - Q[owner], axis=1)
         dmin = np.repeat(np.minimum.reduceat(dists, np.cumsum(sizes) - sizes), sizes)
         near = (dmin > r / 2) & (dists <= dmin + step**2 / (2 * dmin))

@@ -147,19 +147,32 @@ def regular_subgradient_halfspace_check(
     return True
 
 
-def full_projection_grid(spec, p: np.ndarray, r: float, grid_factor: int, tol: float):
-    """Every feasible point of the local lattice around p at radius r (half
-    width 2.5 r), in lattice order, and the lattice step: r / grid_factor
-    up to two dimensions, r / 16 in three."""
-    step = r / grid_factor if p.shape[0] <= 2 else r / 16
+def full_projection_grid(spec, p: np.ndarray, r: float, tol: float):
+    """Every lattice point around p at radius r (half width 2.5 r) in
+    lattice order, its feasibility, the lattice's shape and its step:
+    r / 64 up to two dimensions, r / 16 in three."""
+    step = r / 64 if p.shape[0] <= 2 else r / 16
     half = 2.5 * r
     axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    feas = pts[S.feasible_mask(spec, pts, tol)]
-    if feas.shape[0] == 0:
-        raise S.SubdiffError(f"projection grid found no feasible points at radius {r}")
-    return feas, step
+    return pts, S.feasible_mask(spec, pts, tol), mesh[0].shape, step
+
+
+def boundary_layer_size(spec, p: np.ndarray, r: float, tol: float) -> int:
+    """How many feasible points of the lattice around p at radius r have
+    an axis neighbour that is infeasible or off the lattice."""
+    _, ok, shape, _ = full_projection_grid(spec, p, r, tol)
+    ok = ok.reshape(shape)
+    layer = np.zeros(shape, dtype=bool)
+    for k in range(len(shape)):
+        for s in (1, -1):
+            nb = np.roll(ok, s, axis=k)
+            edge = [slice(None)] * len(shape)
+            edge[k] = 0 if s == 1 else -1
+            nb[tuple(edge)] = False  # the wrapped-in row lies off the lattice
+            layer |= ok & ~nb
+    return int(layer.sum())
 
 
 def dense_normal_cone_oracle(spec, x, params) -> S.OracleCloud:
@@ -169,7 +182,10 @@ def dense_normal_cone_oracle(spec, x, params) -> S.OracleCloud:
     collected = []
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(p)))
     for r in params.radii:
-        feas, step = full_projection_grid(spec, p, r, 64, grid_tol)
+        pts, ok, _, step = full_projection_grid(spec, p, r, grid_tol)
+        feas = pts[ok]
+        if feas.shape[0] == 0:
+            raise S.SubdiffError(f"projection grid found no feasible points at radius {r}")
         for d in params.directions(spec.dim):
             q = p + r * d
             dists = np.linalg.norm(feas - q[None, :], axis=1)

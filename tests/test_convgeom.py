@@ -53,6 +53,25 @@ def test_hull_collinear_degenerate():
     assert p.num_vertices == 2
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_matches_qhull(dim, seed):
+    # full-dimensional points in general position, in a box or on a
+    # sphere, plus strictly interior convex combinations of them
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(100 * dim + seed)
+    n = int(rng.integers(dim + 2, 4 * dim + 7))
+    pts = rng.uniform(-1, 1, (n, dim))
+    if seed % 2:
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.vstack([pts, rng.dirichlet(np.ones(n), size=4) @ pts])
+    pts = pts[rng.permutation(pts.shape[0])]
+    want = pts[ConvexHull(pts).vertices]
+    got = G.convex_hull(pts).vertices
+    assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+
 # ---------------------------------------------------------------------------
 # LP
 

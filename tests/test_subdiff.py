@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from hypothesis import strategies as st
 from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
+from varcalc.problemfile import parse_problem_file
 
 from tests.brute import (
+    boundary_layer_size,
     dense_normal_cone_oracle,
     reference_accepts,
     reference_cluster,
     reference_extremal_solve,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 XS = E.VarSpace.of("x")
 XY = E.VarSpace.of("x", "y")
 XYZ = E.VarSpace.of("x", "y", "z")
@@ -361,6 +365,42 @@ def test_projection_oracle_3d_halfspace():
     assert float(angles.max()) <= 0.15
 
 
+def _plane(normal, point, space):
+    """The constraint normal . (z - point) <= 0 in the space's variables."""
+    terms = " ".join(f"(* {float(a)!r} {v})" for a, v in zip(normal, space.names))
+    return f(f"(- (+ {terms}) {float(np.dot(normal, point))!r})", space)
+
+
+def _ball(center, radius, space):
+    """The constraint |z - center|^2 <= radius^2."""
+    terms = " ".join(f"(* (- {v} {float(c)!r}) (- {v} {float(c)!r}))" for c, v in zip(center, space.names))
+    return f(f"(- (+ {terms}) {float(radius) ** 2!r})", space)
+
+
+def _random_cases() -> dict:
+    """Halfplanes, wedges and disks through seeded random points, in two
+    and three dimensions."""
+    rng = np.random.default_rng(20260)
+    cases = {}
+    for space in (XY, XYZ):
+        dim = space.dim
+        params = S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=48 if dim == 2 else 24)
+
+        def unit():
+            v = rng.normal(size=dim)
+            return v / np.linalg.norm(v)
+
+        x = rng.uniform(-1, 1, dim)
+        cases[f"random-halfplane-{dim}d"] = (S.SetSpec.sublevel([_plane(unit(), x, space)]), x.tolist(), params)
+        x = rng.uniform(-1, 1, dim)
+        wedge = [_plane(unit(), x, space) for _ in range(2)]
+        cases[f"random-wedge-{dim}d"] = (S.SetSpec.sublevel(wedge), x.tolist(), params)
+        center, radius = rng.uniform(-1, 1, dim), rng.uniform(0.5, 2.0)
+        x = center + radius * unit()
+        cases[f"random-disk-{dim}d"] = (S.SetSpec.sublevel([_ball(center, radius, space)]), x.tolist(), params)
+    return cases
+
+
 PROJECTION_CASES = {
     "halfline": (S.SetSpec.sublevel([f("x")]), [0.0], S.SampleParams(dirs_per_radius=16)),
     "disk": (
@@ -401,29 +441,119 @@ PROJECTION_CASES = {
         [0.0, 0.0],
         S.SampleParams(radii=(1e-2,), dirs_per_radius=64),
     ),
+    # as above with the halfplane y >= 0.024, which the lattice (half
+    # width 0.025) cuts: the reachable ball crosses the lattice's edge
+    "window-edge": (
+        S.SetSpec.sublevel([f("(min (abs (- x 3e-10)) (- 0.024 y))", XY)]),
+        [0.0, 0.0],
+        S.SampleParams(radii=(1e-2,), dirs_per_radius=64),
+    ),
+    # the box [-0.3, 0.3] x [-0.2, 0.2] at its corner, times the halfline z <= 0
+    "product": (
+        S.SetSpec.product(
+            [
+                S.SetSpec.sublevel([f("(- (abs x) 0.3)")]),
+                S.SetSpec.sublevel([f("(- (* x x) 0.04)")]),
+                S.SetSpec.sublevel([f("x")]),
+            ]
+        ),
+        [0.3, 0.2, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
+    ),
+    # the lattice's middle column lies within 1e-17 of the point's 0
+    "product-singleton": (
+        S.SetSpec.product([S.SetSpec.singleton([0.0]), S.SetSpec.sublevel([f("x")])]),
+        [0.0, 0.0],
+        S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
+    ),
+    **_random_cases(),
 }
-# cases whose lattice holds no feasible point within step * sqrt(dim) of
-# the point, so the oracle evaluates the whole lattice
-WHOLE_LATTICE = {"thin-line"}
+
+
+def _constraints(spec) -> int:
+    if spec.kind == "product":
+        return sum(_constraints(g) for g in spec.factors)
+    return len(spec.functions)
+
+
+@pytest.fixture
+def oracle_work(monkeypatch):
+    """Record the oracle's constraint evaluations and the size of each
+    k-d tree it builds."""
+    from scipy import spatial
+
+    work = {"eval_open": 0, "eval_batch": 0, "trees": []}
+    for name in ("eval_open", "eval_batch"):
+        fn = getattr(E, name)
+
+        def counted(*a, _fn=fn, _name=name):
+            work[_name] += 1
+            return _fn(*a)
+
+        monkeypatch.setattr(E, name, counted)
+    tree = spatial.cKDTree
+
+    def sized_tree(data, **kw):
+        work["trees"].append(len(data))
+        return tree(data, **kw)
+
+    monkeypatch.setattr(spatial, "cKDTree", sized_tree)
+    return work
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("case", sorted(PROJECTION_CASES))
-def test_projection_oracle_equals_dense_scan(case, seed, monkeypatch):
+def test_projection_oracle_equals_dense_scan(case, seed, monkeypatch, oracle_work):
     spec, x, params = PROJECTION_CASES[case]
     params = S.SampleParams(params.radii, params.dirs_per_radius, seed=seed)
-    passes = []
-    mask = S.feasible_mask
-    monkeypatch.setattr(S, "feasible_mask", lambda *a: passes.append(1) or mask(*a))
     got = S.sampled_normal_cone_oracle(spec, x, params)
     monkeypatch.undo()
-    # one feasibility pass per radius on the reachable ball, and a second
-    # one on the whole lattice only where the ball held no near point
-    assert len(passes) == len(params.radii) * (2 if case in WHOLE_LATTICE else 1)
+    # one feasibility evaluation per radius, on the lattice axes, and a
+    # tree on no more than the lattice's boundary layer
+    assert oracle_work["eval_open"] == len(params.radii) * _constraints(spec)
+    assert oracle_work["eval_batch"] == 0
+    grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(x)))
+    layers = [boundary_layer_size(spec, np.asarray(x, dtype=float), r, grid_tol) for r in params.radii]
+    assert len(oracle_work["trees"]) <= len(params.radii)
+    assert all(n <= max(layers) for n in oracle_work["trees"])
     ref = dense_normal_cone_oracle(spec, x, params)
     assert got.points.shape[0] > 0
     assert np.array_equal(got.points, ref.points)
     assert np.array_equal(got.cluster_centers, ref.cluster_centers)
+
+
+@pytest.mark.parametrize("path, limit", [("problems/worked.vp", 1000), ("problems/worked2.vp", 8000)])
+def test_projection_oracle_tree_holds_the_boundary_layer(path, limit, oracle_work):
+    # the whole feasible lattice within reach held 25 831 points for
+    # worked.vp at r = 1e-2 and 47 225 for worked2.vp
+    pf = parse_problem_file((ROOT / path).read_text())
+    spec = S.SetSpec.graph(list(pf.lower_constraints), pf.x_dim, pf.y_dim)
+    params = S.SampleParams(radii=(1e-2,), dirs_per_radius=64)
+    S.sampled_normal_cone_oracle(spec, pf.candidate("origin"), params)
+    assert len(oracle_work["trees"]) == 1
+    assert oracle_work["trees"][0] <= limit
+
+
+def test_feasible_open_equals_feasible_mask():
+    rng = np.random.default_rng(3)
+    pts = np.vstack([rng.uniform(-1, 1, (500, 3)), [[0.25, -0.5, 0.0]]])
+    specs = [
+        S.SetSpec.sublevel(WEDGE),
+        S.SetSpec.singleton([0.25, -0.5, 0.0]),
+        S.SetSpec.product([S.SetSpec.singleton([0.25]), S.SetSpec.sublevel([f("(- (+ (* x x) (* y y)) 0.5)", XY)])]),
+    ]
+    for spec in specs:
+        want = S.feasible_mask(spec, pts)
+        assert want.any()
+        got = np.broadcast_to(S.feasible_open(spec, list(pts.T)), want.shape)
+        assert np.array_equal(got, want)
+    # on an open grid, against the materialized lattice
+    axes = [np.linspace(-1, 1, 9), np.linspace(-1, 1, 7), np.linspace(-1, 1, 5)]
+    cols = [a.reshape((1,) * k + (-1,) + (1,) * (2 - k)) for k, a in enumerate(axes)]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    for spec in specs:
+        got = np.broadcast_to(S.feasible_open(spec, cols), (9, 7, 5)).ravel()
+        assert np.array_equal(got, S.feasible_mask(spec, grid))
 
 
 def test_projection_oracle_refuses_a_lattice_without_feasible_points():
@@ -434,8 +564,10 @@ def test_projection_oracle_refuses_a_lattice_without_feasible_points():
 
 
 def test_oracle_3d_memory_is_bounded():
-    # tracemalloc peak of this call: 15.3 MB searching the reachable ball,
-    # 37.0 MB when the whole 81^3 lattice was stacked as a (points, 3) array
+    # tracemalloc peak of this call: 6.6 MB with feasibility on the
+    # lattice axes and a tree on the boundary layer; 15.3 MB searching the
+    # reachable ball, 37.0 MB when the whole 81^3 lattice was stacked as a
+    # (points, 3) array
     spec = S.SetSpec.sublevel(WEDGE)
     params = S.SampleParams(radii=(1e-2,), dirs_per_radius=64)
     tracemalloc.start()
