@@ -146,7 +146,7 @@ def cmd_subdiff(args) -> tuple[dict, int]:
         raise CliError(str(err), EXIT_INPUT) from None
     point = pf.point_for(fn, cand)
     try:
-        result = sd.full_subdifferential(fn, point, params, pf.tau_act)
+        result = sd.full_subdifferential(fn, point, params)
     except sd.QualificationError as err:
         raise CliError(f"refused: {err}", EXIT_REFUSED) from None
     results = {
@@ -159,7 +159,7 @@ def cmd_subdiff(args) -> tuple[dict, int]:
         "pattern_census": result.witnesses["pattern_census"],
     }
     if args.oracle:
-        cloud = sd.sampled_subdiff_oracle(fn, point, params, pf.tau_act)
+        cloud = sd.sampled_subdiff_oracle(fn, point, params)
         results["oracle"] = {
             "cluster_centers": cloud.cluster_centers.tolist(),
             "accepted_points": int(cloud.points.shape[0]),
@@ -186,7 +186,7 @@ def cmd_normalcone(args) -> tuple[dict, int]:
         spec = sd.SetSpec.sublevel(list(pf.upper_constraints))
         point = cand[: pf.x_dim]
     try:
-        cone = sd.normal_cone(spec, point, params, pf.tau_act)
+        cone = sd.normal_cone(spec, point, params)
     except sd.QualificationError as err:
         report = _report(
             "normalcone",
@@ -410,8 +410,8 @@ def _verify_file(pf: ProblemFile, params: sd.SampleParams) -> cp.VerifyReport:
     for cname, cand in pf.candidates.items():
         for fname, fn in functions:
             point = pf.point_for(fn, cand)
-            result = sd.full_subdifferential(fn, point, params, pf.tau_act)
-            cloud = sd.sampled_subdiff_oracle(fn, point, params, pf.tau_act)
+            result = sd.full_subdifferential(fn, point, params)
+            cloud = sd.sampled_subdiff_oracle(fn, point, params)
             d = hausdorff_distance(result.basic, cloud.as_singletons())
             report.checks.append(
                 cp.CheckResult(

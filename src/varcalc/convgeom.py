@@ -21,6 +21,8 @@ TOL_GEOM = 1e-8
 R_CONE = 1e6
 HULL_MAX_DIM = 4
 MAX_LP_VARS = 512
+# support-function directions of hausdorff_distance
+HAUSDORFF_DIRS = 32
 
 
 class GeometryError(ValueError):
@@ -175,14 +177,12 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray | LPInfeasible |
 # Polytopes
 
 
-def _as_vertex_array(points: Iterable[Sequence[float]], dim: int | None = None) -> np.ndarray:
+def _as_vertex_array(points: Iterable[Sequence[float]]) -> np.ndarray:
     V = np.asarray(list(points), dtype=float)
     if V.ndim == 1:
         V = V.reshape(-1, 1)
     if V.size == 0:
         raise GeometryError("empty vertex list")
-    if dim is not None and V.shape[1] != dim:
-        raise DimensionError(f"expected dim {dim}, got {V.shape[1]}")
     if not np.all(np.isfinite(V)):
         raise GeometryError("vertices must be finite")
     return V
@@ -260,13 +260,13 @@ class Polytope:
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def sample_points(self, per_edge: int = 9) -> np.ndarray:
+    def sample_points(self) -> np.ndarray:
         """Deterministic points of the polytope: vertices, centroid, and
-        evenly spaced points on every vertex-pair segment."""
+        nine evenly spaced points inside every vertex-pair segment."""
         V = self.vertices
         pts = [V]
         if V.shape[0] >= 2:
-            ts = np.linspace(0.0, 1.0, per_edge + 2)[1:-1]
+            ts = np.linspace(0.0, 1.0, 11)[1:-1]
             for i, j in itertools.combinations(range(V.shape[0]), 2):
                 seg = np.outer(1 - ts, V[i]) + np.outer(ts, V[j])
                 pts.append(seg)
@@ -303,15 +303,13 @@ def convex_hull(points: Iterable[Sequence[float]]) -> Polytope:
     return Polytope(_lex_sorted(V))
 
 
-def polytopes_equal(a: Polytope, b: Polytope, tol: float = TOL_GEOM) -> bool:
+def polytopes_equal(a: Polytope, b: Polytope) -> bool:
     if a.dim != b.dim or a.num_vertices != b.num_vertices:
         return False
-    return bool(np.all(np.linalg.norm(a.vertices - b.vertices, axis=1) <= tol))
+    return bool(np.all(np.linalg.norm(a.vertices - b.vertices, axis=1) <= TOL_GEOM))
 
 
-def clip_polytope(
-    poly: Polytope, normals: np.ndarray, offsets: np.ndarray, tol: float = TOL_GEOM
-) -> Polytope | None:
+def clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> Polytope | None:
     """Intersect a polytope with halfspaces {v : <a, v> <= beta}.
 
     Exact in any dimension: the vertices of P cut by one halfspace are
@@ -324,7 +322,7 @@ def clip_polytope(
     V = poly.vertices
     for a, beta in zip(normals, offsets):
         vals = V @ a
-        inside = vals <= beta + tol
+        inside = vals <= beta + TOL_GEOM
         if np.all(inside):
             continue
         if not np.any(inside):
@@ -544,17 +542,17 @@ class ConeSpec:
             g = _lex_sorted(g)
         return ConeSpec(self.dim, g, l)
 
-    def is_zero(self, tol: float = TOL_GEOM) -> bool:
-        if self.lineality.shape[0] and np.any(np.linalg.norm(self.lineality, axis=1) > tol):
+    def is_zero(self) -> bool:
+        if self.lineality.shape[0] and np.any(np.linalg.norm(self.lineality, axis=1) > TOL_GEOM):
             return False
         return self.generators.shape[0] == 0 or bool(
-            np.all(np.linalg.norm(self.generators, axis=1) <= tol)
+            np.all(np.linalg.norm(self.generators, axis=1) <= TOL_GEOM)
         )
 
-    def contains(self, v: Sequence[float], tol: float = 1e-7) -> bool:
+    def contains(self, v: Sequence[float]) -> bool:
         v = np.asarray(v, dtype=float)
         nv = np.linalg.norm(v)
-        if nv <= tol:
+        if nv <= 1e-7:
             return True
         v = v / nv  # scale invariance of cones
         ng = self.generators.shape[0]
@@ -760,26 +758,25 @@ def _hausdorff_operand(
 def hausdorff_distance(
     a: Polytope | PolytopeUnion | np.ndarray,
     b: Polytope | PolytopeUnion | np.ndarray,
-    n_dirs: int = 32,
 ) -> float:
     """Hausdorff distance estimate for unions of polytopes.
 
     Combines directed point-to-set distances over deterministic in-part
     sample points (exact for convex inputs, where the max of the convex
     distance function sits at a vertex) with a support-function gap over
-    n_dirs directions.  Symmetric by construction.  Either side may be an
-    (N, dim) array, read as the union of N singletons, so a large oracle
-    cloud needs no polytope per point.  Each part of the target set takes
-    every sample point in one batch, singletons as one plain
-    nearest-point search.
+    HAUSDORFF_DIRS directions, which must include the signed axes.
+    Symmetric by construction.  Either side may be an (N, dim) array, read
+    as the union of N singletons, so a large oracle cloud needs no
+    polytope per point.  Each part of the target set takes every sample
+    point in one batch, singletons as one plain nearest-point search.
     """
     va, a_singles, a_multi = _hausdorff_operand(a)
     vb, b_singles, b_multi = _hausdorff_operand(b)
     dim = va.shape[1]
     if vb.shape[1] != dim:
         raise DimensionError("hausdorff dim mismatch")
-    if n_dirs < 2 * dim:
-        raise GeometryError("n_dirs must be at least 2*dim")
+    if HAUSDORFF_DIRS < 2 * dim:
+        raise GeometryError(f"hausdorff_distance supports dim <= {HAUSDORFF_DIRS // 2}, got {dim}")
 
     def directed(u_singles, u_multi, v_singles, v_multi) -> float:
         samples = [] if u_singles is None else [u_singles]
@@ -793,7 +790,7 @@ def hausdorff_distance(
             best = np.minimum(best, point_to_polytope_distances(pts, q))
         return float(best.max(initial=0.0))
 
-    dirs = directions(dim, n_dirs)
+    dirs = directions(dim, HAUSDORFF_DIRS)
     sup_gap = float(np.max(np.abs((va @ dirs.T).max(axis=0) - (vb @ dirs.T).max(axis=0))))
     return max(
         directed(a_singles, a_multi, b_singles, b_multi),

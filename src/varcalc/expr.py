@@ -312,26 +312,20 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
     return FunctionDef(space, root)
 
 
-def to_text(f: FunctionDef | ExprNode, space: VarSpace | None = None) -> str:
+def to_text(f: FunctionDef) -> str:
     """Canonical printer; parse(to_text(f)) is structurally equal to f."""
-    if isinstance(f, FunctionDef):
-        node, space = f.root, f.space
-    else:
-        node = f
-        if space is None:
-            raise ExprError("printing a bare node needs a VarSpace")
 
     def pr(n: ExprNode) -> str:
         if n.kind == "const":
             return repr(n.payload)
         if n.kind == "var":
-            return space.names[n.payload]
+            return f.space.names[n.payload]
         if n.kind == "intpow":
             return f"(pow {pr(n.children[0])} {n.payload})"
         head = next(h for h, k in _KINDS.items() if k == n.kind)
         return "(" + head + " " + " ".join(pr(c) for c in n.children) + ")"
 
-    return pr(node)
+    return pr(f.root)
 
 
 # ---------------------------------------------------------------------------

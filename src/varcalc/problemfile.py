@@ -32,7 +32,9 @@ files diff cleanly:
     kappa_grid 1 2 4 8 16
 
 '#' starts a comment.  Files without a [lower] section describe a
-single-level program over the upper variables.
+single-level program over the upper variables.  [params] tau_act is the
+absolute activity tolerance of piecewise branches (default 1e-9, finite
+and > 0); every command reads it, certify included.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class ProblemFile:
     candidates: dict[str, np.ndarray]
     grid: vf.GridSpec | None
     seed: int
-    tau_act: float
     sample_params: sd.SampleParams
     kappa_grid: tuple[float, ...]
     digest: str
@@ -277,7 +278,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(f"bad [grid]: {err}") from None
 
     seed = 0
-    tau_act = ex.TAU_ACT_DEFAULT
+    tau_act = sd.DEFAULT_PARAMS.tau_act
     radii = sd.DEFAULT_PARAMS.radii
     dirs_per_radius = sd.DEFAULT_PARAMS.dirs_per_radius
     kappa_grid = bl.DEFAULT_KAPPA_GRID
@@ -297,7 +298,9 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(f"unknown [params] key {key!r}")
 
     try:
-        params = sd.SampleParams(radii=radii, dirs_per_radius=dirs_per_radius, seed=seed)
+        params = sd.SampleParams(
+            radii=radii, dirs_per_radius=dirs_per_radius, seed=seed, tau_act=tau_act
+        )
     except sd.SubdiffError as err:
         raise ProblemFileError(f"bad [params]: {err}") from None
     digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -311,7 +314,6 @@ def parse_problem_file(text: str) -> ProblemFile:
         candidates=candidates,
         grid=grid,
         seed=seed,
-        tau_act=tau_act,
         sample_params=params,
         kappa_grid=kappa_grid,
         digest=digest,

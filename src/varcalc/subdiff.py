@@ -51,6 +51,9 @@ EIG_TOL = 1e-10
 # relative size below which a face combination's least residual counts as zero
 RESIDUAL_TOL = 1e-14
 MAX_ROOT_STEPS = 100
+# lattice spacing and point budget of the oracle's fill of the hull at the point
+FILL_SPACING = 0.025
+FILL_BUDGET = 5000
 
 
 def __getattr__(name: str):
@@ -99,6 +102,9 @@ class SampleParams:
     dirs_per_radius: int = 256
     eps_sequence: tuple[float, ...] | None = None
     seed: int = 0
+    # absolute activity tolerance of piecewise branches, read by every
+    # active-pattern computation
+    tau_act: float = ex.TAU_ACT_DEFAULT
 
     def __post_init__(self):
         r = self.radii
@@ -114,9 +120,11 @@ class SampleParams:
                 raise SubdiffError("eps_sequence must be nonnegative, one per radius")
         if self.dirs_per_radius < 2:
             raise SubdiffError("dirs_per_radius must be at least 2")
+        if not (math.isfinite(self.tau_act) and self.tau_act > 0):
+            raise SubdiffError("tau_act must be finite and positive")
 
-    def directions(self, dim: int, extra_seed: int = 0) -> np.ndarray:
-        return directions(dim, self.dirs_per_radius, self.seed + extra_seed)
+    def directions(self, dim: int) -> np.ndarray:
+        return directions(dim, self.dirs_per_radius, self.seed)
 
     @property
     def r_min(self) -> float:
@@ -238,19 +246,18 @@ class SetSpec:
         return out
 
 
-def set_membership(spec: SetSpec, point: Sequence[float], tol: float = TOL_GEOM) -> bool:
+def set_membership(spec: SetSpec, point: Sequence[float]) -> bool:
     p = np.asarray(point, dtype=float)
     if spec.kind == "singleton":
-        return bool(np.linalg.norm(p - spec.point) <= tol)
+        return bool(np.linalg.norm(p - spec.point) <= TOL_GEOM)
     if spec.kind == "product":
-        out = []
         off = 0
         for f in spec.factors:
-            if not set_membership(f, p[off : off + f.dim], tol):
+            if not set_membership(f, p[off : off + f.dim]):
                 return False
             off += f.dim
         return True
-    return all(ex.evaluate(f, p) <= tol for f in spec.functions)
+    return all(ex.evaluate(f, p) <= TOL_GEOM for f in spec.functions)
 
 
 def feasible_mask(spec: SetSpec, pts: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
@@ -431,11 +438,28 @@ def _singleton_subpatterns(pattern: ex.ActivePattern) -> list[ex.ActivePattern]:
     return out
 
 
+def _regular(
+    f: ex.FunctionDef, p: np.ndarray, params: SampleParams
+) -> tuple[Polytope | None, bool]:
+    """``regular_subdifferential`` at the point p, and whether p's
+    pattern is max-like (the hull of active branch gradients is then the
+    answer, unclipped)."""
+    pattern = ex.active_pattern(f, p, params.tau_act)
+    _, grads, contexts = _combo_data(f, p, pattern)
+    candidate = convex_hull(grads)
+    if _pattern_is_max_like(pattern, f, contexts):
+        return candidate, True
+    r = params.r_min
+    eps = params.eps_min + _curvature_estimate(f, p, pattern) * r
+    dirs = params.directions(f.space.dim)
+    quotients = (ex.eval_batch(f, p[None, :] + r * dirs) - ex.evaluate(f, p)) / r
+    return clip_polytope(candidate, dirs, quotients + eps), False
+
+
 def regular_subdifferential(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    tau_act: float = ex.TAU_ACT_DEFAULT,
 ) -> Polytope | None:
     """Regular subdifferential at x; None encodes the empty set.
 
@@ -445,17 +469,7 @@ def regular_subdifferential(
     relaxed by the epsilon schedule plus a curvature allowance, so the
     result satisfies the defining inequality on all drawn samples.
     """
-    p = ex.as_point(f.space, x)
-    pattern = ex.active_pattern(f, p, tau_act)
-    combos, grads, contexts = _combo_data(f, p, pattern)
-    candidate = convex_hull(grads)
-    if _pattern_is_max_like(pattern, f, contexts):
-        return candidate
-    r = params.r_min
-    eps = params.eps_min + _curvature_estimate(f, p, pattern) * r
-    dirs = params.directions(f.space.dim)
-    quotients = (ex.eval_batch(f, p[None, :] + r * dirs) - ex.evaluate(f, p)) / r
-    return clip_polytope(candidate, dirs, quotients + eps)
+    return _regular(f, ex.as_point(f.space, x), params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +494,7 @@ class PatternCensus:
 
 
 def _realizable_patterns(
-    f: ex.FunctionDef, p: np.ndarray, params: SampleParams, tau_act: float
+    f: ex.FunctionDef, p: np.ndarray, params: SampleParams
 ) -> tuple[list[ex.ActivePattern], PatternCensus]:
     """Patterns seen on the sample grid around p, plus p's own pattern.
 
@@ -491,13 +505,13 @@ def _realizable_patterns(
     """
     census: dict[tuple, dict] = {}
     chosen: dict[tuple, ex.ActivePattern] = {}
-    own = ex.active_pattern(f, p, tau_act)
+    own = ex.active_pattern(f, p, params.tau_act)
     census[own.key()] = {"count": 1, "smallest": True}
     chosen[own.key()] = own
     dirs = params.directions(f.space.dim)
     for level, r in enumerate(params.radii):
         smallest = level == len(params.radii) - 1
-        patterns, inverse = ex.active_patterns(f, p + r * dirs, tau_act)
+        patterns, inverse = ex.active_patterns(f, p + r * dirs, params.tau_act)
         for pat, count in zip(patterns, np.bincount(inverse).tolist()):
             info = census.setdefault(pat.key(), {"count": 0, "smallest": False})
             info["count"] += count
@@ -511,9 +525,8 @@ def basic_subdifferential(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    tau_act: float = ex.TAU_ACT_DEFAULT,
 ) -> PolytopeUnion:
-    union, _ = basic_subdifferential_with_census(f, x, params, tau_act)
+    union, _ = basic_subdifferential_with_census(f, x, params)
     return union
 
 
@@ -521,14 +534,13 @@ def basic_subdifferential_with_census(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    tau_act: float = ex.TAU_ACT_DEFAULT,
 ) -> tuple[PolytopeUnion, PatternCensus]:
     p = ex.as_point(f.space, x)
-    patterns, census = _realizable_patterns(f, p, params, tau_act)
+    patterns, census = _realizable_patterns(f, p, params)
     parts: list[Polytope] = []
     for pat in patterns:
         restricted = ex.restrict_to_pattern(f, pat)
-        piece = regular_subdifferential(restricted, p, params, tau_act)
+        piece = regular_subdifferential(restricted, p, params)
         if piece is not None:
             parts.append(piece)
     if not parts:
@@ -556,19 +568,15 @@ def full_subdifferential(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    tau_act: float = ex.TAU_ACT_DEFAULT,
 ) -> SubdiffResult:
     p = ex.as_point(f.space, x)
-    pattern = ex.active_pattern(f, p, tau_act)
-    _, _, contexts = _combo_data(f, p, pattern)
-    method = "symbolic" if _pattern_is_max_like(pattern, f, contexts) else "sampled"
-    regular = regular_subdifferential(f, p, params, tau_act)
-    basic, census = basic_subdifferential_with_census(f, p, params, tau_act)
+    regular, max_like = _regular(f, p, params)
+    basic, census = basic_subdifferential_with_census(f, p, params)
     return SubdiffResult(
         regular=regular,
         basic=basic,
         singular=singular_subdifferential(f, p),
-        method=method,
+        method="symbolic" if max_like else "sampled",
         witnesses={"pattern_census": census.as_json()},
     )
 
@@ -716,8 +724,6 @@ def sampled_subdiff_oracle(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    tau_act: float = ex.TAU_ACT_DEFAULT,
-    fill_spacing: float = 0.025,
 ) -> OracleCloud:
     """Point cloud of limiting subgradient candidates.
 
@@ -739,7 +745,7 @@ def sampled_subdiff_oracle(
     for level, (r, eps) in enumerate(zip(params.radii, params.eps_sequence)):
         rho = np.array([r / 32, r / 64])
         us = p + r * dirs
-        patterns, inverse = ex.active_patterns(f, us, tau_act)
+        patterns, inverse = ex.active_patterns(f, us, params.tau_act)
         smooth = [pat.is_smooth() for pat in patterns]
         grads = np.zeros_like(us)
         for k, pat in enumerate(patterns):
@@ -771,10 +777,10 @@ def sampled_subdiff_oracle(
                 limits.append(v1)
 
     # fill candidates at x itself
-    pattern = ex.active_pattern(f, p, tau_act)
+    pattern = ex.active_pattern(f, p, params.tau_act)
     _, grads, _ = _combo_data(f, p, pattern)
     hull = convex_hull(grads)
-    fill = _barycentric_fill(hull, fill_spacing)
+    fill = _barycentric_fill(hull, FILL_SPACING)
     stencil = np.vstack(
         [p[None, :] + r * stencil_dirs for r in params.radii]
     )
@@ -790,10 +796,10 @@ def sampled_subdiff_oracle(
     return OracleCloud(points=points, cluster_centers=centers)
 
 
-def _barycentric_fill(poly: Polytope, spacing: float, budget: int = 5000) -> np.ndarray:
+def _barycentric_fill(poly: Polytope, spacing: float) -> np.ndarray:
     """Deterministic covering of a polytope at the given spacing: segment
-    lattices in 1D, a clipped box lattice in 2D, a budgeted barycentric
-    lattice above that."""
+    lattices in 1D, a clipped box lattice in 2D, a barycentric lattice of
+    at most FILL_BUDGET points above that."""
     V = poly.vertices
     if V.shape[0] == 1:
         return V.copy()
@@ -805,11 +811,11 @@ def _barycentric_fill(poly: Polytope, spacing: float, budget: int = 5000) -> np.
     m = int(max(1, math.ceil(diameter / spacing)))
     k = V.shape[0]
     if k == 2:
-        ts = np.linspace(0.0, 1.0, min(m, budget) + 1)
+        ts = np.linspace(0.0, 1.0, min(m, FILL_BUDGET) + 1)
         return np.outer(1 - ts, V[0]) + np.outer(ts, V[1])
     if poly.dim == 2:
         return _polygon_lattice(V, spacing)
-    while m > 1 and math.comb(m + k - 1, k - 1) > budget:
+    while m > 1 and math.comb(m + k - 1, k - 1) > FILL_BUDGET:
         m -= 1
     weights = []
 
@@ -916,8 +922,6 @@ def normal_cone(
     spec: SetSpec,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    tau_act: float = ex.TAU_ACT_DEFAULT,
-    tol: float = TOL_GEOM,
 ) -> NormalCone:
     """Normal cone computed from the active-constraint subdifferentials.
 
@@ -929,7 +933,7 @@ def normal_cone(
     """
     p = np.asarray(x, dtype=float)
     if spec.kind == "singleton":
-        if not set_membership(spec, p, tol):
+        if not set_membership(spec, p):
             raise SubdiffError("point not in the set")
         return NormalCone((ConeSpec.full_space(spec.dim),), "trivial", ())
     if spec.kind == "product":
@@ -937,7 +941,7 @@ def normal_cone(
         off = 0
         factor_cones = []
         for f in spec.factors:
-            factor_cones.append(normal_cone(f, p[off : off + f.dim], params, tau_act, tol))
+            factor_cones.append(normal_cone(f, p[off : off + f.dim], params))
             offs.append(off)
             off += f.dim
         dim = spec.dim
@@ -956,11 +960,11 @@ def normal_cone(
             )
         return NormalCone(tuple(parts), "trivial", ())
 
-    if not set_membership(spec, p, tol):
+    if not set_membership(spec, p):
         raise SubdiffError("point not in the set")
     fns = spec.constraint_functions()
     dim = spec.dim
-    active = tuple(j for j, f in enumerate(fns) if abs(ex.evaluate(f, p)) <= tol)
+    active = tuple(j for j, f in enumerate(fns) if abs(ex.evaluate(f, p)) <= TOL_GEOM)
     if not active:
         return NormalCone((ConeSpec.zero(dim),), "trivial", ())
 
@@ -972,7 +976,7 @@ def normal_cone(
             (ConeSpec.from_generators(dim, gens),), "polyhedral-exact", active
         )
 
-    subdiffs = [basic_subdifferential(fns[j], p, params, tau_act) for j in active]
+    subdiffs = [basic_subdifferential(fns[j], p, params) for j in active]
     witness = qualification_witness(subdiffs)
     if witness is not None:
         raise QualificationError(
@@ -1142,13 +1146,13 @@ class SlicedCone:
     base: Polytope | None
     recession: ConeSpec
 
-    def is_zero_only(self, tol: float = TOL_GEOM) -> bool:
+    def is_zero_only(self) -> bool:
         if self.base is None:
             return False
         return (
             self.base.num_vertices == 1
-            and float(np.linalg.norm(self.base.vertices[0])) <= tol
-            and self.recession.is_zero(tol)
+            and float(np.linalg.norm(self.base.vertices[0])) <= TOL_GEOM
+            and self.recession.is_zero()
         )
 
 
@@ -1247,19 +1251,19 @@ def sampled_lipschitz_like_test(
     spec: SetSpec,
     point: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-    ell_max: float = 1e3,
-    v_radius: float = 0.5,
-    y_resolution: int = 2001,
 ) -> tuple[bool, float]:
     """Direct sampled test of the Lipschitz-like inclusion
     F(x) cap V subset F(u) + ell |x - u| B on parameter pairs near the
-    point.  Returns (verdict, empirical modulus)."""
+    point, with V the decisions within 0.5 of the point's, on 2001
+    decision values; the verdict holds when the empirical modulus is at
+    most 1e3.  Returns (verdict, empirical modulus)."""
     n, m = spec.block_dims
     if m != 1:
         raise SubdiffError("sampled Lipschitz-like test supports one decision variable")
     p = np.asarray(point, dtype=float)
     xb, yb = p[:n], p[n:]
-    ys = np.linspace(yb[0] - 4 * v_radius, yb[0] + 4 * v_radius, y_resolution)
+    v_radius = 0.5
+    ys = np.linspace(yb[0] - 4 * v_radius, yb[0] + 4 * v_radius, 2001)
     step = ys[1] - ys[0]
 
     def feasible_ys(xv: np.ndarray) -> np.ndarray:
@@ -1285,7 +1289,7 @@ def sampled_lipschitz_like_test(
                     return False, math.inf
                 dist = float(np.max(np.min(np.abs(fa[:, None] - fu[None, :]), axis=1)))
                 worst = max(worst, max(0.0, dist - step) / gap)
-    return worst <= ell_max, worst
+    return worst <= 1e3, worst
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from varcalc.convgeom import (
     Polytope,
     PolytopeUnion,
     TOL_GEOM,
+    clip_polytope,
     convex_hull,
     directions,
 )
@@ -454,7 +455,6 @@ def _isc_gate(
     grid: GridSpec,
     params: sd.SampleParams,
     override_isc: bool,
-    accept_lipschitz_like_as_isc: bool,
 ) -> list[dict]:
     """Hypothesis ledger for the inner-semicontinuity requirement; raises
     when the probe fails and no documented override applies."""
@@ -469,12 +469,6 @@ def _isc_gate(
     }
     if report.verdict:
         return [entry]
-    if accept_lipschitz_like_as_isc:
-        ll = sd.lipschitz_like_check(prob.graph_spec(), point, params)
-        if ll.verdict:
-            entry["status"] = "probed"
-            entry["detail"]["accepted_via"] = "lipschitz-like constraint map"
-            return [entry]
     if override_isc:
         entry["status"] = "overridden"
         return [entry]
@@ -491,14 +485,13 @@ def value_subdiff_estimate(
     grid: GridSpec,
     params: sd.SampleParams = sd.DEFAULT_PARAMS,
     override_isc: bool = False,
-    accept_lipschitz_like_as_isc: bool = False,
 ) -> ValueEstimate:
     """Upper estimates for the value function's subdifferentials built
     from the cost subdifferential and the constraint-map coderivative:
     the basic estimate unions v + D*F(w) over vertices (v, w) of the cost
     subdifferential, the singular estimate is D*F(0)."""
     p = np.asarray(point, dtype=float)
-    ledger = _isc_gate(prob, p, grid, params, override_isc, accept_lipschitz_like_as_isc)
+    ledger = _isc_gate(prob, p, grid, params, override_isc)
     notes: list[str] = []
     spec = prob.graph_spec()
     cost_sub = sd.basic_subdifferential(prob.cost, p, params)
@@ -559,13 +552,12 @@ def lipschitz_verdict(
     grid: GridSpec,
     params: sd.SampleParams = sd.DEFAULT_PARAMS,
     override_isc: bool = False,
-    accept_lipschitz_like_as_isc: bool = False,
 ) -> LipschitzVerdict:
     """Local Lipschitz continuity of the value function via the
     coderivative criterion on the constraint map, plus an empirical
     modulus from refined grid values at the sampling radii."""
     p = np.asarray(point, dtype=float)
-    ledger = _isc_gate(prob, p, grid, params, override_isc, accept_lipschitz_like_as_isc)
+    ledger = _isc_gate(prob, p, grid, params, override_isc)
     report = sd.lipschitz_like_check(prob.graph_spec(), p, params)
     ledger.append(
         {
@@ -626,10 +618,7 @@ def regular_value_subdiff_outer(
         raise ValueFnError("no stencil direction stayed feasible")
     bound = max(abs(q) for q in quotients) + 1.0
     corners = np.array(list(itertools.product((-bound, bound), repeat=n)))
-    box = Polytope.create(corners, canonicalize=False)
-    from varcalc.convgeom import clip_polytope
-
-    return clip_polytope(convex_hull(box.vertices), np.array(normals), np.array(offsets))
+    return clip_polytope(convex_hull(corners), np.array(normals), np.array(offsets))
 
 
 def _argmin_cost_slopes(prob: ParametricProblem, samples: Sequence[ValueSample]) -> list[float]:

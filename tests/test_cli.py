@@ -11,6 +11,7 @@ import pytest
 
 from varcalc import cli
 from varcalc import convgeom
+from varcalc import expr as ex
 from varcalc.convgeom import LPBreakdown
 from varcalc.problemfile import parse_problem_file, ProblemFileError
 
@@ -67,8 +68,8 @@ def test_parse_errors():
 
 @pytest.mark.parametrize(
     "line",
-    ["seed", "seed abc", "seed 1 2", "tau_act", "dirs_per_radius x", "radii 1 2", "radii",
-     "radii 1e-2 x", "kappa_grid"],
+    ["seed", "seed abc", "seed 1 2", "tau_act", "tau_act nan", "tau_act inf", "tau_act 0",
+     "tau_act -1", "dirs_per_radius x", "radii 1 2", "radii", "radii 1e-2 x", "kappa_grid"],
 )
 def test_bad_params_exit2(tmp_path, capsys, line):
     path = tmp_path / "params.vp"
@@ -503,6 +504,26 @@ def test_cmd_certify_t83_with_upper_constraints_exit5(tmp_path, capsys):
         capsys,
     )
     assert code == 5
+
+
+def test_cmd_certify_reads_the_files_tau_act(tmp_path, capsys, monkeypatch):
+    """Every active pattern a certificate computes uses the file's activity
+    tolerance, the bilevel path's included."""
+    path = tmp_path / "kink.vp"
+    path.write_text(KINK.read_text() + "tau_act 1e-7\n")
+    seen = []
+    original = ex.active_patterns
+
+    def recording(f, points, tau_act=ex.TAU_ACT_DEFAULT):
+        seen.append(tau_act)
+        return original(f, points, tau_act)
+
+    monkeypatch.setattr(ex, "active_patterns", recording)
+    argv = ["certify", str(path), "--at", "top", "--theorem", "t74", "--kappa", "4",
+            "--override-calmness", "--override-isc", "--json"]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 4
+    assert seen and set(seen) == {1e-7}
 
 
 def test_cmd_certify_t74_isc_failure_exit5(capsys):

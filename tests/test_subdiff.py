@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import tracemalloc
@@ -8,10 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from varcalc import bilevel as B
+from varcalc import cli
 from varcalc import convgeom as G
+from varcalc import corpus as C
 from varcalc import expr as E
 from varcalc import subdiff as S
-from varcalc.problemfile import parse_problem_file
+from varcalc import valuefn as V
+from varcalc.problemfile import ProblemFile, parse_problem_file
 
 from tests.brute import (
     boundary_layer_size,
@@ -141,6 +146,25 @@ def test_regular_contained_in_hull_of_basic():
 def test_singular_is_zero_cone():
     assert S.singular_subdifferential(f("(abs x)"), [0.0]).is_zero()
     assert S.singular_subdifferential(f("(max x y)", XY), [0.0, 0.0]).is_zero()
+
+
+@pytest.mark.parametrize("text,method", [("(abs x)", "symbolic"), ("(min 0 x)", "sampled")])
+def test_full_subdifferential_builds_its_branch_table_once(text, method, monkeypatch):
+    g = f(text)
+    own = []
+    original = S._combo_data
+
+    def counting(fn, x, pattern):
+        own.append(fn is g)
+        return original(fn, x, pattern)
+
+    monkeypatch.setattr(S, "_combo_data", counting)
+    result = S.full_subdifferential(g, [0.0], FAST)
+    assert own.count(True) == 1
+    assert result.method == method
+    regular = S.regular_subdifferential(g, [0.0], FAST)
+    assert (result.regular is None) == (regular is None)
+    assert regular is None or G.polytopes_equal(result.regular, regular)
 
 
 # ---------------------------------------------------------------------------
@@ -933,3 +957,71 @@ def test_epigraph_consistency(text):
     report = S.epigraph_consistency_check(f(text), [0.0], FAST)
     assert report.basic_discrepancy <= 1e-7
     assert report.singular_consistent
+
+
+# ---------------------------------------------------------------------------
+# analysis options
+
+# options that became constants, with the functions that took them
+REMOVED_OPTIONS = [
+    *((fn, "tau_act") for fn in (
+        S.regular_subdifferential,
+        S.basic_subdifferential,
+        S.basic_subdifferential_with_census,
+        S._realizable_patterns,
+        S.full_subdifferential,
+        S.sampled_subdiff_oracle,
+        S.normal_cone,
+        ProblemFile,
+    )),
+    (V.value_subdiff_estimate, "accept_lipschitz_like_as_isc"),
+    (V.lipschitz_verdict, "accept_lipschitz_like_as_isc"),
+    (V._isc_gate, "accept_lipschitz_like_as_isc"),
+    (S.normal_cone, "tol"),
+    (S.set_membership, "tol"),
+    (S.sampled_subdiff_oracle, "fill_spacing"),
+    (S._barycentric_fill, "budget"),
+    (S.sampled_lipschitz_like_test, "ell_max"),
+    (S.sampled_lipschitz_like_test, "v_radius"),
+    (S.sampled_lipschitz_like_test, "y_resolution"),
+    (S.SampleParams.directions, "extra_seed"),
+    (S.SlicedCone.is_zero_only, "tol"),
+    (G.hausdorff_distance, "n_dirs"),
+    (G.Polytope.sample_points, "per_edge"),
+    (G.clip_polytope, "tol"),
+    (G.polytopes_equal, "tol"),
+    (G.ConeSpec.is_zero, "tol"),
+    (G.ConeSpec.contains, "tol"),
+    (G._as_vertex_array, "dim"),
+    (E.to_text, "space"),
+]
+
+
+def _public_callables(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            if not issubclass(obj, BaseException):
+                yield f"{module.__name__}.{name}", obj
+            for attr in dir(obj):
+                member = getattr(obj, attr)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_sample_params_is_the_one_place_tau_act_is_set():
+    modules = (S, V, B, C, cli)
+    callables = dict(c for m in modules for c in _public_callables(m))
+    assert "varcalc.subdiff.full_subdifferential" in callables
+    assert "varcalc.cli.main" in callables
+    takers = {
+        name for name, obj in callables.items() if "tau_act" in inspect.signature(obj).parameters
+    }
+    assert takers == {"varcalc.subdiff.SampleParams"}
+    for fn, option in REMOVED_OPTIONS:
+        assert option not in inspect.signature(fn).parameters, (fn.__qualname__, option)
+    for fn in (S.feasible_mask, S.feasible_open):
+        assert "tol" in inspect.signature(fn).parameters
