@@ -460,6 +460,8 @@ def _hypothesis_gate(
     override_calmness: bool,
     need_upper: bool,
 ) -> list[dict]:
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise BilevelError(f"penalty constant must be finite and positive, got {kappa}")
     ledger: list[dict] = []
     _bilevel_feasible(bp, point, grid)
     ledger.append(
@@ -483,8 +485,6 @@ def _hypothesis_gate(
         )
     if not reg.lower_regular or (need_upper and not reg.upper_regular):
         raise HypothesisFailure("regularity condition failed at the candidate", ledger)
-    if kappa <= 0:
-        raise BilevelError("penalty constant must be positive")
     if override_calmness:
         ledger.append(
             {"hypothesis": f"partial calmness with constant {kappa}", "status": "overridden", "detail": {}}

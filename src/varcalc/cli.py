@@ -9,12 +9,14 @@
     varcalc verify [FILE | --builtin-corpus]
     varcalc extremal --builtin halfplanes|boundary|nonextremal
 
-Exit codes: 0 ok, 2 input error (including a non-finite function value),
-3 computation refusal (qualification, LP breakdown, too many branch
-combinations), 4 no certificate,
-5 hypothesis failure.  JSON reports (--json) are byte
-identical for identical inputs and seed; timing appears only in the
-human-readable output.
+Exit codes: 0 ok, 1 a verify property check failed, 2 input error
+(including a non-finite function value), 3 computation refusal
+(qualification, LP breakdown, too many branch combinations), 4 no
+certificate, 5 hypothesis failure.  Every library error a command raises
+ends in 2 or 3 through the one table ERROR_EXITS in main, with an
+"error: " line on stderr.  JSON reports (--json) are byte identical for
+identical inputs and seed; timing appears only in the human-readable
+output.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from varcalc.convgeom import ConeSpec, GeometryError, Polytope, PolytopeUnion, h
 from varcalc.problemfile import ProblemFile, ProblemFileError, parse_problem_file
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_NO_CERTIFICATE = 4
@@ -46,9 +49,7 @@ SCHEMA_VERSION = 1
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """An input error found by a command itself; it exits EXIT_INPUT."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +79,14 @@ def _ser(obj):
     return obj
 
 
-def _report(command: str, digest: str, seed: int, results, ledger=None, warnings=None, caveat=None):
+def _report(command: str, digest: str, seed: int, results, ledger=None, caveat=None):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": {"file_digest": digest, "seed": seed},
         "results": _ser(results),
         "hypothesis_ledger": _ser(ledger or []),
-        "warnings": list(warnings or []),
+        "warnings": [],
     }
     if caveat:
         report["caveat"] = caveat
@@ -103,8 +104,6 @@ def _emit(report: dict, as_json: bool, elapsed: float) -> None:
         print("hypotheses:")
         for entry in report["hypothesis_ledger"]:
             print(f"  [{entry['status']:>10}] {entry['hypothesis']}")
-    for w in report["warnings"]:
-        print(f"warning: {w}")
     if "caveat" in report:
         print(f"note: {report['caveat']}")
 
@@ -114,11 +113,11 @@ def _load(path: str) -> ProblemFile:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
-        raise CliError(f"cannot read {path}: {err}", EXIT_INPUT) from None
+        raise CliError(f"cannot read {path}: {err}") from None
     try:
         return parse_problem_file(text)
     except (ProblemFileError, ex.ExprError) as err:
-        raise CliError(f"bad problem file: {err}", EXIT_INPUT) from None
+        raise CliError(f"bad problem file: {err}") from None
 
 
 def _params(pf: ProblemFile, args) -> sd.SampleParams:
@@ -128,10 +127,6 @@ def _params(pf: ProblemFile, args) -> sd.SampleParams:
     return params
 
 
-def _seed(pf: ProblemFile, args) -> int:
-    return args.seed if args.seed is not None else pf.seed
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -139,16 +134,9 @@ def _seed(pf: ProblemFile, args) -> int:
 def cmd_subdiff(args) -> tuple[dict, int]:
     pf = _load(args.file)
     params = _params(pf, args)
-    try:
-        fn = pf.resolve_function(args.fn)
-        cand = pf.candidate(args.at)
-    except ProblemFileError as err:
-        raise CliError(str(err), EXIT_INPUT) from None
-    point = pf.point_for(fn, cand)
-    try:
-        result = sd.full_subdifferential(fn, point, params)
-    except sd.QualificationError as err:
-        raise CliError(f"refused: {err}", EXIT_REFUSED) from None
+    fn = pf.resolve_function(args.fn)
+    point = pf.point_for(fn, pf.candidate(args.at))
+    result = sd.full_subdifferential(fn, point, params)
     results = {
         "function": args.fn,
         "at": {"name": args.at, "point": point.tolist()},
@@ -165,24 +153,21 @@ def cmd_subdiff(args) -> tuple[dict, int]:
             "accepted_points": int(cloud.points.shape[0]),
             "hausdorff_vs_basic": hausdorff_distance(result.basic, cloud.as_singletons()),
         }
-    return _report("subdiff", pf.digest, _seed(pf, args), results), EXIT_OK
+    return _report("subdiff", pf.digest, params.seed, results), EXIT_OK
 
 
 def cmd_normalcone(args) -> tuple[dict, int]:
     pf = _load(args.file)
     params = _params(pf, args)
-    try:
-        cand = pf.candidate(args.at)
-    except ProblemFileError as err:
-        raise CliError(str(err), EXIT_INPUT) from None
+    cand = pf.candidate(args.at)
     if args.set == "lower":
         if not pf.lower_constraints:
-            raise CliError("file has no lower constraints", EXIT_INPUT)
+            raise CliError("file has no lower constraints")
         spec = sd.SetSpec.graph(list(pf.lower_constraints), pf.x_dim, pf.y_dim)
         point = cand
     else:
         if not pf.upper_constraints:
-            raise CliError("file has no upper constraints", EXIT_INPUT)
+            raise CliError("file has no upper constraints")
         spec = sd.SetSpec.sublevel(list(pf.upper_constraints))
         point = cand[: pf.x_dim]
     try:
@@ -191,14 +176,10 @@ def cmd_normalcone(args) -> tuple[dict, int]:
         report = _report(
             "normalcone",
             pf.digest,
-            _seed(pf, args),
+            params.seed,
             {"refused": str(err), "witness": _ser(err.witness)},
         )
         return report, EXIT_REFUSED
-    except sd.CombinatorialOverflow:
-        raise  # refused in main, as for every command
-    except sd.SubdiffError as err:
-        raise CliError(str(err), EXIT_INPUT) from None
     results = {
         "set": args.set,
         "at": {"name": args.at, "point": np.asarray(point).tolist()},
@@ -207,52 +188,46 @@ def cmd_normalcone(args) -> tuple[dict, int]:
         "active_constraints": list(cone.active),
     }
     if args.oracle:
-        try:
-            cloud = sd.sampled_normal_cone_oracle(spec, point, params)
-        except sd.SubdiffError as err:
-            raise CliError(f"oracle: {err}", EXIT_INPUT) from None
+        cloud = sd.sampled_normal_cone_oracle(spec, point, params)
         results["oracle"] = {
             "cluster_centers": cloud.cluster_centers.tolist(),
             "accepted_points": int(cloud.points.shape[0]),
         }
-    return _report("normalcone", pf.digest, _seed(pf, args), results), EXIT_OK
+    return _report("normalcone", pf.digest, params.seed, results), EXIT_OK
 
 
 def cmd_valuefn(args) -> tuple[dict, int]:
     pf = _load(args.file)
     params = _params(pf, args)
     if pf.lower_objective is None:
-        raise CliError("valuefn needs a [lower] section", EXIT_INPUT)
+        raise CliError("valuefn needs a [lower] section")
     if pf.grid is None:
-        raise CliError("valuefn needs a [grid] section", EXIT_INPUT)
+        raise CliError("valuefn needs a [grid] section")
     prob = vf.ParametricProblem(
         pf.lower_objective, pf.lower_constraints, pf.x_dim, pf.y_dim
     )
     if args.x_range is not None:
         if pf.x_dim != 1:
-            raise CliError("--x-range needs a single upper variable", EXIT_INPUT)
+            raise CliError("--x-range needs a single upper variable")
         lo, hi, step = args.x_range
         if not all(np.isfinite(args.x_range)):
-            raise CliError("--x-range values must be finite", EXIT_INPUT)
+            raise CliError("--x-range values must be finite")
         if step <= 0 or lo > hi:
-            raise CliError("--x-range needs STEP > 0 and LO <= HI", EXIT_INPUT)
+            raise CliError("--x-range needs STEP > 0 and LO <= HI")
         span = (hi - lo) / step
         if span > vf.MAX_GRID_POINTS or int(round(span)) + 1 > vf.MAX_GRID_POINTS:
-            raise CliError(f"--x-range has more than {vf.MAX_GRID_POINTS} points", EXIT_INPUT)
+            raise CliError(f"--x-range has more than {vf.MAX_GRID_POINTS} points")
         count = int(round(span)) + 1
         xs = [np.array([lo + i * step]) for i in range(count)]
     else:
         xs = [c[: pf.x_dim] for c in pf.candidates.values()]
         if not xs:
-            raise CliError("no candidates and no --x-range given", EXIT_INPUT)
-    try:
-        samples = vf.evaluate_values(prob, np.array(xs), pf.grid)
-    except vf.ValueFnError as err:
-        raise CliError(str(err), EXIT_INPUT) from None
+            raise CliError("no candidates and no --x-range given")
+    samples = vf.evaluate_values(prob, np.array(xs), pf.grid)
     rows = []
     for x, sample in zip(xs, samples):
         if isinstance(sample, vf.InfeasibleOnBox):
-            raise CliError(str(sample), EXIT_INPUT)
+            raise sample
         rows.append(
             {
                 "x": x.tolist(),
@@ -281,7 +256,7 @@ def cmd_valuefn(args) -> tuple[dict, int]:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         results["csv"] = args.csv
-    return _report("valuefn", pf.digest, _seed(pf, args), results), EXIT_OK
+    return _report("valuefn", pf.digest, params.seed, results), EXIT_OK
 
 
 def _certificate_results(out) -> dict:
@@ -305,72 +280,38 @@ def _certificate_results(out) -> dict:
 def cmd_certify(args) -> tuple[dict, int]:
     pf = _load(args.file)
     params = _params(pf, args)
+    cand = pf.candidate(args.at)
     try:
-        cand = pf.candidate(args.at)
-    except ProblemFileError as err:
-        raise CliError(str(err), EXIT_INPUT) from None
-
-    if args.theorem == "t61":
-        try:
-            prog = pf.single_level_program()
-            out = bl.check_lipschitz_kkt(prog, cand, params)
-        except (ProblemFileError, bl.BilevelError) as err:
-            raise CliError(str(err), EXIT_INPUT) from None
-        code = EXIT_OK if isinstance(out, bl.StationarityCertificate) else EXIT_NO_CERTIFICATE
-        return (
-            _report(
-                "certify",
-                pf.digest,
-                _seed(pf, args),
-                _certificate_results(out),
-                ledger=out.ledger,
-                caveat=out.caveat,
-            ),
-            code,
-        )
-
-    if pf.grid is None:
-        raise CliError("certify needs a [grid] section", EXIT_INPUT)
-    try:
-        bp = pf.bilevel_problem()
-    except (ProblemFileError, bl.BilevelError) as err:
-        raise CliError(str(err), EXIT_INPUT) from None
-    certifier = bl.certify_T74 if args.theorem == "t74" else bl.certify_T83
-    kwargs = {"override_calmness": args.override_calmness}
-    if args.theorem == "t74":
-        kwargs["override_isc"] = args.override_isc
-    try:
-        if args.kappa_sweep:
-            out = bl.certify_with_kappa_sweep(
-                certifier, bp, cand, pf.kappa_grid, pf.grid, params, **kwargs
-            )
+        if args.theorem == "t61":
+            out = bl.check_lipschitz_kkt(pf.single_level_program(), cand, params)
         else:
-            kappa = args.kappa if args.kappa is not None else pf.kappa_grid[0]
-            out = certifier(bp, cand, kappa, pf.grid, params, **kwargs)
+            if pf.grid is None:
+                raise CliError("certify needs a [grid] section")
+            bp = pf.bilevel_problem()
+            certifier = bl.certify_T74 if args.theorem == "t74" else bl.certify_T83
+            kwargs = {"override_calmness": args.override_calmness}
+            if args.theorem == "t74":
+                kwargs["override_isc"] = args.override_isc
+            if args.kappa_sweep:
+                kappas = pf.kappa_grid
+            else:
+                kappas = (args.kappa,) if args.kappa is not None else pf.kappa_grid[:1]
+            out = bl.certify_with_kappa_sweep(certifier, bp, cand, kappas, pf.grid, params, **kwargs)
     except bl.HypothesisFailure as err:
         report = _report(
             "certify",
             pf.digest,
-            _seed(pf, args),
+            params.seed,
             {"outcome": "hypothesis-failure", "reason": str(err)},
             ledger=err.ledger,
             caveat=bl.CAVEAT,
         )
         return report, EXIT_HYPOTHESIS
-    except (bl.BilevelError, vf.ValueFnError) as err:
-        raise CliError(str(err), EXIT_INPUT) from None
     code = EXIT_OK if isinstance(out, bl.StationarityCertificate) else EXIT_NO_CERTIFICATE
-    return (
-        _report(
-            "certify",
-            pf.digest,
-            _seed(pf, args),
-            _certificate_results(out),
-            ledger=out.ledger,
-            caveat=out.caveat,
-        ),
-        code,
+    report = _report(
+        "certify", pf.digest, params.seed, _certificate_results(out), ledger=out.ledger, caveat=out.caveat
     )
+    return report, code
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -383,7 +324,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         report = cp.run_verify_suite(entries, params=params)
     else:
         if not args.file:
-            raise CliError("verify needs a file or --builtin-corpus", EXIT_INPUT)
+            raise CliError("verify needs a file or --builtin-corpus")
         pf = _load(args.file)
         digest = pf.digest
         report = _verify_file(pf, params)
@@ -392,7 +333,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "passed": sum(1 for c in report.checks if c.passed),
         "failed": [c.as_json() for c in report.failing()],
     }
-    code = EXIT_OK if report.all_passed else 1
+    code = EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
     return _report("verify", digest, seed, results), code
 
 
@@ -523,21 +464,31 @@ HANDLERS = {
 }
 
 
+# Which error ends a command in which exit code, and its stderr prefix: the
+# first row that matches wins.  Refusals come first, since
+# CombinatorialOverflow is also a SubdiffError.
+ERROR_EXITS = (
+    ((sd.CombinatorialOverflow, GeometryError), EXIT_REFUSED, "refused: "),
+    (
+        (CliError, ProblemFileError, ex.ExprError, sd.SubdiffError, vf.ValueFnError, bl.BilevelError, OSError),
+        EXIT_INPUT,
+        "",
+    ),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
         report, code = HANDLERS[args.command](args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except ex.ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GeometryError, sd.CombinatorialOverflow) as err:
-        print(f"error: refused: {err}", file=sys.stderr)
-        return EXIT_REFUSED
+    except Exception as err:
+        for types, code, prefix in ERROR_EXITS:
+            if isinstance(err, types):
+                print(f"error: {prefix}{err}", file=sys.stderr)
+                return code
+        raise
     _emit(report, args.json, time.monotonic() - start)
     return code
 

@@ -42,6 +42,11 @@ import numpy as np
 
 TAU_ACT_DEFAULT = 1e-9
 MAX_DIM = 8
+# Lists nested deeper than this are a ParseError.  Every tree walk here
+# recurses once per level, and the shallowest (ExprNode equality) takes
+# about four interpreter frames per level, so under Python's default
+# recursion limit of 1000 it fails near depth 250.
+MAX_NESTING = 100
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -246,7 +251,7 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
         raise ParseError("empty expression", 0)
     pos = 0
 
-    def parse_expr() -> ExprNode:
+    def parse_expr(depth: int) -> ExprNode:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("unexpected end of input", len(text))
@@ -256,6 +261,8 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
         if tok != "(":
             pos += 1
             return parse_atom(tok, off)
+        if depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} lists", off)
         open_off = off
         pos += 1
         if pos >= len(tokens):
@@ -277,7 +284,7 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
                 pos += 1
                 exponent = parse_exponent(tok, off)
             else:
-                args.append(parse_expr())
+                args.append(parse_expr(depth + 1))
         return build(head, args, exponent, open_off)
 
     def parse_atom(tok: str, off: int) -> ExprNode:
@@ -306,7 +313,7 @@ def parse_function(text: str, space: VarSpace) -> FunctionDef:
         except ExprError as e:
             raise ParseError(str(e), off) from None
 
-    root = parse_expr()
+    root = parse_expr(0)
     if pos != len(tokens):
         raise ParseError("trailing input", tokens[pos][1])
     return FunctionDef(space, root)
@@ -541,7 +548,7 @@ def active_patterns(
 ) -> tuple[list[ActivePattern], np.ndarray]:
     """The distinct active patterns over the rows of points, in order of
     first occurrence, and the index of each row's pattern in that list."""
-    if tau_act <= 0:
+    if not tau_act > 0:
         raise ExprError("tau_act must be positive")
     pts = _as_points(f, points)
     _, masks = _forward(f, pts.T, pts.shape[:1], tau_act)

@@ -64,7 +64,6 @@ class ProblemFile:
     upper_constraints: tuple[ex.FunctionDef, ...]
     candidates: dict[str, np.ndarray]
     grid: vf.GridSpec | None
-    seed: int
     sample_params: sd.SampleParams
     kappa_grid: tuple[float, ...]
     digest: str
@@ -76,12 +75,6 @@ class ProblemFile:
     @property
     def y_dim(self) -> int:
         return len(self.y_names)
-
-    def full_space(self) -> ex.VarSpace:
-        return ex.VarSpace(self.x_names + self.y_names)
-
-    def x_space(self) -> ex.VarSpace:
-        return ex.VarSpace(self.x_names)
 
     def candidate(self, name: str) -> np.ndarray:
         if name not in self.candidates:
@@ -313,7 +306,6 @@ def parse_problem_file(text: str) -> ProblemFile:
         upper_constraints=upper_constraints,
         candidates=candidates,
         grid=grid,
-        seed=seed,
         sample_params=params,
         kappa_grid=kappa_grid,
         digest=digest,

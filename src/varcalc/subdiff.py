@@ -122,6 +122,8 @@ class SampleParams:
             raise SubdiffError("dirs_per_radius must be at least 2")
         if not (math.isfinite(self.tau_act) and self.tau_act > 0):
             raise SubdiffError("tau_act must be finite and positive")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise SubdiffError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def directions(self, dim: int) -> np.ndarray:
         return directions(dim, self.dirs_per_radius, self.seed)

@@ -280,6 +280,15 @@ def test_t74_rejects_nonpositive_kappa():
         B.certify_T74(problem_w(), [0.0, 0.0], -1.0, GRID, FAST)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.0, -1.0])
+def test_certifiers_check_kappa_first(kappa):
+    # before the candidate's feasibility: [0, -5] violates the lower constraint
+    for certify in (B.certify_T74, B.certify_T83):
+        for point in ([0.0, 0.0], [0.0, -5.0]):
+            with pytest.raises(B.BilevelError, match="penalty constant must be finite and positive"):
+                certify(problem_w(), point, kappa, GRID, FAST)
+
+
 def test_t74_active_upper_constraint():
     out = B.certify_T74(upper_constrained_problem(), [0.0, 0.0], 4.0, GRID, FAST)
     assert isinstance(out, B.StationarityCertificate)

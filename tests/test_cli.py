@@ -69,7 +69,8 @@ def test_parse_errors():
 @pytest.mark.parametrize(
     "line",
     ["seed", "seed abc", "seed 1 2", "tau_act", "tau_act nan", "tau_act inf", "tau_act 0",
-     "tau_act -1", "dirs_per_radius x", "radii 1 2", "radii", "radii 1e-2 x", "kappa_grid"],
+     "tau_act -1", "dirs_per_radius x", "radii 1 2", "radii", "radii 1e-2 x", "kappa_grid",
+     "seed -1000000"],
 )
 def test_bad_params_exit2(tmp_path, capsys, line):
     path = tmp_path / "params.vp"
@@ -139,6 +140,41 @@ box w -1 1
     assert code == 2
     assert out == ""
     assert "bad problem file" in err and "grid points" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subdiff", str(WORKED), "--fn", "lower.objective", "--at", "origin"],
+        ["normalcone", str(WORKED), "--set", "lower", "--at", "origin"],
+        ["valuefn", str(WORKED)],
+        ["certify", str(WORKED), "--at", "origin", "--theorem", "t74", "--kappa", "4"],
+        ["verify", str(WORKED)],
+        ["verify", "--builtin-corpus"],
+    ],
+    ids=["subdiff", "normalcone", "valuefn", "certify", "verify-file", "verify-corpus"],
+)
+def test_negative_seed_exit2(capsys, argv):
+    code, out, err = run_cli(argv + ["--seed", "-1000000", "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: seed must be an integer >= 0") and "Traceback" not in err
+
+
+def test_deep_nesting_exit2(tmp_path, capsys):
+    # one list past the cap is refused while parsing; at the cap the file
+    # runs, and far past it the parser does not exhaust the stack
+    for depth, want in ((ex.MAX_NESTING, 0), (ex.MAX_NESTING + 1, 2), (1200, 2)):
+        deep = "(abs " * (depth - 1) + "(+ 1 y)" + ")" * (depth - 1)
+        path = tmp_path / f"deep{depth}.vp"
+        path.write_text(WORKED.read_text().replace("objective y", f"objective {deep}"))
+        code, out, err = run_cli(
+            ["subdiff", str(path), "--fn", "lower.objective", "--at", "origin", "--json"], capsys
+        )
+        assert code == want, (depth, err)
+        if want == 2:
+            assert out == ""
+            assert err.startswith("error: bad problem file: expression nested deeper than")
 
 
 def test_second_upper_objective_rejected():
@@ -384,6 +420,14 @@ def test_cmd_valuefn_bad_x_range_exit2(capsys, x_range):
     assert err.startswith("error: --x-range") and "Traceback" not in err
 
 
+def test_cmd_valuefn_unwritable_csv_exit2(tmp_path, capsys):
+    csv_path = tmp_path / "missing-dir" / "theta.csv"
+    code, out, err = run_cli(["valuefn", str(WORKED), "--csv", str(csv_path), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "theta.csv" in err and "Traceback" not in err
+
+
 def test_cmd_valuefn_non_finite_candidate_exit2(tmp_path, capsys):
     path = tmp_path / "inf.vp"
     path.write_text(KINK.read_text().replace("top 0 1", "top inf 1"))
@@ -550,6 +594,36 @@ def test_cmd_certify_t74_isc_failure_exit5(capsys):
     assert last["status"] == "failed"
 
 
+@pytest.mark.parametrize("theorem", ["t74", "t83"])
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf", "0", "-1"])
+def test_cmd_certify_bad_kappa_exit2(tmp_path, capsys, theorem, kappa):
+    # checked before the candidate is: "outside" violates the lower constraint
+    path = tmp_path / "outside.vp"
+    path.write_text(WORKED.read_text().replace("offopt 1 -1", "offopt 1 -1\noutside 0 -5"))
+    for at in ("origin", "offopt", "outside"):
+        argv = ["certify", str(path), "--at", at, "--theorem", theorem, f"--kappa={kappa}"]
+        code, out, err = run_cli(argv + ["--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: penalty constant must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "grid,extra",
+    [("nan 2", ["--kappa-sweep"]), ("nan 2", []), ("0", []), ("2 inf", ["--kappa-sweep"])],
+)
+def test_cmd_certify_bad_kappa_grid_exit2(tmp_path, capsys, grid, extra):
+    # without --kappa the first constant is used; a sweep stops at the first
+    # bad one (offopt fails the calmness probe at 2)
+    path = tmp_path / "grid.vp"
+    path.write_text(WORKED.read_text().replace("kappa_grid 1 2 4 8 16", f"kappa_grid {grid}"))
+    argv = ["certify", str(path), "--at", "offopt", "--theorem", "t74", *extra, "--json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: penalty constant must be finite and positive")
+
+
 def _abs_sum(count: int) -> str:
     text = "(abs x)"
     for _ in range(count - 1):
@@ -606,6 +680,13 @@ def test_cmd_verify_file(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["results"]["failed"] == []
+
+
+def test_cmd_verify_bad_dirs_exit2(capsys):
+    code, out, err = run_cli(["verify", "--builtin-corpus", "--dirs", "1", "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: dirs_per_radius must be at least 2\n"
 
 
 def test_cmd_extremal_halfplanes(capsys):

@@ -54,6 +54,34 @@ def test_parse_rejects_trailing_input():
         f("x y", XY)
 
 
+def _nested(depth: int) -> str:
+    return "(abs " * (depth - 1) + "(+ 1 x)" + ")" * (depth - 1)
+
+
+def test_parse_caps_nesting():
+    f(_nested(E.MAX_NESTING))
+    with pytest.raises(E.ParseError, match=f"nested deeper than {E.MAX_NESTING} lists at offset 500"):
+        f(_nested(E.MAX_NESTING + 1))
+    with pytest.raises(E.ParseError, match="nested deeper"):
+        f(_nested(5000))
+
+
+def test_every_tree_walk_runs_at_the_nesting_cap():
+    # with 300 frames already on the stack, as under a test runner and the
+    # CLI, no recursive walk of a tree at the cap exhausts the stack
+    def at_depth(frames, fn):
+        return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+    g, h = f(_nested(E.MAX_NESTING)), f(_nested(E.MAX_NESTING))
+    pattern = E.active_pattern(g, [0.5])
+    at_depth(300, lambda: g == h)
+    at_depth(300, lambda: hash(g))
+    at_depth(300, lambda: E.parse_function(E.to_text(g), XS))
+    at_depth(300, lambda: E.shape_class(E.FunctionDef(XS, E.ExprNode("mul", (g.root, h.root)))))
+    at_depth(300, lambda: E.restrict_to_pattern(g, pattern).tape)
+    at_depth(300, lambda: E.lift_to_product(g, XY, 1).tape)
+
+
 def test_negation_vs_subtraction():
     assert f("(- x)").root == E.ExprNode("sub", (E.var(0),))
     assert f("(- x 1)").root == E.ExprNode("sub", (E.var(0), E.const(1.0)))
@@ -199,6 +227,11 @@ def test_eval_batch_matches_scalar():
 
 # ---------------------------------------------------------------------------
 # activity
+
+
+def test_active_pattern_rejects_nan_tau_act():
+    with pytest.raises(E.ExprError, match="tau_act"):
+        E.active_pattern(f("(abs x)"), [0.0], math.nan)
 
 
 def test_active_pattern_tie():

@@ -1025,3 +1025,10 @@ def test_sample_params_is_the_one_place_tau_act_is_set():
         assert option not in inspect.signature(fn).parameters, (fn.__qualname__, option)
     for fn in (S.feasible_mask, S.feasible_open):
         assert "tol" in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("seed", [-1, -1000000, 1.5, "7", None])
+def test_sample_params_seed_is_a_nonnegative_integer(seed):
+    with pytest.raises(S.SubdiffError, match="seed must be an integer >= 0"):
+        S.SampleParams(seed=seed)
+    assert S.SampleParams(seed=np.int64(3)).seed == 3
