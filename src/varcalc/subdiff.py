@@ -54,10 +54,17 @@ MAX_ROOT_STEPS = 100
 # lattice spacing and point budget of the oracle's fill of the hull at the point
 FILL_SPACING = 0.025
 FILL_BUDGET = 5000
+# radii the samplers accept: squares of lengths of order r, such as the
+# projection oracle's squared distances, are then normal floats
+RADIUS_RANGE = (1e-100, 1e100)
+# (samples x layer) matrix elements per row block of the normal-cone
+# oracle's distance scan: 2 MB of float64 and a 256 KB mask
+SCAN_BLOCK = 1 << 18
 
 
 def __getattr__(name: str):
-    # subdiff.sciopt, loaded on first read, serves only bench/tracer.py's SCIOPT: delete both together
+    # subdiff.sciopt, loaded on first read, serves only bench/tracer.py's SCIOPT:
+    # delete both together at the next change to bench/
     if name == "sciopt":
         from scipy import optimize
 
@@ -108,8 +115,9 @@ class SampleParams:
 
     def __post_init__(self):
         r = self.radii
-        if not r or any(a <= 0 for a in r):
-            raise SubdiffError("radii must be positive")
+        lo, hi = RADIUS_RANGE
+        if not r or not all(lo <= a <= hi for a in r):
+            raise SubdiffError(f"radii must lie in [{lo:g}, {hi:g}]")
         if any(r[i + 1] >= r[i] for i in range(len(r) - 1)):
             raise SubdiffError("radii must be strictly decreasing")
         if self.eps_sequence is None:
@@ -1021,6 +1029,13 @@ def _projection_grid(
     can use lies within R(B) = (2 r + B + step^2 / r)(1 + 1e-6) of p; the
     relative margin covers rounding.
 
+    B is the least distance over the edge (the feasible points with an
+    axis neighbour that is infeasible or off the lattice) and, when it is
+    feasible, the centre (the lattice point at p up to rounding).  A
+    feasible centre is the nearest point; otherwise the nearest feasible
+    point has a neighbour one step towards p along its largest offset,
+    closer to p and so infeasible, which puts it on the edge.
+
     Layer: the feasible points within R(B) with an axis neighbour that is
     infeasible or off the lattice.  Let q have dmin > r/2 >= 8 steps to
     the feasible lattice, and let w be a feasible point with |q - w| at
@@ -1045,21 +1060,64 @@ def _projection_grid(
     ok = np.broadcast_to(feasible_open(spec, cols, tol), shape)
     if not ok.any():
         raise SubdiffError(f"projection grid found no feasible points at radius {r}")
-    d2 = sum((c - v) ** 2 for c, v in zip(cols, p))
-    b2 = np.min(d2, where=ok, initial=np.inf)
-    bound = (2 * r + math.sqrt(b2) + step**2 / r) * (1 + 1e-6)
     pad = np.pad(ok, 1)  # False off the lattice
     inner = tuple(slice(1, n + 1) for n in shape)
     interior = np.ones(shape, dtype=bool)
     for k, n in enumerate(shape):
         for lo in (0, 2):
             interior &= pad[inner[:k] + (slice(lo, lo + n),) + inner[k + 1 :]]
-    layer = np.nonzero(ok & ~interior & (d2 <= bound**2))
+    edge = np.unravel_index(np.flatnonzero(ok & ~interior), shape)
+    d2 = sum((a[i] - v) ** 2 for a, i, v in zip(axes, edge, p))
+    b2 = d2.min()
+    if ok[tuple(n // 2 for n in shape)]:
+        b2 = min(b2, sum((a[n // 2] - v) ** 2 for a, n, v in zip(axes, shape, p)))
+    bound = (2 * r + math.sqrt(b2) + step**2 / r) * (1 + 1e-6)
+    layer = [i[d2 <= bound**2] for i in edge]
     cell = np.floor((Q - [a[0] for a in axes]) / step).astype(np.intp)
     close = np.zeros(Q.shape[0], dtype=bool)
     for off in itertools.product(range(-1, 3), repeat=dim):
         close |= ok[tuple((cell + off).T)]
     return np.stack([a[i] for a, i in zip(axes, layer)], axis=1), close, step
+
+
+def _layer_balls(
+    Q: np.ndarray, layer: np.ndarray, p: np.ndarray, r: float, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and layer indices, in row-major order, of the layer points
+    within reach of each sample Q[i] that lies farther than about r/2 from
+    the layer: reach is dmin + step^2 / (2 dmin) with a 1e-9 relative
+    margin, dmin the distance from Q[i] to its nearest layer point.
+
+    The scan works in units of r about p, where every sample has norm 1
+    and every layer point norm at most 2.5 sqrt(3): no square overflows
+    or underflows, whatever r.  One matrix product per block of
+    SCAN_BLOCK elements gives |l|^2 - 2 q.l for each sample q and layer
+    point l, and |q|^2 is added to the row minimum and to the bound, not
+    to the matrix.  Centring, scaling and the product move each squared
+    distance by less than 1e-13 in these units, so for a sample at least
+    r/2 from the layer the scanned distance is within 1e-12 of the exact
+    one, relative.
+    """
+    Qs = (Q - p) / r
+    Ls = (layer - p) / r
+    n = Ls.shape[0]
+    s2 = (step / r) ** 2
+    A = np.hstack([Qs, np.ones((Qs.shape[0], 1))])
+    B = np.vstack([-2 * Ls.T, np.vecdot(Ls, Ls)])
+    q2 = np.vecdot(Qs, Qs)
+    rows = max(1, SCAN_BLOCK // n)
+    owners, cols = [], []
+    for lo in range(0, Qs.shape[0], rows):
+        m, q = A[lo : lo + rows] @ B, q2[lo : lo + rows]
+        # every sample here is at least a step from the layer, so dmin > 0
+        dmin = np.sqrt(m.min(axis=1) + q)
+        reach = (dmin + s2 / (2 * dmin)) * (1 + 1e-9)
+        bound = np.where(dmin > 0.5 * (1 - 1e-9), reach * reach - q, -np.inf)
+        # flat indices in np.nonzero's row-major order, found faster
+        i, j = np.divmod(np.flatnonzero(m <= bound[:, None]), n)
+        owners.append(i + lo)
+        cols.append(j)
+    return np.concatenate(owners), np.concatenate(cols)
 
 
 def sampled_normal_cone_oracle(
@@ -1080,6 +1138,18 @@ def sampled_normal_cone_oracle(
     skipped (see ``_projection_grid``), so the result equals a scan of
     the whole lattice.
 
+    The layer is searched by a blocked scan of the (samples x layer)
+    squared distances (``_layer_balls``).  Its distances only choose
+    candidates: the skip test and the acceptance are decided on
+    ``np.linalg.norm`` of the correctly rounded differences
+    cand - Q[owner], as a dense scan decides them.  Scan and numpy
+    distances agree to within about 1e-12 relative, far inside the 1e-9
+    margins of the scan's skip test and reach.  Since t + step^2 / (2 t)
+    grows for t > r/2, the scan's candidates therefore hold every point
+    the numpy rule accepts, and the numpy-nearest point, so dmin and the
+    accepted points, in lattice order, are those of the dense scan bit
+    for bit.
+
     Sample points closer than r/2 to the grid are skipped: their
     directions are dominated by grid error.  The rest give normals
     accurate to a few hundredths of a radian in one and two dimensions
@@ -1092,8 +1162,6 @@ def sampled_normal_cone_oracle(
     admits a sliver of width sqrt(tol) along curved boundaries, which
     would tilt projection directions by far more than the grid step.
     """
-    from scipy.spatial import cKDTree  # SciPy loads on first use, not at import
-
     p = np.asarray(x, dtype=float)
     dim = spec.dim
     if dim > 3:
@@ -1109,21 +1177,10 @@ def sampled_normal_cone_oracle(
         far = np.flatnonzero(~close)
         if far.size == 0:
             continue
-        # the queries are exact whatever the tree's shape, and an
-        # unbalanced tree builds faster
-        tree = cKDTree(layer, balanced_tree=False)
-        dtree, _ = tree.query(Q[far])
-        # The tree's distances agree with the numpy ones below to a few
-        # ulps, so the 1e-9 margins keep every point the scan would accept
-        # among the candidates; distances, skip test and acceptance are
-        # then decided on numpy distances alone, as a dense scan would.
-        kept = dtree > (r / 2) * (1 - 1e-9)
-        keep, dtree = far[kept], dtree[kept]
-        reach = (dtree + step**2 / (2 * dtree)) * (1 + 1e-9)
-        balls = tree.query_ball_point(Q[keep], reach, return_sorted=True)
-        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=keep.size)
-        owner = np.repeat(keep, sizes)
-        cand = layer[np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())]
+        rows, cols = _layer_balls(Q[far], layer, p, r, step)
+        owner, cand = far[rows], layer[cols]
+        sizes = np.bincount(rows)
+        sizes = sizes[sizes > 0]
         dists = np.linalg.norm(cand - Q[owner], axis=1)
         dmin = np.repeat(np.minimum.reduceat(dists, np.cumsum(sizes) - sizes), sizes)
         near = (dmin > r / 2) & (dists <= dmin + step**2 / (2 * dmin))

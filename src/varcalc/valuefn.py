@@ -109,8 +109,10 @@ class GridSpec:
         for lo, hi in self.y_box:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueFnError("box bounds must be finite with lo < hi")
-        if self.x_stencil_radius <= 0 or self.x_stencil_count < 1:
-            raise ValueFnError("stencil radius/count must be positive")
+        if not (math.isfinite(self.x_stencil_radius) and self.x_stencil_radius > 0):
+            raise ValueFnError("stencil radius must be finite and positive")
+        if self.x_stencil_count < 1:
+            raise ValueFnError("stencil count must be positive")
         if self.resolution ** len(self.y_box) > MAX_GRID_POINTS:
             n = f"{self.resolution}**{len(self.y_box)} = {self.resolution ** len(self.y_box)}"
             raise ValueFnError(f"{n} grid points exceed the budget of {MAX_GRID_POINTS}")

@@ -70,7 +70,7 @@ def test_parse_errors():
     "line",
     ["seed", "seed abc", "seed 1 2", "tau_act", "tau_act nan", "tau_act inf", "tau_act 0",
      "tau_act -1", "dirs_per_radius x", "radii 1 2", "radii", "radii 1e-2 x", "kappa_grid",
-     "seed -1000000"],
+     "seed -1000000", "radii 1e300", "radii 1e-300", "radii nan", "radii inf", "radii 1e-2 nan"],
 )
 def test_bad_params_exit2(tmp_path, capsys, line):
     path = tmp_path / "params.vp"
@@ -93,6 +93,9 @@ def test_bad_params_exit2(tmp_path, capsys, line):
         ("resolution 401", "resolution"),
         ("resolution 401", "resolution 1"),
         ("stencil_count 4", "stencil_count x"),
+        ("stencil_radius 0.2", "stencil_radius nan"),
+        ("stencil_radius 0.2", "stencil_radius inf"),
+        ("stencil_radius 0.2", "stencil_radius 0"),
         ("box y -2 2", "box y 1 0"),
         ("box y -2 2", "box y a 2"),
         ("box y -2 2", "box y"),
@@ -734,26 +737,39 @@ def test_console_script_determinism(tmp_path):
         json.loads(outputs[0])  # valid JSON
 
 
-def test_verify_runs_load_no_scipy_optimize_or_spatial():
-    # the corpus and a problem file's oracle checks run on numpy alone
+def test_readme_commands_load_no_scipy(tmp_path):
+    # every README command, and verify on a problem file, runs on numpy alone
+    worked, worked2 = str(WORKED), str(ROOT / "problems" / "worked2.vp")
+    runs = [
+        (["subdiff", worked, "--fn", "lower.objective", "--at", "origin", "--oracle", "--json"], 0),
+        (["normalcone", worked, "--set", "lower", "--at", "origin", "--oracle", "--json"], 0),
+        (["normalcone", worked2, "--set", "lower", "--at", "origin", "--oracle", "--json"], 0),
+        (["valuefn", worked, "--x-range", "-1", "1", "0.1", "--csv", str(tmp_path / "theta.csv")], 0),
+        (["certify", worked, "--at", "origin", "--theorem", "t74", "--kappa", "4", "--json"], 0),
+        (["certify", worked, "--at", "offopt", "--theorem", "t74", "--kappa", "4", "--override-calmness"], 4),
+        (["verify", "--builtin-corpus"], 0),
+        (["verify", worked, "--json"], 0),
+        (["extremal", "--builtin", "halfplanes", "--json"], 0),
+    ]
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from varcalc import cli\n"
-        "for argv in (['verify', '--builtin-corpus', '--json'], ['verify', sys.argv[1], '--json']):\n"
+        "for argv, want in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.spatial')))\n"
+        "        assert cli.main(argv) == want, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(WORKED)], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_loads_no_scipy_optimize_or_spatial():
-    # SciPy loads where it is used: cold start of every command pays only for numpy
+    # importing the CLI loads no SciPy; subdiff.sciopt, which only
+    # bench/tracer.py reads, loads SciPy's optimizers on first read
     code = (
         "import sys\n"
         "import varcalc.cli\n"

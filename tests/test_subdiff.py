@@ -503,10 +503,8 @@ def _constraints(spec) -> int:
 @pytest.fixture
 def oracle_work(monkeypatch):
     """Record the oracle's constraint evaluations and the size of each
-    k-d tree it builds."""
-    from scipy import spatial
-
-    work = {"eval_open": 0, "eval_batch": 0, "trees": []}
+    boundary layer it searches."""
+    work = {"eval_open": 0, "eval_batch": 0, "layers": []}
     for name in ("eval_open", "eval_batch"):
         fn = getattr(E, name)
 
@@ -515,13 +513,14 @@ def oracle_work(monkeypatch):
             return _fn(*a)
 
         monkeypatch.setattr(E, name, counted)
-    tree = spatial.cKDTree
+    grid = S._projection_grid
 
-    def sized_tree(data, **kw):
-        work["trees"].append(len(data))
-        return tree(data, **kw)
+    def sized_grid(*a):
+        out = grid(*a)
+        work["layers"].append(out[0].shape[0])
+        return out
 
-    monkeypatch.setattr(spatial, "cKDTree", sized_tree)
+    monkeypatch.setattr(S, "_projection_grid", sized_grid)
     return work
 
 
@@ -533,13 +532,13 @@ def test_projection_oracle_equals_dense_scan(case, seed, monkeypatch, oracle_wor
     got = S.sampled_normal_cone_oracle(spec, x, params)
     monkeypatch.undo()
     # one feasibility evaluation per radius, on the lattice axes, and a
-    # tree on no more than the lattice's boundary layer
+    # scan of no more than the lattice's boundary layer
     assert oracle_work["eval_open"] == len(params.radii) * _constraints(spec)
     assert oracle_work["eval_batch"] == 0
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(x)))
     layers = [boundary_layer_size(spec, np.asarray(x, dtype=float), r, grid_tol) for r in params.radii]
-    assert len(oracle_work["trees"]) <= len(params.radii)
-    assert all(n <= max(layers) for n in oracle_work["trees"])
+    assert len(oracle_work["layers"]) == len(params.radii)
+    assert all(n <= max(layers) for n in oracle_work["layers"])
     ref = dense_normal_cone_oracle(spec, x, params)
     assert got.points.shape[0] > 0
     assert np.array_equal(got.points, ref.points)
@@ -547,15 +546,15 @@ def test_projection_oracle_equals_dense_scan(case, seed, monkeypatch, oracle_wor
 
 
 @pytest.mark.parametrize("path, limit", [("problems/worked.vp", 1000), ("problems/worked2.vp", 8000)])
-def test_projection_oracle_tree_holds_the_boundary_layer(path, limit, oracle_work):
+def test_projection_oracle_scans_the_boundary_layer(path, limit, oracle_work):
     # the whole feasible lattice within reach held 25 831 points for
     # worked.vp at r = 1e-2 and 47 225 for worked2.vp
     pf = parse_problem_file((ROOT / path).read_text())
     spec = S.SetSpec.graph(list(pf.lower_constraints), pf.x_dim, pf.y_dim)
     params = S.SampleParams(radii=(1e-2,), dirs_per_radius=64)
     S.sampled_normal_cone_oracle(spec, pf.candidate("origin"), params)
-    assert len(oracle_work["trees"]) == 1
-    assert oracle_work["trees"][0] <= limit
+    assert len(oracle_work["layers"]) == 1
+    assert oracle_work["layers"][0] <= limit
 
 
 def test_feasible_open_equals_feasible_mask():
@@ -588,10 +587,10 @@ def test_projection_oracle_refuses_a_lattice_without_feasible_points():
 
 
 def test_oracle_3d_memory_is_bounded():
-    # tracemalloc peak of this call: 6.6 MB with feasibility on the
-    # lattice axes and a tree on the boundary layer; 15.3 MB searching the
-    # reachable ball, 37.0 MB when the whole 81^3 lattice was stacked as a
-    # (points, 3) array
+    # tracemalloc peak of this call: 3.1 MB with feasibility on the
+    # lattice axes and a distance scan of the boundary layer; 6.6 MB with a
+    # k-d tree on that layer, 15.3 MB searching the reachable ball, 37.0 MB
+    # when the whole 81^3 lattice was stacked as a (points, 3) array
     spec = S.SetSpec.sublevel(WEDGE)
     params = S.SampleParams(radii=(1e-2,), dirs_per_radius=64)
     tracemalloc.start()
@@ -602,6 +601,29 @@ def test_oracle_3d_memory_is_bounded():
         tracemalloc.stop()
     assert out.points.shape[0] > 0
     assert peak < 24 << 20
+
+
+def test_oracle_memory_is_bounded_on_a_long_boundary_layer():
+    # the union of seven slabs 16 z / r in [a, b]: one ends at the origin,
+    # six lie between 1.5 r and 2 r from it.  At r = 1e-2 (step r / 16)
+    # their boundary layer holds 17 238 lattice points, scanned from 217
+    # samples; tracemalloc peak 5.3 MB in row blocks, 33.5 MB as one matrix
+    far = ((24.5, 26.5), (27.5, 29.5), (30.5, 32.5))
+    flats = [(-2.5, 0.0)] + [(s * a, s * b) for a, b in far for s in (1, -1)]
+    roots = sorted(e / 16 for flat in flats for e in flat)
+    spec = S.SetSpec.sublevel([f("(* " + " ".join(f"(- (* 100 z) {c!r})" for c in roots) + ")", XYZ)])
+    params = S.SampleParams(radii=(1e-2,), dirs_per_radius=256)
+    tracemalloc.start()
+    try:
+        out = S.sampled_normal_cone_oracle(spec, [0.0, 0.0, 0.0], params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    ref = dense_normal_cone_oracle(spec, [0.0, 0.0, 0.0], params)
+    assert out.cluster_centers.shape[0] > 0
+    assert np.array_equal(out.cluster_centers, ref.cluster_centers)
+    assert np.array_equal(out.points, ref.points)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,6 +1047,15 @@ def test_sample_params_is_the_one_place_tau_act_is_set():
         assert option not in inspect.signature(fn).parameters, (fn.__qualname__, option)
     for fn in (S.feasible_mask, S.feasible_open):
         assert "tol" in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("radii", [(1e300,), (1e-300,), (math.nan,), (math.inf,), (1e-2, math.nan), (1e-2, 0.0)])
+def test_sample_params_bound_the_radii(radii):
+    # a radius of 1e300 made the oracle's lattice bound step**2 / r overflow
+    with pytest.raises(S.SubdiffError, match=r"radii must lie in \[1e-100, 1e\+100\]"):
+        S.SampleParams(radii=radii)
+    lo, hi = S.RADIUS_RANGE
+    assert S.SampleParams(radii=(hi, lo)).radii == (1e100, 1e-100)
 
 
 @pytest.mark.parametrize("seed", [-1, -1000000, 1.5, "7", None])
