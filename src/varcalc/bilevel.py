@@ -22,6 +22,7 @@ from varcalc import expr as ex
 from varcalc import subdiff as sd
 from varcalc import valuefn as vf
 from varcalc.convgeom import Polytope, PolytopeUnion, TOL_GEOM, lp_weights
+from varcalc.valuefn import HypothesisFailure, record
 
 TOL_COMP = 1e-9
 
@@ -34,12 +35,6 @@ CAVEAT = (
 
 class BilevelError(ValueError):
     pass
-
-
-class HypothesisFailure(BilevelError):
-    def __init__(self, message: str, ledger: list[dict]):
-        super().__init__(message)
-        self.ledger = ledger
 
 
 @dataclass(frozen=True)
@@ -126,11 +121,7 @@ def check_lipschitz_kkt(
     for f in prog.inequality_constraints:
         if ex.evaluate(f, p) > TOL_GEOM:
             raise BilevelError("candidate is infeasible")
-    active = [
-        i
-        for i, f in enumerate(prog.inequality_constraints)
-        if abs(ex.evaluate(f, p)) <= TOL_GEOM
-    ]
+    active = sd.active_constraints(prog.inequality_constraints, p)
     obj_sub = sd.basic_subdifferential(prog.objective, p, params)
     act_subs = [
         sd.basic_subdifferential(prog.inequality_constraints[i], p, params) for i in active
@@ -142,13 +133,9 @@ def check_lipschitz_kkt(
     mfcq_witness = sd.qualification_witness(act_subs)
     mfcq_holds = mfcq_witness is None
 
-    ledger = [
-        {
-            "hypothesis": "generalized constraint qualification at the candidate",
-            "status": "verified" if mfcq_holds else "failed",
-            "detail": mfcq_witness or {},
-        }
-    ]
+    ledger: list[dict] = []
+    status = "verified" if mfcq_holds else "failed"
+    record(ledger, "generalized constraint qualification at the candidate", status, mfcq_witness)
 
     m = len(prog.inequality_constraints)
     best_margin, best_combo, tried = math.inf, (), 0
@@ -399,20 +386,19 @@ def regularity_check(
     xv = p[: bp.x_dim]
 
     lower_unions = []
-    for f in bp.lower_constraints:
-        if abs(ex.evaluate(f, p)) <= TOL_GEOM:
-            full = sd.basic_subdifferential(f, p, params)
-            lower_unions.append(
-                PolytopeUnion.create(
-                    [Polytope.create(part.vertices[:, bp.x_dim :]) for part in full.parts]
-                )
+    for i in sd.active_constraints(bp.lower_constraints, p):
+        full = sd.basic_subdifferential(bp.lower_constraints[i], p, params)
+        lower_unions.append(
+            PolytopeUnion.create(
+                [Polytope.create(part.vertices[:, bp.x_dim :]) for part in full.parts]
             )
+        )
     lower_witness = sd.qualification_witness(lower_unions)
 
-    upper_unions = []
-    for g in bp.upper_constraints:
-        if abs(ex.evaluate(g, xv)) <= TOL_GEOM:
-            upper_unions.append(sd.basic_subdifferential(g, xv, params))
+    upper_unions = [
+        sd.basic_subdifferential(bp.upper_constraints[j], xv, params)
+        for j in sd.active_constraints(bp.upper_constraints, xv)
+    ]
     upper_witness = sd.qualification_witness(upper_unions)
 
     return RegularityReport(
@@ -464,50 +450,28 @@ def _hypothesis_gate(
         raise BilevelError(f"penalty constant must be finite and positive, got {kappa}")
     ledger: list[dict] = []
     _bilevel_feasible(bp, point, grid)
-    ledger.append(
-        {"hypothesis": "candidate feasible for the reformulated problem", "status": "verified", "detail": {}}
-    )
+    record(ledger, "candidate feasible for the reformulated problem", "verified")
     reg = regularity_check(bp, point, params)
-    ledger.append(
-        {
-            "hypothesis": "lower-level regularity",
-            "status": "verified" if reg.lower_regular else "failed",
-            "detail": reg.lower_witness or {},
-        }
-    )
+    levels = {"lower": (reg.lower_regular, reg.lower_witness)}
     if need_upper:
-        ledger.append(
-            {
-                "hypothesis": "upper-level regularity",
-                "status": "verified" if reg.upper_regular else "failed",
-                "detail": reg.upper_witness or {},
-            }
-        )
-    if not reg.lower_regular or (need_upper and not reg.upper_regular):
+        levels["upper"] = (reg.upper_regular, reg.upper_witness)
+    for level, (regular, witness) in levels.items():
+        record(ledger, f"{level}-level regularity", "verified" if regular else "failed", witness)
+    if not all(regular for regular, _ in levels.values()):
         raise HypothesisFailure("regularity condition failed at the candidate", ledger)
+    calmness = f"partial calmness with constant {kappa}"
     if override_calmness:
-        ledger.append(
-            {"hypothesis": f"partial calmness with constant {kappa}", "status": "overridden", "detail": {}}
-        )
+        record(ledger, calmness, "overridden")
     else:
         probe = _calmness_probe(bp, point, (kappa,), grid, params)
-        ok = probe.kappa_validated is not None
-        ledger.append(
-            {
-                "hypothesis": f"partial calmness with constant {kappa}",
-                "status": "probed" if ok else "failed",
-                "detail": {
-                    "samples": probe.samples_checked,
-                    "violations": probe.violations[:3],
-                },
-            }
+        record(
+            ledger,
+            calmness,
+            "probed" if probe.kappa_validated is not None else "failed",
+            {"samples": probe.samples_checked, "violations": probe.violations[:3]},
+            "partial calmness probe failed at this penalty constant "
+            "(pass override_calmness to proceed)",
         )
-        if not ok:
-            raise HypothesisFailure(
-                "partial calmness probe failed at this penalty constant "
-                "(pass override_calmness to proceed)",
-                ledger,
-            )
     return ledger
 
 
@@ -519,9 +483,8 @@ def _branch_subdiffs(
     phi = sd.basic_subdifferential(bp.lower_cost, p, params)
     psi = sd.basic_subdifferential(bp.upper_cost, p, params)
     f = {
-        i: sd.basic_subdifferential(fi, p, params)
-        for i, fi in enumerate(bp.lower_constraints)
-        if abs(ex.evaluate(fi, p)) <= TOL_GEOM
+        i: sd.basic_subdifferential(bp.lower_constraints[i], p, params)
+        for i in sd.active_constraints(bp.lower_constraints, p)
     }
     return phi, psi, f
 
@@ -654,28 +617,22 @@ def certify_T74(
         estimate = vf.value_subdiff_estimate(
             bp.lower(), p, grid, params, override_isc=override_isc
         )
-    except vf.HypothesisNotSatisfied as err:
-        raise HypothesisFailure(str(err), ledger + err.ledger) from None
+    except HypothesisFailure as err:
+        err.ledger[:0] = ledger
+        raise
     ledger.extend(estimate.ledger)
-    ledger.append(
-        {
-            "hypothesis": "u ranges over an outer estimate of the convexified "
-            "value-function subdifferential",
-            "status": "probed",
-            "detail": {"notes": estimate.notes},
-        }
-    )
+    u_range = "u ranges over an outer estimate of the convexified value-function subdifferential"
+    record(ledger, u_range, "probed", {"notes": estimate.notes})
     xv = p[:n]
     phi_sub, psi_sub, f_subs = _branch_subdiffs(bp, p, params)
     g_subs = {
         j: PolytopeUnion.create(
             [
                 Polytope.create(_embed_x_block(part.vertices, n, m))
-                for part in sd.basic_subdifferential(g, xv, params).parts
+                for part in sd.basic_subdifferential(bp.upper_constraints[j], xv, params).parts
             ]
         )
-        for j, g in enumerate(bp.upper_constraints)
-        if abs(ex.evaluate(g, xv)) <= TOL_GEOM
+        for j in sd.active_constraints(bp.upper_constraints, xv)
     }
     convexified = [_term([phi_sub.hull()], True)] + [
         _term([u.hull()], False, "nu", i) for i, u in f_subs.items()
@@ -708,31 +665,19 @@ def certify_T83(
     union branches.  Only applies without upper-level constraints."""
     p = np.asarray(point, dtype=float)
     if bp.upper_constraints:
-        raise HypothesisFailure(
-            "the refined certificate applies only without upper-level constraints",
-            [
-                {
-                    "hypothesis": "no upper-level constraints",
-                    "status": "failed",
-                    "detail": {"count": len(bp.upper_constraints)},
-                }
-            ],
-        )
+        count = {"count": len(bp.upper_constraints)}
+        failure = "the refined certificate applies only without upper-level constraints"
+        record([], "no upper-level constraints", "failed", count, failure)
     ledger = _hypothesis_gate(bp, p, kappa, grid, params, override_calmness, need_upper=False)
     reg_theta = vf.regular_value_subdiff_outer(bp.lower(), p[: bp.x_dim], grid, params)
-    ledger.append(
-        {
-            "hypothesis": "regular subdifferential of the value function nonempty",
-            "status": "probed" if reg_theta is not None else "failed",
-            "detail": {"representation": "outer approximation from difference quotients"},
-        }
+    record(
+        ledger,
+        "regular subdifferential of the value function nonempty",
+        "probed" if reg_theta is not None else "failed",
+        {"representation": "outer approximation from difference quotients"},
+        "the regular subdifferential of the value function is empty "
+        "(outer approximation found no candidate)",
     )
-    if reg_theta is None:
-        raise HypothesisFailure(
-            "the regular subdifferential of the value function is empty "
-            "(outer approximation found no candidate)",
-            ledger,
-        )
     phi_sub, psi_sub, f_subs = _branch_subdiffs(bp, p, params)
     regular = [_term(phi_sub.parts, True, "phi_part_first")] + [
         _term(u.parts, False, "nu", i) for i, u in f_subs.items()

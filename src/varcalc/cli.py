@@ -14,9 +14,10 @@ Exit codes: 0 ok, 1 a verify property check failed, 2 input error
 (qualification, LP breakdown, too many branch combinations), 4 no
 certificate, 5 hypothesis failure.  Every library error a command raises
 ends in 2 or 3 through the one table ERROR_EXITS in main, with an
-"error: " line on stderr.  JSON reports (--json) are byte identical for
-identical inputs and seed; timing appears only in the human-readable
-output.
+"error: " line on stderr; a report holding a non-finite number, which
+JSON cannot carry, ends in 2 the same way.  JSON reports (--json) are
+byte identical for identical inputs and seed; timing appears only in the
+human-readable output.
 """
 
 from __future__ import annotations
@@ -93,9 +94,16 @@ def _report(command: str, digest: str, seed: int, results, ledger=None, caveat=N
     return report
 
 
-def _emit(report: dict, as_json: bool, elapsed: float) -> None:
+def _serialize(report: dict) -> str:
+    try:
+        return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise CliError("the report holds a non-finite number") from None
+
+
+def _emit(report: dict, text: str, as_json: bool, elapsed: float) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(text + "\n")
         return
     print(f"# varcalc {report['command']}  ({elapsed:.2f}s)")
     print(f"input digest: {report['inputs']['file_digest']}")
@@ -366,7 +374,8 @@ EXTREMAL_BUILTINS = ("halfplanes", "boundary", "nonextremal")
 
 
 def cmd_extremal(args) -> tuple[dict, int]:
-    seed = args.seed if args.seed is not None else 0
+    # only echoed into the report, but checked as every command checks it
+    seed = replace(sd.DEFAULT_PARAMS, seed=args.seed or 0).seed
     two = lambda t: ex.parse_function(t, ex.VarSpace.of("x", "y"))
     one = lambda t: ex.parse_function(t, ex.VarSpace.of("x"))
     if args.builtin == "halfplanes":
@@ -483,13 +492,14 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         report, code = HANDLERS[args.command](args)
+        text = _serialize(report)
     except Exception as err:
         for types, code, prefix in ERROR_EXITS:
             if isinstance(err, types):
                 print(f"error: {prefix}{err}", file=sys.stderr)
                 return code
         raise
-    _emit(report, args.json, time.monotonic() - start)
+    _emit(report, text, args.json, time.monotonic() - start)
     return code
 
 

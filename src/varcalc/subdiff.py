@@ -107,7 +107,6 @@ class ExtremalityNotWitnessed(SubdiffError):
 class SampleParams:
     radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     dirs_per_radius: int = 256
-    eps_sequence: tuple[float, ...] | None = None
     seed: int = 0
     # absolute activity tolerance of piecewise branches, read by every
     # active-pattern computation
@@ -120,12 +119,6 @@ class SampleParams:
             raise SubdiffError(f"radii must lie in [{lo:g}, {hi:g}]")
         if any(r[i + 1] >= r[i] for i in range(len(r) - 1)):
             raise SubdiffError("radii must be strictly decreasing")
-        if self.eps_sequence is None:
-            object.__setattr__(self, "eps_sequence", tuple(a / 10 for a in r))
-        else:
-            e = self.eps_sequence
-            if len(e) != len(r) or any(a < 0 for a in e):
-                raise SubdiffError("eps_sequence must be nonnegative, one per radius")
         if self.dirs_per_radius < 2:
             raise SubdiffError("dirs_per_radius must be at least 2")
         if not (math.isfinite(self.tau_act) and self.tau_act > 0):
@@ -135,14 +128,6 @@ class SampleParams:
 
     def directions(self, dim: int) -> np.ndarray:
         return directions(dim, self.dirs_per_radius, self.seed)
-
-    @property
-    def r_min(self) -> float:
-        return self.radii[-1]
-
-    @property
-    def eps_min(self) -> float:
-        return self.eps_sequence[-1]
 
 
 DEFAULT_PARAMS = SampleParams()
@@ -270,26 +255,11 @@ def set_membership(spec: SetSpec, point: Sequence[float]) -> bool:
     return all(ex.evaluate(f, p) <= TOL_GEOM for f in spec.functions)
 
 
-def feasible_mask(spec: SetSpec, pts: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
-    if spec.kind == "singleton":
-        return np.linalg.norm(pts - spec.point[None, :], axis=1) <= tol
-    if spec.kind == "product":
-        mask = np.ones(pts.shape[0], dtype=bool)
-        off = 0
-        for f in spec.factors:
-            mask &= feasible_mask(f, pts[:, off : off + f.dim], tol)
-            off += f.dim
-        return mask
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for f in spec.functions:
-        mask &= ex.eval_batch(f, pts) <= tol
-    return mask
-
-
 def feasible_open(spec: SetSpec, cols: Sequence[np.ndarray], tol: float = TOL_GEOM) -> np.ndarray:
-    """feasible_mask on one broadcastable array per coordinate, such as an
-    open grid (see ``ex.eval_open``).  Broadcast to the grid, it equals
-    feasible_mask on the materialized points bit for bit."""
+    """Set membership, at tolerance tol, of the points given as one
+    broadcastable array per coordinate, such as an open grid (see
+    ``ex.eval_open``) or the columns of a (points, dim) array.  The mask
+    has the broadcast shape of the arrays the set's functions read."""
     if spec.kind == "singleton":
         # the sum and square root np.linalg.norm takes along a row
         return np.sqrt(sum((c - v) ** 2 for c, v in zip(cols, spec.point))) <= tol
@@ -459,8 +429,8 @@ def _regular(
     candidate = convex_hull(grads)
     if _pattern_is_max_like(pattern, f, contexts):
         return candidate, True
-    r = params.r_min
-    eps = params.eps_min + _curvature_estimate(f, p, pattern) * r
+    r = params.radii[-1]
+    eps = r / 10 + _curvature_estimate(f, p, pattern) * r
     dirs = params.directions(f.space.dim)
     quotients = (ex.eval_batch(f, p[None, :] + r * dirs) - ex.evaluate(f, p)) / r
     return clip_polytope(candidate, dirs, quotients + eps), False
@@ -476,7 +446,7 @@ def regular_subdifferential(
     Pure max-type patterns give the hull of active branch gradients
     directly.  Patterns with concave-type ties clip that candidate hull
     with difference-quotient halfspaces sampled at the smallest radius,
-    relaxed by the epsilon schedule plus a curvature allowance, so the
+    relaxed by a tenth of that radius plus a curvature allowance, so the
     result satisfies the defining inequality on all drawn samples.
     """
     return _regular(f, ex.as_point(f.space, x), params)[0]
@@ -610,7 +580,7 @@ class OracleCloud:
 
 
 def _cell_codes(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """One integer per row of integer cell keys, and the offset that turns
+    """One integer per row of integral cell keys, and the offset that turns
     a code into the code of each of the 3^dim neighbour cells, in
     ``itertools.product((-1, 0, 1), repeat=dim)`` order.
 
@@ -623,7 +593,7 @@ def _cell_codes(keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
     ranks, radix = [], []
     for col in keys.T:
         u, inv = np.unique(col, return_inverse=True)
-        rank = np.concatenate([[1], 1 + np.cumsum(np.where(u[1:] == u[:-1] + 1, 1, 2))])
+        rank = np.concatenate([[1], 1 + np.cumsum(np.where(np.diff(u) == 1, 1, 2))])
         ranks.append(rank[inv])
         radix.append(int(rank[-1]) + 2)
     strides = [math.prod(radix[:k]) for k in range(len(radix))]
@@ -667,7 +637,8 @@ def _cluster(points: np.ndarray, tol: float) -> np.ndarray:
     dim = points.shape[1]
     order = np.lexsort(tuple(points[:, k] for k in range(dim - 1, -1, -1)))
     pts = points[order]
-    codes, offsets = _cell_codes(np.floor(pts / tol).astype(np.int64))
+    # float keys: past 2**63 an int64 cast would overflow, and ranking is exact
+    codes, offsets = _cell_codes(np.floor(pts / tol))
     occupied, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
     alone = counts[inverse] == 1
     for off in offsets:
@@ -752,7 +723,8 @@ def sampled_subdiff_oracle(
 
     accepted: dict[int, dict[int, np.ndarray]] = {}
     raw: list[np.ndarray] = []
-    for level, (r, eps) in enumerate(zip(params.radii, params.eps_sequence)):
+    for level, r in enumerate(params.radii):
+        eps = r / 10
         rho = np.array([r / 32, r / 64])
         us = p + r * dirs
         patterns, inverse = ex.active_patterns(f, us, params.tau_act)
@@ -794,8 +766,8 @@ def sampled_subdiff_oracle(
     stencil = np.vstack(
         [p[None, :] + r * stencil_dirs for r in params.radii]
     )
-    eps_fill = params.eps_sequence[0]
     f_fill = ex.eval_batch(f, np.vstack([p[None, :], stencil]))
+    eps_fill = params.radii[0] / 10
     keep = _accepts(p[None], f_fill[:1], fill[None], stencil[None], f_fill[None, 1:], eps_fill)[0]
     fill_accepted = fill[keep]
     raw.extend(fill_accepted)
@@ -928,6 +900,11 @@ def qualification_witness(unions: Sequence[PolytopeUnion]) -> dict | None:
     return None
 
 
+def active_constraints(functions: Sequence[ex.FunctionDef], point: np.ndarray) -> tuple[int, ...]:
+    """The indices of the functions that vanish at the point, within TOL_GEOM."""
+    return tuple(j for j, f in enumerate(functions) if abs(ex.evaluate(f, point)) <= TOL_GEOM)
+
+
 def normal_cone(
     spec: SetSpec,
     x: Sequence[float],
@@ -974,7 +951,7 @@ def normal_cone(
         raise SubdiffError("point not in the set")
     fns = spec.constraint_functions()
     dim = spec.dim
-    active = tuple(j for j, f in enumerate(fns) if abs(ex.evaluate(f, p)) <= TOL_GEOM)
+    active = active_constraints(fns, p)
     if not active:
         return NormalCone((ConeSpec.zero(dim),), "trivial", ())
 
@@ -1326,8 +1303,7 @@ def sampled_lipschitz_like_test(
     step = ys[1] - ys[0]
 
     def feasible_ys(xv: np.ndarray) -> np.ndarray:
-        pts = np.hstack([np.tile(xv, (ys.size, 1)), ys[:, None]])
-        return ys[feasible_mask(spec, pts)]
+        return ys[np.broadcast_to(feasible_open(spec, [*xv, ys]), ys.shape)]
 
     dirs = directions(n, max(4, 2 * n), params.seed)
     worst = 0.0

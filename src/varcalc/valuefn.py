@@ -67,10 +67,26 @@ class InfeasibleOnBox(ValueFnError):
         )
 
 
-class HypothesisNotSatisfied(ValueFnError):
+class HypothesisFailure(ValueFnError):
     def __init__(self, message: str, ledger: list[dict]):
         super().__init__(message)
         self.ledger = ledger
+
+
+def record(
+    ledger: list[dict],
+    hypothesis: str,
+    status: str,
+    detail: dict | None = None,
+    failure: str | None = None,
+) -> None:
+    """Append an entry to a hypothesis ledger.  A failed entry given a
+    failure message raises HypothesisFailure with it and the ledger."""
+    if status not in ("verified", "probed", "overridden", "failed"):
+        raise ValueError(f"unknown hypothesis status {status!r}")
+    ledger.append({"hypothesis": hypothesis, "status": status, "detail": detail or {}})
+    if status == "failed" and failure is not None:
+        raise HypothesisFailure(failure, ledger)
 
 
 @dataclass(frozen=True)
@@ -461,24 +477,16 @@ def _isc_gate(
     """Hypothesis ledger for the inner-semicontinuity requirement; raises
     when the probe fails and no documented override applies."""
     report = inner_semicontinuity_probe(prob, point, grid, params)
-    entry = {
-        "hypothesis": "argminimum mapping inner semicontinuous at the candidate",
-        "status": "probed" if report.verdict else "failed",
-        "detail": {
-            "worst_distance": report.worst_distance,
-            "threshold": report.threshold,
-        },
-    }
-    if report.verdict:
-        return [entry]
-    if override_isc:
-        entry["status"] = "overridden"
-        return [entry]
-    raise HypothesisNotSatisfied(
+    ledger: list[dict] = []
+    record(
+        ledger,
+        "argminimum mapping inner semicontinuous at the candidate",
+        "probed" if report.verdict else "overridden" if override_isc else "failed",
+        {"worst_distance": report.worst_distance, "threshold": report.threshold},
         "inner semicontinuity probe failed (pass override_isc to proceed; "
         f"worst witness distance {report.worst_distance:.3g} at x = {report.worst_x})",
-        [entry],
     )
+    return ledger
 
 
 def value_subdiff_estimate(
@@ -526,13 +534,8 @@ def value_subdiff_estimate(
                 comp.recession.lineality,
             ).canonicalize()
         )
-    ledger.append(
-        {
-            "hypothesis": "cost function locally Lipschitz",
-            "status": "verified",
-            "detail": {"reason": "expression class is Lipschitz by construction"},
-        }
-    )
+    reason = {"reason": "expression class is Lipschitz by construction"}
+    record(ledger, "cost function locally Lipschitz", "verified", reason)
     return ValueEstimate(
         basic=PolytopeUnion.create(parts),
         singular=tuple(singular),
@@ -561,13 +564,8 @@ def lipschitz_verdict(
     p = np.asarray(point, dtype=float)
     ledger = _isc_gate(prob, p, grid, params, override_isc)
     report = sd.lipschitz_like_check(prob.graph_spec(), p, params)
-    ledger.append(
-        {
-            "hypothesis": "constraint mapping Lipschitz-like at the candidate",
-            "status": "verified" if report.verdict else "failed",
-            "detail": {},
-        }
-    )
+    status = "verified" if report.verdict else "failed"
+    record(ledger, "constraint mapping Lipschitz-like at the candidate", status)
     xb = p[: prob.x_dim]
     dirs = directions(prob.x_dim, 2 * prob.x_dim, params.seed)
     stencil = [xb + r * dirs for r in params.radii]

@@ -156,7 +156,8 @@ def full_projection_grid(spec, p: np.ndarray, r: float, tol: float):
     axes = [np.arange(c - half, c + half + step / 2, step) for c in p]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts, S.feasible_mask(spec, pts, tol), mesh[0].shape, step
+    ok = np.broadcast_to(S.feasible_open(spec, list(pts.T), tol), (len(pts),))
+    return pts, ok, mesh[0].shape, step
 
 
 def boundary_layer_size(spec, p: np.ndarray, r: float, tol: float) -> int:
@@ -214,7 +215,7 @@ def reference_cluster(points: np.ndarray, tol: float) -> np.ndarray:
     counts: list[int] = []
     neighbor = list(itertools.product(*([(-1, 0, 1)] * dim)))
     for q in pts:
-        key = tuple(np.floor(q / tol).astype(np.int64))
+        key = tuple(int(k) for k in np.floor(q / tol))
         hit = -1
         for off in neighbor:
             cell = tuple(k + o for k, o in zip(key, off))

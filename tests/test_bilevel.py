@@ -308,6 +308,7 @@ def test_t74_upper_constrained_no_certificate_off_optimum():
 
 
 def test_t74_isc_failure_is_hypothesis_failure():
+    assert B.HypothesisFailure is V.HypothesisFailure
     with pytest.raises(B.HypothesisFailure, match="inner semicontinuity") as info:
         B.certify_T74(kink_problem(), [0.0, 1.0], 4.0, GRID, FAST, override_calmness=True)
     assert [e["status"] for e in info.value.ledger][-2:] == ["overridden", "failed"]

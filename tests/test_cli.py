@@ -154,8 +154,9 @@ box w -1 1
         ["certify", str(WORKED), "--at", "origin", "--theorem", "t74", "--kappa", "4"],
         ["verify", str(WORKED)],
         ["verify", "--builtin-corpus"],
+        ["extremal", "--builtin", "boundary"],
     ],
-    ids=["subdiff", "normalcone", "valuefn", "certify", "verify-file", "verify-corpus"],
+    ids=["subdiff", "normalcone", "valuefn", "certify", "verify-file", "verify-corpus", "extremal"],
 )
 def test_negative_seed_exit2(capsys, argv):
     code, out, err = run_cli(argv + ["--seed", "-1000000", "--json"], capsys)

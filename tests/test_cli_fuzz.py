@@ -5,8 +5,8 @@ exit code: 0 ok, 2 input error, 3 refusal, 4 no certificate or 5
 hypothesis failure.  No exception escapes, an input error or a refusal
 says why in an "error: " line on stderr (a normal-cone qualification
 refusal says so in its report, with the witness), and anything on stdout
-is a JSON report.  The examples are derandomized, so every run of the
-suite tries the same inputs.
+is a standard JSON report, with no NaN or Infinity.  The examples are
+derandomized, so every run of the suite tries the same inputs.
 """
 
 import contextlib
@@ -115,6 +115,15 @@ def _deep_objective(depth: int) -> str:
     return BASES["worked"][0].replace("objective y", f"objective {_nested(depth, '(+ 1 y)')}")
 
 
+# inputs whose inner-semicontinuity witness distance overflows to inf
+HUGE_BOX = BASES["worked"][0].replace("box y -2 2", "box y -1e300 1e300")
+HUGE_CANDIDATE = BASES["worked"][0].replace("origin 0 0", "origin 1e200 -1e200")
+
+
+def _finite_only(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(runs())
 @example((BASES["worked"][0], ["verify", "--dirs", "1"]))
@@ -132,6 +141,10 @@ def _deep_objective(depth: int) -> str:
 )
 @example((_deep_objective(ex.MAX_NESTING + 1), ["subdiff", "--fn", "lower.objective", "--at", "origin"]))
 @example((_deep_objective(1200), ["subdiff", "--fn", "lower.objective", "--at", "origin"]))
+@example((HUGE_BOX, ["valuefn"]))
+@example((HUGE_BOX, ["certify", "--at", "origin", "--theorem", "t74"]))
+@example((HUGE_CANDIDATE, ["valuefn"]))
+@example((HUGE_CANDIDATE, ["certify", "--at", "origin", "--theorem", "t74", "--override-calmness"]))
 def test_every_run_ends_in_a_documented_exit_code(run):
     text, command = run
     with tempfile.TemporaryDirectory() as tmp:
@@ -149,6 +162,6 @@ def test_every_run_ends_in_a_documented_exit_code(run):
         assert code in (2, 3)
         assert err.splitlines()[-1].startswith("error: refused: " if code == 3 else "error: ")
         return
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=_finite_only)
     if code in (2, 3):
         assert code == 3 and command[0] == "normalcone" and "refused" in report["results"]

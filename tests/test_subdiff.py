@@ -249,6 +249,25 @@ def test_cluster_codes_past_int64_stay_exact():
     assert got.tobytes() == reference_cluster(pts, S.CLUSTER_TOL).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_cluster_takes_cell_keys_past_int64(monkeypatch):
+    # at radii 1e100 the oracle's candidates lie about 1e108 cells of
+    # CLUSTER_TOL from the origin, past what an int64 key holds
+    largest = []
+    cluster = S._cluster
+
+    def checked_cluster(pts, tol):
+        got = cluster(pts, tol)
+        assert got.tobytes() == reference_cluster(pts, tol).tobytes()
+        largest.append(np.abs(pts).max() / tol)
+        return got
+
+    monkeypatch.setattr(S, "_cluster", checked_cluster)
+    params = S.SampleParams(radii=(1e100,), dirs_per_radius=32)
+    S.sampled_subdiff_oracle(f("(* x y)", XY), [0.0, 1.0], params)
+    assert largest[0] > 2.0**63
+
+
 def test_cluster_centers_need_not_be_separated():
     # 1.5 moves the first center to 1.0, which stays filed under the cell
     # of 0.5, so 2.0 at distance tol from it starts a center of its own
@@ -557,7 +576,7 @@ def test_projection_oracle_scans_the_boundary_layer(path, limit, oracle_work):
     assert oracle_work["layers"][0] <= limit
 
 
-def test_feasible_open_equals_feasible_mask():
+def test_feasible_open_equals_set_membership():
     rng = np.random.default_rng(3)
     pts = np.vstack([rng.uniform(-1, 1, (500, 3)), [[0.25, -0.5, 0.0]]])
     specs = [
@@ -565,18 +584,17 @@ def test_feasible_open_equals_feasible_mask():
         S.SetSpec.singleton([0.25, -0.5, 0.0]),
         S.SetSpec.product([S.SetSpec.singleton([0.25]), S.SetSpec.sublevel([f("(- (+ (* x x) (* y y)) 0.5)", XY)])]),
     ]
-    for spec in specs:
-        want = S.feasible_mask(spec, pts)
-        assert want.any()
-        got = np.broadcast_to(S.feasible_open(spec, list(pts.T)), want.shape)
-        assert np.array_equal(got, want)
-    # on an open grid, against the materialized lattice
+    # on the columns of the points, and on an open grid against its lattice
     axes = [np.linspace(-1, 1, 9), np.linspace(-1, 1, 7), np.linspace(-1, 1, 5)]
     cols = [a.reshape((1,) * k + (-1,) + (1,) * (2 - k)) for k, a in enumerate(axes)]
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     for spec in specs:
+        want = [S.set_membership(spec, q) for q in pts]
+        assert any(want)
+        got = np.broadcast_to(S.feasible_open(spec, list(pts.T)), (len(pts),))
+        assert got.tolist() == want
         got = np.broadcast_to(S.feasible_open(spec, cols), (9, 7, 5)).ravel()
-        assert np.array_equal(got, S.feasible_mask(spec, grid))
+        assert got.tolist() == [S.set_membership(spec, q) for q in grid]
 
 
 def test_projection_oracle_refuses_a_lattice_without_feasible_points():
@@ -1007,6 +1025,7 @@ REMOVED_OPTIONS = [
     (S.sampled_lipschitz_like_test, "v_radius"),
     (S.sampled_lipschitz_like_test, "y_resolution"),
     (S.SampleParams.directions, "extra_seed"),
+    (S.SampleParams, "eps_sequence"),
     (S.SlicedCone.is_zero_only, "tol"),
     (G.hausdorff_distance, "n_dirs"),
     (G.Polytope.sample_points, "per_edge"),
@@ -1045,8 +1064,7 @@ def test_sample_params_is_the_one_place_tau_act_is_set():
     assert takers == {"varcalc.subdiff.SampleParams"}
     for fn, option in REMOVED_OPTIONS:
         assert option not in inspect.signature(fn).parameters, (fn.__qualname__, option)
-    for fn in (S.feasible_mask, S.feasible_open):
-        assert "tol" in inspect.signature(fn).parameters
+    assert "tol" in inspect.signature(S.feasible_open).parameters
 
 
 @pytest.mark.parametrize("radii", [(1e300,), (1e-300,), (math.nan,), (math.inf,), (1e-2, math.nan), (1e-2, 0.0)])

@@ -340,8 +340,16 @@ def test_estimate_parabola_at_origin():
 
 
 def test_estimate_refuses_without_isc():
-    with pytest.raises(V.HypothesisNotSatisfied):
+    with pytest.raises(V.HypothesisFailure):
         V.value_subdiff_estimate(bang_problem(), [0.0, -1.0], GRID, FAST)
+
+
+@pytest.mark.parametrize("status", ["passed", "Verified", ""])
+def test_record_rejects_an_unknown_status(status):
+    ledger = []
+    with pytest.raises(ValueError, match="unknown hypothesis status"):
+        V.record(ledger, "a", status)
+    assert ledger == []
 
 
 def test_estimate_override_recorded():
