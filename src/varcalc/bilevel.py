@@ -559,30 +559,15 @@ def _joint_membership(u: np.ndarray, eq1: list, eq2: list) -> list[np.ndarray] |
     """Feasibility LP of u = sum of the blocks of eq1 and u = sum of the
     blocks of eq2, with u a convex combination of the rows of ``u`` shared
     by both.  A block is (vertices, convex): a nonnegative combination of
-    its rows, whose weights sum to one when convex.  Columns: u's weights,
-    then each block's; rows: eq1's equalities, its convexity rows (u's
-    first), then eq2's equalities and convexity rows.  Returns the weights
-    of u and of each block, or the infeasibility margin."""
-    blocks = [(u, True)] + eq1 + eq2
-    offs = list(itertools.accumulate((V.shape[0] for V, _ in blocks), initial=0))
-    rows, rhs = [], []
-    k = 1 + len(eq1)
-    second = range(k, len(blocks))
-    for members, normalized in ((range(1, k), range(k)), (second, second)):
-        eq = np.zeros((u.shape[1], offs[-1]))
-        eq[:, : offs[1]] = u.T
-        for b in members:
-            eq[:, offs[b] : offs[b + 1]] = -blocks[b][0].T
-        convex = [b for b in normalized if blocks[b][1]]
-        sums = np.zeros((len(convex), offs[-1]))
-        for i, b in enumerate(convex):
-            sums[i, offs[b] : offs[b + 1]] = 1.0
-        rows += [eq, sums]
-        rhs += [np.zeros(u.shape[1]), np.ones(len(convex))]
-    z = lp_weights(np.vstack(rows), np.concatenate(rhs), "the certificate search")
-    if isinstance(z, float):
-        return z
-    return [z[offs[b] : offs[b + 1]] for b in range(len(blocks))]
+    its rows, whose weights sum to one when convex.  Both equations live in
+    one stacked space: u's rows enter as [u, u], eq1's blocks as [-V, 0]
+    and eq2's as [0, -V], with target zero.  Returns the weights of u and
+    of each block, or the infeasibility margin."""
+    zero = np.zeros_like
+    blocks = [(np.hstack([u, u]), "convex")]
+    blocks += [(np.hstack([-V, zero(V)]), "convex" if convex else "free") for V, convex in eq1]
+    blocks += [(np.hstack([zero(V), -V]), "convex" if convex else "free") for V, convex in eq2]
+    return lp_weights(np.zeros(2 * u.shape[1]), blocks, "the certificate search")
 
 
 def _complementarity(bp: BilevelProblem, p: np.ndarray, multipliers: dict) -> float:

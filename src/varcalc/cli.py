@@ -256,15 +256,17 @@ def cmd_valuefn(args) -> tuple[dict, int]:
             "threshold": report.threshold,
         }
     results["isc_probes"] = probes
+    report = _report("valuefn", pf.digest, params.seed, results)
     if args.csv:
+        report["results"]["csv"] = args.csv
+        _serialize(report)  # a report that cannot be printed leaves no file
         header = ",".join(f"x_{i}" for i in range(pf.x_dim)) + ",theta"
         lines = [header]
         for row in rows:
             lines.append(",".join(repr(v) for v in row["x"]) + "," + repr(row["theta"]))
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        results["csv"] = args.csv
-    return _report("valuefn", pf.digest, params.seed, results), EXIT_OK
+    return report, EXIT_OK
 
 
 def _certificate_results(out) -> dict:

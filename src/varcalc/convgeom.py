@@ -3,8 +3,10 @@
 Polytopes are stored as lists of vertices (V-representation); halfspace
 data only appears transiently inside LP constraints.  All geometry is
 floating point with tol_lp = 1e-9 for LP feasibility and tol_geom = 1e-8
-for canonicalization.  Cones fed into membership LPs are capped at
-coefficient R_CONE so the phase-1 simplex works with bounded variables.
+for canonicalization.  Every membership and multiplier LP is assembled by
+lp_weights from blocks of rows with "convex" (summing to one), "cone"
+(capped at coefficient R_CONE, so the phase-1 simplex works with bounded
+variables) or "free" (nonnegative) weights.
 """
 
 from __future__ import annotations
@@ -100,17 +102,38 @@ def lp_feasible(A, b, upper=None) -> LPOutcome:
     return LPFeasible(z)
 
 
-def lp_weights(A, b, what: str, upper=None) -> np.ndarray | float:
-    """The assignment ``lp_feasible(A, b, upper)`` finds, or its
-    infeasibility margin (a float) when there is none.  This is where an
-    LP breakdown becomes an error: GeometryError("LP breakdown in <what>:
-    ..."), which the CLI reports as a refusal (exit 3)."""
-    out = lp_feasible(A, b, upper)
+def lp_weights(target, blocks, what: str) -> list[np.ndarray] | float:
+    """Nonnegative weights, one array per block ``(V, kind)``, whose
+    combination of the blocks' rows equals ``target``, or the infeasibility
+    margin (a float) when there are none.  ``kind`` bounds a block's
+    weights: "convex" ones sum to one, "cone" ones are capped at R_CONE
+    and "free" ones are only nonnegative.  The LP's rows are the
+    equalities, then one sum row per convex block in block order.  This is
+    where an LP breakdown becomes an error: GeometryError("LP breakdown in
+    <what>: ..."), which the CLI reports as a refusal (exit 3)."""
+    t = np.asarray(target, dtype=float)
+    dim = t.shape[0]
+    offs = list(itertools.accumulate((len(V) for V, _ in blocks), initial=0))
+    spans = list(itertools.pairwise(offs))  # each block's columns
+    n_convex = sum(kind == "convex" for _, kind in blocks)
+    A = np.zeros((dim + n_convex, offs[-1]))
+    upper = np.full(offs[-1], np.inf)
+    row = dim
+    for (V, kind), (lo, hi) in zip(blocks, spans):
+        A[:dim, lo:hi] = np.asarray(V, dtype=float).T
+        if kind == "convex":
+            A[row, lo:hi] = 1.0
+            row += 1
+        elif kind == "cone":
+            upper[lo:hi] = R_CONE
+        elif kind != "free":
+            raise ValueError(f"block kinds are convex, cone or free, got {kind!r}")
+    out = lp_feasible(A, np.concatenate([t, np.ones(n_convex)]), upper)
     if isinstance(out, LPBreakdown):
         raise GeometryError(f"LP breakdown in {what}: {out.reason}")
     if isinstance(out, LPInfeasible):
         return out.margin
-    return out.assignment
+    return [out.assignment[lo:hi] for lo, hi in spans]
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray | LPInfeasible | LPBreakdown:
@@ -202,9 +225,7 @@ def _lex_sorted(V: np.ndarray) -> np.ndarray:
 
 
 def _in_hull_lp(target: np.ndarray, V: np.ndarray) -> bool:
-    A = np.vstack([np.ones(V.shape[0]), V.T])
-    b = np.concatenate([[1.0], target])
-    return not isinstance(lp_weights(A, b, "hull membership"), float)
+    return not isinstance(lp_weights(target, [(V, "convex")], "hull membership"), float)
 
 
 @dataclass(frozen=True)
@@ -555,30 +576,15 @@ class ConeSpec:
         if nv <= 1e-7:
             return True
         v = v / nv  # scale invariance of cones
-        ng = self.generators.shape[0]
-        nl = self.lineality.shape[0]
-        if ng + nl == 0:
+        cols = self.translate_columns()
+        if cols.shape[0] == 0:
             return False
-        cols = []
-        if ng:
-            cols.append(self.generators.T)
-        if nl:
-            cols.append(self.lineality.T)
-            cols.append(-self.lineality.T)
-        M = np.hstack(cols)
-        out = lp_weights(M, v, "cone membership", np.full(M.shape[1], R_CONE))
-        return not isinstance(out, float)
+        return not isinstance(lp_weights(v, [(cols, "cone")], "cone membership"), float)
 
     def translate_columns(self) -> np.ndarray:
         """Columns spanning the cone for LP assembly: generators plus +/-
         lineality vectors; all take nonnegative coefficients."""
-        cols = [self.generators]
-        if self.lineality.shape[0]:
-            cols.append(self.lineality)
-            cols.append(-self.lineality)
-        return np.vstack([c for c in cols if c.shape[0]]) if any(
-            c.shape[0] for c in cols
-        ) else np.zeros((0, self.dim))
+        return np.vstack([self.generators, self.lineality, -self.lineality])
 
 
 def cones_equal(a: ConeSpec, b: ConeSpec) -> bool:
@@ -606,10 +612,6 @@ def cones_equal(a: ConeSpec, b: ConeSpec) -> bool:
 class Membership:
     base_weights: np.ndarray
     scales: np.ndarray  # implied lambda_i per scaled term
-    scaled_weights: list[np.ndarray]
-    fixed_weights: list[np.ndarray]
-    cone_coeffs: list[np.ndarray]
-    at_cap: bool
 
 
 @dataclass
@@ -621,12 +623,10 @@ def minkowski_membership(
     target: Sequence[float],
     base: Polytope,
     scaled_terms: Sequence[Polytope] = (),
-    fixed_terms: Sequence[tuple[float, Polytope]] = (),
     cones: Sequence[ConeSpec] = (),
 ) -> Membership | NotMember:
-    """Decide target in base + sum_i lambda_i * scaled_i + sum_j c_j * fixed_j
-    + sum_k cone_k with convex weights over base and fixed terms and
-    lambda_i >= 0.
+    """Decide target in base + sum_i lambda_i * scaled_i + sum_k cone_k
+    with convex weights over base and lambda_i >= 0.
 
     A nonnegatively weighted vertex combination of a scaled term spans
     exactly the union over lambda >= 0 of lambda * conv(term), which makes
@@ -634,69 +634,18 @@ def minkowski_membership(
     and the whole decision a single LP.
     """
     t = np.asarray(target, dtype=float)
-    dim = base.dim
-    if t.shape != (dim,):
-        raise DimensionError("target dim mismatch")
-    for q in scaled_terms:
-        if q.dim != dim:
-            raise DimensionError("scaled term dim mismatch")
-    for _, q in fixed_terms:
-        if q.dim != dim:
-            raise DimensionError("fixed term dim mismatch")
-    for c in cones:
-        if c.dim != dim:
-            raise DimensionError("cone dim mismatch")
-
-    blocks: list[np.ndarray] = [base.vertices]
-    convex_rows: list[tuple[int, int]] = [(0, base.num_vertices)]
-    offset = base.num_vertices
-    scaled_slices = []
-    for q in scaled_terms:
-        blocks.append(q.vertices)
-        scaled_slices.append((offset, offset + q.num_vertices))
-        offset += q.num_vertices
-    fixed_slices = []
-    for cst, q in fixed_terms:
-        blocks.append(q.vertices * float(cst))
-        convex_rows.append((offset, offset + q.num_vertices))
-        fixed_slices.append((offset, offset + q.num_vertices))
-        offset += q.num_vertices
-    cone_slices = []
+    if t.shape != (base.dim,) or any(term.dim != base.dim for term in [*scaled_terms, *cones]):
+        raise DimensionError("target, scaled terms and cones must share the base's dim")
+    blocks = [(base.vertices, "convex")] + [(q.vertices, "free") for q in scaled_terms]
     for c in cones:
         cols = c.translate_columns()
-        norms = np.linalg.norm(cols, axis=1)
-        cols = cols[norms > TOL_GEOM]
-        if cols.shape[0]:
-            cols = cols / np.linalg.norm(cols, axis=1, keepdims=True)
-        blocks.append(cols)
-        cone_slices.append((offset, offset + cols.shape[0]))
-        offset += cols.shape[0]
-
-    M = np.vstack([b for b in blocks if b.shape[0]]) if offset else np.zeros((0, dim))
-    nvars = offset
-    if nvars == 0:
-        return NotMember(float(np.linalg.norm(t)))
-    upper = np.full(nvars, np.inf)
-    for lo, hi in cone_slices:
-        upper[lo:hi] = R_CONE
-
-    sums = np.zeros((len(convex_rows), nvars))
-    for i, (lo, hi) in enumerate(convex_rows):
-        sums[i, lo:hi] = 1.0
-    A = np.vstack([M.T, sums])
-    b = np.concatenate([t, np.ones(len(convex_rows))])
-    z = lp_weights(A, b, "Minkowski membership", upper)
+        cols = cols[np.linalg.norm(cols, axis=1) > TOL_GEOM]
+        blocks.append((cols / np.linalg.norm(cols, axis=1, keepdims=True), "cone"))
+    z = lp_weights(t, blocks, "Minkowski membership")
     if isinstance(z, float):
         return NotMember(z)
-    at_cap = any(np.any(z[lo:hi] > R_CONE * (1 - 1e-6)) for lo, hi in cone_slices)
-    return Membership(
-        base_weights=z[: base.num_vertices],
-        scales=np.array([float(z[lo:hi].sum()) for lo, hi in scaled_slices]),
-        scaled_weights=[z[lo:hi] for lo, hi in scaled_slices],
-        fixed_weights=[z[lo:hi] for lo, hi in fixed_slices],
-        cone_coeffs=[z[lo:hi] for lo, hi in cone_slices],
-        at_cap=at_cap,
-    )
+    scales = np.array([float(w.sum()) for w in z[1 : 1 + len(scaled_terms)]])
+    return Membership(base_weights=z[0], scales=scales)
 
 
 # ---------------------------------------------------------------------------

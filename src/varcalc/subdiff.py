@@ -31,7 +31,6 @@ from varcalc.convgeom import (
     NotMember,
     Polytope,
     PolytopeUnion,
-    R_CONE,
     TOL_GEOM,
     cones_equal,
     convex_hull,
@@ -855,21 +854,15 @@ def zero_combination(parts: Sequence[Polytope]) -> tuple[np.ndarray, list[np.nda
     Returns (multipliers, chosen vectors) on success or the infeasibility
     margin on failure; an LP breakdown raises GeometryError."""
     dim = parts[0].dim
-    blocks = [P.vertices for P in parts]
-    sizes = [b.shape[0] for b in blocks]
-    M = np.vstack(blocks)
-    A = np.vstack([M.T, np.ones(M.shape[0])])
-    z = lp_weights(A, np.concatenate([np.zeros(dim), [1.0]]), "the zero-combination check")
+    V = np.vstack([P.vertices for P in parts])
+    z = lp_weights(np.zeros(dim), [(V, "convex")], "the zero-combination check")
     if isinstance(z, float):
         return z
     lams, vecs = [], []
-    off = 0
-    for b, k in zip(blocks, sizes):
-        w = z[off : off + k]
+    for P, w in zip(parts, np.split(z[0], np.cumsum([P.num_vertices for P in parts])[:-1])):
         lam = float(w.sum())
         lams.append(lam)
-        vecs.append((b.T @ w) / lam if lam > 1e-9 else np.zeros(dim))
-        off += k
+        vecs.append((P.vertices.T @ w) / lam if lam > 1e-9 else np.zeros(dim))
     return np.array(lams), vecs
 
 
@@ -1501,34 +1494,24 @@ def verify_intersection_rule(
 def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | None:
     """Normals, one per cone, that sum to zero while some coordinate of one
     of them is at least 1 in absolute value: one LP per block, coordinate
-    and sign, with the ">= 1" row made an equality by a surplus column
-    after the weights.  Returns the blocks' weight sums scaled to a
-    largest entry of 1, or None when the qualification condition holds."""
+    and sign over the cone blocks widened by that ">= 1" coordinate, made
+    an equality by a free surplus column -e_dim after them.  Returns the
+    blocks' weight sums scaled to a largest entry of 1, or None when the
+    qualification condition holds."""
     col_blocks = [c.translate_columns() for c in cones]
-    sizes = [b.shape[0] for b in col_blocks]
-    nvars = sum(sizes)
-    if nvars == 0:
-        return None
-    M = np.vstack([b for b in col_blocks if b.shape[0]])
-    A = np.zeros((dim + 1, nvars + 1))
-    A[:dim, :nvars] = M.T
-    A[dim, nvars] = -1.0
-    rhs = np.concatenate([np.zeros(dim), [1.0]])
-    upper = np.concatenate([np.full(nvars, R_CONE), [np.inf]])
+    target = np.concatenate([np.zeros(dim), [1.0]])
+    surplus = (-np.eye(dim + 1)[dim:], "free")
     for j, block in enumerate(col_blocks):
         if block.shape[0] == 0:
             continue
-        off = sum(sizes[:j])
         for k in range(dim):
             for sign in (1.0, -1.0):
-                A[dim, :nvars] = 0.0
-                A[dim, off : off + sizes[j]] = sign * block[:, k]
-                z = lp_weights(A, rhs, "the qualification check", upper)
+                extra = [np.zeros(len(b)) for b in col_blocks]
+                extra[j] = sign * block[:, k]
+                widened = [(np.column_stack(pair), "cone") for pair in zip(col_blocks, extra)]
+                z = lp_weights(target, widened + [surplus], "the qualification check")
                 if not isinstance(z, float):
-                    lams = []
-                    for i, sz in enumerate(sizes):
-                        o = sum(sizes[:i])
-                        lams.append(float(z[o : o + sz].sum()))
+                    lams = [float(w.sum()) for w in z[:-1]]
                     top = max(lams)
                     return [l / top for l in lams]
     return None

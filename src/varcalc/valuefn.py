@@ -420,6 +420,17 @@ class ISCReport:
     threshold: float
 
 
+def _length(d: np.ndarray) -> float:
+    """Euclidean norm of d; where its square overflows, the norm at scale
+    s = max|d| as s * |d / s|, so a finite vector has a finite length."""
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(d))
+    if math.isfinite(n):
+        return n
+    s = float(np.max(np.abs(d)))
+    return s * float(np.linalg.norm(d / s)) if math.isfinite(s) else math.inf
+
+
 def inner_semicontinuity_probe(
     prob: ParametricProblem,
     point: Sequence[float],
@@ -447,7 +458,7 @@ def inner_semicontinuity_probe(
     for i, sample in enumerate(values):
         if isinstance(sample, InfeasibleOnBox):
             continue
-        dist = min(float(np.linalg.norm(yb - ym)) for ym in sample.argmins)
+        dist = min(_length(yb - ym) for ym in sample.argmins)
         if dist > worst_d:
             worst_d, worst_x = dist, sample.x.copy()
         if i >= smallest and dist > threshold:

@@ -432,6 +432,20 @@ def test_cmd_valuefn_unwritable_csv_exit2(tmp_path, capsys):
     assert err.startswith("error: ") and "theta.csv" in err and "Traceback" not in err
 
 
+def test_cmd_valuefn_non_finite_report_leaves_no_csv(tmp_path, capsys):
+    # theta = 1e300 * (y + 1e300) overflows, so the report cannot be printed
+    path = tmp_path / "inf.vp"
+    text = WORKED.read_text().replace("objective y\n", "objective (* 1e300 (+ y 1e300))\n")
+    path.write_text(text.replace("[candidates]\norigin 0 0\noffopt 1 -1\n", ""))
+    csv_path = tmp_path / "out.csv"
+    argv = ["valuefn", str(path), "--x-range", "0", "1", "1", "--csv", str(csv_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the report holds a non-finite number\n"
+    assert not csv_path.exists()
+
+
 def test_cmd_valuefn_non_finite_candidate_exit2(tmp_path, capsys):
     path = tmp_path / "inf.vp"
     path.write_text(KINK.read_text().replace("top 0 1", "top inf 1"))

@@ -115,7 +115,8 @@ def _deep_objective(depth: int) -> str:
     return BASES["worked"][0].replace("objective y", f"objective {_nested(depth, '(+ 1 y)')}")
 
 
-# inputs whose inner-semicontinuity witness distance overflows to inf
+# inputs whose inner-semicontinuity witness distance squares past the
+# largest float
 HUGE_BOX = BASES["worked"][0].replace("box y -2 2", "box y -1e300 1e300")
 HUGE_CANDIDATE = BASES["worked"][0].replace("origin 0 0", "origin 1e200 -1e200")
 

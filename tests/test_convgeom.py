@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +74,61 @@ def test_hull_matches_qhull(dim, seed):
     want = pts[ConvexHull(pts).vertices]
     got = G.convex_hull(pts).vertices
     assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+
+
+def _qhull_extreme_points(pts: np.ndarray) -> set:
+    """Qhull's extreme points of pts, found in the coordinates of their
+    affine hull: Qhull needs a full-dimensional input, so a flat set is
+    first written in an orthonormal basis of the directions it spans."""
+    from scipy.spatial import ConvexHull
+
+    centred = pts - pts.mean(axis=0)
+    _, s, vt = np.linalg.svd(centred)
+    rank = int(np.sum(s > 1e-9 * s[0])) if s[0] > 0 else 0
+    coords = centred @ vt[:rank].T
+    if rank == 0:
+        idx = [0]
+    elif rank == 1:
+        idx = [int(np.argmin(coords[:, 0])), int(np.argmax(coords[:, 0]))]
+    else:
+        idx = ConvexHull(coords).vertices
+    return {tuple(pts[i]) for i in idx}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_matches_qhull_with_points_on_faces_and_duplicates(dim, seed):
+    # points on Qhull's facets and on edges of its facet simplices, and
+    # exact copies of input points, none of which is an extreme point
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(700 + 10 * dim + seed)
+    pts = rng.uniform(-1, 1, (int(rng.integers(dim + 2, 3 * dim + 5)), dim))
+    facets = pts[ConvexHull(pts).simplices]  # (F, dim, dim)
+    on_facets = np.einsum("fk,fkd->fd", rng.dirichlet(np.ones(dim), len(facets)), facets)
+    on_edges = (facets[:, 0] + facets[:, 1]) / 2
+    copies = pts[rng.integers(0, len(pts), 3)]
+    pts = np.vstack([pts, on_facets, on_edges, copies])
+    pts = pts[rng.permutation(len(pts))]
+    got = G.convex_hull(pts).vertices
+    assert len(got) == len({tuple(v) for v in got})
+    assert {tuple(v) for v in got} == _qhull_extreme_points(pts)
+
+
+@pytest.mark.parametrize("dim, flat", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_hull_matches_qhull_on_flat_sets(dim, flat, seed):
+    # points on a random affine subspace of dimension flat < dim, interior
+    # combinations of them and a duplicate; Qhull sees them in the
+    # subspace's own coordinates
+    rng = np.random.default_rng(900 + 100 * dim + 10 * flat + seed)
+    basis = np.linalg.qr(rng.standard_normal((dim, flat)))[0].T  # (flat, dim) orthonormal rows
+    local = rng.uniform(-1, 1, (int(rng.integers(flat + 2, 3 * flat + 6)), flat))
+    local = np.vstack([local, rng.dirichlet(np.ones(len(local)), size=3) @ local, local[:1]])
+    pts = rng.uniform(-1, 1, dim) + local @ basis
+    pts = pts[rng.permutation(len(pts))]
+    got = G.convex_hull(pts).vertices
+    assert {tuple(v) for v in got} == _qhull_extreme_points(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +260,116 @@ def test_lp_verdicts_match_highs(make):
         assert isinstance(out, G.LPFeasible) == (ref.status == 0)
         verdicts.add(ref.status)
     assert verdicts == {0, 2}
+
+
+def _random_blocks(rng):
+    """Blocks of small integer rows mixing the three kinds, and a target:
+    a combination of the blocks with valid weights, the same with a cone
+    block pushed past its cap, or random integers."""
+    dim = int(rng.integers(1, 4))
+    kinds = rng.choice(["convex", "cone", "free"], int(rng.integers(1, 5)))
+    blocks = [(rng.integers(-3, 4, (int(rng.integers(1, 4)), dim)).astype(float), str(k)) for k in kinds]
+    how = rng.integers(0, 3)
+    if how == 2:
+        return blocks, rng.integers(-4, 5, dim).astype(float)
+    target = np.zeros(dim)
+    for V, kind in blocks:
+        if kind == "convex":
+            w = rng.dirichlet(np.ones(len(V)))
+        elif kind == "cone":
+            w = rng.uniform(0, 1, len(V)) * G.R_CONE * (2.0 if how == 1 else 0.5)
+        else:
+            w = rng.uniform(0, 5, len(V))
+        target += V.T @ w
+    return blocks, target
+
+
+def test_lp_weights_match_highs_on_block_systems():
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(31)
+    verdicts = set()
+    for _ in range(300):
+        blocks, target = _random_blocks(rng)
+        out = G.lp_weights(target, blocks, "a test")
+        # the reference LP: one column per block row, equalities, then a
+        # sum-to-one row per convex block; cone columns bounded by R_CONE
+        n = sum(len(V) for V, _ in blocks)
+        A_eq, b_eq, bounds, col = [np.hstack([V.T for V, _ in blocks])], [target], [], 0
+        for V, kind in blocks:
+            if kind == "convex":
+                row = np.zeros((1, n))
+                row[0, col : col + len(V)] = 1.0
+                A_eq.append(row)
+                b_eq.append([1.0])
+            bounds += [(0.0, G.R_CONE if kind == "cone" else None)] * len(V)
+            col += len(V)
+        ref = linprog(
+            np.zeros(n), A_eq=np.vstack(A_eq), b_eq=np.concatenate(b_eq), bounds=bounds, method="highs"
+        )
+        assert ref.status in (0, 2), ref.message
+        assert isinstance(out, float) == (ref.status == 2), (blocks, target)
+        verdicts.add(ref.status)
+        if isinstance(out, float):
+            assert out > 0
+            continue
+        assert [w.shape for w in out] == [(len(V),) for V, _ in blocks]
+        assert sum(V.T @ w for (V, _), w in zip(blocks, out)) == pytest.approx(target, abs=1e-7)
+        for (_, kind), w in zip(blocks, out):
+            assert np.all(w >= -1e-7)
+            if kind == "convex":
+                assert w.sum() == pytest.approx(1.0, abs=1e-7)
+            if kind == "cone":
+                assert np.all(w <= G.R_CONE + 1e-7)
+    assert verdicts == {0, 2}
+
+
+def test_lp_weights_rejects_an_unknown_block_kind():
+    with pytest.raises(ValueError, match="block kinds"):
+        G.lp_weights([1.0], [(np.ones((1, 1)), "convex"), (np.ones((1, 1)), "bounded")], "a test")
+
+
+def _names(tree) -> set:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_lp_weights_is_the_one_lp_assembler():
+    # only lp_weights calls the simplex, and no module outside convgeom
+    # names it or the cone cap; the package root only re-exports it
+    src = Path(G.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    callers = [
+        fn.name
+        for fn in ast.walk(trees["convgeom.py"])
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and "lp_feasible" in _names(call.func)
+    ]
+    assert callers == ["lp_weights"]
+    for name, tree in trees.items():
+        if name in ("convgeom.py", "__init__.py"):
+            continue
+        assert not {"lp_feasible", "R_CONE"} & _names(tree), name
+    assert "R_CONE" not in _names(trees["__init__.py"])
+
+
+def test_hull_lps_run_two_frames_below_in_hull_lp(monkeypatch):
+    # the frame depth lp_feasible <- lp_weights <- _in_hull_lp, which
+    # tests that tell hull LPs from others by frame name rely on
+    frames = []
+    real = G.lp_feasible
+
+    def spy(*lp):
+        frames.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+        return real(*lp)
+
+    monkeypatch.setattr(G, "lp_feasible", spy)
+    G.convex_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
+    assert frames and set(frames) == {("lp_weights", "_in_hull_lp")}
 
 
 # ---------------------------------------------------------------------------

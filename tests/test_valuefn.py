@@ -315,6 +315,28 @@ def test_isc_trivial_for_constant_cost():
     assert report.verdict
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "point, grid, distance",
+    [
+        # grid steps of 5e297 and a reference decision 1e200 from every
+        # argminimum: squared, both distances overflow the largest float
+        ([0.0, 0.0], V.GridSpec(y_box=((-1e300, 1e300),)), 5e297),
+        ([1e200, -1e200], GRID, 1e200),
+    ],
+)
+def test_isc_witness_distance_stays_finite_past_overflow(point, grid, distance):
+    report = V.inner_semicontinuity_probe(w_problem(), point, grid, FAST)
+    assert report.worst_distance == pytest.approx(distance, rel=1e-9)
+
+
+def test_isc_distance_keeps_the_plain_norm_where_it_is_finite():
+    rng = np.random.default_rng(5)
+    for d in rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-150, 150, (200, 1)):
+        assert V._length(d) == float(np.linalg.norm(d))
+    assert V._length(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+
+
 def test_grid_point_budget():
     assert V.GridSpec(y_box=((-2.0, 2.0),) * 2).resolution ** 2 <= V.MAX_GRID_POINTS
     with pytest.raises(V.ValueFnError, match="grid points"):
