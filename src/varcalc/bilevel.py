@@ -196,7 +196,6 @@ class PenalizedProgram:
     problem: BilevelProblem
     kappa: float
     grid: vf.GridSpec
-    value_term_is_grid_backed: bool = True
 
     def objective_value(self, x: Sequence[float], y: Sequence[float]) -> float:
         xv = np.asarray(x, dtype=float)

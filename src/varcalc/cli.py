@@ -6,8 +6,14 @@
     varcalc certify FILE --at NAME --theorem t61|t74|t83
                     [--kappa X | --kappa-sweep] [--override-isc]
                     [--override-calmness]
-    varcalc verify [FILE | --builtin-corpus]
+    varcalc verify [FILE | --builtin-corpus] [--dirs N]
     varcalc extremal --builtin halfplanes|boundary|nonextremal
+
+--fn takes a path of ProblemFile.functions (lower.objective,
+lower.constraint.<i>, upper.objective, upper.constraint.<j>); verify FILE
+checks every one of them at every candidate, with the file's [params]
+but its own seed (--seed, default 0) and --dirs.  The checks and the
+built-in systems live in varcalc.corpus; _report alone serializes.
 
 Exit codes: 0 ok, 1 a verify property check failed, 2 input error
 (including a non-finite function value), 3 computation refusal
@@ -69,6 +75,8 @@ def _ser(obj):
         }
     if isinstance(obj, sd.SlicedCone):
         return {"base": _ser(obj.base) if obj.base else None, "recession": _ser(obj.recession)}
+    if isinstance(obj, cp.CheckResult):
+        return _ser(vars(obj))
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -147,17 +155,17 @@ def cmd_subdiff(args) -> tuple[dict, int]:
     result = sd.full_subdifferential(fn, point, params)
     results = {
         "function": args.fn,
-        "at": {"name": args.at, "point": point.tolist()},
-        "regular": _ser(result.regular) if result.regular is not None else None,
-        "basic": _ser(result.basic),
-        "singular": _ser(result.singular),
+        "at": {"name": args.at, "point": point},
+        "regular": result.regular,
+        "basic": result.basic,
+        "singular": result.singular,
         "method": result.method,
         "pattern_census": result.witnesses["pattern_census"],
     }
     if args.oracle:
         cloud = sd.sampled_subdiff_oracle(fn, point, params)
         results["oracle"] = {
-            "cluster_centers": cloud.cluster_centers.tolist(),
+            "cluster_centers": cloud.cluster_centers,
             "accepted_points": int(cloud.points.shape[0]),
             "hausdorff_vs_basic": hausdorff_distance(result.basic, cloud.as_singletons()),
         }
@@ -185,20 +193,20 @@ def cmd_normalcone(args) -> tuple[dict, int]:
             "normalcone",
             pf.digest,
             params.seed,
-            {"refused": str(err), "witness": _ser(err.witness)},
+            {"refused": str(err), "witness": err.witness},
         )
         return report, EXIT_REFUSED
     results = {
         "set": args.set,
-        "at": {"name": args.at, "point": np.asarray(point).tolist()},
-        "parts": [_ser(c) for c in cone.parts],
+        "at": {"name": args.at, "point": point},
+        "parts": cone.parts,
         "qualification": cone.qualification,
         "active_constraints": list(cone.active),
     }
     if args.oracle:
         cloud = sd.sampled_normal_cone_oracle(spec, point, params)
         results["oracle"] = {
-            "cluster_centers": cloud.cluster_centers.tolist(),
+            "cluster_centers": cloud.cluster_centers,
             "accepted_points": int(cloud.points.shape[0]),
         }
     return _report("normalcone", pf.digest, params.seed, results), EXIT_OK
@@ -236,13 +244,8 @@ def cmd_valuefn(args) -> tuple[dict, int]:
     for x, sample in zip(xs, samples):
         if isinstance(sample, vf.InfeasibleOnBox):
             raise sample
-        rows.append(
-            {
-                "x": x.tolist(),
-                "theta": sample.theta,
-                "argmins": [y.tolist() for y in sample.argmins[:16]],
-            }
-        )
+        # x stays a list of floats: the CSV writer reprs its entries
+        rows.append({"x": x.tolist(), "theta": sample.theta, "argmins": sample.argmins[:16]})
     results = {"samples": rows}
     probes = {}
     for name, cand in pf.candidates.items():
@@ -274,11 +277,11 @@ def _certificate_results(out) -> dict:
         return {
             "outcome": "certificate",
             "theorem": out.theorem_id,
-            "multipliers": _ser(out.multipliers),
-            "u": _ser(out.u),
+            "multipliers": out.multipliers,
+            "u": out.u,
             "kappa": out.kappa,
-            "branch_choices": _ser(out.branch_choices),
-            "residuals": _ser(out.residuals),
+            "branch_choices": out.branch_choices,
+            "residuals": out.residuals,
         }
     return {
         "outcome": "no-certificate",
@@ -325,74 +328,38 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    # the seed is verify's own, never the file's: --seed, else 0
     seed = args.seed if args.seed is not None else 0
-    params = replace(sd.DEFAULT_PARAMS, seed=seed, dirs_per_radius=args.dirs)
     if args.builtin_corpus:
-        entries = cp.CORPUS
-        digest_src = "\n".join(f"{e.name} {e.text}" for e in entries)
+        digest_src = "\n".join(f"{e.name} {e.text}" for e in cp.CORPUS)
         digest = "sha256:" + hashlib.sha256(digest_src.encode()).hexdigest()
-        report = cp.run_verify_suite(entries, params=params)
+        params = replace(sd.DEFAULT_PARAMS, seed=seed, dirs_per_radius=args.dirs)
+        report = cp.run_verify_suite(cp.CORPUS, params=params)
     else:
         if not args.file:
             raise CliError("verify needs a file or --builtin-corpus")
         pf = _load(args.file)
         digest = pf.digest
-        report = _verify_file(pf, params)
+        params = replace(pf.sample_params, seed=seed, dirs_per_radius=args.dirs)
+        report = cp.verify_problem_file(pf, params)
     results = {
-        "checks": [c.as_json() for c in report.checks],
+        "checks": report.checks,
         "passed": sum(1 for c in report.checks if c.passed),
-        "failed": [c.as_json() for c in report.failing()],
+        "failed": report.failing(),
     }
     code = EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
     return _report("verify", digest, seed, results), code
 
 
-def _verify_file(pf: ProblemFile, params: sd.SampleParams) -> cp.VerifyReport:
-    report = cp.VerifyReport()
-    functions: list[tuple[str, ex.FunctionDef]] = []
-    if pf.lower_objective is not None:
-        functions.append(("lower.objective", pf.lower_objective))
-        functions += [
-            (f"lower.constraint.{i}", f) for i, f in enumerate(pf.lower_constraints)
-        ]
-    if pf.upper_objective is not None:
-        functions.append(("upper.objective", pf.upper_objective))
-    functions += [(f"upper.constraint.{j}", g) for j, g in enumerate(pf.upper_constraints)]
-    for cname, cand in pf.candidates.items():
-        for fname, fn in functions:
-            point = pf.point_for(fn, cand)
-            result = sd.full_subdifferential(fn, point, params)
-            cloud = sd.sampled_subdiff_oracle(fn, point, params)
-            d = hausdorff_distance(result.basic, cloud.as_singletons())
-            report.checks.append(
-                cp.CheckResult(
-                    "oracle-consistency", f"{fname}@{cname}", d <= cp.ORACLE_HAUSDORFF_TOL, d
-                )
-            )
-    return report
-
-
-EXTREMAL_BUILTINS = ("halfplanes", "boundary", "nonextremal")
+EXTREMAL_BUILTINS = cp.EXTREMAL_BUILTINS
 
 
 def cmd_extremal(args) -> tuple[dict, int]:
     # only echoed into the report, but checked as every command checks it
     seed = replace(sd.DEFAULT_PARAMS, seed=args.seed or 0).seed
-    two = lambda t: ex.parse_function(t, ex.VarSpace.of("x", "y"))
-    one = lambda t: ex.parse_function(t, ex.VarSpace.of("x"))
-    if args.builtin == "halfplanes":
-        sets = [sd.SetSpec.sublevel([two("y")]), sd.SetSpec.sublevel([two("(- y)")])]
-        point, shifts = [0.0, 0.0], [np.array([0.0, 1.0]), np.array([0.0, 0.0])]
-    elif args.builtin == "boundary":
-        sets = [sd.SetSpec.sublevel([one("x")]), sd.SetSpec.singleton([0.0])]
-        point, shifts = [0.0], [np.array([1.0]), np.array([0.0])]
-    else:
-        whole = sd.SetSpec.sublevel([two("-1.0")])
-        sets = [whole, whole]
-        point, shifts = [0.0, 0.0], [np.array([0.1, 0.1]), np.array([0.0, 0.0])]
     digest = "sha256:" + hashlib.sha256(f"builtin-extremal:{args.builtin}".encode()).hexdigest()
     try:
-        trace = sd.extremal_principle_solve(sets, point, shifts)
+        trace = sd.extremal_principle_solve(*cp.extremal_builtin(args.builtin))
     except sd.ExtremalityNotWitnessed as err:
         results = {"outcome": "not-witnessed", "diagnostic": str(err), "at_k": err.k}
         return _report("extremal", digest, seed, results), EXIT_OK
@@ -402,7 +369,7 @@ def cmd_extremal(args) -> tuple[dict, int]:
         "euler_residuals": trace.euler_residuals,
         "stationarity_residuals": trace.stationarity_residuals,
         "normalization_errors": trace.normalization_errors,
-        "final_normals": [v.tolist() for v in trace.normals[-1]],
+        "final_normals": trace.normals[-1],
     }
     return _report("extremal", digest, seed, results), EXIT_OK
 
@@ -451,16 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override-calmness", action="store_true")
 
     p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("file", nargs="?", default=None)
+    common(p, needs_file=False)
+    p.add_argument("file", nargs="?", default=None, help="problem file")
     p.add_argument("--builtin-corpus", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--dirs", type=int, default=64, help="sampling directions per radius")
 
     p = sub.add_parser("extremal", help="extremal-principle traces")
+    common(p, needs_file=False)
     p.add_argument("--builtin", choices=EXTREMAL_BUILTINS, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
 
     return parser
 

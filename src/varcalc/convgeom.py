@@ -269,14 +269,8 @@ class Polytope:
             return bool(np.linalg.norm(p - self.vertices[0]) <= 1e-7)
         return _in_hull_lp(p, self.vertices)
 
-    def support(self, direction: np.ndarray) -> float:
-        return float(np.max(self.vertices @ np.asarray(direction, dtype=float)))
-
     def translate(self, v: Sequence[float]) -> "Polytope":
         return Polytope(self.vertices + np.asarray(v, dtype=float))
-
-    def scale(self, c: float) -> "Polytope":
-        return Polytope(self.vertices * float(c))
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -462,9 +456,6 @@ class PolytopeUnion:
 
     def negate(self) -> "PolytopeUnion":
         return PolytopeUnion.create([Polytope(-p.vertices) for p in self.parts])
-
-    def translate(self, v: Sequence[float]) -> "PolytopeUnion":
-        return PolytopeUnion.create([p.translate(v) for p in self.parts])
 
     def canonical_key(self) -> tuple:
         return tuple(p.canonical_key() for p in self.parts)

@@ -1,7 +1,8 @@
 """Built-in verification corpus: twenty piecewise-smooth functions in one
 and two variables with hand-derived subdifferentials, a few inequality
-graphs for the coderivative criterion, and the rule-verification suite
-run by the verify command."""
+graphs for the coderivative criterion, the built-in extremal systems,
+and every check the verify command runs: the rule-verification suite on
+the corpus and the oracle-consistency checks of a problem file."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from varcalc.convgeom import (
     hausdorff_distance,
     point_to_polytope_distances,
 )
+from varcalc.problemfile import ProblemFile
 
 X = ex.VarSpace.of("x")
 XY = ex.VarSpace.of("x", "y")
@@ -106,6 +108,24 @@ def graph_sqrt() -> sd.SetSpec:
     return sd.SetSpec.graph([ex.parse_function("(- (* y y) x)", XY)], 1, 1)
 
 
+EXTREMAL_BUILTINS = ("halfplanes", "boundary", "nonextremal")
+
+
+def extremal_builtin(name: str) -> tuple[list[sd.SetSpec], list[float], list[np.ndarray]]:
+    """The sets, common point and shifts of a built-in extremal system:
+    two half-planes that meet in a line, a half-line and its boundary
+    point, or the whole plane twice (not extremal)."""
+    two = lambda t: ex.parse_function(t, XY)
+    if name == "halfplanes":
+        sets = [sd.SetSpec.sublevel([two("y")]), sd.SetSpec.sublevel([two("(- y)")])]
+        return sets, [0.0, 0.0], [np.array([0.0, 1.0]), np.array([0.0, 0.0])]
+    if name == "boundary":
+        sets = [sd.SetSpec.sublevel([ex.parse_function("x", X)]), sd.SetSpec.singleton([0.0])]
+        return sets, [0.0], [np.array([1.0]), np.array([0.0])]
+    whole = sd.SetSpec.sublevel([two("-1.0")])
+    return [whole, whole], [0.0, 0.0], [np.array([0.1, 0.1]), np.array([0.0, 0.0])]
+
+
 # ---------------------------------------------------------------------------
 # verification suite
 
@@ -116,14 +136,6 @@ class CheckResult:
     entry: str
     passed: bool
     margin: float
-
-    def as_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "entry": self.entry,
-            "passed": self.passed,
-            "margin": self.margin,
-        }
 
 
 @dataclass
@@ -138,10 +150,29 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _oracle_check(
+    entry: str, f: ex.FunctionDef, p: np.ndarray, basic: PolytopeUnion, params: sd.SampleParams
+) -> CheckResult:
+    """The Hausdorff distance of the basic subdifferential of f at p to the
+    sampled oracle's cloud, within ORACLE_HAUSDORFF_TOL."""
+    cloud = sd.sampled_subdiff_oracle(f, p, params)
+    d = hausdorff_distance(basic, cloud.as_singletons())
+    return CheckResult("oracle-consistency", entry, d <= ORACLE_HAUSDORFF_TOL, d)
+
+
+def verify_problem_file(pf: ProblemFile, params: sd.SampleParams) -> VerifyReport:
+    """One oracle-consistency check per candidate and function path."""
+    report = VerifyReport()
+    for cname, cand in pf.candidates.items():
+        for fname, fn in pf.functions.items():
+            point = pf.point_for(fn, cand)
+            basic = sd.full_subdifferential(fn, point, params).basic
+            report.checks.append(_oracle_check(f"{fname}@{cname}", fn, point, basic, params))
+    return report
+
+
 def run_verify_suite(
-    entries: tuple[CorpusEntry, ...] = CORPUS,
-    params: sd.SampleParams = sd.DEFAULT_PARAMS,
-    with_oracle: bool = True,
+    entries: tuple[CorpusEntry, ...] = CORPUS, params: sd.SampleParams = sd.DEFAULT_PARAMS
 ) -> VerifyReport:
     """Property checks used by the verify command.
 
@@ -160,12 +191,7 @@ def run_verify_suite(
         d = hausdorff_distance(result.basic, expected)
         report.checks.append(CheckResult("expected-value", entry.name, d <= 1e-6, d))
 
-        if with_oracle:
-            cloud = sd.sampled_subdiff_oracle(f, p, params)
-            d = hausdorff_distance(result.basic, cloud.as_singletons())
-            report.checks.append(
-                CheckResult("oracle-consistency", entry.name, d <= ORACLE_HAUSDORFF_TOL, d)
-            )
+        report.checks.append(_oracle_check(entry.name, f, p, result.basic, params))
 
         if entry.regular_empty:
             report.checks.append(
@@ -259,23 +285,11 @@ def run_verify_suite(
         report.checks.append(CheckResult("coderivative-criterion", name, ok, 0.0))
 
     # extremal principle examples
-    upper = sd.SetSpec.sublevel([two("y")])
-    lower = sd.SetSpec.sublevel([two("(- y)")])
-    trace = sd.extremal_principle_solve(
-        [upper, lower], [0.0, 0.0], [np.array([0.0, 1.0]), np.array([0.0, 0.0])]
-    )
-    ok = (
-        trace.euler_residuals[-1] <= 1e-3
-        and max(trace.normalization_errors) <= 1e-9
-    )
-    report.checks.append(
-        CheckResult("extremal-principle", "halfplanes", ok, trace.euler_residuals[-1])
-    )
-    whole = sd.SetSpec.sublevel([two("-1.0")])
+    trace = sd.extremal_principle_solve(*extremal_builtin("halfplanes"))
+    ok = trace.euler_residuals[-1] <= 1e-3 and max(trace.normalization_errors) <= 1e-9
+    report.checks.append(CheckResult("extremal-principle", "halfplanes", ok, trace.euler_residuals[-1]))
     try:
-        sd.extremal_principle_solve(
-            [whole, whole], [0.0, 0.0], [np.array([0.1, 0.1]), np.array([0.0, 0.0])]
-        )
+        sd.extremal_principle_solve(*extremal_builtin("nonextremal"))
         diag = False
     except sd.ExtremalityNotWitnessed:
         diag = True

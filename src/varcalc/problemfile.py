@@ -20,27 +20,29 @@ files diff cleanly:
 
     [grid]
     box y -2 2                   # one line per lower variable
-    resolution 401
-    stencil_radius 0.2
-    stencil_count 4
+    resolution 101               # optional, like stencil_radius and
+                                 # stencil_count (GridSpec's defaults)
 
-    [params]
-    seed 0
-    tau_act 1e-9
-    dirs_per_radius 256
-    radii 1e-2 1e-3 1e-4 1e-5 1e-6
+    [params]                     # optional, each key as in PARAM_KEYS
+    seed 3
+    tau_act 1e-8
+    radii 1e-2 1e-3 1e-4
     kappa_grid 1 2 4 8 16
 
 '#' starts a comment.  Files without a [lower] section describe a
-single-level program over the upper variables.  [params] tau_act is the
-absolute activity tolerance of piecewise branches (default 1e-9, finite
-and > 0); every command reads it, certify included.
+single-level program over the upper variables.  Unset [params] keys
+default to subdiff.DEFAULT_PARAMS and bilevel.DEFAULT_KAPPA_GRID;
+tau_act, the absolute activity tolerance of piecewise branches (finite
+and > 0), reaches every command.  ``ProblemFile.functions`` names each
+objective and constraint once (lower.objective, lower.constraint.<i>,
+upper.objective, upper.constraint.<j>): the paths ``subdiff --fn``
+accepts and the functions ``verify FILE`` checks.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,36 +79,25 @@ class ProblemFile:
         return len(self.y_names)
 
     def candidate(self, name: str) -> np.ndarray:
-        if name not in self.candidates:
-            raise ProblemFileError(
-                f"unknown candidate {name!r}; valid candidates: "
-                + ", ".join(sorted(self.candidates))
-            )
-        return self.candidates[name]
+        return _lookup(self.candidates, name, "candidate", sorted(self.candidates))
+
+    @property
+    def functions(self) -> dict[str, ex.FunctionDef]:
+        """Every objective and constraint by its path, lower level first."""
+        out = {}
+        for level, objective, constraints in (
+            ("lower", self.lower_objective, self.lower_constraints),
+            ("upper", self.upper_objective, self.upper_constraints),
+        ):
+            if objective is not None:
+                out[f"{level}.objective"] = objective
+            for i, g in enumerate(constraints):
+                out[f"{level}.constraint.{i}"] = g
+        return out
 
     def resolve_function(self, path: str) -> ex.FunctionDef:
-        parts = path.split(".")
-        try:
-            if parts[0] == "lower":
-                if self.lower_objective is None:
-                    raise ProblemFileError("file has no [lower] section")
-                if parts[1] == "objective":
-                    return self.lower_objective
-                if parts[1] == "constraint":
-                    return self.lower_constraints[int(parts[2])]
-            if parts[0] == "upper":
-                if self.upper_objective is None:
-                    raise ProblemFileError("file has no [upper] objective")
-                if parts[1] == "objective":
-                    return self.upper_objective
-                if parts[1] == "constraint":
-                    return self.upper_constraints[int(parts[2])]
-        except (IndexError, ValueError) as err:
-            raise ProblemFileError(f"bad function path {path!r}: {err}") from None
-        raise ProblemFileError(
-            f"bad function path {path!r}; expected lower|upper.objective or "
-            "lower|upper.constraint.<index>"
-        )
+        functions = self.functions
+        return _lookup(functions, path, "function path", functions)
 
     def point_for(self, f: ex.FunctionDef, candidate: np.ndarray) -> np.ndarray:
         if f.space.dim == self.x_dim + self.y_dim:
@@ -137,13 +128,19 @@ class ProblemFile:
         return bl.LipschitzProgram(self.upper_objective, self.upper_constraints)
 
 
+def _lookup(table: dict, name: str, what: str, valid) -> object:
+    if name not in table:
+        raise ProblemFileError(f"unknown {what} {name!r}; valid {what}s: " + ", ".join(valid))
+    return table[name]
+
+
 def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]
     return line.strip()
 
 
-def _param_values(line: str, conv, count: int | None = 1, section: str = "params") -> tuple:
+def _param_values(line: str, conv, count: int | None, section: str) -> tuple:
     """The values after a line's key, each converted by conv: exactly
     count of them, or one or more when count is None."""
     vals = line.split()[1:]
@@ -153,6 +150,31 @@ def _param_values(line: str, conv, count: int | None = 1, section: str = "params
         return tuple(conv(v) for v in vals)
     except ValueError as err:
         raise ProblemFileError(f"bad [{section}] line {line!r}: {err}") from None
+
+
+# [grid] and [params] keys (besides [grid] box): the field each sets, the
+# converter of its values and how many it takes (None: one or more)
+GRID_KEYS = {
+    "resolution": ("resolution", int, 1),
+    "stencil_radius": ("x_stencil_radius", float, 1),
+    "stencil_count": ("x_stencil_count", int, 1),
+}
+PARAM_KEYS = {
+    "seed": ("seed", int, 1),
+    "tau_act": ("tau_act", float, 1),
+    "radii": ("radii", float, None),
+    "dirs_per_radius": ("dirs_per_radius", int, 1),
+    "kappa_grid": ("kappa_grid", float, None),
+}
+
+
+def _setting(line: str, keys: dict, section: str) -> tuple[str, object]:
+    key = line.split()[0]
+    if key not in keys:
+        raise ProblemFileError(f"unknown [{section}] key {key!r}")
+    name, conv, count = keys[key]
+    values = _param_values(line, conv, count, section)
+    return name, values if count is None else values[0]
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -241,59 +263,26 @@ def parse_problem_file(text: str) -> ProblemFile:
     grid = None
     if "grid" in sections:
         boxes: dict[str, tuple[float, float]] = {}
-        resolution = 401
-        stencil_radius = 0.2
-        stencil_count = 4
+        settings = {}
         for line in sections["grid"]:
-            key = line.split()[0]
-            if key == "box":
+            if line.split()[0] == "box":
                 name, lo, hi = _param_values(line, str, 3, "grid")
                 boxes[name] = _param_values(f"{name} {lo} {hi}", float, 2, "grid")
-            elif key == "resolution":
-                (resolution,) = _param_values(line, int, section="grid")
-            elif key == "stencil_radius":
-                (stencil_radius,) = _param_values(line, float, section="grid")
-            elif key == "stencil_count":
-                (stencil_count,) = _param_values(line, int, section="grid")
             else:
-                raise ProblemFileError(f"unknown [grid] key {key!r}")
+                key, value = _setting(line, GRID_KEYS, "grid")
+                settings[key] = value
         missing = [n for n in y_names if n not in boxes]
         if missing:
             raise ProblemFileError(f"[grid] missing box for lower variables: {missing}")
         try:
-            grid = vf.GridSpec(
-                y_box=tuple(boxes[n] for n in y_names),
-                resolution=resolution,
-                x_stencil_radius=stencil_radius,
-                x_stencil_count=stencil_count,
-            )
+            grid = vf.GridSpec(y_box=tuple(boxes[n] for n in y_names), **settings)
         except vf.ValueFnError as err:
             raise ProblemFileError(f"bad [grid]: {err}") from None
 
-    seed = 0
-    tau_act = sd.DEFAULT_PARAMS.tau_act
-    radii = sd.DEFAULT_PARAMS.radii
-    dirs_per_radius = sd.DEFAULT_PARAMS.dirs_per_radius
-    kappa_grid = bl.DEFAULT_KAPPA_GRID
-    for line in sections.get("params", []):
-        key = line.split()[0]
-        if key == "seed":
-            (seed,) = _param_values(line, int)
-        elif key == "tau_act":
-            (tau_act,) = _param_values(line, float)
-        elif key == "radii":
-            radii = _param_values(line, float, count=None)
-        elif key == "dirs_per_radius":
-            (dirs_per_radius,) = _param_values(line, int)
-        elif key == "kappa_grid":
-            kappa_grid = _param_values(line, float, count=None)
-        else:
-            raise ProblemFileError(f"unknown [params] key {key!r}")
-
+    settings = dict(_setting(line, PARAM_KEYS, "params") for line in sections.get("params", []))
+    kappa_grid = settings.pop("kappa_grid", bl.DEFAULT_KAPPA_GRID)
     try:
-        params = sd.SampleParams(
-            radii=radii, dirs_per_radius=dirs_per_radius, seed=seed, tau_act=tau_act
-        )
+        params = replace(sd.DEFAULT_PARAMS, **settings)
     except sd.SubdiffError as err:
         raise ProblemFileError(f"bad [params]: {err}") from None
     digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -407,14 +407,10 @@ def _curvature_estimate(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePatt
 
 
 def _singleton_subpatterns(pattern: ex.ActivePattern) -> list[ex.ActivePattern]:
-    out = []
-    for sel in ex.branch_combinations(pattern):
-        out.append(
-            ex.ActivePattern(tuple(sorted((p, (b,)) for p, b in sel.items())))
-        )
-    if not out:
-        out.append(pattern)
-    return out
+    return [
+        ex.ActivePattern(tuple(sorted((p, (b,)) for p, b in sel.items())))
+        for sel in ex.branch_combinations(pattern)
+    ]
 
 
 def _regular(
@@ -1381,12 +1377,9 @@ def _verify_indicator_sum_rule(
     total = ex.fsum(*fns) if len(fns) > 1 else fns[0]
     dim = total.space.dim
     # left side: subdifferential of (indicator + f) through its epigraph
-    epi_names = total.space.names + ("_epi",)
-    product = ex.VarSpace(epi_names)
-    lifted = [ex.lift_to_product(g, product, 0) for g in omega.functions]
-    t = ex.FunctionDef(product, ex.var(dim))
-    lifted.append(ex.fsub(ex.lift_to_product(total, product, 0), t))
-    epi_spec = SetSpec("graph", tuple(lifted), block_dims=(dim, 1))
+    (epi,) = SetSpec.epigraph(total).functions  # f(x) - t <= 0
+    lifted = [ex.lift_to_product(g, epi.space, 0) for g in omega.functions]
+    epi_spec = SetSpec.graph(lifted + [epi], dim, 1)
     epi_point = np.concatenate([p, [ex.evaluate(total, p)]])
     lhs = coderivative(epi_spec, epi_point, np.array([1.0]), params)
     lhs_zero = coderivative(epi_spec, epi_point, np.array([0.0]), params)

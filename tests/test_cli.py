@@ -700,6 +700,53 @@ def test_cmd_verify_file(tmp_path, capsys):
     assert report["results"]["failed"] == []
 
 
+def test_cmd_verify_file_reads_the_files_params_but_not_its_seed(tmp_path, capsys):
+    """verify FILE takes tau_act from [params], but its seed stays --seed
+    (default 0), whatever the file's seed."""
+    runs = {}
+    for name, extra in (("plain", ""), ("tau", "tau_act 2\n"), ("seed", "seed 5\n")):
+        path = tmp_path / f"{name}.vp"
+        path.write_text(KINK.read_text() + extra)
+        code, out, _ = run_cli(["verify", str(path), "--json", "--dirs", "16"], capsys)
+        report = json.loads(out)
+        assert report["inputs"]["seed"] == 0
+        runs[name] = code, report["results"]
+    assert runs["plain"][0] == runs["seed"][0] == 0
+    assert runs["seed"][1] == runs["plain"][1]
+    # at tau_act 2 both branches of |y| - 1 count as active at y = +-1,
+    # a kink the sampled oracle does not see
+    assert runs["tau"][0] == 1
+    assert runs["tau"][1] != runs["plain"][1]
+
+
+@pytest.mark.parametrize("name", ["worked.vp", "worked2.vp", "kink.vp"])
+def test_subdiff_accepts_exactly_the_paths_verify_reports(capsys, name):
+    path = ROOT / "problems" / name
+    pf = parse_problem_file(path.read_text())
+    code, out, _ = run_cli(["verify", str(path), "--json", "--dirs", "16"], capsys)
+    assert code == 0
+    reported = [c["entry"].split("@")[0] for c in json.loads(out)["results"]["checks"]]
+    assert list(dict.fromkeys(reported)) == list(pf.functions)
+    at = next(iter(pf.candidates))
+    for fn in pf.functions:
+        code, out, _ = run_cli(["subdiff", str(path), "--fn", fn, "--at", at, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["function"] == fn
+
+
+@pytest.mark.parametrize(
+    "fn", ["lower.constraint.-1", "lower.constraint.00", "lower.objective.junk", "upper.constraint.0"]
+)
+def test_subdiff_unknown_function_path_exit2(capsys, fn):
+    code, out, err = run_cli(["subdiff", str(WORKED), "--fn", fn, "--at", "origin", "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: unknown function path {fn!r}; valid function paths: "
+        "lower.objective, lower.constraint.0, upper.objective\n"
+    )
+
+
 def test_cmd_verify_bad_dirs_exit2(capsys):
     code, out, err = run_cli(["verify", "--builtin-corpus", "--dirs", "1", "--json"], capsys)
     assert code == 2

@@ -93,6 +93,11 @@ def runs(draw):
                 ["subdiff", "--fn", "lower.objective", "--at", at],
                 ["subdiff", "--fn", "upper.objective", "--at", at],
                 ["subdiff", "--fn", "lower.constraint.1", "--at", at],
+                # malformed paths: not in the file's path map, so exit 2
+                ["subdiff", "--fn", "lower.constraint.-1", "--at", at],
+                ["subdiff", "--fn", "lower.constraint.00", "--at", at],
+                ["subdiff", "--fn", "lower.objective.junk", "--at", at],
+                ["subdiff", "--fn", "upper.constraint.0", "--at", at],
                 ["normalcone", "--set", "lower", "--at", at],
                 ["normalcone", "--set", "upper", "--at", at],
                 ["valuefn"],

@@ -29,7 +29,7 @@ def test_corpus_expected_values_are_canonical():
 
 def test_verify_suite_passes_on_builtin_corpus():
     report = C.run_verify_suite(C.CORPUS, params=FAST)
-    assert report.all_passed, [c.as_json() for c in report.failing()]
+    assert report.all_passed, report.failing()
     rules = {c.rule for c in report.checks}
     assert {
         "expected-value",
@@ -47,7 +47,7 @@ def test_verify_suite_flags_injected_wrong_gradient():
     corrupted = list(C.CORPUS[:3])
     bad = replace(corrupted[0], expected_basic=(((-1.0,), (2.5,)),))
     corrupted[0] = bad
-    report = C.run_verify_suite(tuple(corrupted), params=FAST, with_oracle=False)
+    report = C.run_verify_suite(tuple(corrupted), params=FAST)
     assert not report.all_passed
     failing = report.failing()
     assert any(c.rule == "expected-value" and c.entry == bad.name for c in failing)

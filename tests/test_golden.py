@@ -50,6 +50,9 @@ def commands() -> list[tuple[str, ...]]:
     for theorem in ("t74", "t83"):
         out.append(("certify", WORKED2, "--at", "origin", "--theorem", theorem, "--kappa", "4"))
     out.append(("valuefn", WORKED2, "--x-range", "-1", "1", "0.1"))
+    # a lower constraint and an upper objective, named by the file's path map
+    out.append(("subdiff", WORKED2, "--fn", "lower.constraint.1", "--at", "origin", "--oracle"))
+    out.append(("subdiff", FILES[0], "--fn", "upper.objective", "--at", "offopt", "--oracle"))
     out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
     out.append(("verify", "--builtin-corpus"))
     # a second seed moves every sampled point the oracles cluster
