@@ -251,11 +251,8 @@ class Polytope:
         return self.vertices.shape[0]
 
     @staticmethod
-    def create(points: Iterable[Sequence[float]], canonicalize: bool = True) -> "Polytope":
-        V = _as_vertex_array(points)
-        if canonicalize:
-            return convex_hull(V)
-        return Polytope(V)
+    def create(points: Iterable[Sequence[float]]) -> "Polytope":
+        return convex_hull(points)
 
     @staticmethod
     def singleton(point: Sequence[float]) -> "Polytope":
@@ -432,12 +429,11 @@ class PolytopeUnion:
         return self.parts[0].dim
 
     @staticmethod
-    def create(parts: Iterable[Polytope], canonicalize: bool = True) -> "PolytopeUnion":
-        ps = [convex_hull(p.vertices) if canonicalize else p for p in parts]
+    def create(parts: Iterable[Polytope]) -> "PolytopeUnion":
+        ps = [convex_hull(p.vertices) for p in parts]
         if not ps:
             raise GeometryError("union needs at least one part")
-        if canonicalize:
-            ps = _absorb_parts(ps)
+        ps = _absorb_parts(ps)
         ps.sort(key=lambda p: (p.num_vertices, p.canonical_key()))
         return PolytopeUnion(tuple(ps))
 

@@ -20,9 +20,13 @@ position and the root the last entry.  All numeric work is two passes
 over the tape on one array per variable: the columns of an (N, dim)
 array of points, where scalar entry points use one row, or broadcastable
 arrays such as an open grid, where each op runs at the broadcast shape
-of its own inputs.  The forward pass computes every node's value and, given
-tau_act, each piecewise node's (N, branches) activity mask; given a
-branch selection, piecewise nodes take the selected branch's value.  The
+of its own inputs.  A choice of branches has one form, Branches: the
+tuple of branch indices each piecewise node keeps, by path, as
+ActivePattern.as_dict() gives it; a selection keeps one branch at each
+node.  The forward pass computes every node's value and, given tau_act,
+each piecewise node's (N, branches) activity mask; given branches, each
+piecewise node is restricted to its kept ones, so the function a
+pattern leaves needs no tree of its own.  The
 reverse pass propagates adjoints from the root along one selection and
 returns the (N, dim) branch gradients and each reached piecewise node's
 adjoint.  Arithmetic is numpy float64 in tape order: sums and products
@@ -153,6 +157,7 @@ def var(i: int) -> ExprNode:
 
 
 Path = tuple[int, ...]
+Branches = Mapping[Path, tuple[int, ...]]
 
 
 class Op(NamedTuple):
@@ -205,7 +210,7 @@ class FunctionDef:
         rng = np.random.default_rng(20240901)
         probes = rng.uniform(-1.3, 1.7, size=(4, dim))
         pts = np.vstack([probes, np.zeros((1, dim))])
-        vals, _ = _forward(self, pts.T, pts.shape[:1], selection={})
+        vals, _ = _forward(self, pts.T, pts.shape[:1], keep=True)
         grads, _ = _reverse(self, vals, {})
         if not (np.all(np.isfinite(vals[-1])) and np.all(np.isfinite(grads))):
             return None
@@ -344,22 +349,31 @@ def _forward(
     cols: Sequence[np.ndarray],
     ones: tuple[int, ...],
     tau_act: float | None = None,
-    selection: Mapping[Path, int] | None = None,
+    branches: Branches | None = None,
+    keep: bool = False,
 ) -> tuple[list, dict[int, np.ndarray]]:
     """Values of the tape's slots, variable i read from cols[i] and each
     const leaf filled to the shape ones (pts.T and (N,) for the rows of
     an (N, dim) array pts), and with tau_act the activity mask of each
     piecewise slot, which needs every value at the shape (N,).
 
-    Without a selection a slot's value is dropped once its parent is
-    computed, so only the root's (last) value survives; with one every
-    value is kept for the reverse pass.
+    Given branches, max and min fold over their kept children, an abs
+    node kept to one branch is its argument or its negation, and a branch
+    left out is never active.  Only the root's (last) value survives,
+    unless keep asks for every value, as the reverse pass needs.
     """
     vals: list = [None] * len(f.tape)
     masks: dict[int, np.ndarray] = {}
     with np.errstate(all="ignore"):
         for i, (kind, args, payload, path) in enumerate(f.tape):
             xs = [vals[j] for j in args]
+            if kind in PIECEWISE_KINDS:
+                n = 2 if kind == "abs" else len(xs)
+                kept = range(n)
+                if branches is not None:
+                    kept = branches.get(path, ())
+                    if not kept or min(kept) < 0 or max(kept) >= n:
+                        raise ExprError(f"branch selection {kept} missing or out of range at {path}")
             if kind == "const":
                 v = np.full(ones, payload)
             elif kind == "var":
@@ -381,38 +395,32 @@ def _forward(
                 if tau_act is not None:
                     tie, pos = v <= tau_act, xs[0] > 0
                     masks[i] = np.stack([tie | pos, tie | ~pos], axis=1)
-            elif kind == "max":
-                v = xs[0]
-                for x in xs[1:]:
-                    v = np.maximum(v, x)
-                if tau_act is not None:
-                    masks[i] = np.stack([x >= v - tau_act for x in xs], axis=1)
+                if len(kept) == 1:
+                    v = -xs[0] if kept[0] else xs[0]
             else:
-                v = xs[0]
-                for x in xs[1:]:
-                    v = np.minimum(v, x)
+                op = np.maximum if kind == "max" else np.minimum
+                v = xs[kept[0]]
+                for b in kept[1:]:
+                    v = op(v, xs[b])
                 if tau_act is not None:
-                    masks[i] = np.stack([x <= v + tau_act for x in xs], axis=1)
-            if selection is not None and kind in PIECEWISE_KINDS:
-                b = selection.get(path)
-                if b is None:
-                    raise ExprError(f"branch selection missing piecewise node at {path}")
-                if not 0 <= b < (2 if kind == "abs" else len(xs)):
-                    raise ExprError(f"branch index {b} out of range at {path}")
-                v = (-xs[0] if b else xs[0]) if kind == "abs" else xs[b]
+                    masks[i] = np.stack(
+                        [x >= v - tau_act if op is np.maximum else x <= v + tau_act for x in xs], axis=1
+                    )
+            if i in masks and len(kept) < n:
+                masks[i][:, [b not in kept for b in range(n)]] = False
             vals[i] = v
-            if selection is None:
+            if not keep:
                 for j in args:
                     vals[j] = None
     return vals, masks
 
 
 def _reverse(
-    f: FunctionDef, vals: list, selection: Mapping[Path, int]
+    f: FunctionDef, vals: list, branches: Branches
 ) -> tuple[np.ndarray, dict[Path, np.ndarray]]:
-    """Branch gradients (N, dim) of the composition fixed by the
-    selection, and the adjoint of each piecewise node the selection
-    reaches; vals come from the forward pass with the same selection."""
+    """Branch gradients (N, dim) of the composition fixed by a selection,
+    and the adjoint of each piecewise node the selection reaches; vals
+    come from the forward pass with the same branches, every value kept."""
     tape = f.tape
     n = vals[-1].shape[0]
     adj: list = [None] * len(tape)
@@ -443,7 +451,9 @@ def _reverse(
                     adj[args[0]] = a * payload * vals[args[0]] ** (payload - 1)
             else:
                 contexts[path] = a
-                b = selection[path]
+                if len(branches[path]) != 1:
+                    raise ExprError(f"branch gradient needs one branch at {path}, got {branches[path]}")
+                b = branches[path][0]
                 if kind == "abs":
                     adj[args[0]] = -a if b else a
                 else:
@@ -485,18 +495,20 @@ def _finite(values, p: np.ndarray) -> None:
         raise ExprError(f"non-finite value at point {p.tolist()}")
 
 
-def evaluate(f: FunctionDef, point: Sequence[float]) -> float:
-    """f at the point; ExprError if the value is not finite."""
+def evaluate(f: FunctionDef, point: Sequence[float], branches: Branches | None = None) -> float:
+    """f at the point, restricted to the branches if given; ExprError if
+    the value is not finite."""
     p = as_point(f.space, point)
-    vals, _ = _forward(f, p[:, None], (1,))
+    vals, _ = _forward(f, p[:, None], (1,), branches=branches)
     _finite(vals[-1], p)
     return float(vals[-1][0])
 
 
-def eval_batch(f: FunctionDef, points: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on an (N, dim) array of points."""
+def eval_batch(f: FunctionDef, points: np.ndarray, branches: Branches | None = None) -> np.ndarray:
+    """Vectorized evaluation on an (N, dim) array of points, restricted to
+    the branches if given."""
     pts = _as_points(f, points)
-    vals, _ = _forward(f, pts.T, pts.shape[:1])
+    vals, _ = _forward(f, pts.T, pts.shape[:1], branches=branches)
     return vals[-1]
 
 
@@ -544,19 +556,42 @@ class ActivePattern:
 
 
 def active_patterns(
-    f: FunctionDef, points: np.ndarray, tau_act: float = TAU_ACT_DEFAULT
+    f: FunctionDef,
+    points: np.ndarray,
+    tau_act: float = TAU_ACT_DEFAULT,
+    branches: Branches | None = None,
 ) -> tuple[list[ActivePattern], np.ndarray]:
     """The distinct active patterns over the rows of points, in order of
-    first occurrence, and the index of each row's pattern in that list."""
+    first occurrence, and the index of each row's pattern in that list.
+
+    Given branches, f is restricted to them, and a node left with one
+    branch, kept to one or below a branch left out, is that branch alone
+    (the first kept one), as if the node were gone."""
     if not tau_act > 0:
         raise ExprError("tau_act must be positive")
     pts = _as_points(f, points)
-    _, masks = _forward(f, pts.T, pts.shape[:1], tau_act)
+    _, masks = _forward(f, pts.T, pts.shape[:1], tau_act, branches)
+    if branches is not None:
+        reached = {len(f.tape) - 1}  # slots that feed the root through kept branches
+        for i in range(len(f.tape) - 1, -1, -1):
+            kind, args, _, path = f.tape[i]
+            if kind in PIECEWISE_KINDS:
+                kept = branches[path]
+                if len(kept) == 1 or i not in reached:
+                    masks[i] = np.zeros_like(masks[i])
+                    masks[i][:, kept[0]] = True
+                if kind != "abs":
+                    args = [args[b] for b in kept]
+            if i in reached:
+                reached.update(args)
     if not masks:
         return [ActivePattern(())], np.zeros(pts.shape[0], dtype=np.intp)
     cols = [masks[slot] for slot in f.piecewise.values()]
     bits = np.hstack(cols)
-    rows, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    if len(bits) == 1:  # active_pattern's one point: np.unique would cost more than the pass
+        rows, first, inverse = bits, np.zeros(1, np.intp), np.zeros(1, np.intp)
+    else:
+        rows, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -571,83 +606,54 @@ def active_patterns(
     return patterns, rank[inverse.reshape(-1)]
 
 
-def active_pattern(f: FunctionDef, point: Sequence[float], tau_act: float = TAU_ACT_DEFAULT) -> ActivePattern:
+def active_pattern(
+    f: FunctionDef,
+    point: Sequence[float],
+    tau_act: float = TAU_ACT_DEFAULT,
+    branches: Branches | None = None,
+) -> ActivePattern:
     """Active branches within absolute tolerance tau_act at the point."""
-    return active_patterns(f, as_point(f.space, point)[None, :], tau_act)[0][0]
+    return active_patterns(f, as_point(f.space, point)[None, :], tau_act, branches)[0][0]
 
 
-def branch_combinations(pattern: ActivePattern) -> list[dict[Path, int]]:
-    """All single-branch selections compatible with the pattern, in a
-    deterministic order."""
-    combos: list[dict[Path, int]] = [{}]
+def branch_combinations(pattern: ActivePattern) -> list[dict[Path, tuple[int]]]:
+    """All selections compatible with the pattern, one branch per node,
+    in a deterministic order."""
+    combos: list[dict[Path, tuple[int]]] = [{}]
     for path, act in pattern.selections:
-        combos = [{**c, path: b} for c in combos for b in act]
+        combos = [{**c, path: (b,)} for c in combos for b in act]
     return combos
 
 
 def branch_gradients(
-    f: FunctionDef, points: np.ndarray, selection: Mapping[Path, int]
+    f: FunctionDef, points: np.ndarray, branches: Branches
 ) -> tuple[np.ndarray, dict[Path, np.ndarray]]:
-    """Gradients (N, dim) of the smooth composition fixed by the branch
-    selection at the rows of points, plus the sensitivity of f to each
-    reached piecewise node's output (its adjoint), one value per row.
-    Every branch is polynomial, so this is exact up to rounding."""
+    """Gradients (N, dim) of the smooth composition fixed by a selection
+    at the rows of points, plus the sensitivity of f to each reached
+    piecewise node's output (its adjoint), one value per row.  Every
+    branch is polynomial, so this is exact up to rounding."""
     pts = _as_points(f, points)
-    vals, _ = _forward(f, pts.T, pts.shape[:1], selection=selection)
-    return _reverse(f, vals, selection)
+    vals, _ = _forward(f, pts.T, pts.shape[:1], branches=branches, keep=True)
+    return _reverse(f, vals, branches)
 
 
 def gradient_and_contexts(
-    f: FunctionDef, point: Sequence[float], selection: Mapping[Path, int]
+    f: FunctionDef, point: Sequence[float], branches: Branches
 ) -> tuple[np.ndarray, dict[Path, float]]:
     """branch_gradients at one point; ExprError if the gradient is not
     finite there."""
     p = as_point(f.space, point)
-    grads, contexts = branch_gradients(f, p[None, :], selection)
+    grads, contexts = branch_gradients(f, p[None, :], branches)
     _finite(grads, p)
     return grads[0], {path: float(a[0]) for path, a in contexts.items()}
 
 
-def branch_gradient(
-    f: FunctionDef, point: Sequence[float], selection: Mapping[Path, int]
-) -> np.ndarray:
-    return gradient_and_contexts(f, point, selection)[0]
+def branch_gradient(f: FunctionDef, point: Sequence[float], branches: Branches) -> np.ndarray:
+    return gradient_and_contexts(f, point, branches)[0]
 
 
 # ---------------------------------------------------------------------------
-# AST surgery used by the subdifferential machinery
-
-
-def restrict_to_pattern(f: FunctionDef, pattern: ActivePattern) -> FunctionDef:
-    """Prune piecewise nodes to the branches active in the pattern.
-
-    Nodes restricted to a single branch collapse to that branch (negated
-    for the negative abs branch); max/min keep their kind over the
-    surviving children.
-    """
-    sel = pattern.as_dict()
-
-    def rebuild(n: ExprNode, path: Path) -> ExprNode:
-        if n.kind in ("const", "var"):
-            return n
-        if n.kind not in PIECEWISE_KINDS:
-            return ExprNode(n.kind, tuple(rebuild(c, path + (i,)) for i, c in enumerate(n.children)), n.payload)
-        act = sel.get(path)
-        if act is None:
-            raise ExprError(f"pattern missing piecewise node at {path}")
-        if n.kind == "abs":
-            child = rebuild(n.children[0], path + (0,))
-            if act == (0, 1):
-                return ExprNode("abs", (child,))
-            if act == (0,):
-                return child
-            return ExprNode("sub", (child,))
-        kept = [rebuild(n.children[i], path + (i,)) for i in act]
-        if len(kept) == 1:
-            return kept[0]
-        return ExprNode(n.kind, tuple(kept))
-
-    return FunctionDef(f.space, rebuild(f.root, ()))
+# AST surgery
 
 
 def negate(f: FunctionDef) -> FunctionDef:

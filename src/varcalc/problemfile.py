@@ -168,13 +168,19 @@ PARAM_KEYS = {
 }
 
 
-def _setting(line: str, keys: dict, section: str) -> tuple[str, object]:
-    key = line.split()[0]
-    if key not in keys:
-        raise ProblemFileError(f"unknown [{section}] key {key!r}")
-    name, conv, count = keys[key]
-    values = _param_values(line, conv, count, section)
-    return name, values if count is None else values[0]
+def _settings(lines: list[str], keys: dict, section: str) -> dict[str, object]:
+    """The field each line sets, to its converted value; a key may appear once."""
+    out = {}
+    for line in lines:
+        key = line.split()[0]
+        if key not in keys:
+            raise ProblemFileError(f"unknown [{section}] key {key!r}")
+        name, conv, count = keys[key]
+        values = _param_values(line, conv, count, section)
+        if name in out:
+            raise ProblemFileError(f"[{section}] sets {key!r} twice")
+        out[name] = values if count is None else values[0]
+    return out
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -255,6 +261,8 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ProblemFileError(
                 f"candidate {name!r} has {len(vals)} values, expected {dim}"
             )
+        if name in candidates:
+            raise ProblemFileError(f"duplicate candidate {name!r}")
         try:
             candidates[name] = np.array([float(v) for v in vals])
         except ValueError as err:
@@ -263,14 +271,15 @@ def parse_problem_file(text: str) -> ProblemFile:
     grid = None
     if "grid" in sections:
         boxes: dict[str, tuple[float, float]] = {}
-        settings = {}
         for line in sections["grid"]:
             if line.split()[0] == "box":
                 name, lo, hi = _param_values(line, str, 3, "grid")
+                if name not in y_names:
+                    raise ProblemFileError(f"[grid] box for {name!r}, which is no lower variable")
+                if name in boxes:
+                    raise ProblemFileError(f"[grid] has two boxes for {name!r}")
                 boxes[name] = _param_values(f"{name} {lo} {hi}", float, 2, "grid")
-            else:
-                key, value = _setting(line, GRID_KEYS, "grid")
-                settings[key] = value
+        settings = _settings([ln for ln in sections["grid"] if ln.split()[0] != "box"], GRID_KEYS, "grid")
         missing = [n for n in y_names if n not in boxes]
         if missing:
             raise ProblemFileError(f"[grid] missing box for lower variables: {missing}")
@@ -279,7 +288,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         except vf.ValueFnError as err:
             raise ProblemFileError(f"bad [grid]: {err}") from None
 
-    settings = dict(_setting(line, PARAM_KEYS, "params") for line in sections.get("params", []))
+    settings = _settings(sections.get("params", []), PARAM_KEYS, "params")
     kappa_grid = settings.pop("kappa_grid", bl.DEFAULT_KAPPA_GRID)
     try:
         params = replace(sd.DEFAULT_PARAMS, **settings)

@@ -391,35 +391,27 @@ def _pattern_is_max_like(pattern: ex.ActivePattern, f: ex.FunctionDef, contexts)
 
 def _curvature_estimate(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePattern) -> float:
     """Rough bound on branch-composition curvature near x via central
-    second differences of the branch-restricted functions."""
+    second differences of f under the pattern's first 8 selections."""
     dim = f.space.dim
     r = 1e-3
     probes = directions(dim, 2 * dim)
+    pts = np.vstack([x + r * probes, x - r * probes, x[None, :]])
+    k = probes.shape[0]
     worst = 0.0
-    for sel_pattern in _singleton_subpatterns(pattern)[:8]:
-        restricted = ex.restrict_to_pattern(f, sel_pattern)
-        pts = np.vstack([x + r * probes, x - r * probes, x[None, :]])
-        vals = ex.eval_batch(restricted, pts)
-        k = probes.shape[0]
+    for sel in ex.branch_combinations(pattern)[:8]:
+        vals = ex.eval_batch(f, pts, sel)
         second = np.abs(vals[:k] + vals[k : 2 * k] - 2 * vals[-1]) / r**2
         worst = max(worst, float(second.max(initial=0.0)))
     return worst
 
 
-def _singleton_subpatterns(pattern: ex.ActivePattern) -> list[ex.ActivePattern]:
-    return [
-        ex.ActivePattern(tuple(sorted((p, (b,)) for p, b in sel.items())))
-        for sel in ex.branch_combinations(pattern)
-    ]
-
-
 def _regular(
-    f: ex.FunctionDef, p: np.ndarray, params: SampleParams
+    f: ex.FunctionDef, p: np.ndarray, params: SampleParams, branches: ex.Branches | None = None
 ) -> tuple[Polytope | None, bool]:
-    """``regular_subdifferential`` at the point p, and whether p's
-    pattern is max-like (the hull of active branch gradients is then the
-    answer, unclipped)."""
-    pattern = ex.active_pattern(f, p, params.tau_act)
+    """``regular_subdifferential`` at the point p of f restricted to the
+    branches if given, and whether p's pattern is max-like (the hull of
+    active branch gradients is then the answer, unclipped)."""
+    pattern = ex.active_pattern(f, p, params.tau_act, branches)
     _, grads, contexts = _combo_data(f, p, pattern)
     candidate = convex_hull(grads)
     if _pattern_is_max_like(pattern, f, contexts):
@@ -427,7 +419,7 @@ def _regular(
     r = params.radii[-1]
     eps = r / 10 + _curvature_estimate(f, p, pattern) * r
     dirs = params.directions(f.space.dim)
-    quotients = (ex.eval_batch(f, p[None, :] + r * dirs) - ex.evaluate(f, p)) / r
+    quotients = (ex.eval_batch(f, p[None, :] + r * dirs, branches) - ex.evaluate(f, p, branches)) / r
     return clip_polytope(candidate, dirs, quotients + eps), False
 
 
@@ -514,8 +506,7 @@ def basic_subdifferential_with_census(
     patterns, census = _realizable_patterns(f, p, params)
     parts: list[Polytope] = []
     for pat in patterns:
-        restricted = ex.restrict_to_pattern(f, pat)
-        piece = regular_subdifferential(restricted, p, params)
+        piece = _regular(f, p, params, pat.as_dict())[0]
         if piece is not None:
             parts.append(piece)
     if not parts:
@@ -727,8 +718,7 @@ def sampled_subdiff_oracle(
         grads = np.zeros_like(us)
         for k, pat in enumerate(patterns):
             if smooth[k]:
-                sel = {path: act[0] for path, act in pat.selections}
-                grads[inverse == k] = ex.branch_gradients(f, us[inverse == k], sel)[0]
+                grads[inverse == k] = ex.branch_gradients(f, us[inverse == k], pat.as_dict())[0]
         # stencils[di] = [u + rr * s for rr in rho for s in stencil_dirs], u = us[di]
         stencils = us[:, None, :] + (rho[:, None, None] * stencil_dirs).reshape(1, -1, dim)
         values = ex.eval_batch(f, np.vstack([us, stencils.reshape(-1, dim)]))
@@ -1514,14 +1504,12 @@ def verify_difference_rule(
     f1: ex.FunctionDef,
     f2: ex.FunctionDef,
     x: Sequence[float],
-    claimed_local_minimizer: bool = False,
     params: SampleParams = DEFAULT_PARAMS,
 ) -> RuleReport:
     """Difference rule for regular subgradients, checked at vertices
     (sufficient by convexity of the sets involved), and the minimizer
     necessary condition that the second regular subdifferential be
-    contained in the first; a claimed local minimizer that breaks it is
-    reported as refuted."""
+    contained in the first."""
     p = np.asarray(x, dtype=float)
     r1 = regular_subdifferential(f1, p, params)
     r2 = regular_subdifferential(f2, p, params)
@@ -1552,8 +1540,6 @@ def verify_difference_rule(
                 containment = max(containment, out.margin)
     detail["minimizer_condition_margin"] = containment
     detail["minimizer_condition_holds"] = containment <= 1e-6
-    if claimed_local_minimizer and containment > 1e-6:
-        detail["claim_refuted"] = True
     return RuleReport("difference", worst <= 1e-6, worst, detail)
 
 

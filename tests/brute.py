@@ -5,7 +5,8 @@ by dense enumeration over lattice weight grids, so they can cross-check
 the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
-interpreter over the expression tree, the batched point-to-polytope
+interpreter over the expression tree and its branch-restricted passes
+against the tree rebuilt with the left-out branches pruned, the batched point-to-polytope
 distance against a one-point-at-a-time face enumeration, the batched
 value-function search against a one-parameter-at-a-time grid loop, the
 batched argmin slope bound and the seeded direction fill against their
@@ -55,11 +56,11 @@ def random_instance(rng: np.random.Generator) -> Instance:
     nor the grid search can reach them.
     """
     dim = int(rng.integers(1, 3))
-    base = Polytope.create(_lattice(rng, (int(rng.integers(1, 4)), dim)), canonicalize=False)
+    base = Polytope(_lattice(rng, (int(rng.integers(1, 4)), dim)))
     scaled = []
     if rng.random() < 0.6:
         scaled.append(
-            Polytope.create(_lattice(rng, (int(rng.integers(1, 3)), dim)), canonicalize=False)
+            Polytope(_lattice(rng, (int(rng.integers(1, 3)), dim)))
         )
     if rng.random() < 0.5:
         # certain member from grid weights
@@ -279,7 +280,8 @@ def reference_forward(f, point, tau_act=E.TAU_ACT_DEFAULT, selection=None):
     """(value, active pattern, value of every node by path) of f at the
     point, by a recursive walk over the tree in Python floats: sums and
     products left to right, piecewise nodes taking the selected branch's
-    value when a selection is given.  Raises NonFinite on any non-finite
+    value when a selection (one branch per node, in the expression
+    layer's Branches form) is given.  Raises NonFinite on any non-finite
     node value."""
     values = {}
     sels = []
@@ -310,7 +312,7 @@ def reference_forward(f, point, tau_act=E.TAU_ACT_DEFAULT, selection=None):
                 v = min(vals)
                 sels.append((path, tuple(i for i, x in enumerate(vals) if x <= v + tau_act)))
             if selection is not None and n.kind in E.PIECEWISE_KINDS:
-                b = selection[path]
+                (b,) = selection[path]
                 v = (-vals[0] if b else vals[0]) if n.kind == "abs" else vals[b]
         if not math.isfinite(v):
             raise NonFinite(path)
@@ -332,7 +334,7 @@ def reference_gradient(f, point, selection):
     def back(n, path, adj):
         if n.kind in E.PIECEWISE_KINDS:
             contexts[path] = adj
-            b = selection[path]
+            (b,) = selection[path]
             i = 0 if n.kind == "abs" else b
             back(n.children[i], path + (i,), -adj if n.kind == "abs" and b else adj)
         elif n.kind == "var":
@@ -359,6 +361,31 @@ def reference_gradient(f, point, selection):
     if not np.all(np.isfinite(grad)):
         raise NonFinite("gradient")
     return grad, contexts
+
+
+def restrict_to_pattern(f, pattern):
+    """f rebuilt with each piecewise node pruned to the branches active in
+    the pattern: the reference for the expression layer's restricted
+    passes.  A node kept to one branch collapses to that branch (negated
+    for the negative abs branch); max/min keep their kind over the
+    surviving children."""
+    sel = pattern.as_dict()
+
+    def rebuild(n, path):
+        if n.kind in ("const", "var"):
+            return n
+        if n.kind not in E.PIECEWISE_KINDS:
+            return E.ExprNode(n.kind, tuple(rebuild(c, path + (i,)) for i, c in enumerate(n.children)), n.payload)
+        act = sel[path]
+        if n.kind == "abs":
+            child = rebuild(n.children[0], path + (0,))
+            if act == (0, 1):
+                return E.ExprNode("abs", (child,))
+            return child if act == (0,) else E.ExprNode("sub", (child,))
+        kept = [rebuild(n.children[i], path + (i,)) for i in act]
+        return kept[0] if len(kept) == 1 else E.ExprNode(n.kind, tuple(kept))
+
+    return E.FunctionDef(f.space, rebuild(f.root, ()))
 
 
 def _project_affine_subset(p: np.ndarray, S: np.ndarray) -> tuple[float, np.ndarray]:

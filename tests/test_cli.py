@@ -74,7 +74,8 @@ def test_parse_errors():
 )
 def test_bad_params_exit2(tmp_path, capsys, line):
     path = tmp_path / "params.vp"
-    path.write_text(WORKED.read_text() + line + "\n")
+    # in place of the file's own seed line, so that no key is repeated
+    path.write_text(WORKED.read_text().replace("seed 0\n", "") + line + "\n")
     with pytest.raises(ProblemFileError, match="params"):
         parse_problem_file(path.read_text())
     code, out, err = run_cli(
@@ -105,6 +106,29 @@ def test_bad_grid_exit2(tmp_path, capsys, old, new):
     path = tmp_path / "grid.vp"
     path.write_text(WORKED.read_text().replace(old, new))
     with pytest.raises(ProblemFileError, match="grid"):
+        parse_problem_file(path.read_text())
+    code, out, err = run_cli(["valuefn", str(path), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad problem file" in err
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("offopt 1 -1", "offopt 1 -1\norigin 5 5", "duplicate candidate 'origin'"),
+        ("box y -2 2", "box y -2 2\nbox y -1 1", r"\[grid\] has two boxes for 'y'"),
+        ("resolution 401", "resolution 401\nresolution 201", r"\[grid\] sets 'resolution' twice"),
+        ("seed 0", "seed 0\nseed 3", r"\[params\] sets 'seed' twice"),
+        ("box y -2 2", "box y -2 2\nbox x -1 1", "box for 'x', which is no lower variable"),
+    ],
+    ids=["candidate", "box", "grid-key", "params-key", "stray-box"],
+)
+def test_repeated_or_stray_line_exit2(tmp_path, capsys, old, new, message):
+    # each name, box and key may appear once, and boxes are for lower variables only
+    path = tmp_path / "repeat.vp"
+    path.write_text(WORKED.read_text().replace(old, new))
+    with pytest.raises(ProblemFileError, match=message):
         parse_problem_file(path.read_text())
     code, out, err = run_cli(["valuefn", str(path), "--json"], capsys)
     assert code == 2
@@ -576,9 +600,9 @@ def test_cmd_certify_reads_the_files_tau_act(tmp_path, capsys, monkeypatch):
     seen = []
     original = ex.active_patterns
 
-    def recording(f, points, tau_act=ex.TAU_ACT_DEFAULT):
+    def recording(f, points, tau_act=ex.TAU_ACT_DEFAULT, branches=None):
         seen.append(tau_act)
-        return original(f, points, tau_act)
+        return original(f, points, tau_act, branches)
 
     monkeypatch.setattr(ex, "active_patterns", recording)
     argv = ["certify", str(path), "--at", "top", "--theorem", "t74", "--kappa", "4",
@@ -704,9 +728,9 @@ def test_cmd_verify_file_reads_the_files_params_but_not_its_seed(tmp_path, capsy
     """verify FILE takes tau_act from [params], but its seed stays --seed
     (default 0), whatever the file's seed."""
     runs = {}
-    for name, extra in (("plain", ""), ("tau", "tau_act 2\n"), ("seed", "seed 5\n")):
+    for name, params in (("plain", "seed 0"), ("tau", "seed 0\ntau_act 2"), ("seed", "seed 5")):
         path = tmp_path / f"{name}.vp"
-        path.write_text(KINK.read_text() + extra)
+        path.write_text(KINK.read_text().replace("seed 0", params))
         code, out, _ = run_cli(["verify", str(path), "--json", "--dirs", "16"], capsys)
         report = json.loads(out)
         assert report["inputs"]["seed"] == 0

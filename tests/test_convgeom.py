@@ -472,7 +472,7 @@ def _distance_case(rng, dim, nv, kind, n_points):
         pts.append(np.round(W @ V, 1))
         pts.append(V[rng.integers(nv, size=4)] + 1e-3 * rng.standard_normal((4, dim)))
         pts.append(100.0 * rng.standard_normal((4, dim)))
-    return G.Polytope.create(V, canonicalize=False), np.vstack(pts)[:n_points]
+    return G.Polytope(V), np.vstack(pts)[:n_points]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -506,7 +506,7 @@ def test_distance_matches_slsqp_qp():
     for dim in (1, 2, 3):
         for nv in range(1, 7):
             V = rng.standard_normal((nv, dim))
-            poly = G.Polytope.create(V, canonicalize=False)
+            poly = G.Polytope(V)
             P = 1.5 * rng.standard_normal((6, dim))
             got = G.point_to_polytope_distances(P, poly)
             for p, d in zip(P, got):

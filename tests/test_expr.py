@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from tests import brute
 from varcalc import expr as E
+from varcalc import subdiff as S
+from varcalc.convgeom import PolytopeUnion, directions
 
 
 XS = E.VarSpace.of("x")
@@ -78,7 +80,7 @@ def test_every_tree_walk_runs_at_the_nesting_cap():
     at_depth(300, lambda: hash(g))
     at_depth(300, lambda: E.parse_function(E.to_text(g), XS))
     at_depth(300, lambda: E.shape_class(E.FunctionDef(XS, E.ExprNode("mul", (g.root, h.root)))))
-    at_depth(300, lambda: E.restrict_to_pattern(g, pattern).tape)
+    at_depth(300, lambda: E.active_pattern(g, [0.5], branches=pattern.as_dict()))
     at_depth(300, lambda: E.lift_to_product(g, XY, 1).tape)
 
 
@@ -267,12 +269,12 @@ def test_branch_gradient_square():
 
 def test_branch_gradient_max_first():
     g = f("(max x y)", XY)
-    assert E.branch_gradient(g, [1.0, 0.0], {(): 0}) == pytest.approx([1.0, 0.0])
+    assert E.branch_gradient(g, [1.0, 0.0], {(): (0,)}) == pytest.approx([1.0, 0.0])
 
 
 def test_branch_gradient_abs_negative_branch():
     g = f("(abs x)")
-    assert E.branch_gradient(g, [0.0], {(): 1}) == pytest.approx([-1.0])
+    assert E.branch_gradient(g, [0.0], {(): (1,)}) == pytest.approx([-1.0])
 
 
 def test_branch_gradient_missing_selection():
@@ -297,8 +299,7 @@ def test_gradient_matches_central_differences():
         pat = E.active_pattern(g, p, 1e-7)
         if not pat.is_smooth():
             continue
-        sel = {path: act[0] for path, act in pat.selections}
-        grad = E.branch_gradient(g, p, sel)
+        grad = E.branch_gradient(g, p, pat.as_dict())
         for k in range(space.dim):
             e = np.zeros(space.dim)
             e[k] = h
@@ -328,21 +329,132 @@ def test_local_lipschitz_ratio_bounded_by_branch_gradients():
 
 
 # ---------------------------------------------------------------------------
-# AST surgery and shape heuristics
+# branch-restricted passes
 
 
 def test_restrict_to_pattern_collapses_singletons():
     g = f("(min 0 x)")
     pat = E.active_pattern(g, [1.0])  # only the 0 branch active
-    assert E.restrict_to_pattern(g, pat).root == E.const(0.0)
+    assert brute.restrict_to_pattern(g, pat).root == E.const(0.0)
+    branches = pat.as_dict()
+    assert E.evaluate(g, [-3.0], branches) == 0.0
+    assert E.active_pattern(g, [-3.0], branches=branches) == pat
 
 
 def test_restrict_keeps_partial_max():
     g = f("(max x (* 2 x) (- x 5))")
     pat = E.active_pattern(g, [0.0])
-    restricted = E.restrict_to_pattern(g, pat)
+    restricted = brute.restrict_to_pattern(g, pat)
     assert restricted.root.kind == "max"
     assert len(restricted.root.children) == 2
+    # the left-out third branch, here 3x - 5, is never active, even at
+    # x = 6 where it is the max
+    g = f("(max x (* 2 x) (- (* 3 x) 5))")
+    xs = np.array([[-1.0], [0.0], [6.0]])
+    assert E.eval_batch(g, xs, pat.as_dict()).tolist() == [-1.0, 0.0, 12.0]
+    assert E.active_pattern(g, [6.0], branches=pat.as_dict()).as_dict() == {(): (1,)}
+    assert E.active_pattern(g, [0.0], branches=pat.as_dict()).as_dict() == {(): (0, 1)}
+
+
+def test_restricted_gradient_needs_one_branch():
+    with pytest.raises(E.ExprError, match="one branch"):
+        E.branch_gradient(f("(max x 0)"), [0.0], {(): (0, 1)})
+    with pytest.raises(E.ExprError, match="out of range"):
+        E.evaluate(f("(abs x)"), [0.0], {(): (2,)})
+
+
+def _renumbered(g, branches, pattern):
+    """pattern, a pattern of g restricted to branches, in the paths of the
+    tree brute.restrict_to_pattern builds (a node left with one branch is
+    gone, or a negation for abs, and kept children count from 0), and the
+    path in g of each node that tree keeps, by its path there."""
+    act, out, paths = pattern.as_dict(), [], {}
+
+    def walk(n, path, hpath):
+        if n.kind not in E.PIECEWISE_KINDS:
+            for i, c in enumerate(n.children):
+                walk(c, path + (i,), hpath + (i,))
+            return
+        kept = branches[path]
+        if len(kept) > 1:
+            paths[hpath] = path
+            out.append((hpath, tuple(kept.index(b) for b in act[path])))
+        if n.kind == "abs":
+            walk(n.children[0], path + (0,), hpath if kept == (0,) else hpath + (0,))
+        else:
+            for k, b in enumerate(kept):
+                walk(n.children[b], path + (b,), hpath + (k,) if len(kept) > 1 else hpath)
+
+    walk(g.root, (), ())
+    return E.ActivePattern(tuple(sorted(out))), paths
+
+
+def _outcome(fn, *args):
+    # the result, or the type of the library error it raised
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err)
+
+
+FEW = S.SampleParams(dirs_per_radius=16)
+
+
+def _rebuilt_full(g, x):
+    """(regular, basic) subdifferentials of g at x, the basic one as the
+    union over the trees rebuilt for each realizable pattern."""
+    regular = S.regular_subdifferential(g, x, FEW)
+    patterns, _ = S._realizable_patterns(g, x, FEW)
+    parts = [S.regular_subdifferential(brute.restrict_to_pattern(g, pat), x, FEW) for pat in patterns]
+    parts = [p for p in parts if p is not None]
+    if not parts:
+        raise S.SubdiffError("no realizable pattern produced a subgradient set")
+    return regular, PolytopeUnion.create(parts)
+
+
+def _bytes(regular, basic):
+    return (None if regular is None else regular.vertices.tobytes(), [p.vertices.tobytes() for p in basic.parts])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_node_strategy, st.sampled_from([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (0.0, 1.0)]))
+def test_restricted_passes_equal_rebuilt_trees(node, tie):
+    # each pattern realized near a tie point, taken on g's own tape and
+    # through the tree rebuilt without the branches the pattern leaves out
+    g = E.FunctionDef(XY, node)
+    x = np.array(tie)
+    try:
+        brute.reference_forward(g, x)
+    except brute.NonFinite:
+        assume(False)
+    pts = np.vstack([x, x + 1e-3 * directions(2, 16)])
+    for pat in E.active_patterns(g, pts)[0]:
+        branches = pat.as_dict()
+        h = brute.restrict_to_pattern(g, pat)
+        assert np.array_equal(E.eval_batch(g, pts, branches), E.eval_batch(h, pts), equal_nan=True)
+        own = E.active_pattern(g, x, branches=branches)
+        renumbered, paths = _renumbered(g, branches, own)
+        assert E.active_pattern(h, x) == renumbered
+        assert own.num_combinations() == renumbered.num_combinations()
+        for sel, hsel in zip(E.branch_combinations(own)[:8], E.branch_combinations(renumbered)[:8]):
+            assert np.array_equal(E.eval_batch(g, pts, sel), E.eval_batch(h, pts, hsel), equal_nan=True)
+            got, want = _outcome(E.gradient_and_contexts, g, x, sel), _outcome(E.gradient_and_contexts, h, x, hsel)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert np.array_equal(got[0], want[0])
+            assert {p: v for p, v in got[1].items() if p in paths.values()} == {
+                paths[p]: v for p, v in want[1].items()
+            }
+    got, want = _outcome(S.full_subdifferential, g, x, FEW), _outcome(_rebuilt_full, g, x)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert _bytes(got.regular, got.basic) == _bytes(*want)
+
+
+# ---------------------------------------------------------------------------
+# AST surgery and shape heuristics
 
 
 @pytest.mark.parametrize(

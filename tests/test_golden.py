@@ -28,6 +28,8 @@ FILES = ("problems/worked.vp", "problems/kink.vp")
 # the one 3-D lower graph: pins the sampled normal-cone oracle's 3-D lattice
 # and the two-variable value-function search
 WORKED2 = "problems/worked2.vp"
+# the one single-level program: pins the T6.1 certificate
+SINGLE = "problems/single.vp"
 SEED = "7"
 SECOND_SEED = "2"
 
@@ -53,6 +55,9 @@ def commands() -> list[tuple[str, ...]]:
     # a lower constraint and an upper objective, named by the file's path map
     out.append(("subdiff", WORKED2, "--fn", "lower.constraint.1", "--at", "origin", "--oracle"))
     out.append(("subdiff", FILES[0], "--fn", "upper.objective", "--at", "offopt", "--oracle"))
+    out.append(("certify", SINGLE, "--at", "origin", "--theorem", "t61"))
+    out.append(("subdiff", SINGLE, "--fn", "upper.objective", "--at", "origin", "--oracle"))
+    out.append(("verify", SINGLE))
     out += [("extremal", "--builtin", name) for name in cli.EXTREMAL_BUILTINS]
     out.append(("verify", "--builtin-corpus"))
     # a second seed moves every sampled point the oracles cluster
@@ -64,7 +69,7 @@ def commands() -> list[tuple[str, ...]]:
 
 def run(cmd: tuple[str, ...]) -> dict:
     seed = [] if "--seed" in cmd else ["--seed", SEED]
-    argv = [str(ROOT / a) if a in FILES + (WORKED2,) else a for a in cmd] + ["--json", *seed]
+    argv = [str(ROOT / a) if a in FILES + (WORKED2, SINGLE) else a for a in cmd] + ["--json", *seed]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)

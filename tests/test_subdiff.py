@@ -151,20 +151,36 @@ def test_singular_is_zero_cone():
 @pytest.mark.parametrize("text,method", [("(abs x)", "symbolic"), ("(min 0 x)", "sampled")])
 def test_full_subdifferential_builds_its_branch_table_once(text, method, monkeypatch):
     g = f(text)
-    own = []
-    original = S._combo_data
+    unrestricted = []
+    original = S._regular
 
-    def counting(fn, x, pattern):
-        own.append(fn is g)
-        return original(fn, x, pattern)
+    def counting(fn, p, params, branches=None):
+        unrestricted.append(fn is g and branches is None)
+        return original(fn, p, params, branches)
 
-    monkeypatch.setattr(S, "_combo_data", counting)
+    monkeypatch.setattr(S, "_regular", counting)
     result = S.full_subdifferential(g, [0.0], FAST)
-    assert own.count(True) == 1
+    assert unrestricted.count(True) == 1
     assert result.method == method
     regular = S.regular_subdifferential(g, [0.0], FAST)
     assert (result.regular is None) == (regular is None)
     assert regular is None or G.polytopes_equal(result.regular, regular)
+
+
+def test_basic_subdifferential_builds_no_expression(monkeypatch):
+    # each realizable pattern is analysed on the original tape
+    built = []
+    original = E.FunctionDef.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    cases = [(f("(min 0 x)"), [0.0]), (f("(abs (- (abs x) (abs y)))", XY), [0.0, 0.0])]
+    monkeypatch.setattr(E.FunctionDef, "__post_init__", counting)
+    for g, pt in cases:
+        S.full_subdifferential(g, pt, FAST)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -757,18 +773,16 @@ def test_difference_rule_abs_minus_linear():
 
 
 def test_difference_rule_identity_minimizer():
-    report = S.verify_difference_rule(
-        f("(* x x)"), f("(* x x)"), [0.0], claimed_local_minimizer=True, params=FAST
-    )
+    report = S.verify_difference_rule(f("(* x x)"), f("(* x x)"), [0.0], params=FAST)
     assert report.holds
     assert report.detail["minimizer_condition_holds"]
 
 
 def test_difference_rule_refutes_false_minimizer_claim():
-    report = S.verify_difference_rule(
-        f("(abs x)"), f("(* 2 x)"), [0.0], claimed_local_minimizer=True, params=FAST
-    )
-    assert report.detail["claim_refuted"]
+    # |x| - 2x has no local minimizer at 0: {2} is not inside [-1, 1]
+    report = S.verify_difference_rule(f("(abs x)"), f("(* 2 x)"), [0.0], params=FAST)
+    assert not report.detail["minimizer_condition_holds"]
+    assert report.detail["minimizer_condition_margin"] > 1e-6
 
 
 def test_difference_rule_vacuous_when_second_empty():
@@ -1035,6 +1049,9 @@ REMOVED_OPTIONS = [
     (G.ConeSpec.contains, "tol"),
     (G._as_vertex_array, "dim"),
     (E.to_text, "space"),
+    (S.verify_difference_rule, "claimed_local_minimizer"),
+    (G.Polytope.create, "canonicalize"),
+    (G.PolytopeUnion.create, "canonicalize"),
 ]
 
 
