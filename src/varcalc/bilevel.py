@@ -213,35 +213,6 @@ def build_penalized(bp: BilevelProblem, kappa: float, grid: vf.GridSpec) -> Pena
     return PenalizedProgram(bp, float(kappa), grid)
 
 
-def penalized_grid_search(
-    bp: BilevelProblem, kappa: float, box: tuple[float, float], step: float, grid: vf.GridSpec
-) -> tuple[np.ndarray, float]:
-    """Exhaustive grid minimizer of the penalized objective over a square
-    (x, y) box; supports one parameter and one decision variable."""
-    if bp.x_dim != 1 or bp.y_dim != 1:
-        raise BilevelError("grid search supports x_dim = y_dim = 1")
-    lo, hi = box
-    n = int(round((hi - lo) / step)) + 1
-    xs = np.linspace(lo, hi, n)
-    ys = np.linspace(lo, hi, n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for f in bp.lower_constraints:
-        mask &= ex.eval_batch(f, pts) <= TOL_GEOM
-    for g in bp.upper_constraints:
-        mask &= ex.eval_batch(g, pts[:, :1]) <= TOL_GEOM
-    phi = ex.eval_batch(bp.lower_cost, pts).reshape(n, n)
-    psi = ex.eval_batch(bp.upper_cost, pts).reshape(n, n)
-    feas = mask.reshape(n, n)
-    phi_masked = np.where(feas, phi, np.inf)
-    theta = phi_masked.min(axis=1)  # per x row
-    objective = np.where(feas, psi + kappa * (phi - theta[:, None]), np.inf)
-    idx = int(np.argmin(objective))
-    i, j = divmod(idx, n)
-    return np.array([xs[i], ys[j]]), float(objective[i, j])
-
-
 # ---------------------------------------------------------------------------
 # Partial calmness probe
 

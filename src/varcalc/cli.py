@@ -17,7 +17,8 @@ built-in systems live in varcalc.corpus; _report alone serializes.
 
 Exit codes: 0 ok, 1 a verify property check failed, 2 input error
 (including a non-finite function value), 3 computation refusal
-(qualification, LP breakdown, too many branch combinations), 4 no
+(qualification, LP breakdown, too many branch combinations, no realizable
+branch pattern yielding a subgradient set), 4 no
 certificate, 5 hypothesis failure.  Every library error a command raises
 ends in 2 or 3 through the one table ERROR_EXITS in main, with an
 "error: " line on stderr; a report holding a non-finite number, which
@@ -444,7 +445,7 @@ HANDLERS = {
 # first row that matches wins.  Refusals come first, since
 # CombinatorialOverflow is also a SubdiffError.
 ERROR_EXITS = (
-    ((sd.CombinatorialOverflow, GeometryError), EXIT_REFUSED, "refused: "),
+    ((sd.CombinatorialOverflow, sd.EmptyBasicSubdifferential, GeometryError), EXIT_REFUSED, "refused: "),
     (
         (CliError, ProblemFileError, ex.ExprError, sd.SubdiffError, vf.ValueFnError, bl.BilevelError, OSError),
         EXIT_INPUT,

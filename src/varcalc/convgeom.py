@@ -315,12 +315,6 @@ def convex_hull(points: Iterable[Sequence[float]]) -> Polytope:
     return Polytope(_lex_sorted(V))
 
 
-def polytopes_equal(a: Polytope, b: Polytope) -> bool:
-    if a.dim != b.dim or a.num_vertices != b.num_vertices:
-        return False
-    return bool(np.all(np.linalg.norm(a.vertices - b.vertices, axis=1) <= TOL_GEOM))
-
-
 def clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> Polytope | None:
     """Intersect a polytope with halfspaces {v : <a, v> <= beta}.
 
@@ -667,10 +661,6 @@ def directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
             out.append(v[keep] / nv[keep, None])
             got += len(out[-1])
     return np.vstack(out)
-
-
-def point_to_union_distance(p: Sequence[float], u: PolytopeUnion) -> float:
-    return min(point_to_polytope_distance(p, part) for part in u.parts)
 
 
 def _hausdorff_operand(

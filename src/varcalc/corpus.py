@@ -91,10 +91,6 @@ CORPUS: tuple[CorpusEntry, ...] = (
 )
 
 
-def convex_entries() -> list[CorpusEntry]:
-    return [c for c in CORPUS if ex.is_syntactically_convex(c.function())]
-
-
 # graph specs used by the coderivative criterion checks
 
 
@@ -166,7 +162,7 @@ def verify_problem_file(pf: ProblemFile, params: sd.SampleParams) -> VerifyRepor
     for cname, cand in pf.candidates.items():
         for fname, fn in pf.functions.items():
             point = pf.point_for(fn, cand)
-            basic = sd.full_subdifferential(fn, point, params).basic
+            basic = sd.basic_subdifferential(fn, point, params)
             report.checks.append(_oracle_check(f"{fname}@{cname}", fn, point, basic, params))
     return report
 

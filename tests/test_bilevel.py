@@ -13,6 +13,8 @@ from varcalc import valuefn as V
 from varcalc.convgeom import Polytope, PolytopeUnion
 from varcalc.problemfile import parse_problem_file
 
+from tests.brute import penalized_grid_search
+
 ROOT = Path(__file__).resolve().parent.parent
 
 XS = E.VarSpace.of("x")
@@ -176,7 +178,7 @@ def test_penalized_rejects_nonpositive_kappa():
 
 
 def test_penalized_grid_search_finds_origin():
-    point, value = B.penalized_grid_search(problem_w(), 4.0, (-2.0, 2.0), 1e-2, GRID)
+    point, value = penalized_grid_search(problem_w(), 4.0, (-2.0, 2.0), 1e-2)
     assert point == pytest.approx([0.0, 0.0], abs=1e-9)
     assert value == pytest.approx(0.0, abs=1e-9)
 

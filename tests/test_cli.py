@@ -713,6 +713,25 @@ def test_combination_overflow_exit3(tmp_path, capsys, case):
     assert err.startswith("error: refused: ") and "branch" in err
 
 
+# y - xy is smooth with gradient (-1, 0) at (1, 1), but the sampled clip
+# of its regular subdifferential comes out empty there: a calculus
+# failure on valid input, so a refusal and not an input error
+EMPTY_BASIC = "[vars]\nupper x\nupper y\n[upper]\nobjective (- (min y y) (* x y))\n[candidates]\nc 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["subdiff", "--fn", "upper.objective", "--at", "c"], ["certify", "--at", "c", "--theorem", "t61"]],
+)
+def test_empty_basic_subdifferential_exit3(tmp_path, capsys, argv):
+    path = tmp_path / "empty.vp"
+    path.write_text(EMPTY_BASIC)
+    code, out, err = run_cli([argv[0], str(path)] + argv[1:] + ["--json"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: refused: no realizable pattern produced a subgradient set\n"
+
+
 # ---------------------------------------------------------------------------
 # verify and extremal commands
 

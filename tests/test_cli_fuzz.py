@@ -23,10 +23,34 @@ from varcalc import cli
 from varcalc import expr as ex
 
 ROOT = Path(__file__).resolve().parent.parent
+# two lower variables, candidate where |y| <= 1 and the max's |z| branch
+# are active and abs (- y z) sits at its kink
+TIED = """[vars]
+upper x
+lower y
+lower z
+
+[lower]
+objective (* x (+ y z))
+constraint (- (abs y) 1)
+constraint (- (max (abs z) (abs (- y z))) 1)
+
+[upper]
+objective (+ (* x x) (* y y) (* z z))
+
+[candidates]
+tie 0 1 1
+
+[grid]
+box y -2 2
+box z -2 2
+resolution 101
+"""
 BASES = {
     "worked": ((ROOT / "problems" / "worked.vp").read_text(), "origin"),
     "kink": ((ROOT / "problems" / "kink.vp").read_text(), "top"),
     "worked2": ((ROOT / "problems" / "worked2.vp").read_text(), "origin"),
+    "tied": (TIED, "tie"),
 }
 
 NUMBERS = (

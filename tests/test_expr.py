@@ -408,7 +408,7 @@ def _rebuilt_full(g, x):
     parts = [S.regular_subdifferential(brute.restrict_to_pattern(g, pat), x, FEW) for pat in patterns]
     parts = [p for p in parts if p is not None]
     if not parts:
-        raise S.SubdiffError("no realizable pattern produced a subgradient set")
+        raise S.EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
     return regular, PolytopeUnion.create(parts)
 
 

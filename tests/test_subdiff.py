@@ -21,6 +21,7 @@ from varcalc.problemfile import ProblemFile, parse_problem_file
 from tests.brute import (
     boundary_layer_size,
     dense_normal_cone_oracle,
+    polytopes_equal,
     reference_accepts,
     reference_cluster,
     reference_extremal_solve,
@@ -49,7 +50,7 @@ def interval(lo, hi):
 
 def test_regular_abs_at_zero():
     out = S.regular_subdifferential(f("(abs x)"), [0.0], FAST)
-    assert G.polytopes_equal(out, interval(-1.0, 1.0))
+    assert polytopes_equal(out, interval(-1.0, 1.0))
 
 
 def test_regular_neg_abs_empty():
@@ -58,7 +59,7 @@ def test_regular_neg_abs_empty():
 
 def test_regular_max_two_slopes():
     out = S.regular_subdifferential(f("(max x (* 2 x))"), [0.0], FAST)
-    assert G.polytopes_equal(out, interval(1.0, 2.0))
+    assert polytopes_equal(out, interval(1.0, 2.0))
 
 
 def test_regular_min_kink_empty():
@@ -67,7 +68,7 @@ def test_regular_min_kink_empty():
 
 def test_regular_smooth_case():
     out = S.regular_subdifferential(f("(* x x)"), [1.0], FAST)
-    assert G.polytopes_equal(out, G.Polytope.singleton([2.0]))
+    assert polytopes_equal(out, G.Polytope.singleton([2.0]))
 
 
 def test_regular_satisfies_defining_inequality_on_samples():
@@ -97,27 +98,27 @@ def test_regular_satisfies_defining_inequality_on_samples():
 def test_basic_abs_convex_case():
     out = S.basic_subdifferential(f("(abs x)"), [0.0], FAST)
     assert len(out.parts) == 1
-    assert G.polytopes_equal(out.parts[0], interval(-1.0, 1.0))
+    assert polytopes_equal(out.parts[0], interval(-1.0, 1.0))
 
 
 def test_basic_neg_abs_two_singletons():
     out = S.basic_subdifferential(f("(- (abs x))"), [0.0], FAST)
     assert len(out.parts) == 2
-    assert G.polytopes_equal(out.parts[0], G.Polytope.singleton([-1.0]))
-    assert G.polytopes_equal(out.parts[1], G.Polytope.singleton([1.0]))
+    assert polytopes_equal(out.parts[0], G.Polytope.singleton([-1.0]))
+    assert polytopes_equal(out.parts[1], G.Polytope.singleton([1.0]))
 
 
 def test_basic_min_zero_x():
     out = S.basic_subdifferential(f("(min 0 x)"), [0.0], FAST)
     assert len(out.parts) == 2
-    assert G.polytopes_equal(out.parts[0], G.Polytope.singleton([0.0]))
-    assert G.polytopes_equal(out.parts[1], G.Polytope.singleton([1.0]))
+    assert polytopes_equal(out.parts[0], G.Polytope.singleton([0.0]))
+    assert polytopes_equal(out.parts[1], G.Polytope.singleton([1.0]))
 
 
 def test_basic_max_xy_segment():
     out = S.basic_subdifferential(f("(max x y)", XY), [0.0, 0.0], FAST)
     assert len(out.parts) == 1
-    assert G.polytopes_equal(out.parts[0], G.Polytope.create([[0, 1], [1, 0]]))
+    assert polytopes_equal(out.parts[0], G.Polytope.create([[0, 1], [1, 0]]))
 
 
 def test_basic_smooth_equals_gradient():
@@ -164,7 +165,7 @@ def test_full_subdifferential_builds_its_branch_table_once(text, method, monkeyp
     assert result.method == method
     regular = S.regular_subdifferential(g, [0.0], FAST)
     assert (result.regular is None) == (regular is None)
-    assert regular is None or G.polytopes_equal(result.regular, regular)
+    assert regular is None or polytopes_equal(result.regular, regular)
 
 
 def test_basic_subdifferential_builds_no_expression(monkeypatch):
@@ -509,30 +510,19 @@ PROJECTION_CASES = {
     ),
     # the box [-0.3, 0.3] x [-0.2, 0.2] at its corner, times the halfline z <= 0
     "product": (
-        S.SetSpec.product(
-            [
-                S.SetSpec.sublevel([f("(- (abs x) 0.3)")]),
-                S.SetSpec.sublevel([f("(- (* x x) 0.04)")]),
-                S.SetSpec.sublevel([f("x")]),
-            ]
-        ),
+        S.SetSpec.sublevel([f("(- (abs x) 0.3)", XYZ), f("(- (* y y) 0.04)", XYZ), f("z", XYZ)]),
         [0.3, 0.2, 0.0],
         S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
     ),
-    # the lattice's middle column lies within 1e-17 of the point's 0
+    # the line x = 0 times the halfline y <= 0; the lattice's middle column
+    # lies within 1e-17 of the point's 0
     "product-singleton": (
-        S.SetSpec.product([S.SetSpec.singleton([0.0]), S.SetSpec.sublevel([f("x")])]),
+        S.SetSpec.sublevel([f("(abs x)", XY), f("y", XY)]),
         [0.0, 0.0],
         S.SampleParams(radii=(1e-2, 1e-3), dirs_per_radius=32),
     ),
     **_random_cases(),
 }
-
-
-def _constraints(spec) -> int:
-    if spec.kind == "product":
-        return sum(_constraints(g) for g in spec.factors)
-    return len(spec.functions)
 
 
 @pytest.fixture
@@ -568,7 +558,7 @@ def test_projection_oracle_equals_dense_scan(case, seed, monkeypatch, oracle_wor
     monkeypatch.undo()
     # one feasibility evaluation per radius, on the lattice axes, and a
     # scan of no more than the lattice's boundary layer
-    assert oracle_work["eval_open"] == len(params.radii) * _constraints(spec)
+    assert oracle_work["eval_open"] == len(params.radii) * len(spec.functions)
     assert oracle_work["eval_batch"] == 0
     grid_tol = 1e-13 * (1.0 + float(np.linalg.norm(x)))
     layers = [boundary_layer_size(spec, np.asarray(x, dtype=float), r, grid_tol) for r in params.radii]
@@ -598,7 +588,6 @@ def test_feasible_open_equals_set_membership():
     specs = [
         S.SetSpec.sublevel(WEDGE),
         S.SetSpec.singleton([0.25, -0.5, 0.0]),
-        S.SetSpec.product([S.SetSpec.singleton([0.25]), S.SetSpec.sublevel([f("(- (+ (* x x) (* y y)) 0.5)", XY)])]),
     ]
     # on the columns of the points, and on an open grid against its lattice
     axes = [np.linspace(-1, 1, 9), np.linspace(-1, 1, 7), np.linspace(-1, 1, 5)]
@@ -670,17 +659,17 @@ def graph_of(texts, x_dim=1, y_dim=1, space=XY):
 
 def test_coderivative_parabola_constraint():
     spec = graph_of(["(- (* x x) y)"])
-    out = S.coderivative(spec, [0.0, 0.0], [1.0], FAST)
+    out, opposite = S.coderivative(spec, [0.0, 0.0], [[1.0], [-1.0]], FAST)
     assert len(out) == 1
     assert out[0].is_zero_only()
     # opposite direction is empty
-    assert S.coderivative(spec, [0.0, 0.0], [-1.0], FAST) == ()
+    assert opposite == ()
 
 
 def test_coderivative_linear_map_adjoint():
     spec = graph_of(["(- (* 2 x) y)", "(- y (* 2 x))"])
-    for w in (1.0, -2.5):
-        out = S.coderivative(spec, [0.0, 0.0], [w], FAST)
+    ws = [[1.0], [-2.5]]
+    for (w,), out in zip(ws, S.coderivative(spec, [0.0, 0.0], ws, FAST), strict=True):
         assert len(out) == 1
         assert out[0].recession.is_zero()
         assert out[0].base.vertices[0] == pytest.approx([2.0 * w], abs=1e-9)
@@ -970,19 +959,9 @@ def _polyhedron(draw, names, center):
 
 @st.composite
 def _set_containing(draw, names, center):
-    kinds = ["polyhedron", "singleton"] + (["product"] if len(names) > 1 else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "singleton":
+    if draw(st.sampled_from(["polyhedron", "singleton"])) == "singleton":
         return S.SetSpec.singleton(center)
-    if kind == "polyhedron":
-        return draw(_polyhedron(names, center))
-    cut = draw(st.integers(1, len(names) - 1))
-    return S.SetSpec.product(
-        [
-            draw(_set_containing(names[:cut], center[:cut])),
-            draw(_set_containing(names[cut:], center[cut:])),
-        ]
-    )
+    return draw(_polyhedron(names, center))
 
 
 @st.composite
@@ -1044,7 +1023,7 @@ REMOVED_OPTIONS = [
     (G.hausdorff_distance, "n_dirs"),
     (G.Polytope.sample_points, "per_edge"),
     (G.clip_polytope, "tol"),
-    (G.polytopes_equal, "tol"),
+    (polytopes_equal, "tol"),
     (G.ConeSpec.is_zero, "tol"),
     (G.ConeSpec.contains, "tol"),
     (G._as_vertex_array, "dim"),
