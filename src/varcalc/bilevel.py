@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -260,23 +261,22 @@ def partial_calmness_probe(
         raise BilevelError("a value-function grid is required")
     p = np.asarray(point, dtype=float)
     _bilevel_feasible(bp, p, grid)
-    return _calmness_probe(bp, p, kappa_grid, grid, params)
+    return _calmness_verdict(_calmness_samples(bp, p, grid, params), kappa_grid)
 
 
-def _calmness_probe(
-    bp: BilevelProblem,
-    p: np.ndarray,
-    kappa_grid: Sequence[float],
-    grid: vf.GridSpec,
-    params: sd.SampleParams,
-) -> CalmnessProbeReport:
-    """partial_calmness_probe at a candidate already checked feasible."""
+def _calmness_samples(
+    bp: BilevelProblem, p: np.ndarray, grid: vf.GridSpec, params: sd.SampleParams
+) -> tuple[list[tuple[np.ndarray, float, float]], float]:
+    """The calmness probe's samples at a candidate already checked
+    feasible, as (point, psi difference, |nu| less the grid allowance),
+    and the largest allowance.  None of it depends on the penalty
+    constant."""
     psi_ref = ex.evaluate(bp.upper_cost, p)
     dim = bp.x_dim + bp.y_dim
     dirs = params.directions(dim)
     lower = bp.lower()
 
-    samples: list[tuple[np.ndarray, float, float]] = []  # (point, psi diff, |nu|)
+    samples: list[tuple[np.ndarray, float, float]] = []
     accuracy = 0.0
     qs = np.vstack([p + r * dirs for r in params.radii])
     feasible = np.ones(qs.shape[0], dtype=bool)
@@ -309,7 +309,15 @@ def _calmness_probe(
         accuracy = max(accuracy, err)
         nu = theta - phi
         samples.append((q, psi - psi_ref, max(0.0, abs(nu) - err)))
+    return samples, accuracy
 
+
+def _calmness_verdict(
+    sampled: tuple[list[tuple[np.ndarray, float, float]], float], kappa_grid: Sequence[float]
+) -> CalmnessProbeReport:
+    """The calmness probe's report on _calmness_samples' output: the first
+    constant at which no sample violates the penalization inequality."""
+    samples, accuracy = sampled
     violations: list[dict] = []
     kappa_validated = None
     for kappa in kappa_grid:
@@ -407,56 +415,112 @@ def _term(parts: Sequence[Polytope], convex: bool, key: str | None = None, index
     return _Term(tuple(P.vertices for P in parts), convex, key, index)
 
 
-def _hypothesis_gate(
-    bp: BilevelProblem,
-    point: np.ndarray,
-    kappa: float,
-    grid: vf.GridSpec,
-    params: sd.SampleParams,
-    override_calmness: bool,
-    need_upper: bool,
-) -> list[dict]:
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise BilevelError(f"penalty constant must be finite and positive, got {kappa}")
-    ledger: list[dict] = []
-    _bilevel_feasible(bp, point, grid)
-    record(ledger, "candidate feasible for the reformulated problem", "verified")
-    reg = regularity_check(bp, point, params)
-    levels = {"lower": (reg.lower_regular, reg.lower_witness)}
-    if need_upper:
-        levels["upper"] = (reg.upper_regular, reg.upper_witness)
-    for level, (regular, witness) in levels.items():
-        record(ledger, f"{level}-level regularity", "verified" if regular else "failed", witness)
-    if not all(regular for regular, _ in levels.values()):
-        raise HypothesisFailure("regularity condition failed at the candidate", ledger)
-    calmness = f"partial calmness with constant {kappa}"
-    if override_calmness:
-        record(ledger, calmness, "overridden")
-    else:
-        probe = _calmness_probe(bp, point, (kappa,), grid, params)
-        record(
-            ledger,
-            calmness,
-            "probed" if probe.kappa_validated is not None else "failed",
-            {"samples": probe.samples_checked, "violations": probe.violations[:3]},
-            "partial calmness probe failed at this penalty constant "
-            "(pass override_calmness to proceed)",
+class _Candidate:
+    """The work of certify_T74 and certify_T83 at one candidate that does
+    not depend on the penalty constant: feasibility and regularity, the
+    calmness samples, the value-function estimates and the branch
+    subdifferentials.  Each piece is done when a constant first needs it
+    and then kept, so a sweep over constants does it once and a single
+    constant does exactly what it did alone."""
+
+    def __init__(
+        self,
+        bp: BilevelProblem,
+        point: Sequence[float],
+        grid: vf.GridSpec,
+        params: sd.SampleParams,
+        override_calmness: bool = False,
+        override_isc: bool = False,
+    ):
+        self.bp, self.p, self.grid, self.params = bp, np.asarray(point, dtype=float), grid, params
+        self.override_calmness, self.override_isc = override_calmness, override_isc
+
+    @cached_property
+    def regularity(self) -> RegularityReport:
+        """regularity_check, after _bilevel_feasible has raised
+        BilevelError if the candidate is infeasible."""
+        _bilevel_feasible(self.bp, self.p, self.grid)
+        return regularity_check(self.bp, self.p, self.params)
+
+    @cached_property
+    def calmness_samples(self) -> tuple[list[tuple[np.ndarray, float, float]], float]:
+        return _calmness_samples(self.bp, self.p, self.grid, self.params)
+
+    @cached_property
+    def subdiffs(self) -> tuple[PolytopeUnion, PolytopeUnion, dict[int, PolytopeUnion]]:
+        """Basic subdifferentials of the lower cost, the upper cost and
+        each active lower constraint (keyed by its index)."""
+        bp, p, params = self.bp, self.p, self.params
+        phi = sd.basic_subdifferential(bp.lower_cost, p, params)
+        psi = sd.basic_subdifferential(bp.upper_cost, p, params)
+        f = {
+            i: sd.basic_subdifferential(bp.lower_constraints[i], p, params)
+            for i in sd.active_constraints(bp.lower_constraints, p)
+        }
+        return phi, psi, f
+
+    @cached_property
+    def estimate(self) -> vf.ValueEstimate | HypothesisFailure:
+        """T7.4's convexified estimate, or the failure it raised."""
+        try:
+            return vf.value_subdiff_estimate(
+                self.bp.lower(), self.p, self.grid, self.params, override_isc=self.override_isc
+            )
+        except HypothesisFailure as err:
+            return err
+
+    @cached_property
+    def upper_subdiffs(self) -> dict[int, PolytopeUnion]:
+        """T7.4's active upper constraints' subdifferentials over (x, y)."""
+        bp, params, xv = self.bp, self.params, self.p[: self.bp.x_dim]
+        return {
+            j: PolytopeUnion.create(
+                [
+                    Polytope.create(_embed_x_block(part.vertices, bp.x_dim, bp.y_dim))
+                    for part in sd.basic_subdifferential(bp.upper_constraints[j], xv, params).parts
+                ]
+            )
+            for j in sd.active_constraints(bp.upper_constraints, xv)
+        }
+
+    @cached_property
+    def regular_theta(self) -> Polytope | None:
+        """T8.3's outer estimate of the value function's regular
+        subdifferential."""
+        return vf.regular_value_subdiff_outer(
+            self.bp.lower(), self.p[: self.bp.x_dim], self.grid, self.params
         )
-    return ledger
 
-
-def _branch_subdiffs(
-    bp: BilevelProblem, p: np.ndarray, params: sd.SampleParams
-) -> tuple[PolytopeUnion, PolytopeUnion, dict[int, PolytopeUnion]]:
-    """Basic subdifferentials at p of the lower cost, the upper cost and
-    each active lower constraint (keyed by its index)."""
-    phi = sd.basic_subdifferential(bp.lower_cost, p, params)
-    psi = sd.basic_subdifferential(bp.upper_cost, p, params)
-    f = {
-        i: sd.basic_subdifferential(bp.lower_constraints[i], p, params)
-        for i in sd.active_constraints(bp.lower_constraints, p)
-    }
-    return phi, psi, f
+    def gate(self, kappa: float, need_upper: bool) -> list[dict]:
+        """The hypothesis ledger at one penalty constant: feasibility,
+        regularity and partial calmness with that constant."""
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise BilevelError(f"penalty constant must be finite and positive, got {kappa}")
+        reg = self.regularity
+        ledger: list[dict] = []
+        record(ledger, "candidate feasible for the reformulated problem", "verified")
+        levels = {"lower": (reg.lower_regular, reg.lower_witness)}
+        if need_upper:
+            levels["upper"] = (reg.upper_regular, reg.upper_witness)
+        for level, (regular, witness) in levels.items():
+            status = "verified" if regular else "failed"
+            record(ledger, f"{level}-level regularity", status, witness)
+        if not all(regular for regular, _ in levels.values()):
+            raise HypothesisFailure("regularity condition failed at the candidate", ledger)
+        calmness = f"partial calmness with constant {kappa}"
+        if self.override_calmness:
+            record(ledger, calmness, "overridden")
+        else:
+            probe = _calmness_verdict(self.calmness_samples, (kappa,))
+            record(
+                ledger,
+                calmness,
+                "probed" if probe.kappa_validated is not None else "failed",
+                {"samples": probe.samples_checked, "violations": probe.violations[:3]},
+                "partial calmness probe failed at this penalty constant "
+                "(pass override_calmness to proceed)",
+            )
+        return ledger
 
 
 def _penalized_terms(
@@ -565,40 +629,29 @@ def certify_T74(
     Lagrangian inclusions (the convexified one and the penalized one with
     the upper-level cost scaled by 1/kappa); u is shared between the two.
     """
-    p = np.asarray(point, dtype=float)
-    n, m = bp.x_dim, bp.y_dim
-    ledger = _hypothesis_gate(bp, p, kappa, grid, params, override_calmness, need_upper=True)
-    try:
-        estimate = vf.value_subdiff_estimate(
-            bp.lower(), p, grid, params, override_isc=override_isc
-        )
-    except HypothesisFailure as err:
-        err.ledger[:0] = ledger
-        raise
+    candidate = _Candidate(bp, point, grid, params, override_calmness, override_isc)
+    return _certify_T74_at(candidate, kappa)
+
+
+def _certify_T74_at(c: _Candidate, kappa: float) -> StationarityCertificate | NoCertificate:
+    ledger = c.gate(kappa, need_upper=True)
+    estimate = c.estimate
+    if isinstance(estimate, HypothesisFailure):
+        raise HypothesisFailure(str(estimate), ledger + estimate.ledger)
     ledger.extend(estimate.ledger)
     u_range = "u ranges over an outer estimate of the convexified value-function subdifferential"
     record(ledger, u_range, "probed", {"notes": estimate.notes})
-    xv = p[:n]
-    phi_sub, psi_sub, f_subs = _branch_subdiffs(bp, p, params)
-    g_subs = {
-        j: PolytopeUnion.create(
-            [
-                Polytope.create(_embed_x_block(part.vertices, n, m))
-                for part in sd.basic_subdifferential(bp.upper_constraints[j], xv, params).parts
-            ]
-        )
-        for j in sd.active_constraints(bp.upper_constraints, xv)
-    }
+    phi_sub, psi_sub, f_subs = c.subdiffs
     convexified = [_term([phi_sub.hull()], True)] + [
         _term([u.hull()], False, "nu", i) for i, u in f_subs.items()
     ]
     penalized = _penalized_terms(phi_sub, psi_sub, f_subs, kappa, "phi_part") + [
-        _term(u.parts, False, "mu", j) for j, u in g_subs.items()
+        _term(u.parts, False, "mu", j) for j, u in c.upper_subdiffs.items()
     ]
     return _certificate_search(
         "T7.4",
-        bp,
-        p,
+        c.bp,
+        c.p,
         kappa,
         estimate.basic.hull().vertices,
         (("convexified_inclusion", convexified), ("penalized_inclusion", penalized)),
@@ -618,13 +671,16 @@ def certify_T83(
     numerically built outer approximation of the value function's regular
     subdifferential, and both inclusions use the raw subdifferential
     union branches.  Only applies without upper-level constraints."""
-    p = np.asarray(point, dtype=float)
-    if bp.upper_constraints:
-        count = {"count": len(bp.upper_constraints)}
+    return _certify_T83_at(_Candidate(bp, point, grid, params, override_calmness), kappa)
+
+
+def _certify_T83_at(c: _Candidate, kappa: float) -> StationarityCertificate | NoCertificate:
+    if c.bp.upper_constraints:
+        count = {"count": len(c.bp.upper_constraints)}
         failure = "the refined certificate applies only without upper-level constraints"
         record([], "no upper-level constraints", "failed", count, failure)
-    ledger = _hypothesis_gate(bp, p, kappa, grid, params, override_calmness, need_upper=False)
-    reg_theta = vf.regular_value_subdiff_outer(bp.lower(), p[: bp.x_dim], grid, params)
+    ledger = c.gate(kappa, need_upper=False)
+    reg_theta = c.regular_theta
     record(
         ledger,
         "regular subdifferential of the value function nonempty",
@@ -633,20 +689,24 @@ def certify_T83(
         "the regular subdifferential of the value function is empty "
         "(outer approximation found no candidate)",
     )
-    phi_sub, psi_sub, f_subs = _branch_subdiffs(bp, p, params)
+    phi_sub, psi_sub, f_subs = c.subdiffs
     regular = [_term(phi_sub.parts, True, "phi_part_first")] + [
         _term(u.parts, False, "nu", i) for i, u in f_subs.items()
     ]
     penalized = _penalized_terms(phi_sub, psi_sub, f_subs, kappa, "phi_part_second")
     return _certificate_search(
         "T8.3",
-        bp,
-        p,
+        c.bp,
+        c.p,
         kappa,
         reg_theta.vertices,
         (("regular_inclusion", regular), ("penalized_inclusion", penalized)),
         ledger,
     )
+
+
+# the certifiers whose constant-free work a sweep shares through one _Candidate
+_AT_KAPPA = {certify_T74: _certify_T74_at, certify_T83: _certify_T83_at}
 
 
 def certify_with_kappa_sweep(
@@ -660,12 +720,20 @@ def certify_with_kappa_sweep(
 ) -> StationarityCertificate | NoCertificate:
     """Try the certifier at each penalty constant in order and return the
     first success (the theory fixes the constant from partial calmness
-    but offers no selection rule)."""
+    but offers no selection rule).  certify_T74 and certify_T83 share one
+    _Candidate across the sweep, so the work that does not depend on the
+    constant is done once; any other certifier is called whole at each
+    constant."""
+    shared = _AT_KAPPA.get(certifier)
+    candidate = _Candidate(bp, point, grid, params, **kwargs) if shared else None
     last: StationarityCertificate | NoCertificate | None = None
     failure: HypothesisFailure | None = None
     for kappa in kappa_grid:
         try:
-            out = certifier(bp, point, kappa, grid, params, **kwargs)
+            if shared:
+                out = shared(candidate, kappa)
+            else:
+                out = certifier(bp, point, kappa, grid, params, **kwargs)
         except HypothesisFailure as err:
             failure = err
             continue

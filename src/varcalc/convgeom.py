@@ -2,11 +2,14 @@
 
 Polytopes are stored as lists of vertices (V-representation); halfspace
 data only appears transiently inside LP constraints.  All geometry is
-floating point with tol_lp = 1e-9 for LP feasibility and tol_geom = 1e-8
-for canonicalization.  Every membership and multiplier LP is assembled by
-lp_weights from blocks of rows with "convex" (summing to one), "cone"
-(capped at coefficient R_CONE, so the phase-1 simplex works with bounded
-variables) or "free" (nonnegative) weights.
+floating point, with TOL_GEOM = 1e-8 for canonicalization.  An LP is
+feasible when its phase-1 objective is at most 10 * TOL_LP * (1 + max|b|)
+(TOL_LP = 1e-9, b the right-hand side) and the assignment found then
+satisfies every row and bound to within TOL_ASSIGN = 1e-7.  Every
+membership and multiplier LP is assembled by lp_weights from blocks of
+rows with "convex" (summing to one), "cone" (capped at coefficient
+R_CONE, so the phase-1 simplex works with bounded variables) or "free"
+(nonnegative) weights.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TOL_LP = 1e-9
+# how far lp_feasible lets an accepted assignment miss a row or bound
+TOL_ASSIGN = 1e-7
 TOL_GEOM = 1e-8
 R_CONE = 1e6
 HULL_MAX_DIM = 4
@@ -95,9 +100,9 @@ def lp_feasible(A, b, upper=None) -> LPOutcome:
     z = result[:n]
     # Certificate check: the assignment must satisfy everything.
     residual = float(np.abs(A @ z - b).max(initial=0.0))
-    if residual > 1e-7:
+    if residual > TOL_ASSIGN:
         return LPBreakdown(f"assignment violates constraint by {residual:.3e}")
-    if np.any(z < -1e-7) or np.any(z > upper + 1e-7):
+    if np.any(z < -TOL_ASSIGN) or np.any(z > upper + TOL_ASSIGN):
         return LPBreakdown("assignment violates variable bounds")
     return LPFeasible(z)
 
@@ -259,11 +264,16 @@ class Polytope:
         return Polytope(np.asarray(point, dtype=float).reshape(1, -1))
 
     def contains(self, point: Sequence[float]) -> bool:
+        """Membership by a hull LP, except that a single vertex is matched
+        to within 1e-7 and a point equal to a stored vertex is inside
+        without an LP."""
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             raise DimensionError("point dim mismatch")
         if self.num_vertices == 1:
             return bool(np.linalg.norm(p - self.vertices[0]) <= 1e-7)
+        if np.any(np.all(self.vertices == p, axis=1)):
+            return True
         return _in_hull_lp(p, self.vertices)
 
     def translate(self, v: Sequence[float]) -> "Polytope":
@@ -293,26 +303,76 @@ def convex_hull(points: Iterable[Sequence[float]]) -> Polytope:
     """Canonicalized hull of the input points (extreme points only).
 
     Works in any dimension up to HULL_MAX_DIM by LP-based extreme point
-    filtering; degenerate (flat) inputs are fine.
+    filtering; degenerate (flat) inputs are fine.  Two points, and the
+    min and max of a 1-D set, are kept without an LP when _lp_band says
+    the LP could not drop them (see _extremes_without_lp).
     """
     V = _as_vertex_array(points)
     if V.shape[1] > HULL_MAX_DIM:
         raise DimensionError(f"convex_hull supports dim <= {HULL_MAX_DIM}, got {V.shape[1]}")
     V = _dedupe_rows(V, TOL_GEOM)
     if V.shape[0] > 1:
-        keep = []
-        alive = list(range(V.shape[0]))
-        for idx in range(V.shape[0]):
-            others = [j for j in alive if j != idx]
-            if not others:
-                keep.append(idx)
-                continue
-            if not _in_hull_lp(V[idx], V[others]):
-                keep.append(idx)
-            else:
-                alive.remove(idx)
-        V = V[keep]
+        keep = _extremes_without_lp(V)
+        V = V[_hull_lp(V) if keep is None else keep]
     return Polytope(_lex_sorted(V))
+
+
+def _hull_lp(V: np.ndarray) -> list[int]:
+    """Indices of the rows of V that no hull LP finds inside the hull of
+    the others still kept, testing the rows in order."""
+    keep = []
+    alive = list(range(V.shape[0]))
+    for idx in range(V.shape[0]):
+        others = [j for j in alive if j != idx]
+        if not others or not _in_hull_lp(V[idx], V[others]):
+            keep.append(idx)
+        else:
+            alive.remove(idx)
+    return keep
+
+
+def _lp_band(V: np.ndarray) -> float:
+    """An l1 distance beyond which the hull LP never accepts a row p of V
+    as inside the hull of other rows of V.
+
+    The LP's right-hand side is b = (p, 1), and lp_feasible accepts only
+    a phase-1 objective of at most 10 * TOL_LP * (1 + max|b|) whose
+    assignment z >= 0 misses each of the dim + 1 rows by at most
+    TOL_ASSIGN, so the objective, the l1 norm of those misses, is at most
+    (dim + 1) * TOL_ASSIGN as well.  The objective is at least
+    dist1(p, hull) / max(1, max_j |V_j|_1): with s = sum(z) and
+    q = V^T z / s in the hull, |q - p|_1 <= |V^T z - p|_1 + |1 - s| |q|_1.
+    The band is that bound at the largest |p|_inf and |V_j|_1 of V, times
+    a safety factor of 2 for rounding in the tableau.  Beyond it the LP
+    answers "outside" or breaks down, and "outside" is then exact.
+    """
+    accept = min(
+        10 * TOL_LP * (1.0 + max(1.0, float(np.abs(V).max()))),
+        (V.shape[1] + 1) * TOL_ASSIGN,
+    )
+    return 2.0 * accept * max(1.0, float(np.abs(V).sum(axis=1).max()))
+
+
+def _extremes_without_lp(V: np.ndarray) -> list[int] | None:
+    """The indices of the extreme rows of V (deduplicated) where every
+    hull LP of _hull_lp has a certain verdict, else None.  Two rows
+    farther apart than _lp_band (in l1) are both extreme.  In 1-D so are
+    the min and max when each is farther than the band from its nearest
+    other value.  Every other value is then a convex combination of the
+    two, which stay in the LP's hull: Bland's rule stops with reduced
+    costs above -TOL_LP, so the phase-1 objective ends within TOL_LP of
+    that combination's 0, under the acceptance threshold, and the LP
+    drops the value or breaks down.  Where the LP would break down, the
+    indices returned are the exact answer."""
+    band = _lp_band(V)
+    if V.shape[0] == 2:
+        return [0, 1] if float(np.abs(V[0] - V[1]).sum()) > band else None
+    if V.shape[1] == 1:
+        order = np.argsort(V[:, 0], kind="stable")
+        x = V[order, 0]
+        if x[1] - x[0] > band and x[-1] - x[-2] > band:
+            return sorted([int(order[0]), int(order[-1])])
+    return None
 
 
 def clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> Polytope | None:

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 from varcalc import bilevel as B
+from varcalc import cli
 from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
@@ -434,3 +438,43 @@ def test_necessity_smoke_random_feasible_points_fail():
         if isinstance(out, B.NoCertificate):
             rejected += 1
     assert rejected == tried
+
+
+@pytest.mark.parametrize(
+    "argv, tried",
+    [
+        # calmness fails at each of the 21 default constants
+        (["problems/kink.vp", "--theorem", "t74", "--at", "top"], 21),
+        (["problems/kink.vp", "--theorem", "t83", "--at", "bottom"], 21),
+        # no certificate at any of the file's 5 constants
+        (["problems/worked.vp", "--theorem", "t74", "--at", "offopt", "--override-calmness"], 5),
+        # a certificate at the first constant
+        (["problems/worked.vp", "--theorem", "t83", "--at", "origin"], 1),
+    ],
+)
+def test_kappa_sweep_searches_the_value_function_once(monkeypatch, argv, tried):
+    callers = []
+    real = V.evaluate_values
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    def run(*extra):
+        callers.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["certify", str(ROOT / argv[0]), *argv[1:], "--json", *extra])
+        return code, out.getvalue(), list(callers)
+
+    monkeypatch.setattr(V, "evaluate_values", spy)
+    code, report, sweep = run("--kappa-sweep")
+    one_kappa = run()[2]
+    # a certifier the sweep does not know is called whole at each constant
+    for name in ("certify_T74", "certify_T83"):
+        monkeypatch.setattr(B, name, functools.partial(getattr(B, name)))
+    per_kappa_code, per_kappa_report, per_kappa = run("--kappa-sweep")
+    assert (per_kappa_code, per_kappa_report) == (code, report)
+    assert sweep == one_kappa
+    assert sweep.count("_calmness_samples") == ("--override-calmness" not in argv)
+    assert per_kappa == one_kappa * tried

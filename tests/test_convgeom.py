@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tests import brute as B
@@ -50,6 +50,89 @@ def test_hull_idempotent(points):
     h1 = G.convex_hull(points)
     h2 = G.convex_hull(h1.vertices)
     assert B.polytopes_equal(h1, h2)
+
+
+# the LP loop broke down on these with "assignment violates variable
+# bounds" and "assignment violates constraint by 9.015e-07"
+BROKE_1D = [
+    [-75.61408369948632], [-75.61408363044313], [-75.61408363808074], [-75.5530326896063],
+    [-84.88687012905365],
+]
+BROKE_POLYTOPE = [
+    [-0.003466274121739971, 0.08691487958335836, -0.036248770969103665],
+    [-0.0034662700418916954, 0.08691480123023305, -0.03624870120986087],
+]
+
+
+def test_hull_of_a_1d_set_the_lp_broke_down_on_is_its_min_and_max():
+    assert G.convex_hull(BROKE_1D).vertices.tolist() == [[-84.88687012905365], [-75.5530326896063]]
+
+
+def test_vertex_of_a_polytope_the_lp_broke_down_on_is_inside():
+    poly = G.Polytope(np.array(BROKE_POLYTOPE))
+    assert all(poly.contains(v) for v in BROKE_POLYTOPE)
+
+
+def test_clear_hulls_and_vertex_memberships_run_no_lp(monkeypatch):
+    square = G.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+
+    def no_lp(*lp):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(G, "lp_feasible", no_lp)
+    assert G.convex_hull([[3.0], [-1.0], [0.5], [2.0], [-1.0]]).vertices.tolist() == [[-1.0], [3.0]]
+    assert G.convex_hull([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]).num_vertices == 2
+    # the LP loop broke down on this one (a residual of 5e-5)
+    assert G.convex_hull([[1e6 + 50.0], [1e6]]).vertices.tolist() == [[1e6], [1e6 + 50.0]]
+    assert all(square.contains(v) for v in square.vertices)
+    # the parts' vertices are vertices of the larger part
+    union = G.PolytopeUnion.create([G.Polytope.singleton([1.0]), G.Polytope(np.array([[0.0], [1.0]]))])
+    assert union.canonical_key() == (((0.0,), (1.0,)),)
+
+
+def test_two_points_within_the_band_keep_the_lp_verdict():
+    # the LP accepts 5 as inside the hull of 5 + 3e-8 (gap above TOL_GEOM,
+    # inside the LP's acceptance band), so only the larger point is kept
+    assert G.convex_hull([[5.0], [5.0 + 3e-8]]).vertices.tolist() == [[5.0 + 3e-8]]
+
+
+@st.composite
+def band_sets(draw):
+    """1-D sets of up to 6 points and two-point sets in dims 2-4, at
+    magnitudes 1e-3 to 1e6.  A new point sits off an earlier one, at a gap
+    of 1e-9 to 1e-5 relative to the magnitude (so that gaps fall on both
+    sides of _lp_band at every scale) or at one of the order of the
+    magnitude."""
+    dim = draw(st.sampled_from((1, 1, 1, 2, 3, 4)))
+    n = draw(st.integers(2, 6)) if dim == 1 else 2
+    mag = 10.0 ** draw(st.floats(-3.0, 6.0))
+    unit = st.floats(-1.0, 1.0)
+    pts = [mag * np.array([draw(unit) for _ in range(dim)])]
+    for _ in range(n - 1):
+        ref = pts[draw(st.integers(0, len(pts) - 1))]
+        if draw(st.booleans()):
+            gap = 10.0 ** draw(st.floats(-9.0, -5.0)) * max(1.0, mag)
+        else:
+            gap = mag * draw(st.floats(0.0, 2.0))
+        step = np.array([draw(unit) for _ in range(dim)])
+        step = step / np.abs(step).sum() if np.any(step) else np.eye(dim)[0]
+        pts.append(ref + gap * step)
+    return np.array(pts)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(band_sets())
+def test_hull_shortcut_gives_the_lp_loops_bytes(pts):
+    V = G._dedupe_rows(pts, G.TOL_GEOM)
+    assume(V.shape[0] > 1 and G._extremes_without_lp(V) is not None)
+    got = G.convex_hull(pts).vertices
+    try:
+        want = G._lex_sorted(V[G._hull_lp(V)])
+    except G.GeometryError:
+        # the LP loop broke down; the exact extreme points are the answer
+        extremes = [int(V[:, 0].argmin()), int(V[:, 0].argmax())] if V.shape[1] == 1 else [0, 1]
+        want = G._lex_sorted(V[sorted(extremes)])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_hull_collinear_degenerate():

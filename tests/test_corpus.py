@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from varcalc import cli
+from varcalc import convgeom as G
 from varcalc import corpus as C
 from varcalc import expr as E
 from varcalc import subdiff as S
@@ -82,3 +83,19 @@ def test_branch_restricted_eval_matches_where_uniquely_active():
         rng = np.random.default_rng(1)
         for u in p + rng.uniform(-0.05, 0.05, 12):
             assert E.evaluate(f, [u], pat.as_dict()) == pytest.approx(E.evaluate(f, [u]), abs=1e-12)
+
+
+def test_verify_suite_lp_count_stays_at_its_measured_figure(monkeypatch):
+    # convex_hull and Polytope.contains skip the LPs whose verdict is
+    # certain: 216 LPs at the default seed, where every hull ran its LPs
+    # at 887; a lost shortcut shows here
+    calls = []
+    real = G.lp_feasible
+
+    def spy(*lp):
+        calls.append(1)
+        return real(*lp)
+
+    monkeypatch.setattr(G, "lp_feasible", spy)
+    assert C.run_verify_suite().all_passed
+    assert len(calls) <= 216
