@@ -11,7 +11,7 @@ margin so the answer is usable contrapositively.
 
 from __future__ import annotations
 
-import itertools
+import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,9 +128,12 @@ def check_lipschitz_kkt(
         sd.basic_subdifferential(prog.inequality_constraints[i], p, params) for i in active
     ]
 
-    # generalized constraint qualification over the active subdifferentials
+    # the KKT search's cap is checked before the qualification search,
+    # which has one factor less and may be under the cap when this is not
     unions = [obj_sub] + act_subs
-    sd.check_combinations((len(u.parts) for u in unions), "the KKT search")
+    counts = [len(u.parts) for u in unions]
+    sd.check_combinations(counts, "the KKT search")
+    # generalized constraint qualification over the active subdifferentials
     mfcq_witness = sd.qualification_witness(act_subs)
     mfcq_holds = mfcq_witness is None
 
@@ -138,50 +141,46 @@ def check_lipschitz_kkt(
     status = "verified" if mfcq_holds else "failed"
     record(ledger, "generalized constraint qualification at the candidate", status, mfcq_witness)
 
-    m = len(prog.inequality_constraints)
-    best_margin, best_combo, tried = math.inf, (), 0
-    for combo in itertools.product(*(range(len(u.parts)) for u in unions)):
-        tried += 1
+    def attempt(combo: tuple[int, ...]):
         out = sd.zero_combination([u.parts[i] for u, i in zip(unions, combo)])
-        if isinstance(out, float):
-            if out < best_margin:
-                best_margin, best_combo = out, combo
-            continue
-        lams, vecs = out
-        if mfcq_holds and lams[0] <= TOL_COMP:
+        if not isinstance(out, float) and mfcq_holds and out[0][0] <= TOL_COMP:
             # qualification guarantees a certificate with a positive cost
             # multiplier; keep searching for one
-            if 0.0 < best_margin:
-                best_margin, best_combo = 0.0, combo
-            continue
-        scale = lams[0] if lams[0] > TOL_COMP else 1.0
-        lam_full = np.zeros(m)
-        for idx, i in enumerate(active):
-            lam_full[i] = lams[idx + 1] / scale
-        residual = float(
-            np.max(np.abs(sum(l * v for l, v in zip(lams, vecs))))
-        )
-        comp = [
-            abs(lam_full[i] * ex.evaluate(prog.inequality_constraints[i], p))
-            for i in range(m)
-        ]
-        return StationarityCertificate(
-            theorem_id="T6.1",
-            multipliers={
-                "lambda0": float(lams[0] / scale),
-                "lambda": lam_full.tolist(),
-                "vectors": [v.tolist() for v in vecs],
-            },
-            u=None,
-            kappa=None,
-            branch_choices={"parts": [combo[0]]},
-            residuals={
-                "lagrangian_inclusion": residual / scale,
-                "complementary_slackness": max(comp, default=0.0),
-            },
-            ledger=ledger,
-        )
-    return NoCertificate("T6.1", best_margin, ledger, best_combo, tried)
+            return 0.0
+        return out
+
+    found = sd.branch_search(counts, "the KKT search", attempt)
+    if found.hit is None:
+        return NoCertificate("T6.1", found.margin, ledger, found.combo, found.tried)
+    lams, vecs = found.hit
+    m = len(prog.inequality_constraints)
+    scale = lams[0] if lams[0] > TOL_COMP else 1.0
+    lam_full = np.zeros(m)
+    for idx, i in enumerate(active):
+        lam_full[i] = lams[idx + 1] / scale
+    residual = float(
+        np.max(np.abs(sum(l * v for l, v in zip(lams, vecs))))
+    )
+    comp = [
+        abs(lam_full[i] * ex.evaluate(prog.inequality_constraints[i], p))
+        for i in range(m)
+    ]
+    return StationarityCertificate(
+        theorem_id="T6.1",
+        multipliers={
+            "lambda0": float(lams[0] / scale),
+            "lambda": lam_full.tolist(),
+            "vectors": [v.tolist() for v in vecs],
+        },
+        u=None,
+        kappa=None,
+        branch_choices={"parts": [found.combo[0]]},
+        residuals={
+            "lagrangian_inclusion": residual / scale,
+            "complementary_slackness": max(comp, default=0.0),
+        },
+        ledger=ledger,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,43 +549,44 @@ def _certificate_search(
     list with the name of its residual."""
     (name1, eq1), (name2, eq2) = inclusions
     terms = eq1 + eq2
-    sd.check_combinations((len(t.choices) for t in terms), "the certificate search")
     u_block = _embed_x_block(u_vertices, bp.x_dim, bp.y_dim)
-    best_margin, best_combo, tried = math.inf, (), 0
-    for combo in itertools.product(*(range(len(t.choices)) for t in terms)):
-        tried += 1
-        blocks = [(t.choices[i], t.convex) for t, i in zip(terms, combo)]
-        outcome = _joint_membership(u_block, blocks[: len(eq1)], blocks[len(eq1) :])
-        if isinstance(outcome, float):
-            if outcome < best_margin:
-                best_margin, best_combo = outcome, combo
-            continue
-        w_u, weights = outcome[0], outcome[1:]
-        residuals = {}
-        for name, span in ((name1, range(len(eq1))), (name2, range(len(eq1), len(terms)))):
-            total = u_block.T @ w_u
-            for k in span:
-                total -= blocks[k][0].T @ weights[k]
-            residuals[name] = float(np.max(np.abs(total)))
-        multipliers = {
-            "nu": np.zeros(len(bp.lower_constraints)),
-            "lambda": np.zeros(len(bp.lower_constraints)),
-            "mu": np.zeros(len(bp.upper_constraints)),
-        }
-        for t, w in zip(terms, weights):
-            if not t.convex:
-                multipliers[t.key][t.index] = float(w.sum())
-        residuals["complementary_slackness"] = _complementarity(bp, p, multipliers)
-        return StationarityCertificate(
-            theorem_id=theorem_id,
-            multipliers={k: v.tolist() for k, v in multipliers.items()},
-            u=u_vertices.T @ w_u,
-            kappa=float(kappa),
-            branch_choices={t.key: i for t, i in zip(terms, combo) if t.convex and t.key},
-            residuals=residuals,
-            ledger=ledger,
-        )
-    return NoCertificate(theorem_id, best_margin, ledger, best_combo, tried)
+
+    def chosen(combo: tuple[int, ...]) -> list:
+        return [(t.choices[i], t.convex) for t, i in zip(terms, combo)]
+
+    def attempt(combo: tuple[int, ...]):
+        blocks = chosen(combo)
+        return _joint_membership(u_block, blocks[: len(eq1)], blocks[len(eq1) :])
+
+    found = sd.branch_search([len(t.choices) for t in terms], "the certificate search", attempt)
+    if found.hit is None:
+        return NoCertificate(theorem_id, found.margin, ledger, found.combo, found.tried)
+    blocks = chosen(found.combo)
+    w_u, *weights = found.hit
+    residuals = {}
+    for name, span in ((name1, range(len(eq1))), (name2, range(len(eq1), len(terms)))):
+        total = u_block.T @ w_u
+        for k in span:
+            total -= blocks[k][0].T @ weights[k]
+        residuals[name] = float(np.max(np.abs(total)))
+    multipliers = {
+        "nu": np.zeros(len(bp.lower_constraints)),
+        "lambda": np.zeros(len(bp.lower_constraints)),
+        "mu": np.zeros(len(bp.upper_constraints)),
+    }
+    for t, w in zip(terms, weights):
+        if not t.convex:
+            multipliers[t.key][t.index] = float(w.sum())
+    residuals["complementary_slackness"] = _complementarity(bp, p, multipliers)
+    return StationarityCertificate(
+        theorem_id=theorem_id,
+        multipliers={k: v.tolist() for k, v in multipliers.items()},
+        u=u_vertices.T @ w_u,
+        kappa=float(kappa),
+        branch_choices={t.key: i for t, i in zip(terms, found.combo) if t.convex and t.key},
+        residuals=residuals,
+        ledger=ledger,
+    )
 
 
 def _joint_membership(u: np.ndarray, eq1: list, eq2: list) -> list[np.ndarray] | float:
@@ -705,7 +705,7 @@ def _certify_T83_at(c: _Candidate, kappa: float) -> StationarityCertificate | No
     )
 
 
-# the certifiers whose constant-free work a sweep shares through one _Candidate
+# each certifier's work at one penalty constant, given its _Candidate
 _AT_KAPPA = {certify_T74: _certify_T74_at, certify_T83: _certify_T83_at}
 
 
@@ -718,22 +718,19 @@ def certify_with_kappa_sweep(
     params: sd.SampleParams = sd.DEFAULT_PARAMS,
     **kwargs,
 ) -> StationarityCertificate | NoCertificate:
-    """Try the certifier at each penalty constant in order and return the
-    first success (the theory fixes the constant from partial calmness
-    but offers no selection rule).  certify_T74 and certify_T83 share one
-    _Candidate across the sweep, so the work that does not depend on the
-    constant is done once; any other certifier is called whole at each
-    constant."""
-    shared = _AT_KAPPA.get(certifier)
-    candidate = _Candidate(bp, point, grid, params, **kwargs) if shared else None
+    """Try the certifier, certify_T74 or certify_T83 (or a wrapper of one
+    made with functools.wraps), at each penalty constant in order and
+    return the first success (the theory fixes the constant from partial
+    calmness but offers no selection rule).  One _Candidate serves the
+    whole sweep, so the work that does not depend on the constant is done
+    once."""
+    at_kappa = _AT_KAPPA[inspect.unwrap(certifier)]
+    candidate = _Candidate(bp, point, grid, params, **kwargs)
     last: StationarityCertificate | NoCertificate | None = None
     failure: HypothesisFailure | None = None
     for kappa in kappa_grid:
         try:
-            if shared:
-                out = shared(candidate, kappa)
-            else:
-                out = certifier(bp, point, kappa, grid, params, **kwargs)
+            out = at_kappa(candidate, kappa)
         except HypothesisFailure as err:
             failure = err
             continue

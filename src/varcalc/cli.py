@@ -17,8 +17,9 @@ built-in systems live in varcalc.corpus; _report alone serializes.
 
 Exit codes: 0 ok, 1 a verify property check failed, 2 input error
 (including a non-finite function value), 3 computation refusal
-(qualification, LP breakdown, too many branch combinations, no realizable
-branch pattern yielding a subgradient set), 4 no
+(qualification, LP breakdown, a search whose branch combinations exceed
+the cap subdiff.MAX_BRANCH_COMBOS, no realizable branch pattern yielding a
+subgradient set), 4 no
 certificate, 5 hypothesis failure.  Every library error a command raises
 ends in 2 or 3 through the one table ERROR_EXITS in main, with an
 "error: " line on stderr; a report holding a non-finite number, which
@@ -307,10 +308,10 @@ def cmd_certify(args) -> tuple[dict, int]:
             if args.theorem == "t74":
                 kwargs["override_isc"] = args.override_isc
             if args.kappa_sweep:
-                kappas = pf.kappa_grid
+                out = bl.certify_with_kappa_sweep(certifier, bp, cand, pf.kappa_grid, pf.grid, params, **kwargs)
             else:
-                kappas = (args.kappa,) if args.kappa is not None else pf.kappa_grid[:1]
-            out = bl.certify_with_kappa_sweep(certifier, bp, cand, kappas, pf.grid, params, **kwargs)
+                kappa = args.kappa if args.kappa is not None else pf.kappa_grid[0]
+                out = certifier(bp, cand, kappa, pf.grid, params, **kwargs)
     except bl.HypothesisFailure as err:
         report = _report(
             "certify",

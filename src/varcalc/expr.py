@@ -548,12 +548,6 @@ class ActivePattern:
     def key(self) -> tuple:
         return self.selections
 
-    def num_combinations(self) -> int:
-        out = 1
-        for _, act in self.selections:
-            out *= len(act)
-        return out
-
 
 def active_patterns(
     f: FunctionDef,

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,9 @@ FILL_BUDGET = 5000
 # radii the samplers accept: squares of lengths of order r, such as the
 # projection oracle's squared distances, are then normal floats
 RADIUS_RANGE = (1e-100, 1e100)
+# largest dirs_per_radius the samplers accept, 16 times the default: the
+# oracles hold (dirs x stencil x dim) arrays
+MAX_DIRS_PER_RADIUS = 4096
 # (samples x layer) matrix elements per row block of the normal-cone
 # oracle's distance scan: 2 MB of float64 and a 256 KB mask
 SCAN_BLOCK = 1 << 18
@@ -125,6 +128,8 @@ class SampleParams:
             raise SubdiffError("radii must be strictly decreasing")
         if self.dirs_per_radius < 2:
             raise SubdiffError("dirs_per_radius must be at least 2")
+        if self.dirs_per_radius > MAX_DIRS_PER_RADIUS:
+            raise SubdiffError(f"dirs_per_radius must be at most {MAX_DIRS_PER_RADIUS}")
         if not (math.isfinite(self.tau_act) and self.tau_act > 0):
             raise SubdiffError("tau_act must be finite and positive")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -312,20 +317,11 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
 
 
 def _combo_data(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePattern):
+    """Each allowed branch selection's gradient at x and node sensitivities."""
     # counted before any combination is built: the product can be huge
-    count = pattern.num_combinations()
-    if count > MAX_BRANCH_COMBOS:
-        raise CombinatorialOverflow(
-            f"{count} branch combinations exceed the cap {MAX_BRANCH_COMBOS}"
-        )
-    combos = ex.branch_combinations(pattern)
-    grads = []
-    contexts = []
-    for sel in combos:
-        g, ctx = ex.gradient_and_contexts(f, x, sel)
-        grads.append(g)
-        contexts.append(ctx)
-    return combos, np.array(grads), contexts
+    check_combinations([len(act) for _, act in pattern.selections], "the pattern's branch gradients")
+    grads, contexts = zip(*(ex.gradient_and_contexts(f, x, sel) for sel in ex.branch_combinations(pattern)))
+    return np.array(grads), contexts
 
 
 def _pattern_is_max_like(pattern: ex.ActivePattern, f: ex.FunctionDef, contexts) -> bool:
@@ -372,7 +368,7 @@ def _regular(
     branches if given, and whether p's pattern is max-like (the hull of
     active branch gradients is then the answer, unclipped)."""
     pattern = ex.active_pattern(f, p, params.tau_act, branches)
-    _, grads, contexts = _combo_data(f, p, pattern)
+    grads, contexts = _combo_data(f, p, pattern)
     candidate = convex_hull(grads)
     if _pattern_is_max_like(pattern, f, contexts):
         return candidate, True
@@ -705,7 +701,7 @@ def sampled_subdiff_oracle(
 
     # fill candidates at x itself
     pattern = ex.active_pattern(f, p, params.tau_act)
-    _, grads, _ = _combo_data(f, p, pattern)
+    grads, _ = _combo_data(f, p, pattern)
     hull = convex_hull(grads)
     fill = _barycentric_fill(hull, FILL_SPACING)
     stencil = np.vstack(
@@ -812,12 +808,43 @@ def zero_combination(parts: Sequence[Polytope]) -> tuple[np.ndarray, list[np.nda
     return np.array(lams), vecs
 
 
-def check_combinations(counts: Iterable[int], search: str) -> None:
+def check_combinations(counts: Sequence[int], search: str) -> None:
     """Refuse a search over one branch per factor, given each factor's
     branch count, before it enumerates anything: more than
     MAX_BRANCH_COMBOS combinations overflow."""
-    if math.prod(counts) > MAX_BRANCH_COMBOS:
-        raise CombinatorialOverflow(f"too many branch combinations in {search}")
+    total = math.prod(counts)
+    if total > MAX_BRANCH_COMBOS:
+        raise CombinatorialOverflow(
+            f"{' x '.join(map(str, counts))} = {total} branch combinations in {search} "
+            f"exceed the cap {MAX_BRANCH_COMBOS}"
+        )
+
+
+class BranchSearch(NamedTuple):
+    hit: object
+    margin: float
+    combo: tuple[int, ...]
+    tried: int
+
+
+def branch_search(counts: Sequence[int], search: str, attempt) -> BranchSearch:
+    """Try one branch per factor, factor i having counts[i] branches, in
+    ``itertools.product`` order, after ``check_combinations``.
+    ``attempt(combo)`` returns a float margin for a miss; anything else is
+    a hit and ends the search.  Returns the hit or None, the least margin
+    of the misses before it, the hit's combination or else the first one
+    to reach the least margin (the first one tried when no margin is below
+    its own, as when every margin is inf), and the number of combinations
+    tried."""
+    check_combinations(counts, search)
+    margin, best = math.inf, ()
+    for tried, combo in enumerate(itertools.product(*(range(c) for c in counts)), 1):
+        out = attempt(combo)
+        if not isinstance(out, float):
+            return BranchSearch(out, margin, combo, tried)
+        if tried == 1 or out < margin:
+            margin, best = out, combo
+    return BranchSearch(None, margin, best, math.prod(counts))
 
 
 def qualification_witness(unions: Sequence[PolytopeUnion]) -> dict | None:
@@ -827,16 +854,18 @@ def qualification_witness(unions: Sequence[PolytopeUnion]) -> dict | None:
     One zero-combination LP per branch combination, in order."""
     if not unions:
         return None
-    check_combinations((len(u.parts) for u in unions), "the qualification check")
-    for combo in itertools.product(*(u.parts for u in unions)):
-        out = zero_combination(list(combo))
-        if not isinstance(out, float):
-            lams, vecs = out
-            return {
-                "multipliers": (lams / float(lams.max())).tolist(),
-                "vectors": [v.tolist() for v in vecs],
-            }
-    return None
+    hit = branch_search(
+        [len(u.parts) for u in unions],
+        "the qualification check",
+        lambda combo: zero_combination([u.parts[i] for u, i in zip(unions, combo)]),
+    ).hit
+    if hit is None:
+        return None
+    lams, vecs = hit
+    return {
+        "multipliers": (lams / float(lams.max())).tolist(),
+        "vectors": [v.tolist() for v in vecs],
+    }
 
 
 def active_constraints(functions: Sequence[ex.FunctionDef], point: np.ndarray) -> tuple[int, ...]:
@@ -1312,23 +1341,12 @@ def _verify_indicator_sum_rule(
     # right side: N(p; omega) + basic subdifferential of f
     ncone = normal_cone(omega, p, params)
     fsub_union = basic_subdifferential(total, p, params)
+    counts = (len(ncone.parts), len(fsub_union.parts))
+    choice = lambda combo: (fsub_union.parts[combo[1]], [ncone.parts[combo[0]]])
     worst = 0.0
     holds = True
     for comp in lhs:
-        member_somewhere = []
-        for v in comp.base.vertices:
-            found = math.inf
-            for cone in ncone.parts:
-                for part in fsub_union.parts:
-                    out = minkowski_membership(v, part, cones=[cone])
-                    if isinstance(out, Membership):
-                        found = 0.0
-                        break
-                    found = min(found, out.margin)
-                if found == 0.0:
-                    break
-            member_somewhere.append(found)
-        worst = max(worst, max(member_somewhere))
+        worst = max(worst, _worst_gap(comp.base.vertices, choice, counts, "the indicator sum rule"))
         for g in comp.recession.generators:
             if not any(cone.contains(g) for cone in ncone.parts):
                 holds = False
@@ -1371,37 +1389,31 @@ def verify_intersection_rule(
         if not set_membership(s, p):
             raise SubdiffError("point must lie in every set")
     cones_per_set = [normal_cone(s, p, params).parts for s in sets]
+    counts = [len(parts) for parts in cones_per_set]
     dim = p.shape[0]
 
-    for combo in itertools.product(*cones_per_set):
-        witness = _qc_violation_witness(combo, dim)
-        if witness is not None:
-            return RuleReport(
-                "intersection",
-                False,
-                math.inf,
-                {"qualification_violated": True, "witness_multipliers": witness},
-            )
+    def chosen(combo: tuple[int, ...]) -> list[ConeSpec]:
+        return [parts[i] for parts, i in zip(cones_per_set, combo)]
+
+    witness = branch_search(
+        counts, "the intersection rule", lambda combo: _qc_violation_witness(chosen(combo), dim)
+    ).hit
+    if witness is not None:
+        return RuleReport(
+            "intersection",
+            False,
+            math.inf,
+            {"qualification_violated": True, "witness_multipliers": witness},
+        )
 
     merged = SetSpec.sublevel(
         tuple(f for s in sets for f in s.constraint_functions())
     )
     left = normal_cone(merged, p, params)
-    worst = 0.0
-    for part in left.parts:
-        targets = [g for g in part.generators]
-        targets += [l for l in part.lineality] + [-l for l in part.lineality]
-        for g in targets:
-            best = math.inf
-            for combo in itertools.product(*cones_per_set):
-                out = minkowski_membership(
-                    np.asarray(g), Polytope.singleton(np.zeros(dim)), cones=list(combo)
-                )
-                if isinstance(out, Membership):
-                    best = 0.0
-                    break
-                best = min(best, out.margin)
-            worst = max(worst, best)
+    # each generator of the intersection's cone, lineality both ways
+    targets = [g for part in left.parts for g in part.translate_columns()]
+    choice = lambda combo: (Polytope.singleton(np.zeros(dim)), chosen(combo))
+    worst = _worst_gap(targets, choice, counts, "the intersection rule")
     return RuleReport(
         "intersection",
         worst <= 1e-6,
@@ -1410,13 +1422,28 @@ def verify_intersection_rule(
     )
 
 
-def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | None:
+def _worst_gap(targets, choice, counts: Sequence[int], search: str) -> float:
+    """The largest over the targets v of v's gap from base + sum of cones,
+    with (base, cones) = choice(combo) for a branch combination: 0 when
+    some combination holds v, else the least ``minkowski_membership``
+    margin over them all."""
+
+    def attempt(v: np.ndarray, combo: tuple[int, ...]) -> Membership | float:
+        base, cones = choice(combo)
+        out = minkowski_membership(v, base, cones=cones)
+        return out.margin if isinstance(out, NotMember) else out
+
+    found = [branch_search(counts, search, partial(attempt, v)) for v in targets]
+    return max([0.0] + [f.margin for f in found if f.hit is None])
+
+
+def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | float:
     """Normals, one per cone, that sum to zero while some coordinate of one
     of them is at least 1 in absolute value: one LP per block, coordinate
     and sign over the cone blocks widened by that ">= 1" coordinate, made
     an equality by a free surplus column -e_dim after them.  Returns the
-    blocks' weight sums scaled to a largest entry of 1, or None when the
-    qualification condition holds."""
+    blocks' weight sums scaled to a largest entry of 1, or math.inf when
+    the qualification condition holds."""
     col_blocks = [c.translate_columns() for c in cones]
     target = np.concatenate([np.zeros(dim), [1.0]])
     surplus = (-np.eye(dim + 1)[dim:], "free")
@@ -1433,7 +1460,7 @@ def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | 
                     lams = [float(w.sum()) for w in z[:-1]]
                     top = max(lams)
                     return [l / top for l in lams]
-    return None
+    return math.inf
 
 
 def verify_difference_rule(
@@ -1560,10 +1587,10 @@ def extremal_principle_solve(
     For each k the shifted objective sqrt(sum_i d^2(z + a_i, Omega_i)) +
     |z - x|^2, strictly convex for polyhedra and singletons, is minimized
     exactly: for every combination of one face per set the face-restricted
-    minimizer comes from ``_face_minimizer``, and the one with the least
-    true objective is kept (the minimizer's own faces reproduce it).  More
-    than MAX_BRANCH_COMBOS face combinations are refused with
-    ``CombinatorialOverflow``.  The scheme fails with a
+    minimizer comes from ``_face_minimizer``, and the first one with the
+    least true objective is kept (the minimizer's own faces reproduce it).
+    ``branch_search`` refuses more than MAX_BRANCH_COMBOS face combinations
+    with ``CombinatorialOverflow``.  The scheme fails with a
     diagnostic when the distance term vanishes (the shifts then do not
     witness extremality at this resolution).
 
@@ -1582,25 +1609,22 @@ def extremal_principle_solve(
             raise SubdiffError("reference point must lie in every set")
     # counted before any face is built: the product can be huge
     counts = [_face_count(s) for s in sets]
-    combos = math.prod(counts)
-    if combos > MAX_BRANCH_COMBOS:
-        raise CombinatorialOverflow(
-            f"{' x '.join(map(str, counts))} = {combos} face combinations "
-            f"exceed the cap {MAX_BRANCH_COMBOS}"
-        )
 
     trace = ExtremalTrace([], [], [], [], [], [], [])
     for k in ks:
         a = [_shift_at(sh, k) for sh in shifts]
-        best = None
-        for faces in itertools.product(*(s.faces for s in sets)):
-            z = _face_minimizer(faces, a, x_ref)
+        # each face combination's minimizer, distance term and projections,
+        # kept so that the kept one's projections are not run twice
+        solved: dict[tuple[int, ...], tuple[np.ndarray, float, list[np.ndarray]]] = {}
+
+        def objective(combo: tuple[int, ...]) -> float:
+            z = _face_minimizer([s.faces[i] for s, i in zip(sets, combo)], a, x_ref)
             ws = [project_onto(s, z + ai) for s, ai in zip(sets, a)]
             g = math.sqrt(sum(float(np.dot(z + ai - w, z + ai - w)) for ai, w in zip(a, ws)))
-            val = g + float(np.dot(z - x_ref, z - x_ref))
-            if best is None or val < best[0]:
-                best = (val, z, g, ws)
-        _, xk, gamma, ws = best
+            solved[combo] = z, g, ws
+            return g + float(np.dot(z - x_ref, z - x_ref))
+
+        xk, gamma, ws = solved[branch_search(counts, "the extremal face search", objective).combo]
 
         scale = max(np.linalg.norm(ai) for ai in a)
         if gamma <= 1e-12 * (1 + scale):

@@ -160,6 +160,17 @@ def test_over_cap_searches_refuse_before_any_lp(monkeypatch):
     with pytest.raises(S.CombinatorialOverflow):
         B.regularity_check(regular, [0.0, 0.0], FAST)
     assert calls == []
+    # the normal cone of {min(-x, -y) <= 0} at the origin has the two parts
+    # cone{(-1, 0)} and cone{(0, -1)}, so 13 such sets have 8192 cone
+    # combinations; building each set's cone runs LPs of its own, but the
+    # intersection rule must refuse before its first qualification LP
+    qc = []
+    monkeypatch.setattr(S, "_qc_violation_witness", lambda *args: qc.append(args))
+    sets = [S.SetSpec.sublevel((fxy("(min (- 0 x) (- 0 y))"),))] * 13
+    assert len(S.normal_cone(sets[0], [0.0, 0.0], FAST).parts) == 2
+    with pytest.raises(S.CombinatorialOverflow, match="2 x 2 .* = 8192 branch"):
+        S.verify_intersection_rule(sets, [0.0, 0.0], FAST)
+    assert qc == []
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +413,13 @@ def test_certificates_reverify_raw_equations():
     assert lhs == pytest.approx(np.array([0.0, 1.0]) + lam * np.array([-1.0, -1.0]), abs=1e-8)
 
 
-def test_kappa_sweep_returns_first_success():
-    out = B.certify_with_kappa_sweep(
-        B.certify_T74, problem_w(), [0.0, 0.0], (1.0, 2.0, 4.0), GRID, FAST
-    )
+@pytest.mark.parametrize(
+    "certify, theorem", [(B.certify_T74, "T7.4"), (B.certify_T83, "T8.3")], ids=["t74", "t83"]
+)
+def test_kappa_sweep_returns_first_success(certify, theorem):
+    out = B.certify_with_kappa_sweep(certify, problem_w(), [0.0, 0.0], (1.0, 2.0, 4.0), GRID, FAST)
     assert isinstance(out, B.StationarityCertificate)
-    assert out.kappa == 1.0
+    assert (out.theorem_id, out.kappa) == (theorem, 1.0)
 
 
 def test_t61_consistency_with_penalized_program():
@@ -470,11 +482,33 @@ def test_kappa_sweep_searches_the_value_function_once(monkeypatch, argv, tried):
     monkeypatch.setattr(V, "evaluate_values", spy)
     code, report, sweep = run("--kappa-sweep")
     one_kappa = run()[2]
-    # a certifier the sweep does not know is called whole at each constant
-    for name in ("certify_T74", "certify_T83"):
-        monkeypatch.setattr(B, name, functools.partial(getattr(B, name)))
-    per_kappa_code, per_kappa_report, per_kappa = run("--kappa-sweep")
-    assert (per_kappa_code, per_kappa_report) == (code, report)
     assert sweep == one_kappa
     assert sweep.count("_calmness_samples") == ("--override-calmness" not in argv)
-    assert per_kappa == one_kappa * tried
+    # a certifier wrapped with functools.wraps, as the benchmark's tracer
+    # wraps it, takes the same path
+    for name in ("certify_T74", "certify_T83"):
+        certifier = getattr(B, name)
+        monkeypatch.setattr(B, name, functools.wraps(certifier)(functools.partial(certifier)))
+    assert run("--kappa-sweep") == (code, report, sweep)
+
+    def per_kappa(certifier, bp, point, kappa_grid, grid, params, **kwargs):
+        """The sweep's reference: the public certifier, called whole at
+        each constant."""
+        last = failure = None
+        for kappa in kappa_grid:
+            try:
+                out = certifier(bp, point, kappa, grid, params, **kwargs)
+            except B.HypothesisFailure as err:
+                failure = err
+                continue
+            if isinstance(out, B.StationarityCertificate):
+                return out
+            last = out
+        if last is None:
+            raise failure
+        return last
+
+    monkeypatch.setattr(B, "certify_with_kappa_sweep", per_kappa)
+    per_kappa_code, per_kappa_report, per_kappa_calls = run("--kappa-sweep")
+    assert (per_kappa_code, per_kappa_report) == (code, report)
+    assert per_kappa_calls == one_kappa * tried

@@ -70,7 +70,8 @@ def test_parse_errors():
     "line",
     ["seed", "seed abc", "seed 1 2", "tau_act", "tau_act nan", "tau_act inf", "tau_act 0",
      "tau_act -1", "dirs_per_radius x", "radii 1 2", "radii", "radii 1e-2 x", "kappa_grid",
-     "seed -1000000", "radii 1e300", "radii 1e-300", "radii nan", "radii inf", "radii 1e-2 nan"],
+     "seed -1000000", "radii 1e300", "radii 1e-300", "radii nan", "radii inf", "radii 1e-2 nan",
+     "dirs_per_radius 4097"],
 )
 def test_bad_params_exit2(tmp_path, capsys, line):
     path = tmp_path / "params.vp"
@@ -791,10 +792,11 @@ def test_subdiff_unknown_function_path_exit2(capsys, fn):
 
 
 def test_cmd_verify_bad_dirs_exit2(capsys):
-    code, out, err = run_cli(["verify", "--builtin-corpus", "--dirs", "1", "--json"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: dirs_per_radius must be at least 2\n"
+    for dirs, message in (("1", "at least 2"), ("4097", "at most 4096")):
+        code, out, err = run_cli(["verify", "--builtin-corpus", "--dirs", dirs, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: dirs_per_radius must be {message}\n"
 
 
 def test_cmd_extremal_halfplanes(capsys):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import time
 import tracemalloc
@@ -647,6 +648,57 @@ def test_oracle_memory_is_bounded_on_a_long_boundary_layer():
     assert out.cluster_centers.shape[0] > 0
     assert np.array_equal(out.cluster_centers, ref.cluster_centers)
     assert np.array_equal(out.points, ref.points)
+
+
+# ---------------------------------------------------------------------------
+# the branch-combination search
+
+
+def test_branch_search_walks_product_order():
+    seen = []
+    out = S.branch_search((2, 3), "a test search", lambda combo: seen.append(combo) or 1.0)
+    assert seen == list(itertools.product(range(2), range(3)))
+    assert (out.hit, out.margin, out.combo, out.tried) == (None, 1.0, (0, 0), 6)
+
+
+def test_branch_search_stops_at_a_hit():
+    margins = {(0, 0): 3.0, (0, 1): 2.0, (0, 2): 5.0}
+    seen = []
+
+    def attempt(combo):
+        seen.append(combo)
+        return margins.get(combo, ("hit", combo))
+
+    out = S.branch_search((2, 3), "a test search", attempt)
+    assert out.hit == ("hit", (1, 0))
+    # the least margin is the misses', the combination the hit's
+    assert (out.margin, out.combo, out.tried) == (2.0, (1, 0), 4)
+    assert seen[-1] == (1, 0)
+
+
+def test_branch_search_keeps_the_first_least_margin():
+    margins = [3.0, 1.0, 2.0, 1.0, 1.5, 1.0]
+    out = S.branch_search((3, 2), "a test search", lambda combo: margins[2 * combo[0] + combo[1]])
+    assert (out.hit, out.margin, out.combo, out.tried) == (None, 1.0, (0, 1), 6)
+
+
+@pytest.mark.parametrize("margin", [math.inf, math.nan])
+def test_branch_search_keeps_the_first_combination_when_no_margin_is_less(margin):
+    out = S.branch_search((2, 2), "a test search", lambda combo: margin)
+    assert (out.hit, out.combo, out.tried) == (None, (0, 0), 4)
+    assert out.margin is margin
+
+
+def test_branch_search_refuses_over_the_cap_before_any_attempt():
+    attempts = []
+    cap = S.MAX_BRANCH_COMBOS
+    message = f"64 x 65 = 4160 branch combinations in a test search exceed the cap {cap}"
+    with pytest.raises(S.CombinatorialOverflow) as info:
+        S.branch_search((64, 65), "a test search", lambda combo: attempts.append(combo) or 0.0)
+    assert str(info.value) == message
+    assert attempts == []
+    # at the cap the search runs
+    assert S.branch_search((64, 64), "a test search", lambda combo: 0.0).tried == cap
 
 
 # ---------------------------------------------------------------------------
