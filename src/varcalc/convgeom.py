@@ -2,14 +2,15 @@
 
 Polytopes are stored as lists of vertices (V-representation); halfspace
 data only appears transiently inside LP constraints.  All geometry is
-floating point, with TOL_GEOM = 1e-8 for canonicalization.  An LP is
-feasible when its phase-1 objective is at most 10 * TOL_LP * (1 + max|b|)
-(TOL_LP = 1e-9, b the right-hand side) and the assignment found then
-satisfies every row and bound to within TOL_ASSIGN = 1e-7.  Every
-membership and multiplier LP is assembled by lp_weights from blocks of
-rows with "convex" (summing to one), "cone" (capped at coefficient
-R_CONE, so the phase-1 simplex works with bounded variables) or "free"
-(nonnegative) weights.
+floating point, with TOL_GEOM = 1e-8 for canonicalization.  Hulls and
+memberships are exact planar geometry at TOL_GEOM in one and two
+dimensions, and hull LPs in three and four.  An LP is feasible when its
+phase-1 objective is at most 10 * TOL_LP * (1 + max|b|) (TOL_LP = 1e-9,
+b the right-hand side) and the assignment found then satisfies every row
+and bound to within TOL_ASSIGN = 1e-7.  Every membership and multiplier
+LP is assembled by lp_weights from blocks of rows with "convex" (summing
+to one), "cone" (capped at coefficient R_CONE, so the phase-1 simplex
+works with bounded variables) or "free" (nonnegative) weights.
 """
 
 from __future__ import annotations
@@ -264,9 +265,9 @@ class Polytope:
         return Polytope(np.asarray(point, dtype=float).reshape(1, -1))
 
     def contains(self, point: Sequence[float]) -> bool:
-        """Membership by a hull LP, except that a single vertex is matched
-        to within 1e-7 and a point equal to a stored vertex is inside
-        without an LP."""
+        """Membership: a single vertex is matched to within 1e-7, a point
+        equal to a stored vertex is inside, and otherwise _near_planar_hull
+        decides in one and two dimensions and a hull LP in three and four."""
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             raise DimensionError("point dim mismatch")
@@ -274,6 +275,8 @@ class Polytope:
             return bool(np.linalg.norm(p - self.vertices[0]) <= 1e-7)
         if np.any(np.all(self.vertices == p, axis=1)):
             return True
+        if self.dim < 3:
+            return _near_planar_hull(p, self.vertices)
         return _in_hull_lp(p, self.vertices)
 
     def translate(self, v: Sequence[float]) -> "Polytope":
@@ -302,77 +305,80 @@ class Polytope:
 def convex_hull(points: Iterable[Sequence[float]]) -> Polytope:
     """Canonicalized hull of the input points (extreme points only).
 
-    Works in any dimension up to HULL_MAX_DIM by LP-based extreme point
-    filtering; degenerate (flat) inputs are fine.  Two points, and the
-    min and max of a 1-D set, are kept without an LP when _lp_band says
-    the LP could not drop them (see _extremes_without_lp).
+    After deduplication at TOL_GEOM, two points are both extreme.  More
+    are filtered by _planar_ring in one and two dimensions, and by a hull
+    LP per row in three and four; flat inputs are fine in every dimension.
     """
     V = _as_vertex_array(points)
     if V.shape[1] > HULL_MAX_DIM:
         raise DimensionError(f"convex_hull supports dim <= {HULL_MAX_DIM}, got {V.shape[1]}")
     V = _dedupe_rows(V, TOL_GEOM)
-    if V.shape[0] > 1:
-        keep = _extremes_without_lp(V)
-        V = V[_hull_lp(V) if keep is None else keep]
+    if V.shape[0] > 2:
+        V = V[sorted(_planar_ring(_planar(V))) if V.shape[1] < 3 else _hull_lp(V)]
     return Polytope(_lex_sorted(V))
 
 
 def _hull_lp(V: np.ndarray) -> list[int]:
     """Indices of the rows of V that no hull LP finds inside the hull of
     the others still kept, testing the rows in order."""
-    keep = []
     alive = list(range(V.shape[0]))
     for idx in range(V.shape[0]):
         others = [j for j in alive if j != idx]
-        if not others or not _in_hull_lp(V[idx], V[others]):
-            keep.append(idx)
-        else:
+        if others and _in_hull_lp(V[idx], V[others]):
             alive.remove(idx)
-    return keep
+    return alive
 
 
-def _lp_band(V: np.ndarray) -> float:
-    """An l1 distance beyond which the hull LP never accepts a row p of V
-    as inside the hull of other rows of V.
-
-    The LP's right-hand side is b = (p, 1), and lp_feasible accepts only
-    a phase-1 objective of at most 10 * TOL_LP * (1 + max|b|) whose
-    assignment z >= 0 misses each of the dim + 1 rows by at most
-    TOL_ASSIGN, so the objective, the l1 norm of those misses, is at most
-    (dim + 1) * TOL_ASSIGN as well.  The objective is at least
-    dist1(p, hull) / max(1, max_j |V_j|_1): with s = sum(z) and
-    q = V^T z / s in the hull, |q - p|_1 <= |V^T z - p|_1 + |1 - s| |q|_1.
-    The band is that bound at the largest |p|_inf and |V_j|_1 of V, times
-    a safety factor of 2 for rounding in the tableau.  Beyond it the LP
-    answers "outside" or breaks down, and "outside" is then exact.
-    """
-    accept = min(
-        10 * TOL_LP * (1.0 + max(1.0, float(np.abs(V).max()))),
-        (V.shape[1] + 1) * TOL_ASSIGN,
-    )
-    return 2.0 * accept * max(1.0, float(np.abs(V).sum(axis=1).max()))
+def _planar(V: np.ndarray) -> list[list[float]]:
+    """The rows of a 1-D or 2-D array as points (x, y), a 1-D row as (x, 0)."""
+    return np.hstack([V, np.zeros((V.shape[0], 2 - V.shape[1]))]).tolist()
 
 
-def _extremes_without_lp(V: np.ndarray) -> list[int] | None:
-    """The indices of the extreme rows of V (deduplicated) where every
-    hull LP of _hull_lp has a certain verdict, else None.  Two rows
-    farther apart than _lp_band (in l1) are both extreme.  In 1-D so are
-    the min and max when each is farther than the band from its nearest
-    other value.  Every other value is then a convex combination of the
-    two, which stay in the LP's hull: Bland's rule stops with reduced
-    costs above -TOL_LP, so the phase-1 objective ends within TOL_LP of
-    that combination's 0, under the acceptance threshold, and the LP
-    drops the value or breaks down.  Where the LP would break down, the
-    indices returned are the exact answer."""
-    band = _lp_band(V)
-    if V.shape[0] == 2:
-        return [0, 1] if float(np.abs(V[0] - V[1]).sum()) > band else None
-    if V.shape[1] == 1:
-        order = np.argsort(V[:, 0], kind="stable")
-        x = V[order, 0]
-        if x[1] - x[0] > band and x[-1] - x[-2] > band:
-            return sorted([int(order[0]), int(order[-1])])
-    return None
+def _chord(a, b, c) -> tuple[float, float]:
+    """(c - a) x (b - a), which is positive when b lies left of the line
+    from a to c, and the distance from b to the segment from a to c."""
+    ux, uy, wx, wy = c[0] - a[0], c[1] - a[1], b[0] - a[0], b[1] - a[1]
+    uu = ux * ux + uy * uy
+    t = min(max((ux * wx + uy * wy) / uu, 0.0), 1.0) if uu > 0 else 0.0
+    return ux * wy - uy * wx, math.hypot(wx - t * ux, wy - t * uy)
+
+
+def _planar_ring(pts: list[list[float]]) -> list[int]:
+    """Indices of the extreme points among pts, counterclockwise: Andrew's
+    monotone chain, which drops a point that lies on or left of the chord
+    from its predecessor to its successor, or within TOL_GEOM of it.  The
+    lower and upper chains meet at two points that no chord tested, so
+    the ring is then rescanned until each of its points is a corner."""
+    def corner(i: int, j: int, k: int) -> bool:
+        side, gap = _chord(pts[i], pts[j], pts[k])
+        return side < 0 and gap > TOL_GEOM
+
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    ring: list[int] = []
+    for half in (order, order[::-1]):
+        chain: list[int] = []
+        for i in half:
+            while len(chain) > 1 and not corner(chain[-2], chain[-1], i):
+                chain.pop()
+            chain.append(i)
+        ring += chain[:-1]
+    k = 0
+    while 2 < len(ring) and k < len(ring):
+        if corner(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]):
+            k += 1
+        else:
+            del ring[k]
+            k = 0
+    return ring
+
+
+def _near_planar_hull(p: np.ndarray, V: np.ndarray) -> bool:
+    """Whether the 1-D or 2-D point p lies within TOL_GEOM of conv(V): left
+    of every edge of V's ring, or within TOL_GEOM of one of them."""
+    q, *pts = _planar(np.vstack([p, V]))
+    ring = [pts[i] for i in _planar_ring(pts)]
+    sides, gaps = zip(*(_chord(a, q, b) for a, b in zip(ring, ring[1:] + ring[:1])))
+    return (len(ring) > 2 and min(sides) >= 0) or min(gaps) <= TOL_GEOM
 
 
 def clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> Polytope | None:
@@ -514,12 +520,7 @@ class PolytopeUnion:
 def _absorb_parts(parts: list[Polytope]) -> list[Polytope]:
     kept: list[Polytope] = []
     for p in sorted(parts, key=lambda q: -q.num_vertices):
-        contained = False
-        for q in kept:
-            if all(q.contains(v) for v in p.vertices):
-                contained = True
-                break
-        if not contained:
+        if not any(all(q.contains(v) for v in p.vertices) for q in kept):
             kept.append(p)
     return kept
 
@@ -590,16 +591,12 @@ class ConeSpec:
             l = np.array(rows).reshape(-1, self.dim)
         # drop generators already in the cone of the remaining ones
         if g.shape[0] > 1:
-            keep_idx: list[int] = []
             alive = list(range(g.shape[0]))
             for i in range(g.shape[0]):
                 others = [j for j in alive if j != i]
-                sub = ConeSpec(self.dim, g[others], l)
-                if others and sub.contains(g[i]):
+                if others and ConeSpec(self.dim, g[others], l).contains(g[i]):
                     alive.remove(i)
-                else:
-                    keep_idx.append(i)
-            g = g[keep_idx]
+            g = g[alive]
         if g.shape[0]:
             g = _lex_sorted(g)
         return ConeSpec(self.dim, g, l)

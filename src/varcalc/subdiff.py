@@ -347,10 +347,11 @@ def _pattern_is_max_like(pattern: ex.ActivePattern, f: ex.FunctionDef, contexts)
 
 def _curvature_estimate(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePattern) -> float:
     """Rough bound on branch-composition curvature near x via central
-    second differences of f under the pattern's first 8 selections."""
+    second differences of f under the pattern's first 8 selections along
+    every signed axis and signed axis pair, so mixed derivatives count."""
     dim = f.space.dim
     r = 1e-3
-    probes = directions(dim, 2 * dim)
+    probes = directions(dim, 2 * dim * dim)
     pts = np.vstack([x + r * probes, x - r * probes, x[None, :]])
     k = probes.shape[0]
     worst = 0.0

@@ -7,7 +7,8 @@ oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
 interpreter over the expression tree and its branch-restricted passes
 against the tree rebuilt with the left-out branches pruned, the batched point-to-polytope
-distance against a one-point-at-a-time face enumeration, the batched
+distance against a one-point-at-a-time face enumeration, the planar
+hulls against a distance over every triple and pair of points, the batched
 value-function search against a one-parameter-at-a-time grid loop, the
 batched argmin slope bound and the seeded direction fill against their
 per-sample and per-vector loops, the oracles' batched acceptance test and
@@ -425,6 +426,31 @@ def reference_point_to_polytope_distance(p, poly: Polytope) -> float:
             d, w = _project_affine_subset(p, S)
             if np.all(w >= -1e-9):
                 best = min(best, d)
+    return best
+
+
+def planar_hull_distance(q, S) -> float:
+    """Distance from a 1-D or 2-D point q to the hull of the rows of S by
+    brute force over the rows' triples, pairs and singles: 0 inside a
+    nondegenerate triangle of three rows (by the signs of three areas),
+    else the least distance to a segment between two rows or to a row."""
+    def plane(X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.hstack([X, np.zeros((X.shape[0], 2 - X.shape[1]))])
+
+    def area(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    P, q = plane(S), plane(q)[0]
+    for a, b, c in itertools.combinations(P, 3):
+        signs = np.sign([area(a, b, q), area(b, c, q), area(c, a, q)])
+        if area(a, b, c) != 0 and (np.all(signs >= 0) or np.all(signs <= 0)):
+            return 0.0
+    best = min(float(np.linalg.norm(q - a)) for a in P)
+    for a, c in itertools.combinations(P, 2):
+        u = c - a
+        t = min(max(float(np.dot(q - a, u) / np.dot(u, u)), 0.0), 1.0) if np.any(u) else 0.0
+        best = min(best, float(np.linalg.norm(q - a - t * u)))
     return best
 
 

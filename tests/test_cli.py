@@ -12,6 +12,7 @@ import pytest
 from varcalc import cli
 from varcalc import convgeom
 from varcalc import expr as ex
+from varcalc import subdiff
 from varcalc.convgeom import LPBreakdown
 from varcalc.problemfile import parse_problem_file, ProblemFileError
 
@@ -714,9 +715,7 @@ def test_combination_overflow_exit3(tmp_path, capsys, case):
     assert err.startswith("error: refused: ") and "branch" in err
 
 
-# y - xy is smooth with gradient (-1, 0) at (1, 1), but the sampled clip
-# of its regular subdifferential comes out empty there: a calculus
-# failure on valid input, so a refusal and not an input error
+# y - xy is smooth with gradient (-1, 0) at (1, 1)
 EMPTY_BASIC = "[vars]\nupper x\nupper y\n[upper]\nobjective (- (min y y) (* x y))\n[candidates]\nc 1 1\n"
 
 
@@ -724,7 +723,10 @@ EMPTY_BASIC = "[vars]\nupper x\nupper y\n[upper]\nobjective (- (min y y) (* x y)
     "argv",
     [["subdiff", "--fn", "upper.objective", "--at", "c"], ["certify", "--at", "c", "--theorem", "t61"]],
 )
-def test_empty_basic_subdifferential_exit3(tmp_path, capsys, argv):
+def test_empty_basic_subdifferential_exit3(tmp_path, capsys, monkeypatch, argv):
+    # an empty regular subdifferential for every realizable pattern is a
+    # calculus failure on valid input, so a refusal and not an input error
+    monkeypatch.setattr(subdiff, "_regular", lambda *args: (None, False))
     path = tmp_path / "empty.vp"
     path.write_text(EMPTY_BASIC)
     code, out, err = run_cli([argv[0], str(path)] + argv[1:] + ["--json"], capsys)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import brute as B
@@ -73,13 +73,14 @@ def test_vertex_of_a_polytope_the_lp_broke_down_on_is_inside():
     assert all(poly.contains(v) for v in BROKE_POLYTOPE)
 
 
+def _no_lp(*lp):
+    raise AssertionError("an LP ran")
+
+
 def test_clear_hulls_and_vertex_memberships_run_no_lp(monkeypatch):
+    # below three dimensions neither hulls nor memberships run an LP
     square = G.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-
-    def no_lp(*lp):
-        raise AssertionError("an LP ran")
-
-    monkeypatch.setattr(G, "lp_feasible", no_lp)
+    monkeypatch.setattr(G, "lp_feasible", _no_lp)
     assert G.convex_hull([[3.0], [-1.0], [0.5], [2.0], [-1.0]]).vertices.tolist() == [[-1.0], [3.0]]
     assert G.convex_hull([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]).num_vertices == 2
     # the LP loop broke down on this one (a residual of 5e-5)
@@ -88,23 +89,51 @@ def test_clear_hulls_and_vertex_memberships_run_no_lp(monkeypatch):
     # the parts' vertices are vertices of the larger part
     union = G.PolytopeUnion.create([G.Polytope.singleton([1.0]), G.Polytope(np.array([[0.0], [1.0]]))])
     assert union.canonical_key() == (((0.0,), (1.0,)),)
+    # planar hulls, and memberships of points that are no stored vertex
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5], [0.25, 0.0]]
+    assert sorted(G.convex_hull(pts).vertices.tolist()) == sorted(square.vertices.tolist())
+    assert G.convex_hull([[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]]).vertices.tolist() == [[0.0, 0.0], [2.0, 2.0]]
+    inside = ([0.5, 0.5], [1.0, 0.3], [1.0 + 5e-9, 0.3], [1.0 + 5e-9, 1.0 + 5e-9], [0.0, 1.0 - 1e-12])
+    outside = ([1.0 + 2e-8, 0.5], [1.0 + 1e-8, 1.0 + 1e-8], [-0.5, 0.5], [2.0, 2.0])
+    assert all(square.contains(q) for q in inside)
+    assert not any(square.contains(q) for q in outside)
+    segment = G.Polytope(np.array([[0.0, 0.0], [2.0, 1.0]]))
+    assert segment.contains([1.0, 0.5]) and segment.contains([1.0, 0.5 + 1e-8])
+    assert not segment.contains([1.0, 0.5 + 3e-8]) and not segment.contains([2.0 + 2e-8, 1.0 + 1e-8])
+    interval = G.Polytope(np.array([[-1.0], [2.0]]))
+    assert interval.contains([0.5]) and interval.contains([2.0 + 1e-8])
+    assert not interval.contains([2.0 + 2e-8]) and not interval.contains([-1.5])
 
 
-def test_two_points_within_the_band_keep_the_lp_verdict():
-    # the LP accepts 5 as inside the hull of 5 + 3e-8 (gap above TOL_GEOM,
-    # inside the LP's acceptance band), so only the larger point is kept
-    assert G.convex_hull([[5.0], [5.0 + 3e-8]]).vertices.tolist() == [[5.0 + 3e-8]]
+def test_found_hulls_keep_their_exact_extreme_points():
+    # the LP accepted 5 as inside the hull of 5 + 3e-8 and dropped 1000 (a
+    # gap of 1000 * TOL_GEOM), and it broke down on the 1-D set below
+    assert G.convex_hull([[5.0], [5.0 + 3e-8]]).vertices.tolist() == [[5.0], [5.0 + 3e-8]]
+    assert G.convex_hull([[1000.0], [1000.00001]]).vertices.tolist() == [[1000.0], [1000.00001]]
+    broke = [[-431.9219048421882], [-431.9218782432394], [-431.9216093728141]]
+    assert G.convex_hull(broke).vertices.tolist() == [[-431.9219048421882], [-431.9216093728141]]
+    # a point within TOL_GEOM of another is one point, at any magnitude
+    assert G.convex_hull([[1000.0], [1000.0 + 5e-9]]).vertices.tolist() == [[1000.0]]
+
+
+def test_hull_drops_the_meeting_point_of_its_chains_when_it_is_flat():
+    # the lexicographically first point lies 1e-9 off the segment between
+    # the two others; no chord of the monotone chain tests it
+    flat = [[0.5, 0.0], [0.5 + 1e-9, -1.0], [0.5 + 1e-9, 1.0]]
+    assert G.convex_hull(flat).vertices.tolist() == [[0.5 + 1e-9, -1.0], [0.5 + 1e-9, 1.0]]
+    # off by 1e-7 it is a corner
+    corner = [[0.5, 0.0], [0.5 + 1e-7, -1.0], [0.5 + 1e-7, 1.0]]
+    assert G.convex_hull(corner).num_vertices == 3
 
 
 @st.composite
 def band_sets(draw):
-    """1-D sets of up to 6 points and two-point sets in dims 2-4, at
-    magnitudes 1e-3 to 1e6.  A new point sits off an earlier one, at a gap
-    of 1e-9 to 1e-5 relative to the magnitude (so that gaps fall on both
-    sides of _lp_band at every scale) or at one of the order of the
-    magnitude."""
-    dim = draw(st.sampled_from((1, 1, 1, 2, 3, 4)))
-    n = draw(st.integers(2, 6)) if dim == 1 else 2
+    """Sets of two to six points in one or two dimensions at magnitudes
+    1e-3 to 1e6.  A new point sits off an earlier one, at a gap of 1e-9 to
+    1e-5 relative to the magnitude (so that gaps fall on both sides of
+    TOL_GEOM at every scale) or at one of the order of the magnitude."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(2, 6))
     mag = 10.0 ** draw(st.floats(-3.0, 6.0))
     unit = st.floats(-1.0, 1.0)
     pts = [mag * np.array([draw(unit) for _ in range(dim)])]
@@ -122,17 +151,22 @@ def band_sets(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(band_sets())
-def test_hull_shortcut_gives_the_lp_loops_bytes(pts):
-    V = G._dedupe_rows(pts, G.TOL_GEOM)
-    assume(V.shape[0] > 1 and G._extremes_without_lp(V) is not None)
-    got = G.convex_hull(pts).vertices
-    try:
-        want = G._lex_sorted(V[G._hull_lp(V)])
-    except G.GeometryError:
-        # the LP loop broke down; the exact extreme points are the answer
-        extremes = [int(V[:, 0].argmin()), int(V[:, 0].argmax())] if V.shape[1] == 1 else [0, 1]
-        want = G._lex_sorted(V[sorted(extremes)])
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+def test_planar_hulls_cover_their_points_and_keep_only_corners(pts):
+    # with no LP: every input point lies within TOL_GEOM per dropped point
+    # of the hull (each drop, of a duplicate or of a point within
+    # TOL_GEOM of a chord, moves the hull by at most TOL_GEOM), every kept
+    # vertex lies farther than TOL_GEOM from the hull of the other kept
+    # vertices, and the hull contains every input point that lies within
+    # TOL_GEOM of it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "lp_feasible", _no_lp)
+        hull = G.convex_hull(pts)
+        dist = [B.planar_hull_distance(q, hull.vertices) for q in pts]
+        assert max(dist) <= (len(pts) - hull.num_vertices) * G.TOL_GEOM
+        assert all(hull.contains(q) for q, d in zip(pts, dist) if d <= G.TOL_GEOM)
+    V = hull.vertices
+    for i in range(len(V) if len(V) > 1 else 0):
+        assert B.planar_hull_distance(V[i], np.delete(V, i, axis=0)) > G.TOL_GEOM
 
 
 def test_hull_collinear_degenerate():
@@ -451,7 +485,7 @@ def test_hull_lps_run_two_frames_below_in_hull_lp(monkeypatch):
         return real(*lp)
 
     monkeypatch.setattr(G, "lp_feasible", spy)
-    G.convex_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
+    G.convex_hull([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.2, 0.2]])
     assert frames and set(frames) == {("lp_weights", "_in_hull_lp")}
 
 

@@ -86,9 +86,10 @@ def test_branch_restricted_eval_matches_where_uniquely_active():
 
 
 def test_verify_suite_lp_count_stays_at_its_measured_figure(monkeypatch):
-    # convex_hull and Polytope.contains skip the LPs whose verdict is
-    # certain: 216 LPs at the default seed, where every hull ran its LPs
-    # at 887; a lost shortcut shows here
+    # convex_hull and Polytope.contains run no LP below three dimensions:
+    # 85 LPs at the default seed, where the acceptance-band shortcut left
+    # 216 and every hull ran its LPs at 887; a hull LP back in the planar
+    # path shows here
     calls = []
     real = G.lp_feasible
 
@@ -98,4 +99,4 @@ def test_verify_suite_lp_count_stays_at_its_measured_figure(monkeypatch):
 
     monkeypatch.setattr(G, "lp_feasible", spy)
     assert C.run_verify_suite().all_passed
-    assert len(calls) <= 216
+    assert len(calls) <= 85

@@ -185,6 +185,51 @@ def test_basic_subdifferential_builds_no_expression(monkeypatch):
     assert built == []
 
 
+def test_curvature_probe_sees_a_mixed_second_derivative():
+    # y - xy is smooth with gradient (-1, 0) at (1, 1); a probe along the
+    # signed axes alone sees no curvature, and the clip came out empty
+    g = f("(- (min y y) (* x y))", XY)
+    assert S.regular_subdifferential(g, [1.0, 1.0]).vertices.tolist() == [[-1.0, 0.0]]
+    assert S.basic_subdifferential(g, [1.0, 1.0]).canonical_key() == (((-1.0, 0.0),),)
+
+
+@pytest.mark.parametrize("text", ["(+ x (abs (min (+ y x) 0 (min x y))))", "(- (abs (max x (abs (min 0 y)))) 1)"])
+def test_planar_subdifferentials_the_hull_lp_broke_down_on(text):
+    # both refused with "LP breakdown in hull membership" at the origin
+    basic = S.basic_subdifferential(f(text, XY), [0.0, 0.0])
+    assert basic.parts and all(part.dim == 2 for part in basic.parts)
+
+
+def _random_pa(rng, depth: int) -> str:
+    """A random piecewise-affine expression in x and y whose kinks all
+    meet at the origin, unless a constant 1 or -1 shifts one."""
+    if depth == 0 or rng.random() < 0.25:
+        return str(rng.choice(["x", "y", "x", "y", "0", "1", "-1"]))
+    op = str(rng.choice(["+", "-", "max", "min", "abs", "scale"]))
+    if op == "abs":
+        return f"(abs {_random_pa(rng, depth - 1)})"
+    if op == "scale":
+        return f"(* {rng.choice(['2', '-1', '0.5'])} {_random_pa(rng, depth - 1)})"
+    k = 3 if op in ("max", "min") and rng.random() < 0.3 else 2
+    return f"({op} " + " ".join(_random_pa(rng, depth - 1) for _ in range(k)) + ")"
+
+
+def test_random_planar_pa_subdifferentials_end_in_no_geometry_error():
+    # the hull LP broke down on 5 of these 300 at the default parameters;
+    # the branch cap is the one refusal left
+    rng = np.random.default_rng(1)
+    outcomes = []
+    for _ in range(300):
+        text = _random_pa(rng, 5)
+        try:
+            S.basic_subdifferential(f(text, XY), [0.0, 0.0])
+        except S.CombinatorialOverflow:
+            continue
+        except G.GeometryError as err:
+            outcomes.append((text, str(err)))
+    assert outcomes == []
+
+
 # ---------------------------------------------------------------------------
 # sampled oracle
 
