@@ -71,12 +71,10 @@ def _ser(obj):
     if isinstance(obj, PolytopeUnion):
         return {"parts": [p.vertices.tolist() for p in obj.parts]}
     if isinstance(obj, ConeSpec):
-        return {
-            "generators": obj.generators.tolist(),
-            "lineality": obj.lineality.tolist(),
-        }
+        # a line is a generator pair +/-g, so schema 1's second cone key is always []
+        return {"generators": obj.generators.tolist(), "lineality": []}
     if isinstance(obj, sd.SlicedCone):
-        return {"base": _ser(obj.base) if obj.base else None, "recession": _ser(obj.recession)}
+        return {"base": _ser(obj.base), "recession": _ser(obj.recession)}
     if isinstance(obj, cp.CheckResult):
         return _ser(vars(obj))
     if isinstance(obj, np.ndarray):

@@ -436,7 +436,9 @@ def point_to_polytope_distances(P: np.ndarray, poly: Polytope) -> np.ndarray:
     right-hand side per row.  Per-row products go through one
     matrix-vector product each (a matrix-matrix product would round
     differently), so every row's distance is the same float as for that
-    point alone.
+    point alone.  A weight may fall below zero by 1e-9 over the subset's
+    extent (at least 1), so that the slack moves a projection by about
+    1e-9 whatever the size of the face.
     """
     P = np.asarray(P, dtype=float)
     V = poly.vertices
@@ -453,10 +455,11 @@ def point_to_polytope_distances(P: np.ndarray, poly: Polytope) -> np.ndarray:
             if size == 1:
                 best = np.minimum(best, _row_norms(P - S[0]))
                 continue
+            slack = 1e-9 / max(1.0, float(np.ptp(S, axis=0).max()))
             Z = np.linalg.lstsq(S.T @ N, (P - S.T @ w0).T, rcond=None)[0]
             W = w0 + np.matmul(N, np.ascontiguousarray(Z.T)[:, :, None])[:, :, 0]
             d = _row_norms(P - np.matmul(S.T, W[:, :, None])[:, :, 0])
-            best = np.where(np.all(W >= -1e-9, axis=1), np.minimum(best, d), best)
+            best = np.where(np.all(W >= -slack, axis=1), np.minimum(best, d), best)
     return best
 
 
@@ -496,10 +499,6 @@ class PolytopeUnion:
         ps = _absorb_parts(ps)
         ps.sort(key=lambda p: (p.num_vertices, p.canonical_key()))
         return PolytopeUnion(tuple(ps))
-
-    @staticmethod
-    def single(poly: Polytope) -> "PolytopeUnion":
-        return PolytopeUnion.create([poly])
 
     def hull(self) -> Polytope:
         return convex_hull(np.vstack([p.vertices for p in self.parts]))
@@ -542,32 +541,26 @@ def union_minkowski_sum(a: PolytopeUnion, b: PolytopeUnion) -> PolytopeUnion:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Convex cone {sum lambda_g g : lambda_g >= 0} + span(lineality)."""
+    """Convex cone {sum lambda_g g : lambda_g >= 0}, finitely generated;
+    a line is the generator pair +/- g."""
 
     dim: int
     generators: np.ndarray
-    lineality: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.generators, dtype=float).reshape(-1, self.dim)
-        l = np.asarray(self.lineality, dtype=float).reshape(-1, self.dim)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(l))):
+        if not np.all(np.isfinite(g)):
             raise GeometryError("cone data must be finite")
         object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "lineality", l)
 
     @staticmethod
     def zero(dim: int) -> "ConeSpec":
-        return ConeSpec(dim, np.zeros((0, dim)), np.zeros((0, dim)))
-
-    @staticmethod
-    def full_space(dim: int) -> "ConeSpec":
-        return ConeSpec(dim, np.zeros((0, dim)), np.eye(dim))
+        return ConeSpec(dim, np.zeros((0, dim)))
 
     @staticmethod
     def from_generators(dim: int, generators: Iterable[Sequence[float]]) -> "ConeSpec":
         g = np.asarray(list(generators), dtype=float).reshape(-1, dim)
-        return ConeSpec(dim, g, np.zeros((0, dim))).canonicalize()
+        return ConeSpec(dim, g).canonicalize()
 
     def canonicalize(self) -> "ConeSpec":
         g = self.generators
@@ -576,34 +569,19 @@ class ConeSpec:
         if g.shape[0]:
             g = g / np.linalg.norm(g, axis=1, keepdims=True)
             g = _dedupe_rows(g, 1e-9)
-        l = self.lineality
-        if l.shape[0]:
-            q, _ = np.linalg.qr(l.T)
-            rank = np.linalg.matrix_rank(l, tol=1e-10)
-            basis = q[:, :rank].T
-            # canonical signs: first nonzero coordinate positive
-            rows = []
-            for row in basis:
-                nz = np.nonzero(np.abs(row) > 1e-12)[0]
-                if nz.size and row[nz[0]] < 0:
-                    row = -row
-                rows.append(row)
-            l = np.array(rows).reshape(-1, self.dim)
         # drop generators already in the cone of the remaining ones
         if g.shape[0] > 1:
             alive = list(range(g.shape[0]))
             for i in range(g.shape[0]):
                 others = [j for j in alive if j != i]
-                if others and ConeSpec(self.dim, g[others], l).contains(g[i]):
+                if others and ConeSpec(self.dim, g[others]).contains(g[i]):
                     alive.remove(i)
             g = g[alive]
         if g.shape[0]:
             g = _lex_sorted(g)
-        return ConeSpec(self.dim, g, l)
+        return ConeSpec(self.dim, g)
 
     def is_zero(self) -> bool:
-        if self.lineality.shape[0] and np.any(np.linalg.norm(self.lineality, axis=1) > TOL_GEOM):
-            return False
         return self.generators.shape[0] == 0 or bool(
             np.all(np.linalg.norm(self.generators, axis=1) <= TOL_GEOM)
         )
@@ -614,32 +592,15 @@ class ConeSpec:
         if nv <= 1e-7:
             return True
         v = v / nv  # scale invariance of cones
-        cols = self.translate_columns()
-        if cols.shape[0] == 0:
+        if self.generators.shape[0] == 0:
             return False
-        return not isinstance(lp_weights(v, [(cols, "cone")], "cone membership"), float)
-
-    def translate_columns(self) -> np.ndarray:
-        """Columns spanning the cone for LP assembly: generators plus +/-
-        lineality vectors; all take nonnegative coefficients."""
-        return np.vstack([self.generators, self.lineality, -self.lineality])
+        return not isinstance(lp_weights(v, [(self.generators, "cone")], "cone membership"), float)
 
 
 def cones_equal(a: ConeSpec, b: ConeSpec) -> bool:
+    """Whether each cone's generators lie in the other cone."""
     ca, cb = a.canonicalize(), b.canonicalize()
-    for g in ca.generators:
-        if not cb.contains(g):
-            return False
-    for g in cb.generators:
-        if not ca.contains(g):
-            return False
-    for l in ca.lineality:
-        if not (cb.contains(l) and cb.contains(-l)):
-            return False
-    for l in cb.lineality:
-        if not (ca.contains(l) and ca.contains(-l)):
-            return False
-    return True
+    return all(cb.contains(g) for g in ca.generators) and all(ca.contains(g) for g in cb.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +637,7 @@ def minkowski_membership(
         raise DimensionError("target, scaled terms and cones must share the base's dim")
     blocks = [(base.vertices, "convex")] + [(q.vertices, "free") for q in scaled_terms]
     for c in cones:
-        cols = c.translate_columns()
-        cols = cols[np.linalg.norm(cols, axis=1) > TOL_GEOM]
+        cols = c.generators[np.linalg.norm(c.generators, axis=1) > TOL_GEOM]
         blocks.append((cols / np.linalg.norm(cols, axis=1, keepdims=True), "cone"))
     z = lp_weights(t, blocks, "Minkowski membership")
     if isinstance(z, float):
@@ -738,6 +698,35 @@ def _hausdorff_operand(
     return np.vstack([p.vertices for p in u.parts]), (np.array(singles) if singles else None), multi
 
 
+def _directed(u, v) -> float:
+    """directed_distance between operands made by _hausdorff_operand."""
+    (vu, u_singles, u_multi), (vv, v_singles, v_multi) = u, v
+    if vu.shape[1] != vv.shape[1]:
+        raise DimensionError("hausdorff dim mismatch")
+    samples = [] if u_singles is None else [u_singles]
+    pts = np.vstack(samples + [part.sample_points() for part in u_multi])
+    if v_singles is not None:
+        d2 = ((pts[:, None, :] - v_singles[None, :, :]) ** 2).sum(axis=2)
+        best = np.sqrt(d2.min(axis=1))
+    else:
+        best = np.full(pts.shape[0], math.inf)
+    for q in v_multi:
+        best = np.minimum(best, point_to_polytope_distances(pts, q))
+    return float(best.max(initial=0.0))
+
+
+def directed_distance(
+    a: Polytope | PolytopeUnion | np.ndarray,
+    b: Polytope | PolytopeUnion | np.ndarray,
+) -> float:
+    """The largest distance from a sample point of a part of a (its
+    vertices, centroid and points on its vertex-pair segments) to the
+    nearest part of b: exact for convex parts, where the max of the convex
+    distance function sits at a vertex.  Operands are as for
+    hausdorff_distance."""
+    return _directed(_hausdorff_operand(a), _hausdorff_operand(b))
+
+
 def hausdorff_distance(
     a: Polytope | PolytopeUnion | np.ndarray,
     b: Polytope | PolytopeUnion | np.ndarray,
@@ -753,30 +742,13 @@ def hausdorff_distance(
     polytope per point.  Each part of the target set takes every sample
     point in one batch, singletons as one plain nearest-point search.
     """
-    va, a_singles, a_multi = _hausdorff_operand(a)
-    vb, b_singles, b_multi = _hausdorff_operand(b)
-    dim = va.shape[1]
-    if vb.shape[1] != dim:
-        raise DimensionError("hausdorff dim mismatch")
+    pa, pb = _hausdorff_operand(a), _hausdorff_operand(b)
+    dim = pa[0].shape[1]
     if HAUSDORFF_DIRS < 2 * dim:
         raise GeometryError(f"hausdorff_distance supports dim <= {HAUSDORFF_DIRS // 2}, got {dim}")
 
-    def directed(u_singles, u_multi, v_singles, v_multi) -> float:
-        samples = [] if u_singles is None else [u_singles]
-        pts = np.vstack(samples + [part.sample_points() for part in u_multi])
-        if v_singles is not None:
-            d2 = ((pts[:, None, :] - v_singles[None, :, :]) ** 2).sum(axis=2)
-            best = np.sqrt(d2.min(axis=1))
-        else:
-            best = np.full(pts.shape[0], math.inf)
-        for q in v_multi:
-            best = np.minimum(best, point_to_polytope_distances(pts, q))
-        return float(best.max(initial=0.0))
-
+    there, back = _directed(pa, pb), _directed(pb, pa)
     dirs = directions(dim, HAUSDORFF_DIRS)
+    va, vb = pa[0], pb[0]
     sup_gap = float(np.max(np.abs((va @ dirs.T).max(axis=0) - (vb @ dirs.T).max(axis=0))))
-    return max(
-        directed(a_singles, a_multi, b_singles, b_multi),
-        directed(b_singles, b_multi, a_singles, a_multi),
-        sup_gap,
-    )
+    return max(there, back, sup_gap)

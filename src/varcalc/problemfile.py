@@ -218,7 +218,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     if not x_names:
         raise ProblemFileError("at least one upper variable is required")
 
-    full_space = ex.VarSpace(tuple(x_names + y_names))
+    xy_space = ex.VarSpace(tuple(x_names + y_names))
     x_space = ex.VarSpace(tuple(x_names))
 
     def parse_section_functions(name: str, space: ex.VarSpace, constraint_space: ex.VarSpace):
@@ -242,14 +242,14 @@ def parse_problem_file(text: str) -> ProblemFile:
         if not y_names:
             raise ProblemFileError("a [lower] section needs lower variables")
         lower_objective, lower_constraints = parse_section_functions(
-            "lower", full_space, full_space
+            "lower", xy_space, xy_space
         )
         if lower_objective is None:
             raise ProblemFileError("[lower] needs an objective")
         if not lower_constraints:
             raise ProblemFileError("[lower] needs at least one constraint")
     upper_objective, upper_constraints = parse_section_functions(
-        "upper", full_space if y_names else x_space, x_space
+        "upper", xy_space if y_names else x_space, x_space
     )
 
     dim = len(x_names) + len(y_names)

@@ -36,10 +36,10 @@ from varcalc.convgeom import (
     convex_hull,
     clip_polytope,
     directions,
+    directed_distance,
     hausdorff_distance,
     lp_weights,
     minkowski_membership,
-    point_to_polytope_distances,
     union_minkowski_sum,
 )
 
@@ -149,17 +149,17 @@ DEFAULT_PARAMS = SampleParams()
 @dataclass(frozen=True)
 class SetSpec:
     """A set given as inequalities, as the graph of a constraint map (an
-    epigraph among them) or as a singleton.  Graph specs carry the
-    (x-block, y-block) split of their product space."""
+    epigraph among them) or as a singleton: a graph spec carries the
+    (x-block, y-block) split of its product space in block_dims, a
+    singleton its point."""
 
-    kind: str  # sublevel | graph | singleton
     functions: tuple[ex.FunctionDef, ...] = ()
     point: np.ndarray | None = None
     block_dims: tuple[int, int] | None = None
 
     @property
     def dim(self) -> int:
-        if self.kind == "singleton":
+        if self.point is not None:
             return self.point.shape[0]
         return self.functions[0].space.dim
 
@@ -172,14 +172,14 @@ class SetSpec:
         for f in fns:
             if f.space != space:
                 raise DimensionError("sublevel constraints live in different spaces")
-        return SetSpec("sublevel", fns)
+        return SetSpec(fns)
 
     @staticmethod
     def graph(functions: Sequence[ex.FunctionDef], x_dim: int, y_dim: int) -> "SetSpec":
         fns = tuple(functions)
         if fns[0].space.dim != x_dim + y_dim:
             raise DimensionError("graph constraints must live in the product space")
-        return SetSpec("graph", fns, block_dims=(x_dim, y_dim))
+        return SetSpec(fns, block_dims=(x_dim, y_dim))
 
     @staticmethod
     def epigraph(f: ex.FunctionDef) -> "SetSpec":
@@ -190,37 +190,29 @@ class SetSpec:
 
     @staticmethod
     def singleton(point: Sequence[float]) -> "SetSpec":
-        return SetSpec("singleton", point=np.asarray(point, dtype=float))
+        return SetSpec(point=np.asarray(point, dtype=float))
 
     def constraint_functions(self) -> tuple[ex.FunctionDef, ...]:
-        if self.kind != "singleton":
+        if self.point is None:
             return self.functions
-        raise SubdiffError(f"{self.kind} spec has no constraint functions")
+        raise SubdiffError("singleton spec has no constraint functions")
 
     @cached_property
-    def faces(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(M, c) for every face, in a fixed order, such that p - (M p - c)
-        projects p onto the face's affine hull.  A polyhedron {Ax <= b} has
-        its interior (0, 0) first, then for each subset As of at most dim
-        rows M = pinv(As) @ As, the projector onto their span, and
-        c = pinv(As) @ bs; a singleton has the one face (I, point).  Raises
-        ProjectionUnavailable for non-affine constraints."""
-        if self.kind == "singleton":
-            return [(np.eye(self.dim), self.point)]
+    def faces(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(M, c, L) for every face, in a fixed order, such that p - (M p - c)
+        projects p onto the face's affine hull and L takes the residual
+        M p - c to the multipliers of the face's rows.  A polyhedron
+        {Ax <= b} has its interior (0, 0, no rows) first, then for each
+        subset As of at most dim rows M = pinv(As) @ As, the projector onto
+        their span, c = pinv(As) @ bs and L = pinv(As)^T; a singleton has
+        the one face (I, point, no rows).  Raises ProjectionUnavailable for
+        non-affine constraints."""
         dim = self.dim
-        return [(np.zeros((dim, dim)), np.zeros(dim))] + [
-            (M, c) for M, c, _ in self._boundary_faces
-        ]
-
-    @cached_property
-    def _boundary_faces(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(M, c, L) for every face of a polyhedron {Ax <= b} but its
-        interior, in the order of ``faces``: for each subset As of at most
-        dim rows M = pinv(As) @ As, c = pinv(As) @ bs and L = pinv(As)^T,
-        which takes the residual M p - c to the multipliers of As."""
+        if self.point is not None:
+            return [(np.eye(dim), self.point, np.zeros((0, dim)))]
         A, b = _polyhedron(self)
-        m, dim = A.shape
-        out = []
+        m = A.shape[0]
+        out = [(np.zeros((dim, dim)), np.zeros(dim), np.zeros((0, dim)))]
         for size in range(1, min(m, dim) + 1):
             for subset in itertools.combinations(range(m), size):
                 rows = list(subset)
@@ -231,7 +223,7 @@ class SetSpec:
 
 def set_membership(spec: SetSpec, point: Sequence[float]) -> bool:
     p = np.asarray(point, dtype=float)
-    if spec.kind == "singleton":
+    if spec.point is not None:
         return bool(np.linalg.norm(p - spec.point) <= TOL_GEOM)
     return all(ex.evaluate(f, p) <= TOL_GEOM for f in spec.functions)
 
@@ -241,7 +233,7 @@ def feasible_open(spec: SetSpec, cols: Sequence[np.ndarray], tol: float = TOL_GE
     broadcastable array per coordinate, such as an open grid (see
     ``ex.eval_open``) or the columns of a (points, dim) array.  The mask
     has the broadcast shape of the arrays the set's functions read."""
-    if spec.kind == "singleton":
+    if spec.point is not None:
         # the sum and square root np.linalg.norm takes along a row
         return np.sqrt(sum((c - v) ** 2 for c, v in zip(cols, spec.point))) <= tol
     mask = np.True_
@@ -279,7 +271,7 @@ def _polyhedron(spec: SetSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _face_count(spec: SetSpec) -> int:
     """len(spec.faces), without building any face."""
-    if spec.kind == "singleton":
+    if spec.point is not None:
         return 1
     m, dim = _polyhedron(spec)[0].shape
     return sum(math.comb(m, size) for size in range(min(m, dim) + 1))
@@ -292,7 +284,7 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
     both up to a tolerance relative to the size of the data.  Non-polyhedral sets have no closed-form projector here;
     callers needing one should use the grid-based oracle."""
     p = np.asarray(point, dtype=float)
-    if spec.kind == "singleton":
+    if spec.point is not None:
         return spec.point.copy()
     A, b = _polyhedron(spec)
     tol = 1e-12 * max(1.0, float(np.abs(b).max()), float(np.abs(A).max() * np.abs(p).max()))
@@ -300,7 +292,8 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
         return p.copy()
     best = None
     best_d = math.inf
-    for M, c, L in spec._boundary_faces:
+    # the interior face fails the in-set test that failed above
+    for M, c, L in spec.faces:
         res = M @ p - c
         x = p - res
         if np.all(A @ x <= b + tol) and np.all(L @ res >= -tol):
@@ -400,30 +393,14 @@ def regular_subdifferential(
 # Basic (limiting) subdifferential
 
 
-@dataclass
-class PatternCensus:
-    entries: dict[tuple, dict]
-
-    def as_json(self) -> list[dict]:
-        out = []
-        for key, info in sorted(self.entries.items(), key=lambda kv: repr(kv[0])):
-            out.append(
-                {
-                    "pattern": repr(key),
-                    "count": info["count"],
-                    "at_smallest_radius": info["smallest"],
-                }
-            )
-        return out
-
-
 def _realizable_patterns(
     f: ex.FunctionDef, p: np.ndarray, params: SampleParams
-) -> tuple[list[ex.ActivePattern], PatternCensus]:
+) -> tuple[list[ex.ActivePattern], list[dict]]:
     """Patterns seen on the sample grid around p, plus p's own pattern.
 
     Only patterns realized at the smallest radius (or at p itself) feed
-    the limiting union; the full census is kept for audit.  Thin patterns
+    the limiting union; the full census is kept for audit, one entry per
+    pattern, sorted by its "pattern" (the repr of its key).  Thin patterns
     that no sampled ray enters can be missed, which is why results carry
     the census.
     """
@@ -442,7 +419,11 @@ def _realizable_patterns(
             if smallest:
                 info["smallest"] = True
                 chosen.setdefault(pat.key(), pat)
-    return list(chosen.values()), PatternCensus(census)
+    entries = sorted(census.items(), key=lambda kv: repr(kv[0]))
+    return list(chosen.values()), [
+        {"pattern": repr(key), "count": info["count"], "at_smallest_radius": info["smallest"]}
+        for key, info in entries
+    ]
 
 
 def basic_subdifferential(
@@ -458,7 +439,7 @@ def basic_subdifferential_with_census(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
-) -> tuple[PolytopeUnion, PatternCensus]:
+) -> tuple[PolytopeUnion, list[dict]]:
     p = ex.as_point(f.space, x)
     patterns, census = _realizable_patterns(f, p, params)
     parts: list[Polytope] = []
@@ -500,7 +481,7 @@ def full_subdifferential(
         basic=basic,
         singular=singular_subdifferential(f, p),
         method="symbolic" if max_like else "sampled",
-        witnesses={"pattern_census": census.as_json()},
+        witnesses={"pattern_census": census},
     )
 
 
@@ -890,8 +871,9 @@ def normal_cone(
     p = np.asarray(x, dtype=float)
     if not set_membership(spec, p):
         raise SubdiffError("point not in the set")
-    if spec.kind == "singleton":
-        return NormalCone((ConeSpec.full_space(spec.dim),), "trivial", ())
+    if spec.point is not None:
+        lines = np.vstack([np.eye(spec.dim), -np.eye(spec.dim)])
+        return NormalCone((ConeSpec.from_generators(spec.dim, lines),), "trivial", ())
     fns = spec.constraint_functions()
     dim = spec.dim
     active = active_constraints(fns, p)
@@ -1120,14 +1102,12 @@ def sampled_normal_cone_oracle(
 @dataclass
 class SlicedCone:
     """Affine slice of a cone mapped to the x-block: polytope base plus a
-    recession cone (empty base encodes an infeasible slice)."""
+    recession cone."""
 
-    base: Polytope | None
+    base: Polytope
     recession: ConeSpec
 
     def is_zero_only(self) -> bool:
-        if self.base is None:
-            return False
         return (
             self.base.num_vertices == 1
             and float(np.linalg.norm(self.base.vertices[0])) <= TOL_GEOM
@@ -1187,7 +1167,7 @@ def coderivative(
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2 or ws.shape[1] != m:
         raise DimensionError("coderivative argument has wrong dimension")
-    cone_cols = [cone.translate_columns() for cone in normal_cone(spec, point, params).parts]
+    cone_cols = [cone.generators for cone in normal_cone(spec, point, params).parts]
     out = []
     for w in ws:
         slices: list[SlicedCone] = []
@@ -1285,12 +1265,6 @@ class RuleReport:
     detail: dict
 
 
-def _directed_union_margin(a: PolytopeUnion, b: PolytopeUnion) -> float:
-    pts = np.vstack([part.sample_points() for part in a.parts])
-    dists = np.min([point_to_polytope_distances(pts, q) for q in b.parts], axis=0)
-    return float(dists.max(initial=0.0))
-
-
 def verify_sum_rule(
     summands: Sequence[ex.FunctionDef | SetSpec],
     x: Sequence[float],
@@ -1313,8 +1287,8 @@ def verify_sum_rule(
     rhs = basic_subdifferential(fns[0], p, params)
     for g in fns[1:]:
         rhs = union_minkowski_sum(rhs, basic_subdifferential(g, p, params))
-    margin = _directed_union_margin(lhs, rhs)
-    back = _directed_union_margin(rhs, lhs)
+    margin = directed_distance(lhs, rhs)
+    back = directed_distance(rhs, lhs)
     return RuleReport(
         rule="sum",
         holds=margin <= 1e-6,
@@ -1329,13 +1303,11 @@ def verify_sum_rule(
 def _verify_indicator_sum_rule(
     omega: SetSpec, fns: list[ex.FunctionDef], p: np.ndarray, params: SampleParams
 ) -> RuleReport:
-    if omega.kind != "sublevel":
-        raise SubdiffError("indicator sum rule needs a sublevel spec")
     total = ex.fsum(*fns) if len(fns) > 1 else fns[0]
     dim = total.space.dim
     # left side: subdifferential of (indicator + f) through its epigraph
     (epi,) = SetSpec.epigraph(total).functions  # f(x) - t <= 0
-    lifted = [ex.lift_to_product(g, epi.space, 0) for g in omega.functions]
+    lifted = [ex.lift_to_product(g, epi.space, 0) for g in omega.constraint_functions()]
     epi_spec = SetSpec.graph(lifted + [epi], dim, 1)
     epi_point = np.concatenate([p, [ex.evaluate(total, p)]])
     lhs, lhs_zero = coderivative(epi_spec, epi_point, [[1.0], [0.0]], params)
@@ -1356,9 +1328,7 @@ def _verify_indicator_sum_rule(
     sing_ok = True
     for comp in lhs_zero:
         cone_from_slice = ConeSpec(
-            dim,
-            np.vstack([comp.recession.generators, comp.base.vertices]),
-            comp.recession.lineality,
+            dim, np.vstack([comp.recession.generators, comp.base.vertices])
         ).canonicalize()
         if not any(cones_equal(cone_from_slice, c) for c in ncone.parts):
             sing_ok = False
@@ -1411,8 +1381,7 @@ def verify_intersection_rule(
         tuple(f for s in sets for f in s.constraint_functions())
     )
     left = normal_cone(merged, p, params)
-    # each generator of the intersection's cone, lineality both ways
-    targets = [g for part in left.parts for g in part.translate_columns()]
+    targets = [g for part in left.parts for g in part.generators]
     choice = lambda combo: (Polytope.singleton(np.zeros(dim)), chosen(combo))
     worst = _worst_gap(targets, choice, counts, "the intersection rule")
     return RuleReport(
@@ -1445,7 +1414,7 @@ def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | 
     an equality by a free surplus column -e_dim after them.  Returns the
     blocks' weight sums scaled to a largest entry of 1, or math.inf when
     the qualification condition holds."""
-    col_blocks = [c.translate_columns() for c in cones]
+    col_blocks = [c.generators for c in cones]
     target = np.concatenate([np.zeros(dim), [1.0]])
     surplus = (-np.eye(dim + 1)[dim:], "free")
     for j, block in enumerate(col_blocks):
@@ -1529,10 +1498,10 @@ def _shift_at(shift, k: int) -> np.ndarray:
 
 
 def _face_minimizer(
-    faces: Sequence[tuple[np.ndarray, np.ndarray]], a: Sequence[np.ndarray], x_ref: np.ndarray
+    faces: Sequence[tuple[np.ndarray, ...]], a: Sequence[np.ndarray], x_ref: np.ndarray
 ) -> np.ndarray:
     """Minimizer of |r(z)| + |z - x_ref|^2, where r stacks the residuals
-    r_i(z) = M_i (z + a_i) - c_i to one face (M_i, c_i) per set.
+    r_i(z) = M_i (z + a_i) - c_i to one face (M_i, c_i, _) per set.
 
     Stationarity gives z(gamma) = x_ref - (S + 2 gamma I)^-1 sum_i r_i(x_ref)
     with S = sum_i M_i and gamma = |r(z(gamma))|.  With S = Q diag(lam) Q^T
@@ -1543,14 +1512,14 @@ def _face_minimizer(
     psi(gamma) = g / gamma^2 + sum_j 4 w_j^2 / (lam_j (lam_j + 2 gamma)^2) - 1,
     found by Newton steps from a point left of it; psi <= 0 from the start
     means the residual vanishes at the minimizer (gamma = 0)."""
-    S = sum(M for M, _ in faces)
-    R = [M @ (x_ref + ai) - c for (M, c), ai in zip(faces, a)]
+    S = sum(M for M, _, _ in faces)
+    R = [M @ (x_ref + ai) - c for (M, c, _), ai in zip(faces, a)]
     lam, Q = np.linalg.eigh(S)
     keep = lam > EIG_TOL
     lam, Q = lam[keep], Q[:, keep]
     w = Q.T @ sum(R)
     z0 = Q @ (w / lam)  # x_ref - z0 is the least-residual point nearest x_ref
-    root_g = math.sqrt(sum(float(np.dot(r - M @ z0, r - M @ z0)) for (M, _), r in zip(faces, R)))
+    root_g = math.sqrt(sum(float(np.dot(r - M @ z0, r - M @ z0)) for (M, _, _), r in zip(faces, R)))
     # a least residual at rounding level is zero: where psi(0+) is near 0 its
     # noise would move the root by up to sqrt(noise)
     size = math.sqrt(sum(float(np.dot(r, r)) for r in R)) + float(np.linalg.norm(z0))

@@ -539,9 +539,7 @@ def value_subdiff_estimate(
     for comp in zero_slices:
         singular.append(
             ConeSpec(
-                prob.x_dim,
-                np.vstack([comp.recession.generators, comp.base.vertices]),
-                comp.recession.lineality,
+                prob.x_dim, np.vstack([comp.recession.generators, comp.base.vertices])
             ).canonicalize()
         )
     reason = {"reason": "expression class is Lipschitz by construction"}

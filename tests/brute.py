@@ -424,7 +424,7 @@ def reference_point_to_polytope_distance(p, poly: Polytope) -> float:
                 best = min(best, float(np.linalg.norm(p - S[0])))
                 continue
             d, w = _project_affine_subset(p, S)
-            if np.all(w >= -1e-9):
+            if np.all(w >= -1e-9 / max(1.0, float(np.ptp(S, axis=0).max()))):
                 best = min(best, d)
     return best
 

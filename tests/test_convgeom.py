@@ -569,6 +569,13 @@ def test_point_distance_exact():
     assert G.point_to_polytope_distance([2.0, 2.0], sq) == pytest.approx(np.sqrt(2.0))
 
 
+def test_thin_simplex_distance_sees_a_point_just_outside():
+    # the point lies 5e-8 below the edge y = 0; a weight slack of 1e-9 that
+    # ignored the triangle's height of 100 read it as inside (2.9e-14)
+    thin = G.Polytope(np.array([[0.0, 0.0], [0.0, 100.0], [1e-3, 0.0]]))
+    assert G.point_to_polytope_distance([5e-8, -5e-8], thin) == pytest.approx(5e-8, rel=1e-6)
+
+
 def _distance_case(rng, dim, nv, kind, n_points):
     """Vertices of one shape (general, rounded to 0.1, with a duplicate or
     with a collinear vertex) and points on its vertices, on its faces,
@@ -661,36 +668,39 @@ def test_contains_segment_and_singleton():
 
 
 def test_hausdorff_identity():
-    p = G.PolytopeUnion.single(G.Polytope.create([[-1.0], [1.0]]))
+    p = G.PolytopeUnion.create([G.Polytope.create([[-1.0], [1.0]])])
     assert G.hausdorff_distance(p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hausdorff_two_points():
-    a = G.PolytopeUnion.single(G.Polytope.singleton([0.0]))
-    b = G.PolytopeUnion.single(G.Polytope.singleton([1.0]))
+    a = G.PolytopeUnion.create([G.Polytope.singleton([0.0])])
+    b = G.PolytopeUnion.create([G.Polytope.singleton([1.0])])
     assert G.hausdorff_distance(a, b) == pytest.approx(1.0)
 
 
 def test_hausdorff_union_vs_hull():
     union = G.PolytopeUnion.create([G.Polytope.singleton([-1.0]), G.Polytope.singleton([1.0])])
-    interval = G.PolytopeUnion.single(G.Polytope.create([[-1.0], [1.0]]))
+    interval = G.PolytopeUnion.create([G.Polytope.create([[-1.0], [1.0]])])
     assert G.hausdorff_distance(union, interval) == pytest.approx(1.0, abs=1e-9)
+    # the union's points lie in the interval, whose midpoint is 1 from both
+    assert G.directed_distance(union, interval) == 0.0
+    assert G.directed_distance(interval, union) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hausdorff_symmetric_convex():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        a = G.PolytopeUnion.single(G.Polytope.create(rng.uniform(-2, 2, (4, 2))))
-        b = G.PolytopeUnion.single(G.Polytope.create(rng.uniform(-2, 2, (4, 2))))
+        a = G.PolytopeUnion.create([G.Polytope.create(rng.uniform(-2, 2, (4, 2)))])
+        b = G.PolytopeUnion.create([G.Polytope.create(rng.uniform(-2, 2, (4, 2)))])
         assert G.hausdorff_distance(a, b) == pytest.approx(G.hausdorff_distance(b, a), abs=1e-12)
 
 
 def test_hausdorff_zero_iff_equal_canonical():
-    a = G.PolytopeUnion.single(G.Polytope.create([[0, 0], [1, 0], [0, 1]]))
-    b = G.PolytopeUnion.single(G.Polytope.create([[0, 0], [1, 0], [0, 1], [0.2, 0.2]]))
+    a = G.PolytopeUnion.create([G.Polytope.create([[0, 0], [1, 0], [0, 1]])])
+    b = G.PolytopeUnion.create([G.Polytope.create([[0, 0], [1, 0], [0, 1], [0.2, 0.2]])])
     assert G.hausdorff_distance(a, b) == pytest.approx(0.0, abs=1e-12)
     assert a.canonical_key() == b.canonical_key()
-    c = G.PolytopeUnion.single(G.Polytope.create([[0, 0], [1, 0], [0, 1.5]]))
+    c = G.PolytopeUnion.create([G.Polytope.create([[0, 0], [1, 0], [0, 1.5]])])
     assert G.hausdorff_distance(a, c) > 1e-6
     assert a.canonical_key() != c.canonical_key()
 
@@ -709,7 +719,7 @@ def test_hausdorff_reads_an_array_as_singletons():
 
 
 def test_hausdorff_rejects_an_empty_or_non_finite_array():
-    sym = G.PolytopeUnion.single(G.Polytope.singleton([0.0, 0.0]))
+    sym = G.PolytopeUnion.create([G.Polytope.singleton([0.0, 0.0])])
     with pytest.raises(G.GeometryError, match="at least one part"):
         G.hausdorff_distance(sym, np.zeros((0, 2)))
     with pytest.raises(G.GeometryError, match="finite"):
@@ -753,7 +763,8 @@ def test_cone_contains():
 
 
 def test_cone_full_space_and_zero():
-    full = G.ConeSpec.full_space(2)
+    # a line is a generator pair +/-g, so the plane is the cone of +/-e1, +/-e2
+    full = G.ConeSpec.from_generators(2, np.vstack([np.eye(2), -np.eye(2)]))
     assert full.contains([3.0, -7.0])
     zero = G.ConeSpec.zero(2)
     assert zero.is_zero()

@@ -1,9 +1,12 @@
 """Golden outputs: the exit code and the sha256 of the `--json` stdout of
 CLI commands on the shipped problem files and the builtins at seed 7,
-and of the corpus and one subdifferential oracle at seed 2 as well.
+and of the corpus and one subdifferential oracle at seed 2 as well; and
+the LP work of each command, the number of phase-1 LPs
+(``convgeom.lp_feasible`` calls) it runs, so that a change which adds or
+removes LPs shows as a count that moved.
 
-A change that alters any of these bytes says why in CHANGES.md and
-rewrites the hashes with
+A change that alters any of these bytes or counts says why in CHANGES.md
+and rewrites both files with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -19,11 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from varcalc import cli
+from varcalc import cli, convgeom
 from varcalc.problemfile import parse_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
 HASHES = ROOT / "tests" / "golden" / "hashes.json"
+COUNTS = ROOT / "tests" / "golden" / "lp_counts.json"
 FILES = ("problems/worked.vp", "problems/kink.vp")
 # the one 3-D lower graph: pins the sampled normal-cone oracle's 3-D lattice
 # and the two-variable value-function search
@@ -67,24 +71,36 @@ def commands() -> list[tuple[str, ...]]:
     return out
 
 
-def run(cmd: tuple[str, ...]) -> dict:
+def run(cmd: tuple[str, ...]) -> tuple[dict, int]:
+    """The command's exit code and stdout hash, and the LPs it ran."""
     seed = [] if "--seed" in cmd else ["--seed", SEED]
     argv = [str(ROOT / a) if a in FILES + (WORKED2, SINGLE) else a for a in cmd] + ["--json", *seed]
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    calls = []
+    real = convgeom.lp_feasible
+
+    def spy(*lp):
+        calls.append(1)
+        return real(*lp)
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf):
+        mp.setattr(convgeom, "lp_feasible", spy)
         code = cli.main(argv)
-    return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+    return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}, len(calls)
 
 
 @pytest.mark.parametrize("cmd", commands(), ids=" ".join)
 def test_golden_json(cmd):
-    expected = json.loads(HASHES.read_text())[" ".join(cmd)]
+    # the bytes and the LP count of each command, from one run of it
+    key = " ".join(cmd)
+    expected = json.loads(HASHES.read_text())[key], json.loads(COUNTS.read_text())[key]
     assert run(cmd) == expected
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    hashes = {" ".join(cmd): run(cmd) for cmd in commands()}
+    runs = {" ".join(cmd): run(cmd) for cmd in commands()}
     HASHES.parent.mkdir(exist_ok=True)
-    HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+    for path, i in ((HASHES, 0), (COUNTS, 1)):
+        path.write_text(json.dumps({k: v[i] for k, v in runs.items()}, indent=2, sort_keys=True) + "\n")

@@ -236,7 +236,7 @@ def test_random_planar_pa_subdifferentials_end_in_no_geometry_error():
 
 def test_oracle_abs_covers_interval():
     cloud = S.sampled_subdiff_oracle(f("(abs x)"), [0.0], FAST)
-    sym = G.PolytopeUnion.single(interval(-1.0, 1.0))
+    sym = G.PolytopeUnion.create([interval(-1.0, 1.0)])
     assert G.hausdorff_distance(sym, cloud.as_singletons()) <= 0.05
 
 
@@ -784,9 +784,7 @@ def test_lipschitz_like_sqrt_graph_false():
     assert report.verdict is False
     # the coderivative at zero is the nonpositive half-line
     part = report.at_zero[0]
-    cone = G.ConeSpec(
-        1, np.vstack([part.recession.generators, part.base.vertices]), part.recession.lineality
-    ).canonicalize()
+    cone = G.ConeSpec(1, np.vstack([part.recession.generators, part.base.vertices])).canonicalize()
     assert G.cones_equal(cone, G.ConeSpec.from_generators(1, [[-1.0]]))
 
 
@@ -820,6 +818,9 @@ def test_sum_rule_indicator_case():
     report = S.verify_sum_rule([omega, f("x")], [0.0], FAST)
     assert report.holds
     assert report.detail["singular_sides_equal"]
+    # a singleton has no constraint functions to lift into the epigraph
+    with pytest.raises(S.SubdiffError):
+        S.verify_sum_rule([S.SetSpec.singleton([0.0]), f("x")], [0.0], FAST)
 
 
 def test_intersection_rule_opposite_halflines_refused():
