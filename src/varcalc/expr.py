@@ -558,6 +558,10 @@ def active_patterns(
     """The distinct active patterns over the rows of points, in order of
     first occurrence, and the index of each row's pattern in that list.
 
+    Rows are independent: a row's pattern is active_pattern at that row
+    alone, whatever other rows share the call, so callers may stack the
+    points of several samples into one call and split the index by row.
+
     Given branches, f is restricted to them, and a node left with one
     branch, kept to one or below a branch left out, is that branch alone
     (the first kept one), as if the node were gone."""
@@ -582,22 +586,22 @@ def active_patterns(
         return [ActivePattern(())], np.zeros(pts.shape[0], dtype=np.intp)
     cols = [masks[slot] for slot in f.piecewise.values()]
     bits = np.hstack(cols)
-    if len(bits) == 1:  # active_pattern's one point: np.unique would cost more than the pass
-        rows, first, inverse = bits, np.zeros(1, np.intp), np.zeros(1, np.intp)
-    else:
-        rows, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    # one opaque key per row, the row's bits packed into bytes
+    packed = np.packbits(bits, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    bounds = np.cumsum([0] + [c.shape[1] for c in cols])
+    bounds = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
     patterns = [
         ActivePattern(tuple(
-            (path, tuple(np.flatnonzero(row[lo:hi]).tolist()))
+            (path, tuple(b for b, on in enumerate(row[lo:hi]) if on))
             for path, lo, hi in zip(f.piecewise, bounds[:-1], bounds[1:])
         ))
-        for row in rows[order]
+        for row in bits[first[order]].tolist()
     ]
-    return patterns, rank[inverse.reshape(-1)]
+    return patterns, rank[inverse]
 
 
 def active_pattern(

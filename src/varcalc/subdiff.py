@@ -396,34 +396,31 @@ def regular_subdifferential(
 def _realizable_patterns(
     f: ex.FunctionDef, p: np.ndarray, params: SampleParams
 ) -> tuple[list[ex.ActivePattern], list[dict]]:
-    """Patterns seen on the sample grid around p, plus p's own pattern.
+    """Patterns seen on the sample grid around p, plus p's own pattern:
+    p's own first, then those realized at the smallest radius in order of
+    first occurrence there.
 
     Only patterns realized at the smallest radius (or at p itself) feed
     the limiting union; the full census is kept for audit, one entry per
     pattern, sorted by its "pattern" (the repr of its key).  Thin patterns
     that no sampled ray enters can be missed, which is why results carry
     the census.
+
+    One active_patterns call covers p and every radius's sample points,
+    stacked in that order, so p's pattern is the first one found and the
+    rows of the smallest radius come last.
     """
-    census: dict[tuple, dict] = {}
-    chosen: dict[tuple, ex.ActivePattern] = {}
-    own = ex.active_pattern(f, p, params.tau_act)
-    census[own.key()] = {"count": 1, "smallest": True}
-    chosen[own.key()] = own
     dirs = params.directions(f.space.dim)
-    for level, r in enumerate(params.radii):
-        smallest = level == len(params.radii) - 1
-        patterns, inverse = ex.active_patterns(f, p + r * dirs, params.tau_act)
-        for pat, count in zip(patterns, np.bincount(inverse).tolist()):
-            info = census.setdefault(pat.key(), {"count": 0, "smallest": False})
-            info["count"] += count
-            if smallest:
-                info["smallest"] = True
-                chosen.setdefault(pat.key(), pat)
-    entries = sorted(census.items(), key=lambda kv: repr(kv[0]))
-    return list(chosen.values()), [
-        {"pattern": repr(key), "count": info["count"], "at_smallest_radius": info["smallest"]}
-        for key, info in entries
+    pts = np.vstack([p[None, :], *(p + r * dirs for r in params.radii)])
+    patterns, inverse = ex.active_patterns(f, pts, params.tau_act)
+    smallest = inverse[-len(dirs) :]
+    _, first = np.unique(smallest, return_index=True)
+    chosen = dict.fromkeys([0, *smallest[np.sort(first)].tolist()])
+    census = [
+        {"pattern": repr(pat.key()), "count": count, "at_smallest_radius": k in chosen}
+        for k, (pat, count) in enumerate(zip(patterns, np.bincount(inverse).tolist()))
     ]
+    return [patterns[k] for k in chosen], sorted(census, key=lambda e: e["pattern"])
 
 
 def basic_subdifferential(
@@ -639,35 +636,53 @@ def sampled_subdiff_oracle(
     active branch gradients at x itself are screened the same way, which
     fills convex faces (and rejects midpoints of genuinely nonconvex
     unions).  Deterministic for a fixed seed.
+
+    One pass serves every radius and the fill: one active_patterns call
+    over x and every radius's base points, one branch_gradients call per
+    smooth pattern and one eval_batch over every base, stencil and fill
+    point.  The acceptance test still runs once per radius, on that
+    radius's slice.
     """
     p = ex.as_point(f.space, x)
     dim = f.space.dim
-    dirs = params.directions(dim)
+    radii = np.array(params.radii)
     stencil_dirs = directions(dim, max(8, min(32, params.dirs_per_radius // 8)), params.seed + 1)
+
+    # us[level, di] = p + radii[level] * dirs[di], after x itself in the
+    # pattern pass, so that x's pattern is the first one found
+    us = p + radii[:, None, None] * params.directions(dim)
+    flat = us.reshape(-1, dim)
+    patterns, inverse = ex.active_patterns(f, np.vstack([p[None, :], flat]), params.tau_act)
+    inverse = inverse[1:]
+    smooth = np.array([pat.is_smooth() for pat in patterns])
+    grads = np.zeros_like(flat)
+    for k in np.flatnonzero(smooth).tolist():
+        rows = inverse == k
+        if rows.any():
+            grads[rows] = ex.branch_gradients(f, flat[rows], patterns[k].as_dict())[0]
+    grads = grads.reshape(us.shape)
+    # stencils[level, di] = [u + rr * s for rr in (r / 32, r / 64) for s in stencil_dirs]
+    # with u = us[level, di] and r = radii[level]
+    rho = radii[:, None] / [32, 64]
+    stencils = us[:, :, None, :] + (rho[:, :, None, None] * stencil_dirs).reshape(len(radii), 1, -1, dim)
+    fill_stencil = (p + radii[:, None, None] * stencil_dirs).reshape(-1, dim)
+    values = ex.eval_batch(f, np.vstack([flat, stencils.reshape(-1, dim), p[None, :], fill_stencil]))
+    f_us = values[: len(flat)].reshape(us.shape[:2])
+    f_stencils = values[len(flat) : -1 - len(fill_stencil)].reshape(stencils.shape[:3])
+    f_fill = values[-1 - len(fill_stencil) :]
 
     accepted: dict[int, dict[int, np.ndarray]] = {}
     raw: list[np.ndarray] = []
+    tried_rows = smooth[inverse].reshape(us.shape[:2])
     for level, r in enumerate(params.radii):
-        eps = r / 10
-        rho = np.array([r / 32, r / 64])
-        us = p + r * dirs
-        patterns, inverse = ex.active_patterns(f, us, params.tau_act)
-        smooth = [pat.is_smooth() for pat in patterns]
-        grads = np.zeros_like(us)
-        for k, pat in enumerate(patterns):
-            if smooth[k]:
-                grads[inverse == k] = ex.branch_gradients(f, us[inverse == k], pat.as_dict())[0]
-        # stencils[di] = [u + rr * s for rr in rho for s in stencil_dirs], u = us[di]
-        stencils = us[:, None, :] + (rho[:, None, None] * stencil_dirs).reshape(1, -1, dim)
-        values = ex.eval_batch(f, np.vstack([us, stencils.reshape(-1, dim)]))
-        f_stencils = values[len(us) :].reshape(len(us), -1)
-        tried = np.flatnonzero(np.asarray(smooth)[inverse])
+        tried = np.flatnonzero(tried_rows[level])
         ok = _accepts(
-            us[tried], values[tried], grads[tried, None, :], stencils[tried], f_stencils[tried], eps
+            us[level, tried], f_us[level, tried], grads[level, tried, None, :],
+            stencils[level, tried], f_stencils[level, tried], r / 10,
         )[:, 0]
         for di in tried[ok].tolist():
-            accepted.setdefault(di, {})[level] = grads[di]
-            raw.append(grads[di])
+            accepted.setdefault(di, {})[level] = grads[level, di]
+            raw.append(grads[level, di])
 
     limits: list[np.ndarray] = []
     last = len(params.radii) - 1
@@ -682,16 +697,10 @@ def sampled_subdiff_oracle(
                 limits.append(v1)
 
     # fill candidates at x itself
-    pattern = ex.active_pattern(f, p, params.tau_act)
-    grads, _ = _combo_data(f, p, pattern)
-    hull = convex_hull(grads)
+    hull = convex_hull(_combo_data(f, p, patterns[0])[0])
     fill = _barycentric_fill(hull, FILL_SPACING)
-    stencil = np.vstack(
-        [p[None, :] + r * stencil_dirs for r in params.radii]
-    )
-    f_fill = ex.eval_batch(f, np.vstack([p[None, :], stencil]))
     eps_fill = params.radii[0] / 10
-    keep = _accepts(p[None], f_fill[:1], fill[None], stencil[None], f_fill[None, 1:], eps_fill)[0]
+    keep = _accepts(p[None], f_fill[:1], fill[None], fill_stencil[None], f_fill[None, 1:], eps_fill)[0]
     fill_accepted = fill[keep]
     raw.extend(fill_accepted)
 
@@ -1235,20 +1244,25 @@ def sampled_lipschitz_like_test(
     worst = 0.0
     for r in params.radii:
         for d1 in dirs:
+            xa = xb + r * d1
+            fa = feasible_ys(xa)
+            fa = fa[np.abs(fa - yb[0]) <= v_radius]
+            if fa.size == 0:
+                continue
             for d2 in dirs:
-                xa = xb + r * d1
                 xu = xb + 0.5 * r * d2
                 gap = float(np.linalg.norm(xa - xu))
                 if gap < 1e-12:
                     continue
-                fa = feasible_ys(xa)
-                fa = fa[np.abs(fa - yb[0]) <= v_radius]
-                if fa.size == 0:
-                    continue
                 fu = feasible_ys(xu)
                 if fu.size == 0:
                     return False, math.inf
-                dist = float(np.max(np.min(np.abs(fa[:, None] - fu[None, :]), axis=1)))
+                # fu is sorted, so each a's nearest member is fu[i - 1] or
+                # fu[i] with i its insertion index
+                i = np.searchsorted(fu, fa)
+                below = np.abs(fa - fu[np.maximum(i - 1, 0)])
+                above = np.abs(fu[np.minimum(i, fu.size - 1)] - fa)
+                dist = float(np.max(np.minimum(below, above)))
                 worst = max(worst, max(0.0, dist - step) / gap)
     return worst <= 1e3, worst
 

@@ -13,8 +13,10 @@ value-function search against a one-parameter-at-a-time grid loop, the
 batched argmin slope bound and the seeded direction fill against their
 per-sample and per-vector loops, the oracles' batched acceptance test and
 cell-skipping clustering against their per-direction and per-point loops,
-and the exact extremal-principle solver against SciPy's multi-start
-quasi-Newton descent with a simplex polish.
+the one-pass pattern census against one active-pattern call per radius,
+the sampled Lipschitz-like test's nearest-slice search against the full
+distance matrix, and the exact extremal-principle solver against SciPy's
+multi-start quasi-Newton descent with a simplex polish.
 
 The last section holds helpers that only tests call: vertex-wise polytope
 equality, the distance from a point to a union, the syntactically convex
@@ -271,6 +273,67 @@ def reference_accepts(us, fus, candidates, stencils, f_stencils, eps) -> np.ndar
     for d in range(us.shape[0]):
         out[d] = reference_accepts_one(us[d], fus[d], candidates[d], stencils[d], f_stencils[d], eps)
     return out
+
+
+def reference_realizable_patterns(f, p: np.ndarray, params) -> tuple[list, list[dict]]:
+    """The pattern census one active_patterns call per radius, after a
+    one-point call at p, as ``subdiff._realizable_patterns`` returns it."""
+    census: dict[tuple, dict] = {}
+    chosen: dict[tuple, E.ActivePattern] = {}
+    own = E.active_pattern(f, p, params.tau_act)
+    census[own.key()] = {"count": 1, "smallest": True}
+    chosen[own.key()] = own
+    dirs = params.directions(f.space.dim)
+    for level, r in enumerate(params.radii):
+        smallest = level == len(params.radii) - 1
+        patterns, inverse = E.active_patterns(f, p + r * dirs, params.tau_act)
+        for pat, count in zip(patterns, np.bincount(inverse).tolist()):
+            info = census.setdefault(pat.key(), {"count": 0, "smallest": False})
+            info["count"] += count
+            if smallest:
+                info["smallest"] = True
+                chosen.setdefault(pat.key(), pat)
+    entries = sorted(census.items(), key=lambda kv: repr(kv[0]))
+    return list(chosen.values()), [
+        {"pattern": repr(key), "count": info["count"], "at_smallest_radius": info["smallest"]}
+        for key, info in entries
+    ]
+
+
+def reference_sampled_lipschitz_like_test(spec, point, params) -> tuple[bool, float]:
+    """``subdiff.sampled_lipschitz_like_test`` over every pair of sampled
+    parameters, each max-min distance taken over the full distance
+    matrix between the two slices."""
+    n, m = spec.block_dims
+    p = np.asarray(point, dtype=float)
+    xb, yb = p[:n], p[n:]
+    v_radius = 0.5
+    ys = np.linspace(yb[0] - 4 * v_radius, yb[0] + 4 * v_radius, 2001)
+    step = ys[1] - ys[0]
+
+    def feasible_ys(xv: np.ndarray) -> np.ndarray:
+        return ys[np.broadcast_to(S.feasible_open(spec, [*xv, ys]), ys.shape)]
+
+    dirs = directions(n, max(4, 2 * n), params.seed)
+    worst = 0.0
+    for r in params.radii:
+        for d1 in dirs:
+            for d2 in dirs:
+                xa = xb + r * d1
+                xu = xb + 0.5 * r * d2
+                gap = float(np.linalg.norm(xa - xu))
+                if gap < 1e-12:
+                    continue
+                fa = feasible_ys(xa)
+                fa = fa[np.abs(fa - yb[0]) <= v_radius]
+                if fa.size == 0:
+                    continue
+                fu = feasible_ys(xu)
+                if fu.size == 0:
+                    return False, math.inf
+                dist = float(np.max(np.min(np.abs(fa[:, None] - fu[None, :]), axis=1)))
+                worst = max(worst, max(0.0, dist - step) / gap)
+    return worst <= 1e3, worst
 
 
 class NonFinite(ArithmeticError):

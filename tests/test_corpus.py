@@ -100,3 +100,23 @@ def test_verify_suite_lp_count_stays_at_its_measured_figure(monkeypatch):
     monkeypatch.setattr(G, "lp_feasible", spy)
     assert C.run_verify_suite().all_passed
     assert len(calls) <= 85
+
+
+def test_verify_suite_pattern_and_forward_pass_counts_stay_at_their_measured_figures(monkeypatch):
+    # one active_patterns call per census and per oracle, over the point
+    # and every radius at once: a per-radius call back in either shows here
+    calls = {"active_patterns": 0, "_forward": 0}
+
+    def spy(name):
+        real = getattr(E, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(E, name, counted)
+
+    spy("active_patterns")
+    spy("_forward")
+    assert C.run_verify_suite().all_passed
+    assert calls == {"active_patterns": 420, "_forward": 1354}

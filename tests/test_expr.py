@@ -252,6 +252,50 @@ def test_active_pattern_min_within_tolerance():
     assert pat.as_dict() == {(): (0, 1)}
 
 
+def _random_branches(g, rng):
+    """A nonempty random subset of each piecewise node's branches."""
+    out = {}
+    for path, slot in g.piecewise.items():
+        kind, args, _, _ = g.tape[slot]
+        n = 2 if kind == "abs" else len(args)
+        keep = rng.random(n) < 0.5
+        keep[rng.integers(n)] = True
+        out[path] = tuple(np.flatnonzero(keep).tolist())
+    return out
+
+
+def _assert_rows_independent(g, pts, branches):
+    # each row's pattern is the pattern of that row alone, and patterns
+    # are distinct and listed in order of first occurrence
+    patterns, inverse = E.active_patterns(g, pts, branches=branches)
+    assert list(dict.fromkeys(inverse.tolist())) == list(range(len(patterns)))
+    assert len(set(patterns)) == len(patterns)
+    for p, k in zip(pts, inverse):
+        assert E.active_pattern(g, p, branches=branches) == patterns[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_node_strategy, st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_active_patterns_rows_are_independent(node, points, seed):
+    g = E.FunctionDef(XY, node)
+    pts = np.array(points, dtype=float)
+    _assert_rows_independent(g, pts, None)
+    if g.piecewise:
+        _assert_rows_independent(g, pts, _random_branches(g, np.random.default_rng(seed)))
+
+
+def test_active_patterns_rows_are_independent_past_eight_bytes():
+    # 40 abs nodes: a pattern row of 80 bits packs into a key of 10 bytes
+    g = f("(+ " + " ".join(f"(abs (- {'xy'[k % 2]} {k / 8}))" for k in range(40)) + ")", XY)
+    rng = np.random.default_rng(5)
+    pts = rng.integers(-2, 44, (150, 2)) / 16
+    pts = np.vstack([pts, pts[::7]])  # repeated rows
+    patterns, _ = E.active_patterns(g, pts)
+    assert len(patterns) > 100
+    _assert_rows_independent(g, pts, None)
+    _assert_rows_independent(g, pts, _random_branches(g, rng))
+
+
 def test_branch_combinations_order():
     pat = E.active_pattern(f("(max (abs x) x)"), [0.0])
     combos = E.branch_combinations(pat)
@@ -451,6 +495,14 @@ def test_restricted_passes_equal_rebuilt_trees(node, tie):
         assert got is want
     else:
         assert _bytes(got.regular, got.basic) == _bytes(*want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_node_strategy, st.sampled_from([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (0.0, 1.0)]))
+def test_census_equals_one_call_per_radius(node, tie):
+    g = E.FunctionDef(XY, node)
+    x = np.array(tie)
+    assert S._realizable_patterns(g, x, FEW) == brute.reference_realizable_patterns(g, x, FEW)
 
 
 # ---------------------------------------------------------------------------

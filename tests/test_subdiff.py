@@ -26,6 +26,8 @@ from tests.brute import (
     reference_accepts,
     reference_cluster,
     reference_extremal_solve,
+    reference_realizable_patterns,
+    reference_sampled_lipschitz_like_test,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,6 +230,18 @@ def test_random_planar_pa_subdifferentials_end_in_no_geometry_error():
         except G.GeometryError as err:
             outcomes.append((text, str(err)))
     assert outcomes == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_census_equals_one_call_per_radius_on_the_corpus(seed):
+    params = S.SampleParams(seed=seed)
+    cases = [(entry.function(), entry.point) for entry in C.CORPUS]
+    # kinks between the radii: the smallest radius meets its patterns in
+    # another order than the larger ones do
+    cases.append((f("(+ (abs x) (abs (- y 0.0005)) (abs (- (+ x y) 0.004)))", XY), [0.0, 0.0]))
+    for g, point in cases:
+        p = np.asarray(point, dtype=float)
+        assert S._realizable_patterns(g, p, params) == reference_realizable_patterns(g, p, params)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +814,33 @@ def test_sampled_lipschitz_like_matches_criterion():
     spec_false = graph_of(["(- (* y y) x)"])
     ok, _ = S.sampled_lipschitz_like_test(spec_false, [0.0, 0.0], FAST)
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "texts,point",
+    [
+        (["(- (abs x) y)"], [0.0, 0.0]),
+        (["(- (* y y) x)"], [0.0, 0.0]),
+        (["y", "(- y)"], [0.0, 0.0]),
+        # slices of two pieces, y <= -0.5 and y >= 0.5, fixed or moving with x
+        (["(- 0.25 (* y y))"], [0.0, 0.0]),
+        (["(- (+ 0.25 x) (* y y))"], [0.0, 0.0]),
+        (["(- (+ 0.25 x) (* y y))"], [-0.2, 0.3]),
+        (["(- (* 4 (abs x)) (* y y))"], [0.1, 0.6]),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_lipschitz_like_equals_the_all_pairs_loop(texts, point, seed):
+    spec, params = graph_of(texts), S.SampleParams(seed=seed)
+    verdict, modulus = S.sampled_lipschitz_like_test(spec, point, params)
+    want_verdict, want_modulus = reference_sampled_lipschitz_like_test(spec, point, params)
+    assert verdict == want_verdict
+    assert np.float64(modulus).tobytes() == np.float64(want_modulus).tobytes()
+
+
+def test_sampled_lipschitz_like_empty_slice_is_infinite():
+    # F(x) = {y : y^2 <= x} is empty at every x < 0 the test samples
+    assert S.sampled_lipschitz_like_test(graph_of(["(- (* y y) x)"]), [0.0, 0.0], FAST) == (False, math.inf)
 
 
 # ---------------------------------------------------------------------------
