@@ -286,28 +286,15 @@ def _calmness_samples(
     qs = qs[feasible]
     phis = ex.eval_batch(bp.lower_cost, qs).tolist()
     psis = ex.eval_batch(bp.upper_cost, qs).tolist()
-    xqs = qs[:, : bp.x_dim]
-    values = vf.evaluate_values(lower, xqs, grid, refine=2)
-    # parameters equal to 12 decimals share theta: each such key takes the
-    # value at its first sample feasible on the box, and its samples before
-    # that one are skipped
-    keys = list(map(tuple, np.round(xqs, 12).tolist()))
-    heads: dict[tuple, int] = {}
-    for i, (key, s) in enumerate(zip(keys, values)):
-        if key not in heads and not isinstance(s, vf.InfeasibleOnBox):
-            heads[key] = i
-    slopes = vf._argmin_cost_slopes(lower, [values[i] for i in heads.values()])
-    errs = {
-        key: 2.0 * values[i].step * (slope + 1.0) for (key, i), slope in zip(heads.items(), slopes)
-    }
-    for i, (q, phi, psi) in enumerate(zip(qs, phis, psis)):
-        head = heads.get(keys[i])
-        if head is None or head > i:
-            continue
-        theta, err = values[head].theta, errs[keys[i]]
+    values = vf.evaluate_values(lower, qs[:, : bp.x_dim], grid, refine=2)
+    # a sample whose parameter has no feasible grid point on its box is skipped
+    rows = [i for i, s in enumerate(values) if not isinstance(s, vf.InfeasibleOnBox)]
+    slopes = vf._argmin_cost_slopes(lower, [values[i] for i in rows])
+    for i, slope in zip(rows, slopes):
+        err = 2.0 * values[i].step * (slope + 1.0)
         accuracy = max(accuracy, err)
-        nu = theta - phi
-        samples.append((q, psi - psi_ref, max(0.0, abs(nu) - err)))
+        nu = values[i].theta - phis[i]
+        samples.append((qs[i], psis[i] - psi_ref, max(0.0, abs(nu) - err)))
     return samples, accuracy
 
 
@@ -366,9 +353,7 @@ def regularity_check(
     for i in sd.active_constraints(bp.lower_constraints, p):
         full = sd.basic_subdifferential(bp.lower_constraints[i], p, params)
         lower_unions.append(
-            PolytopeUnion.create(
-                [Polytope.create(part.vertices[:, bp.x_dim :]) for part in full.parts]
-            )
+            PolytopeUnion.create([Polytope(part.vertices[:, bp.x_dim :]) for part in full.parts])
         )
     lower_witness = sd.qualification_witness(lower_unions)
 
@@ -475,7 +460,7 @@ class _Candidate:
         return {
             j: PolytopeUnion.create(
                 [
-                    Polytope.create(_embed_x_block(part.vertices, bp.x_dim, bp.y_dim))
+                    Polytope(_embed_x_block(part.vertices, bp.x_dim, bp.y_dim))
                     for part in sd.basic_subdifferential(bp.upper_constraints[j], xv, params).parts
                 ]
             )

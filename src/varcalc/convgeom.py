@@ -4,13 +4,17 @@ Polytopes are stored as lists of vertices (V-representation); halfspace
 data only appears transiently inside LP constraints.  All geometry is
 floating point, with TOL_GEOM = 1e-8 for canonicalization.  Hulls and
 memberships are exact planar geometry at TOL_GEOM in one and two
-dimensions, and hull LPs in three and four.  An LP is feasible when its
-phase-1 objective is at most 10 * TOL_LP * (1 + max|b|) (TOL_LP = 1e-9,
-b the right-hand side) and the assignment found then satisfies every row
-and bound to within TOL_ASSIGN = 1e-7.  Every membership and multiplier
-LP is assembled by lp_weights from blocks of rows with "convex" (summing
-to one), "cone" (capped at coefficient R_CONE, so the phase-1 simplex
-works with bounded variables) or "free" (nonnegative) weights.
+dimensions, and hull LPs in three and four.  A Polytope or ConeSpec is
+canonical once built: its constructor keeps only the extreme vertices or
+the irredundant unit generators, sorted, so PolytopeUnion.create and
+cones_equal trust the parts they are given and re-hull nothing.  An LP
+is feasible when its phase-1 objective is at most 10 * TOL_LP *
+(1 + max|b|) (TOL_LP = 1e-9, b the right-hand side) and the assignment
+found then satisfies every row and bound to within TOL_ASSIGN = 1e-7.
+Every membership and multiplier LP is assembled by lp_weights from
+blocks of rows with "convex" (summing to one), "cone" (capped at
+coefficient R_CONE, so the phase-1 simplex works with bounded variables)
+or "free" (nonnegative) weights.
 """
 
 from __future__ import annotations
@@ -236,17 +240,24 @@ def _in_hull_lp(target: np.ndarray, V: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex polytope as the hull of its stored vertices.
+    """Convex polytope as the hull of its stored vertices, canonical once
+    built.
 
-    A canonical polytope lists only extreme points (no vertex is a convex
-    combination of the others), deduplicated at tol_geom and sorted
-    lexicographically.
+    The constructor keeps only the extreme points of the points it is
+    given: after deduplication at TOL_GEOM, two points are both extreme,
+    and more are filtered by _planar_ring in one and two dimensions and by
+    a hull LP per row in more; flat inputs are fine in every dimension.  The
+    vertices kept are sorted lexicographically, so a polytope built from
+    another's vertices stores the same bytes.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _as_vertex_array(self.vertices))
+        V = _dedupe_rows(_as_vertex_array(self.vertices), TOL_GEOM)
+        if V.shape[0] > 2:
+            V = V[sorted(_planar_ring(_planar(V))) if V.shape[1] < 3 else _hull_lp(V)]
+        object.__setattr__(self, "vertices", _lex_sorted(V))
 
     @property
     def dim(self) -> int:
@@ -255,10 +266,6 @@ class Polytope:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    @staticmethod
-    def create(points: Iterable[Sequence[float]]) -> "Polytope":
-        return convex_hull(points)
 
     @staticmethod
     def singleton(point: Sequence[float]) -> "Polytope":
@@ -303,19 +310,12 @@ class Polytope:
 
 
 def convex_hull(points: Iterable[Sequence[float]]) -> Polytope:
-    """Canonicalized hull of the input points (extreme points only).
-
-    After deduplication at TOL_GEOM, two points are both extreme.  More
-    are filtered by _planar_ring in one and two dimensions, and by a hull
-    LP per row in three and four; flat inputs are fine in every dimension.
-    """
+    """The hull of the input points as a Polytope (extreme points only);
+    points of more than HULL_MAX_DIM dimensions raise DimensionError."""
     V = _as_vertex_array(points)
     if V.shape[1] > HULL_MAX_DIM:
         raise DimensionError(f"convex_hull supports dim <= {HULL_MAX_DIM}, got {V.shape[1]}")
-    V = _dedupe_rows(V, TOL_GEOM)
-    if V.shape[0] > 2:
-        V = V[sorted(_planar_ring(_planar(V))) if V.shape[1] < 3 else _hull_lp(V)]
-    return Polytope(_lex_sorted(V))
+    return Polytope(V)
 
 
 def _hull_lp(V: np.ndarray) -> list[int]:
@@ -474,8 +474,9 @@ def point_to_polytope_distance(p: Sequence[float], poly: Polytope) -> float:
 
 @dataclass(frozen=True)
 class PolytopeUnion:
-    """Finite union of polytopes of equal dimension; parts are canonical
-    and pairwise distinct, with parts contained in other parts removed."""
+    """Finite union of polytopes of equal dimension; parts are pairwise
+    distinct, with parts contained in other parts removed, and each is
+    canonical because every Polytope is."""
 
     parts: tuple[Polytope, ...]
 
@@ -493,12 +494,8 @@ class PolytopeUnion:
 
     @staticmethod
     def create(parts: Iterable[Polytope]) -> "PolytopeUnion":
-        ps = [convex_hull(p.vertices) for p in parts]
-        if not ps:
-            raise GeometryError("union needs at least one part")
-        ps = _absorb_parts(ps)
-        ps.sort(key=lambda p: (p.num_vertices, p.canonical_key()))
-        return PolytopeUnion(tuple(ps))
+        ps = _absorb_parts(parts)
+        return PolytopeUnion(tuple(sorted(ps, key=lambda p: (p.num_vertices, p.canonical_key()))))
 
     def hull(self) -> Polytope:
         return convex_hull(np.vstack([p.vertices for p in self.parts]))
@@ -516,7 +513,7 @@ class PolytopeUnion:
         return tuple(p.canonical_key() for p in self.parts)
 
 
-def _absorb_parts(parts: list[Polytope]) -> list[Polytope]:
+def _absorb_parts(parts: Iterable[Polytope]) -> list[Polytope]:
     kept: list[Polytope] = []
     for p in sorted(parts, key=lambda q: -q.num_vertices):
         if not any(all(q.contains(v) for v in p.vertices) for q in kept):
@@ -542,7 +539,13 @@ def union_minkowski_sum(a: PolytopeUnion, b: PolytopeUnion) -> PolytopeUnion:
 @dataclass(frozen=True)
 class ConeSpec:
     """Convex cone {sum lambda_g g : lambda_g >= 0}, finitely generated;
-    a line is the generator pair +/- g."""
+    a line is the generator pair +/- g.
+
+    Canonical once built: the constructor drops generators within TOL_GEOM
+    of zero, scales the rest to unit length, dedupes them at 1e-9, drops
+    in order each one that the others still kept generate, and sorts the
+    rest lexicographically.  The zero cone has no generators.
+    """
 
     dim: int
     generators: np.ndarray
@@ -551,56 +554,41 @@ class ConeSpec:
         g = np.asarray(self.generators, dtype=float).reshape(-1, self.dim)
         if not np.all(np.isfinite(g)):
             raise GeometryError("cone data must be finite")
-        object.__setattr__(self, "generators", g)
+        g = g[np.linalg.norm(g, axis=1) > TOL_GEOM]
+        g = _dedupe_rows(g / np.linalg.norm(g, axis=1, keepdims=True), 1e-9)
+        alive = list(range(g.shape[0]))
+        for i in range(g.shape[0]):
+            others = [j for j in alive if j != i]
+            if others and _in_cone(g[i], g[others]):
+                alive.remove(i)
+        object.__setattr__(self, "generators", _lex_sorted(g[alive]))
 
     @staticmethod
     def zero(dim: int) -> "ConeSpec":
         return ConeSpec(dim, np.zeros((0, dim)))
 
-    @staticmethod
-    def from_generators(dim: int, generators: Iterable[Sequence[float]]) -> "ConeSpec":
-        g = np.asarray(list(generators), dtype=float).reshape(-1, dim)
-        return ConeSpec(dim, g).canonicalize()
-
-    def canonicalize(self) -> "ConeSpec":
-        g = self.generators
-        norms = np.linalg.norm(g, axis=1)
-        g = g[norms > TOL_GEOM]
-        if g.shape[0]:
-            g = g / np.linalg.norm(g, axis=1, keepdims=True)
-            g = _dedupe_rows(g, 1e-9)
-        # drop generators already in the cone of the remaining ones
-        if g.shape[0] > 1:
-            alive = list(range(g.shape[0]))
-            for i in range(g.shape[0]):
-                others = [j for j in alive if j != i]
-                if others and ConeSpec(self.dim, g[others]).contains(g[i]):
-                    alive.remove(i)
-            g = g[alive]
-        if g.shape[0]:
-            g = _lex_sorted(g)
-        return ConeSpec(self.dim, g)
-
     def is_zero(self) -> bool:
-        return self.generators.shape[0] == 0 or bool(
-            np.all(np.linalg.norm(self.generators, axis=1) <= TOL_GEOM)
-        )
+        return self.generators.shape[0] == 0
 
     def contains(self, v: Sequence[float]) -> bool:
-        v = np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v)
-        if nv <= 1e-7:
-            return True
-        v = v / nv  # scale invariance of cones
-        if self.generators.shape[0] == 0:
-            return False
-        return not isinstance(lp_weights(v, [(self.generators, "cone")], "cone membership"), float)
+        return _in_cone(np.asarray(v, dtype=float), self.generators)
+
+
+def _in_cone(v: np.ndarray, G: np.ndarray) -> bool:
+    """Whether v lies in the cone the rows of G generate: a vector within
+    1e-7 of zero does, and otherwise one cone LP decides for v scaled to
+    unit length."""
+    nv = np.linalg.norm(v)
+    if nv <= 1e-7:
+        return True
+    if G.shape[0] == 0:
+        return False
+    return not isinstance(lp_weights(v / nv, [(G, "cone")], "cone membership"), float)
 
 
 def cones_equal(a: ConeSpec, b: ConeSpec) -> bool:
     """Whether each cone's generators lie in the other cone."""
-    ca, cb = a.canonicalize(), b.canonicalize()
-    return all(cb.contains(g) for g in ca.generators) and all(ca.contains(g) for g in cb.generators)
+    return all(b.contains(g) for g in a.generators) and all(a.contains(g) for g in b.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +624,7 @@ def minkowski_membership(
     if t.shape != (base.dim,) or any(term.dim != base.dim for term in [*scaled_terms, *cones]):
         raise DimensionError("target, scaled terms and cones must share the base's dim")
     blocks = [(base.vertices, "convex")] + [(q.vertices, "free") for q in scaled_terms]
-    for c in cones:
-        cols = c.generators[np.linalg.norm(c.generators, axis=1) > TOL_GEOM]
-        blocks.append((cols / np.linalg.norm(cols, axis=1, keepdims=True), "cone"))
+    blocks += [(c.generators, "cone") for c in cones]
     z = lp_weights(t, blocks, "Minkowski membership")
     if isinstance(z, float):
         return NotMember(z)

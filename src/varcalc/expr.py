@@ -545,9 +545,6 @@ class ActivePattern:
     def is_smooth(self) -> bool:
         return all(len(act) == 1 for _, act in self.selections)
 
-    def key(self) -> tuple:
-        return self.selections
-
 
 def active_patterns(
     f: FunctionDef,

@@ -402,9 +402,9 @@ def _realizable_patterns(
 
     Only patterns realized at the smallest radius (or at p itself) feed
     the limiting union; the full census is kept for audit, one entry per
-    pattern, sorted by its "pattern" (the repr of its key).  Thin patterns
-    that no sampled ray enters can be missed, which is why results carry
-    the census.
+    pattern, sorted by its "pattern" (the repr of its selections).  Thin
+    patterns that no sampled ray enters can be missed, which is why
+    results carry the census.
 
     One active_patterns call covers p and every radius's sample points,
     stacked in that order, so p's pattern is the first one found and the
@@ -417,7 +417,7 @@ def _realizable_patterns(
     _, first = np.unique(smallest, return_index=True)
     chosen = dict.fromkeys([0, *smallest[np.sort(first)].tolist()])
     census = [
-        {"pattern": repr(pat.key()), "count": count, "at_smallest_radius": k in chosen}
+        {"pattern": repr(pat.selections), "count": count, "at_smallest_radius": k in chosen}
         for k, (pat, count) in enumerate(zip(patterns, np.bincount(inverse).tolist()))
     ]
     return [patterns[k] for k in chosen], sorted(census, key=lambda e: e["pattern"])
@@ -882,7 +882,7 @@ def normal_cone(
         raise SubdiffError("point not in the set")
     if spec.point is not None:
         lines = np.vstack([np.eye(spec.dim), -np.eye(spec.dim)])
-        return NormalCone((ConeSpec.from_generators(spec.dim, lines),), "trivial", ())
+        return NormalCone((ConeSpec(spec.dim, lines),), "trivial", ())
     fns = spec.constraint_functions()
     dim = spec.dim
     active = active_constraints(fns, p)
@@ -893,9 +893,7 @@ def normal_cone(
     if system is not None:
         A, _ = system
         gens = A[list(active)]
-        return NormalCone(
-            (ConeSpec.from_generators(dim, gens),), "polyhedral-exact", active
-        )
+        return NormalCone((ConeSpec(dim, gens),), "polyhedral-exact", active)
 
     subdiffs = [basic_subdifferential(fns[j], p, params) for j in active]
     witness = qualification_witness(subdiffs)
@@ -911,7 +909,7 @@ def normal_cone(
     parts = []
     for choice in itertools.product(*(u.parts for u in subdiffs)):
         gens = np.vstack([P.vertices for P in choice])
-        parts.append(ConeSpec.from_generators(dim, gens))
+        parts.append(ConeSpec(dim, gens))
     # distinct parts only
     uniq: list[ConeSpec] = []
     for c in parts:
@@ -1191,12 +1189,7 @@ def coderivative(
             if vertices.shape[0] == 0:
                 continue
             base = convex_hull(vertices @ A.T)
-            ray_vecs = rays @ A.T if rays.shape[0] else np.zeros((0, n))
-            ray_vecs = ray_vecs[np.linalg.norm(ray_vecs, axis=1) > TOL_GEOM]
-            recession = (
-                ConeSpec.from_generators(n, ray_vecs) if ray_vecs.shape[0] else ConeSpec.zero(n)
-            )
-            slices.append(SlicedCone(base, recession))
+            slices.append(SlicedCone(base, ConeSpec(n, rays @ A.T)))
         out.append(tuple(slices))
     return out
 
@@ -1235,7 +1228,7 @@ def sampled_lipschitz_like_test(
     xb, yb = p[:n], p[n:]
     v_radius = 0.5
     ys = np.linspace(yb[0] - 4 * v_radius, yb[0] + 4 * v_radius, 2001)
-    step = ys[1] - ys[0]
+    step = float(ys[1] - ys[0])
 
     def feasible_ys(xv: np.ndarray) -> np.ndarray:
         return ys[np.broadcast_to(feasible_open(spec, [*xv, ys]), ys.shape)]
@@ -1341,9 +1334,7 @@ def _verify_indicator_sum_rule(
     # singular side: slice at 0 must equal N(p; omega)
     sing_ok = True
     for comp in lhs_zero:
-        cone_from_slice = ConeSpec(
-            dim, np.vstack([comp.recession.generators, comp.base.vertices])
-        ).canonicalize()
+        cone_from_slice = ConeSpec(dim, np.vstack([comp.recession.generators, comp.base.vertices]))
         if not any(cones_equal(cone_from_slice, c) for c in ncone.parts):
             sing_ok = False
     return RuleReport(

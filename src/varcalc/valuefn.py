@@ -538,9 +538,7 @@ def value_subdiff_estimate(
     singular = []
     for comp in zero_slices:
         singular.append(
-            ConeSpec(
-                prob.x_dim, np.vstack([comp.recession.generators, comp.base.vertices])
-            ).canonicalize()
+            ConeSpec(prob.x_dim, np.vstack([comp.recession.generators, comp.base.vertices]))
         )
     reason = {"reason": "expression class is Lipschitz by construction"}
     record(ledger, "cost function locally Lipschitz", "verified", reason)

@@ -281,18 +281,18 @@ def reference_realizable_patterns(f, p: np.ndarray, params) -> tuple[list, list[
     census: dict[tuple, dict] = {}
     chosen: dict[tuple, E.ActivePattern] = {}
     own = E.active_pattern(f, p, params.tau_act)
-    census[own.key()] = {"count": 1, "smallest": True}
-    chosen[own.key()] = own
+    census[own.selections] = {"count": 1, "smallest": True}
+    chosen[own.selections] = own
     dirs = params.directions(f.space.dim)
     for level, r in enumerate(params.radii):
         smallest = level == len(params.radii) - 1
         patterns, inverse = E.active_patterns(f, p + r * dirs, params.tau_act)
         for pat, count in zip(patterns, np.bincount(inverse).tolist()):
-            info = census.setdefault(pat.key(), {"count": 0, "smallest": False})
+            info = census.setdefault(pat.selections, {"count": 0, "smallest": False})
             info["count"] += count
             if smallest:
                 info["smallest"] = True
-                chosen.setdefault(pat.key(), pat)
+                chosen.setdefault(pat.selections, pat)
     entries = sorted(census.items(), key=lambda kv: repr(kv[0]))
     return list(chosen.values()), [
         {"pattern": repr(key), "count": info["count"], "at_smallest_radius": info["smallest"]}
