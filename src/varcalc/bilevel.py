@@ -247,8 +247,8 @@ def _bilevel_feasible(bp: BilevelProblem, point: np.ndarray, grid: vf.GridSpec) 
 def partial_calmness_probe(
     bp: BilevelProblem,
     point: Sequence[float],
-    kappa_grid: Sequence[float] = DEFAULT_KAPPA_GRID,
-    grid: vf.GridSpec | None = None,
+    kappa_grid: Sequence[float],
+    grid: vf.GridSpec,
     params: sd.SampleParams = sd.DEFAULT_PARAMS,
 ) -> CalmnessProbeReport:
     """Sample feasible pairs near the candidate and test the linear
@@ -256,8 +256,6 @@ def partial_calmness_probe(
     value term carries a documented grid-accuracy allowance; the report
     returns the smallest validated constant or the violating witnesses.
     """
-    if grid is None:
-        raise BilevelError("a value-function grid is required")
     p = np.asarray(point, dtype=float)
     _bilevel_feasible(bp, p, grid)
     return _calmness_verdict(_calmness_samples(bp, p, grid, params), kappa_grid)

@@ -10,11 +10,11 @@ the irredundant unit generators, sorted, so PolytopeUnion.create and
 cones_equal trust the parts they are given and re-hull nothing.  An LP
 is feasible when its phase-1 objective is at most 10 * TOL_LP *
 (1 + max|b|) (TOL_LP = 1e-9, b the right-hand side) and the assignment
-found then satisfies every row and bound to within TOL_ASSIGN = 1e-7.
-Every membership and multiplier LP is assembled by lp_weights from
-blocks of rows with "convex" (summing to one), "cone" (capped at
-coefficient R_CONE, so the phase-1 simplex works with bounded variables)
-or "free" (nonnegative) weights.
+found then satisfies every row and sign constraint to within
+TOL_ASSIGN = 1e-7.  Every membership and multiplier LP solves A z = b,
+z >= 0 with no bounded variable, and is assembled by lp_weights from
+blocks of rows with "convex" (summing to one) or "free" (only
+nonnegative) weights; cone weights are free weights.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TOL_LP = 1e-9
-# how far lp_feasible lets an accepted assignment miss a row or bound
+# how far lp_feasible lets an accepted assignment miss a row or go negative
 TOL_ASSIGN = 1e-7
 TOL_GEOM = 1e-8
-R_CONE = 1e6
 HULL_MAX_DIM = 4
 MAX_LP_VARS = 512
 # support-function directions of hausdorff_distance
@@ -67,78 +66,66 @@ class LPBreakdown:
 LPOutcome = LPFeasible | LPInfeasible | LPBreakdown
 
 
-def lp_feasible(A, b, upper=None) -> LPOutcome:
-    """Find z with A z = b, z >= 0 and z <= upper wherever upper is finite.
+def lp_feasible(A, b) -> LPOutcome:
+    """Find z with A z = b, z >= 0.
 
-    Phase-1 simplex with Bland's rule: each finite upper bound becomes a
-    row z_j + s_j = upper_j whose slack s_j is a column after those of A,
-    and rows with a negative right-hand side are negated.  The assignment
-    found is checked against every row and bound.  Numerical breakdown is
-    a distinct outcome, never silently reported as infeasible.  Non-finite
-    A or b, a NaN or -inf bound, or more than MAX_LP_VARS columns raise
-    GeometryError.
+    Phase-1 simplex with Bland's rule, after negating the rows with a
+    negative right-hand side.  The phase-1 objective, a sum of artificial
+    variables, is never below zero, so no variable needs a bound.  The
+    assignment found is checked against every row and the sign
+    constraints.  Numerical breakdown is a distinct outcome, never
+    silently reported as infeasible.  Non-finite A or b, or more than
+    MAX_LP_VARS columns, raise GeometryError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:
         raise DimensionError("LP rows must form a matrix")
     n = A.shape[1]
-    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    if b.shape != A.shape[:1] or upper.shape != (n,):
-        raise DimensionError("LP rows, right-hand side and bounds do not match")
+    if b.shape != A.shape[:1]:
+        raise DimensionError("LP rows and right-hand side do not match")
     if not 0 < n <= MAX_LP_VARS:
         raise GeometryError(f"an LP takes 1..{MAX_LP_VARS} columns, got {n}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(upper > -np.inf)):
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise GeometryError("LP data must be finite")
 
-    capped = np.flatnonzero(np.isfinite(upper))
-    m, k = A.shape[0], capped.size
-    M = np.zeros((m + k, n + k))
-    M[:m, :n] = A
-    M[m + np.arange(k), capped] = 1.0
-    M[m:, n:] = np.eye(k)
-    rhs = np.concatenate([b, upper[capped]])
-    M[rhs < 0] *= -1.0
-    result = _phase1_simplex(M, np.abs(rhs))
-    if not isinstance(result, np.ndarray):
-        return result
-    z = result[:n]
+    sign = np.where(b < 0, -1.0, 1.0)
+    z = _phase1_simplex(A * sign[:, None], np.abs(b))
+    if not isinstance(z, np.ndarray):
+        return z
     # Certificate check: the assignment must satisfy everything.
     residual = float(np.abs(A @ z - b).max(initial=0.0))
     if residual > TOL_ASSIGN:
         return LPBreakdown(f"assignment violates constraint by {residual:.3e}")
-    if np.any(z < -TOL_ASSIGN) or np.any(z > upper + TOL_ASSIGN):
-        return LPBreakdown("assignment violates variable bounds")
+    if np.any(z < -TOL_ASSIGN):
+        return LPBreakdown("assignment violates z >= 0")
     return LPFeasible(z)
 
 
 def lp_weights(target, blocks, what: str) -> list[np.ndarray] | float:
     """Nonnegative weights, one array per block ``(V, kind)``, whose
     combination of the blocks' rows equals ``target``, or the infeasibility
-    margin (a float) when there are none.  ``kind`` bounds a block's
-    weights: "convex" ones sum to one, "cone" ones are capped at R_CONE
-    and "free" ones are only nonnegative.  The LP's rows are the
-    equalities, then one sum row per convex block in block order.  This is
-    where an LP breakdown becomes an error: GeometryError("LP breakdown in
-    <what>: ..."), which the CLI reports as a refusal (exit 3)."""
+    margin (a float) when there are none.  ``kind`` is "convex", whose
+    weights sum to one, or "free", whose weights are only nonnegative.
+    The LP's rows are the equalities, then one sum row per convex block in
+    block order.  This is where an LP breakdown becomes an error:
+    GeometryError("LP breakdown in <what>: ..."), which the CLI reports as
+    a refusal (exit 3)."""
     t = np.asarray(target, dtype=float)
     dim = t.shape[0]
     offs = list(itertools.accumulate((len(V) for V, _ in blocks), initial=0))
     spans = list(itertools.pairwise(offs))  # each block's columns
     n_convex = sum(kind == "convex" for _, kind in blocks)
     A = np.zeros((dim + n_convex, offs[-1]))
-    upper = np.full(offs[-1], np.inf)
     row = dim
     for (V, kind), (lo, hi) in zip(blocks, spans):
         A[:dim, lo:hi] = np.asarray(V, dtype=float).T
         if kind == "convex":
             A[row, lo:hi] = 1.0
             row += 1
-        elif kind == "cone":
-            upper[lo:hi] = R_CONE
         elif kind != "free":
-            raise ValueError(f"block kinds are convex, cone or free, got {kind!r}")
-    out = lp_feasible(A, np.concatenate([t, np.ones(n_convex)]), upper)
+            raise ValueError(f"block kinds are convex or free, got {kind!r}")
+    out = lp_feasible(A, np.concatenate([t, np.ones(n_convex)]))
     if isinstance(out, LPBreakdown):
         raise GeometryError(f"LP breakdown in {what}: {out.reason}")
     if isinstance(out, LPInfeasible):
@@ -583,7 +570,7 @@ def _in_cone(v: np.ndarray, G: np.ndarray) -> bool:
         return True
     if G.shape[0] == 0:
         return False
-    return not isinstance(lp_weights(v / nv, [(G, "cone")], "cone membership"), float)
+    return not isinstance(lp_weights(v / nv, [(G, "free")], "cone membership"), float)
 
 
 def cones_equal(a: ConeSpec, b: ConeSpec) -> bool:
@@ -624,7 +611,7 @@ def minkowski_membership(
     if t.shape != (base.dim,) or any(term.dim != base.dim for term in [*scaled_terms, *cones]):
         raise DimensionError("target, scaled terms and cones must share the base's dim")
     blocks = [(base.vertices, "convex")] + [(q.vertices, "free") for q in scaled_terms]
-    blocks += [(c.generators, "cone") for c in cones]
+    blocks += [(c.generators, "free") for c in cones]
     z = lp_weights(t, blocks, "Minkowski membership")
     if isinstance(z, float):
         return NotMember(z)

@@ -32,6 +32,7 @@ from varcalc.convgeom import (
     Polytope,
     PolytopeUnion,
     TOL_GEOM,
+    _planar_ring,
     cones_equal,
     convex_hull,
     clip_polytope,
@@ -747,9 +748,7 @@ def _barycentric_fill(poly: Polytope, spacing: float) -> np.ndarray:
 
 def _polygon_lattice(V: np.ndarray, spacing: float) -> np.ndarray:
     """Box lattice restricted to a 2D convex hull (vertices included)."""
-    center = V.mean(axis=0)
-    order = np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))
-    ring = V[order]
+    ring = V[_planar_ring(V.tolist())]
     lo, hi = V.min(axis=0), V.max(axis=0)
     nx = max(2, int(math.ceil((hi[0] - lo[0]) / spacing)) + 1)
     ny = max(2, int(math.ceil((hi[1] - lo[1]) / spacing)) + 1)
@@ -1352,8 +1351,9 @@ def verify_intersection_rule(
 ) -> RuleReport:
     """Normal-cone intersection rule with its qualification condition.
 
-    The condition is tested by LP: some choice of normals x_i from the
-    per-set cones sums to zero with one block forced away from zero.  On
+    The condition is tested by LP: it fails when some choice of normals
+    x_i from the per-set cones sums to zero while one coordinate of one
+    x_i is 1 or -1 (see _qc_violation_witness).  On
     failure the report carries the witness multipliers; otherwise each
     generator of the intersection's cone is checked for membership in the
     sum of the per-set cones.
@@ -1414,14 +1414,13 @@ def _worst_gap(targets, choice, counts: Sequence[int], search: str) -> float:
 
 def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | float:
     """Normals, one per cone, that sum to zero while some coordinate of one
-    of them is at least 1 in absolute value: one LP per block, coordinate
-    and sign over the cone blocks widened by that ">= 1" coordinate, made
-    an equality by a free surplus column -e_dim after them.  Returns the
-    blocks' weight sums scaled to a largest entry of 1, or math.inf when
-    the qualification condition holds."""
+    of them is 1 or -1: one LP per block, coordinate and sign over the cone
+    blocks widened by that "= 1" coordinate.  Cone weights are unbounded,
+    so the LP is homogeneous and "= 1" loses nothing over "at least 1".
+    Returns the blocks' weight sums scaled to a largest entry of 1, or
+    math.inf when the qualification condition holds."""
     col_blocks = [c.generators for c in cones]
     target = np.concatenate([np.zeros(dim), [1.0]])
-    surplus = (-np.eye(dim + 1)[dim:], "free")
     for j, block in enumerate(col_blocks):
         if block.shape[0] == 0:
             continue
@@ -1429,10 +1428,10 @@ def _qc_violation_witness(cones: Sequence[ConeSpec], dim: int) -> list[float] | 
             for sign in (1.0, -1.0):
                 extra = [np.zeros(len(b)) for b in col_blocks]
                 extra[j] = sign * block[:, k]
-                widened = [(np.column_stack(pair), "cone") for pair in zip(col_blocks, extra)]
-                z = lp_weights(target, widened + [surplus], "the qualification check")
+                widened = [(np.column_stack(pair), "free") for pair in zip(col_blocks, extra)]
+                z = lp_weights(target, widened, "the qualification check")
                 if not isinstance(z, float):
-                    lams = [float(w.sum()) for w in z[:-1]]
+                    lams = [float(w.sum()) for w in z]
                     top = max(lams)
                     return [l / top for l in lams]
     return math.inf

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import sys
 from dataclasses import replace
@@ -229,6 +230,14 @@ def test_certify_checks_the_candidate_once_and_groups_the_probe(monkeypatch):
     out = B.certify_T83(bp, cand, 4.0, pf.grid, pf.sample_params)
     assert isinstance(out, B.StationarityCertificate)
     assert len(checks) == 2
+
+
+def test_calmness_probe_takes_its_kappa_grid_and_value_grid():
+    # both were defaults once, and a missing value-function grid could
+    # only raise; every caller passes both by position
+    params = inspect.signature(B.partial_calmness_probe).parameters
+    assert list(params) == ["bp", "point", "kappa_grid", "grid", "params"]
+    assert [p.default is inspect.Parameter.empty for p in params.values()] == [True] * 4 + [False]
 
 
 def test_calmness_exhausted_grid_reports_witnesses():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -80,17 +81,21 @@ def test_polytopes_and_cones_are_canonical_once_built(points):
     # the union keeps the very parts it was given and runs no hull filter
     assert filtered == []
     assert all(part is P or part is Q for part in union.parts)
-    try:
-        c = G.ConeSpec(P.dim, points)
-    except G.GeometryError as err:
-        # two generators under about 1e-2 apart in angle: the cone LP
-        # accepts phase-1 objectives up to 1e-8 * R_CONE, and the check of
-        # its assignment then refuses; nothing to rebuild
-        assert str(err).startswith("LP breakdown in cone membership: assignment violates constraint")
-        return
+    c = G.ConeSpec(P.dim, points)
     again = G.ConeSpec(c.dim, c.generators)
     assert again.generators.shape == c.generators.shape
     assert np.abs(again.generators - c.generators).max(initial=0.0) <= 1e-15
+
+
+def test_a_cone_of_two_close_generators_keeps_both():
+    # 1e-3 apart in angle: with cone weights capped at 1e6 the cap entered
+    # the acceptance bound 1e-8 * (1 + max|b|), phase 1 accepted a margin
+    # of about 1e-3, and the assignment check refused with an LP breakdown
+    c = G.ConeSpec(2, [[1.0, 0.0], [1.0, 0.001]])
+    assert c.generators.shape == (2, 2)
+    assert c.contains([1.0, 0.0005])
+    assert not c.contains([1.0, -0.0001])
+    assert not c.contains([1.0, 0.0011])
 
 
 # the LP loop broke down on these with "assignment violates variable
@@ -294,17 +299,21 @@ def test_hull_matches_qhull_on_flat_sets(dim, flat, seed):
 
 
 def _standard_form(rows, senses, rhs, upper):
-    """A z = b, 0 <= z <= upper for rows with senses "<=", ">=", "==": one
-    slack column (+1) or surplus column (-1) per inequality, after the
-    variables, with no upper bound."""
+    """A z = b, z >= 0 for rows with senses "<=", ">=", "==" and the
+    variables' bounds z_j <= upper_j: each finite bound is a "<=" row after
+    the given ones, and each inequality gets a slack column (+1) or a
+    surplus column (-1) after the variables."""
     rows = np.array(rows, dtype=float)
+    capped = np.flatnonzero(np.isfinite(upper))
+    rows = np.vstack([rows, np.eye(len(upper))[capped]])
+    senses = list(senses) + ["<="] * capped.size
+    rhs = np.concatenate([np.asarray(rhs, dtype=float), np.asarray(upper, dtype=float)[capped]])
     sign = {"<=": 1.0, ">=": -1.0}
     ineq = [i for i, s in enumerate(senses) if s != "=="]
     slacks = np.zeros((len(senses), len(ineq)))
     for k, i in enumerate(ineq):
         slacks[i, k] = sign[senses[i]]
-    A = np.hstack([rows, slacks])
-    return A, np.array(rhs, dtype=float), np.concatenate([upper, np.full(len(ineq), np.inf)])
+    return np.hstack([rows, slacks]), rhs
 
 
 def _random_rows(rng, n, count, rhs_hi):
@@ -334,34 +343,32 @@ def test_lp_certificates_verify():
     for _ in range(40):
         n = int(rng.integers(2, 5))
         rows, senses, rhs = _random_rows(rng, n, int(rng.integers(1, 4)), 3)
-        A, b, upper = _standard_form(rows, senses, rhs, np.full(n, 10.0))
-        out = G.lp_feasible(A, b, upper)
+        A, b = _standard_form(rows, senses, rhs, np.full(n, 10.0))
+        out = G.lp_feasible(A, b)
         assert not isinstance(out, G.LPBreakdown)
         if isinstance(out, G.LPFeasible):
             z = out.assignment
             assert A @ z == pytest.approx(b, abs=1e-7)
-            assert np.all(z >= -1e-7) and np.all(z <= upper + 1e-7)
+            assert np.all(z >= -1e-7) and np.all(z[:n] <= 10.0 + 1e-7)
 
 
 @pytest.mark.parametrize(
-    "A, b, upper",
+    "A, b",
     [
-        ([[1.0, np.nan]], [1.0], None),
-        ([[1.0, 1.0]], [np.inf], None),
-        ([[1.0, 1.0]], [1.0], [1.0, np.nan]),
-        ([[1.0, 1.0]], [1.0], [1.0, -np.inf]),
-        (np.ones((1, G.MAX_LP_VARS + 1)), [1.0], None),
-        (np.ones((1, 0)), [1.0], None),
+        ([[1.0, np.nan]], [1.0]),
+        ([[1.0, 1.0]], [np.inf]),
+        (np.ones((1, G.MAX_LP_VARS + 1)), [1.0]),
+        (np.ones((1, 0)), [1.0]),
     ],
 )
-def test_lp_rejects_non_finite_or_oversized_data(A, b, upper):
+def test_lp_rejects_non_finite_or_oversized_data(A, b):
     with pytest.raises(G.GeometryError):
-        G.lp_feasible(A, b, upper)
+        G.lp_feasible(A, b)
 
 
 def _random_lp(rng, n):
     rows, senses, rhs = _random_rows(rng, n, int(rng.integers(1, 6)), 5)
-    return _standard_form(rows, senses, rhs, rng.choice([np.inf, 3.0, G.R_CONE], n))
+    return _standard_form(rows, senses, rhs, rng.choice([np.inf, 3.0, 1e6], n))
 
 
 def _degenerate_lp(rng, n):
@@ -387,14 +394,15 @@ def _degenerate_lp(rng, n):
 
 
 def _cap_bound_lp(rng, n):
-    # cone weights capped at R_CONE, the way membership LPs cap them: a
-    # target at scale * R_CONE along a positive combination of generators
+    # weights capped at 1e6 by explicit bound rows: a target at
+    # scale * 1e6 along a positive combination of generators, just inside
+    # or just past the caps
     gens = rng.integers(0, 4, (2, n)).astype(float)
     gens[:, 0] = 1.0
     w = rng.integers(1, 4, n).astype(float)
     scale = rng.choice([0.5, 0.999, 1.001, 2.0])
-    target = scale * G.R_CONE * (gens @ w) / w.max()
-    return gens, target, np.full(n, G.R_CONE)
+    target = scale * 1e6 * (gens @ w) / w.max()
+    return _standard_form(gens, ["=="] * 2, target, np.full(n, 1e6))
 
 
 @pytest.mark.parametrize("make", [_random_lp, _degenerate_lp, _cap_bound_lp])
@@ -404,16 +412,10 @@ def test_lp_verdicts_match_highs(make):
     rng = np.random.default_rng(23)
     verdicts = set()
     for _ in range(120):
-        A, b, upper = make(rng, int(rng.integers(1, 6)))
-        out = G.lp_feasible(A, b, upper)
+        A, b = make(rng, int(rng.integers(1, 6)))
+        out = G.lp_feasible(A, b)
         assert not isinstance(out, G.LPBreakdown), out
-        ref = linprog(
-            np.zeros(A.shape[1]),
-            A_eq=A,
-            b_eq=b,
-            bounds=np.column_stack([np.zeros(A.shape[1]), upper]),
-            method="highs",
-        )
+        ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ref.status in (0, 2), ref.message
         assert isinstance(out, G.LPFeasible) == (ref.status == 0)
         verdicts.add(ref.status)
@@ -421,11 +423,11 @@ def test_lp_verdicts_match_highs(make):
 
 
 def _random_blocks(rng):
-    """Blocks of small integer rows mixing the three kinds, and a target:
-    a combination of the blocks with valid weights, the same with a cone
-    block pushed past its cap, or random integers."""
+    """Blocks of small integer rows mixing the two kinds, and a target:
+    a combination of the blocks with valid weights, free weights up to 5
+    or up to 1e6, or random integers."""
     dim = int(rng.integers(1, 4))
-    kinds = rng.choice(["convex", "cone", "free"], int(rng.integers(1, 5)))
+    kinds = rng.choice(["convex", "free"], int(rng.integers(1, 5)))
     blocks = [(rng.integers(-3, 4, (int(rng.integers(1, 4)), dim)).astype(float), str(k)) for k in kinds]
     how = rng.integers(0, 3)
     if how == 2:
@@ -434,10 +436,8 @@ def _random_blocks(rng):
     for V, kind in blocks:
         if kind == "convex":
             w = rng.dirichlet(np.ones(len(V)))
-        elif kind == "cone":
-            w = rng.uniform(0, 1, len(V)) * G.R_CONE * (2.0 if how == 1 else 0.5)
         else:
-            w = rng.uniform(0, 5, len(V))
+            w = rng.uniform(0, 1e6 if how == 1 else 5, len(V))
         target += V.T @ w
     return blocks, target
 
@@ -451,19 +451,18 @@ def test_lp_weights_match_highs_on_block_systems():
         blocks, target = _random_blocks(rng)
         out = G.lp_weights(target, blocks, "a test")
         # the reference LP: one column per block row, equalities, then a
-        # sum-to-one row per convex block; cone columns bounded by R_CONE
+        # sum-to-one row per convex block; no column bounded above
         n = sum(len(V) for V, _ in blocks)
-        A_eq, b_eq, bounds, col = [np.hstack([V.T for V, _ in blocks])], [target], [], 0
+        A_eq, b_eq, col = [np.hstack([V.T for V, _ in blocks])], [target], 0
         for V, kind in blocks:
             if kind == "convex":
                 row = np.zeros((1, n))
                 row[0, col : col + len(V)] = 1.0
                 A_eq.append(row)
                 b_eq.append([1.0])
-            bounds += [(0.0, G.R_CONE if kind == "cone" else None)] * len(V)
             col += len(V)
         ref = linprog(
-            np.zeros(n), A_eq=np.vstack(A_eq), b_eq=np.concatenate(b_eq), bounds=bounds, method="highs"
+            np.zeros(n), A_eq=np.vstack(A_eq), b_eq=np.concatenate(b_eq), bounds=(0, None), method="highs"
         )
         assert ref.status in (0, 2), ref.message
         assert isinstance(out, float) == (ref.status == 2), (blocks, target)
@@ -477,14 +476,15 @@ def test_lp_weights_match_highs_on_block_systems():
             assert np.all(w >= -1e-7)
             if kind == "convex":
                 assert w.sum() == pytest.approx(1.0, abs=1e-7)
-            if kind == "cone":
-                assert np.all(w <= G.R_CONE + 1e-7)
     assert verdicts == {0, 2}
 
 
 def test_lp_weights_rejects_an_unknown_block_kind():
-    with pytest.raises(ValueError, match="block kinds"):
-        G.lp_weights([1.0], [(np.ones((1, 1)), "convex"), (np.ones((1, 1)), "bounded")], "a test")
+    # "cone" was a third kind, with weights capped at 1e6; cone weights
+    # are free weights now
+    for kind in ("bounded", "cone"):
+        with pytest.raises(ValueError, match="block kinds are convex or free"):
+            G.lp_weights([1.0], [(np.ones((1, 1)), "convex"), (np.ones((1, 1)), kind)], "a test")
 
 
 def _names(tree) -> set:
@@ -496,8 +496,9 @@ def _names(tree) -> set:
 
 
 def test_lp_weights_is_the_one_lp_assembler():
-    # only lp_weights calls the simplex, and no module outside convgeom
-    # names it or the cone cap; the package root only re-exports it
+    # only lp_weights calls the simplex, no module outside convgeom
+    # names it, the package root only re-exports it, and the cone cap
+    # is gone
     src = Path(G.__file__).parent
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     callers = [
@@ -511,8 +512,9 @@ def test_lp_weights_is_the_one_lp_assembler():
     for name, tree in trees.items():
         if name in ("convgeom.py", "__init__.py"):
             continue
-        assert not {"lp_feasible", "R_CONE"} & _names(tree), name
-    assert "R_CONE" not in _names(trees["__init__.py"])
+        assert "lp_feasible" not in _names(tree), name
+    assert not hasattr(G, "R_CONE")
+    assert list(inspect.signature(G.lp_feasible).parameters) == ["A", "b"]
 
 
 def test_hull_lps_run_two_frames_below_in_hull_lp(monkeypatch):

@@ -103,6 +103,24 @@ def test_verify_suite_lp_count_stays_at_its_measured_figure(monkeypatch):
     assert len(calls) <= 77
 
 
+def test_verify_suite_lp_rows_and_columns_stay_at_their_measured_figures(monkeypatch):
+    # the rows and columns of every tableau handed to the simplex: 208 and
+    # 142 at the default seed, where capping each cone weight at 1e6 by a
+    # row and a slack column left 282 and 225; a hidden row or column
+    # added back to the LPs shows here
+    sizes = []
+    real = G._phase1_simplex
+
+    def spy(A, b):
+        sizes.append(A.shape)
+        return real(A, b)
+
+    monkeypatch.setattr(G, "_phase1_simplex", spy)
+    assert C.run_verify_suite().all_passed
+    assert sum(m for m, _ in sizes) <= 208
+    assert sum(n for _, n in sizes) <= 142
+
+
 def test_verify_suite_pattern_and_forward_pass_counts_stay_at_their_measured_figures(monkeypatch):
     # one active_patterns call per census and per oracle, over the point
     # and every radius at once: a per-radius call back in either shows here

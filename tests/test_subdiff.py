@@ -1170,6 +1170,7 @@ REMOVED_OPTIONS = [
     (E.to_text, "space"),
     (S.verify_difference_rule, "claimed_local_minimizer"),
     (G.PolytopeUnion.create, "canonicalize"),
+    (G.lp_feasible, "upper"),
 ]
 
 
