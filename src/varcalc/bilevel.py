@@ -351,7 +351,7 @@ def regularity_check(
     for i in sd.active_constraints(bp.lower_constraints, p):
         full = sd.basic_subdifferential(bp.lower_constraints[i], p, params)
         lower_unions.append(
-            PolytopeUnion.create([Polytope(part.vertices[:, bp.x_dim :]) for part in full.parts])
+            PolytopeUnion([Polytope(part.vertices[:, bp.x_dim :]) for part in full.parts])
         )
     lower_witness = sd.qualification_witness(lower_unions)
 
@@ -456,7 +456,7 @@ class _Candidate:
         """T7.4's active upper constraints' subdifferentials over (x, y)."""
         bp, params, xv = self.bp, self.params, self.p[: self.bp.x_dim]
         return {
-            j: PolytopeUnion.create(
+            j: PolytopeUnion(
                 [
                     Polytope(_embed_x_block(part.vertices, bp.x_dim, bp.y_dim))
                     for part in sd.basic_subdifferential(bp.upper_constraints[j], xv, params).parts

@@ -6,8 +6,9 @@ floating point, with TOL_GEOM = 1e-8 for canonicalization.  Hulls and
 memberships are exact planar geometry at TOL_GEOM in one and two
 dimensions, and hull LPs in three and four.  A Polytope or ConeSpec is
 canonical once built: its constructor keeps only the extreme vertices or
-the irredundant unit generators, sorted, so PolytopeUnion.create and
-cones_equal trust the parts they are given and re-hull nothing.  An LP
+the irredundant unit generators, sorted, so a PolytopeUnion and
+cones_equal trust the parts they are given and re-hull nothing; a
+PolytopeUnion in turn keeps only parts that no other part contains.  An LP
 is feasible when its phase-1 objective is at most 10 * TOL_LP *
 (1 + max|b|) (TOL_LP = 1e-9, b the right-hand side) and the assignment
 found then satisfies every row and sign constraint to within
@@ -150,14 +151,12 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray | LPInfeasible |
     for _ in range(max_iter):
         if not np.all(np.isfinite(T)):
             return LPBreakdown("non-finite tableau entries")
-        # Bland: entering column = smallest index with negative reduced cost.
-        enter = -1
-        for j in range(n + m):
-            if T[m, j] < -TOL_LP:
-                enter = j
-                break
-        if enter < 0:
+        # Bland: entering column = smallest index with negative reduced cost
+        # and an entry the ratio test can pivot on.
+        ready = (T[m, :-1] < -TOL_LP) & (T[:m, :-1] > TOL_LP).any(axis=0)
+        if not ready.any():
             break
+        enter = int(ready.argmax())
         # Ratio test, Bland tie-break on the leaving basis variable index.
         leave = -1
         best = math.inf
@@ -170,8 +169,6 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> np.ndarray | LPInfeasible |
                 ):
                     best = ratio
                     leave = i
-        if leave < 0:
-            return LPBreakdown("unbounded pivot column in phase 1")
         piv = T[leave, enter]
         T[leave] /= piv
         for i in range(m + 1):
@@ -459,30 +456,35 @@ def point_to_polytope_distance(p: Sequence[float], poly: Polytope) -> float:
 # Unions of polytopes
 
 
+def _inside(p: Polytope, q: Polytope) -> bool:
+    return all(q.contains(v) for v in p.vertices)
+
+
 @dataclass(frozen=True)
 class PolytopeUnion:
-    """Finite union of polytopes of equal dimension; parts are pairwise
-    distinct, with parts contained in other parts removed, and each is
-    canonical because every Polytope is."""
+    """Finite union of polytopes of equal dimension, canonical once built:
+    taking the parts with most vertices first, the constructor drops each
+    one a kept part contains and each kept part a later one contains, and
+    sorts the rest by (num_vertices, canonical_key())."""
 
     parts: tuple[Polytope, ...]
 
     def __post_init__(self):
-        if not self.parts:
+        parts = tuple(self.parts)
+        if not parts:
             raise GeometryError("union needs at least one part")
-        dim = self.parts[0].dim
-        for p in self.parts:
-            if p.dim != dim:
-                raise DimensionError("union parts have mixed dims")
+        if any(p.dim != parts[0].dim for p in parts):
+            raise DimensionError("union parts have mixed dims")
+        kept: list[Polytope] = []
+        for p in sorted(parts, key=lambda q: -q.num_vertices):
+            if not any(_inside(p, q) for q in kept):
+                kept = [q for q in kept if not _inside(q, p)] + [p]
+        kept.sort(key=lambda p: (p.num_vertices, p.canonical_key()))
+        object.__setattr__(self, "parts", tuple(kept))
 
     @property
     def dim(self) -> int:
         return self.parts[0].dim
-
-    @staticmethod
-    def create(parts: Iterable[Polytope]) -> "PolytopeUnion":
-        ps = _absorb_parts(parts)
-        return PolytopeUnion(tuple(sorted(ps, key=lambda p: (p.num_vertices, p.canonical_key()))))
 
     def hull(self) -> Polytope:
         return convex_hull(np.vstack([p.vertices for p in self.parts]))
@@ -494,18 +496,10 @@ class PolytopeUnion:
         return any(p.contains(point) for p in self.parts)
 
     def negate(self) -> "PolytopeUnion":
-        return PolytopeUnion.create([Polytope(-p.vertices) for p in self.parts])
+        return PolytopeUnion([Polytope(-p.vertices) for p in self.parts])
 
     def canonical_key(self) -> tuple:
         return tuple(p.canonical_key() for p in self.parts)
-
-
-def _absorb_parts(parts: Iterable[Polytope]) -> list[Polytope]:
-    kept: list[Polytope] = []
-    for p in sorted(parts, key=lambda q: -q.num_vertices):
-        if not any(all(q.contains(v) for v in p.vertices) for q in kept):
-            kept.append(p)
-    return kept
 
 
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
@@ -516,7 +510,7 @@ def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
 
 
 def union_minkowski_sum(a: PolytopeUnion, b: PolytopeUnion) -> PolytopeUnion:
-    return PolytopeUnion.create([minkowski_sum(p, q) for p in a.parts for q in b.parts])
+    return PolytopeUnion([minkowski_sum(p, q) for p in a.parts for q in b.parts])
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +659,7 @@ def _hausdorff_operand(
         if not np.all(np.isfinite(x)):
             raise GeometryError("vertices must be finite")
         return x, x, []
-    u = x if isinstance(x, PolytopeUnion) else PolytopeUnion.create([x])
+    u = x if isinstance(x, PolytopeUnion) else PolytopeUnion((x,))
     singles = [p.vertices[0] for p in u.parts if p.num_vertices == 1]
     multi = [p for p in u.parts if p.num_vertices > 1]
     return np.vstack([p.vertices for p in u.parts]), (np.array(singles) if singles else None), multi

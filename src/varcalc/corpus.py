@@ -39,7 +39,7 @@ class CorpusEntry:
         return ex.parse_function(self.text, self.space)
 
     def expected_union(self) -> PolytopeUnion:
-        return PolytopeUnion.create([Polytope(part) for part in self.expected_basic])
+        return PolytopeUnion([Polytope(part) for part in self.expected_basic])
 
 
 def _e(name, text, space, point, parts, regular_empty=False):

@@ -152,11 +152,26 @@ class SetSpec:
     """A set given as inequalities, as the graph of a constraint map (an
     epigraph among them) or as a singleton: a graph spec carries the
     (x-block, y-block) split of its product space in block_dims, a
-    singleton its point."""
+    singleton its point.  A spec built from constraints needs at least
+    one, all in one space, and a graph's block_dims must split that space;
+    its polyhedron is read from the constraints once."""
 
     functions: tuple[ex.FunctionDef, ...] = ()
     point: np.ndarray | None = None
     block_dims: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.point is not None:
+            return
+        fns = tuple(self.functions)
+        object.__setattr__(self, "functions", fns)
+        kind = "sublevel" if self.block_dims is None else "graph"
+        if not fns:
+            raise SubdiffError(f"{kind} spec needs at least one constraint")
+        if any(f.space != fns[0].space for f in fns):
+            raise DimensionError(f"{kind} constraints live in different spaces")
+        if self.block_dims is not None and sum(self.block_dims) != self.dim:
+            raise DimensionError("graph constraints must live in the product space")
 
     @property
     def dim(self) -> int:
@@ -166,21 +181,11 @@ class SetSpec:
 
     @staticmethod
     def sublevel(functions: Sequence[ex.FunctionDef]) -> "SetSpec":
-        fns = tuple(functions)
-        if not fns:
-            raise SubdiffError("sublevel spec needs at least one constraint")
-        space = fns[0].space
-        for f in fns:
-            if f.space != space:
-                raise DimensionError("sublevel constraints live in different spaces")
-        return SetSpec(fns)
+        return SetSpec(functions)
 
     @staticmethod
     def graph(functions: Sequence[ex.FunctionDef], x_dim: int, y_dim: int) -> "SetSpec":
-        fns = tuple(functions)
-        if fns[0].space.dim != x_dim + y_dim:
-            raise DimensionError("graph constraints must live in the product space")
-        return SetSpec(fns, block_dims=(x_dim, y_dim))
+        return SetSpec(functions, block_dims=(x_dim, y_dim))
 
     @staticmethod
     def epigraph(f: ex.FunctionDef) -> "SetSpec":
@@ -197,6 +202,15 @@ class SetSpec:
         if self.point is None:
             return self.functions
         raise SubdiffError("singleton spec has no constraint functions")
+
+    @cached_property
+    def polyhedron(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(A, b) with the set equal to {x : Ax <= b} when every constraint
+        is affine, else None; None for a singleton."""
+        parts = [ex.affine_parts(f) for f in self.functions]
+        if self.point is not None or None in parts:
+            return None
+        return np.array([w for w, _ in parts]), np.array([-c for _, c in parts])
 
     @cached_property
     def faces(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -247,22 +261,8 @@ class ProjectionUnavailable(SubdiffError):
     pass
 
 
-def _affine_system(spec: SetSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """(A, b) with the set, given by constraints, equal to {x : Ax <= b},
-    or None."""
-    rows, rhs = [], []
-    for f in spec.functions:
-        parts = ex.affine_parts(f)
-        if parts is None:
-            return None
-        w, b = parts
-        rows.append(w)
-        rhs.append(-b)
-    return np.array(rows), np.array(rhs)
-
-
 def _polyhedron(spec: SetSpec) -> tuple[np.ndarray, np.ndarray]:
-    system = _affine_system(spec)
+    system = spec.polyhedron
     if system is None:
         raise ProjectionUnavailable(
             "exact projection needs affine constraints; use the sampled oracle"
@@ -447,7 +447,7 @@ def basic_subdifferential_with_census(
             parts.append(piece)
     if not parts:
         raise EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
-    return PolytopeUnion.create(parts), census
+    return PolytopeUnion(parts), census
 
 
 def singular_subdifferential(f: ex.FunctionDef, x: Sequence[float]) -> ConeSpec:
@@ -771,9 +771,18 @@ def _polygon_lattice(V: np.ndarray, spacing: float) -> np.ndarray:
 
 @dataclass
 class NormalCone:
+    """A union of cones that keeps the first of any parts cones_equal pairs."""
+
     parts: tuple[ConeSpec, ...]
     qualification: str  # "polyhedral-exact" | "verified" | "trivial"
     active: tuple[int, ...]
+
+    def __post_init__(self):
+        kept: list[ConeSpec] = []
+        for c in self.parts:
+            if not any(cones_equal(c, q) for q in kept):
+                kept.append(c)
+        self.parts = tuple(kept)
 
     @property
     def dim(self) -> int:
@@ -888,10 +897,8 @@ def normal_cone(
     if not active:
         return NormalCone((ConeSpec.zero(dim),), "trivial", ())
 
-    system = _affine_system(spec)
-    if system is not None:
-        A, _ = system
-        gens = A[list(active)]
+    if spec.polyhedron is not None:
+        gens = spec.polyhedron[0][list(active)]
         return NormalCone((ConeSpec(dim, gens),), "polyhedral-exact", active)
 
     subdiffs = [basic_subdifferential(fns[j], p, params) for j in active]
@@ -905,16 +912,11 @@ def normal_cone(
                 "active_constraints": list(active),
             },
         )
-    parts = []
-    for choice in itertools.product(*(u.parts for u in subdiffs)):
-        gens = np.vstack([P.vertices for P in choice])
-        parts.append(ConeSpec(dim, gens))
-    # distinct parts only
-    uniq: list[ConeSpec] = []
-    for c in parts:
-        if not any(cones_equal(c, q) for q in uniq):
-            uniq.append(c)
-    return NormalCone(tuple(uniq), "verified", active)
+    parts = (
+        ConeSpec(dim, np.vstack([P.vertices for P in choice]))
+        for choice in itertools.product(*(u.parts for u in subdiffs))
+    )
+    return NormalCone(parts, "verified", active)
 
 
 def _projection_grid(
@@ -1648,7 +1650,7 @@ def epigraph_consistency_check(
         if not comp.recession.is_zero():
             raise SubdiffError("epigraph slice unbounded for a Lipschitz function")
         parts.append(comp.base)
-    via = PolytopeUnion.create(parts)
+    via = PolytopeUnion(parts)
     singular_ok = all(c.is_zero_only() for c in zero_slices)
     return EpigraphReport(
         basic_discrepancy=hausdorff_distance(direct, via),

@@ -23,7 +23,6 @@ the one-parameter form.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -286,9 +285,9 @@ def _group_rows(
 ) -> np.ndarray:
     """Per row, its group's index, in order of first appearance: rows share
     a group when their boxes and the masks vals <= TOL_GEOM of the keyed
-    constraints, each at its own open-grid shape, agree byte for byte.  The
-    16-byte BLAKE2b digest of those bytes is the key, and the keys are
-    built for as many rows at a time as have BATCH_POINTS mask points."""
+    constraints, each at its own open-grid shape, agree byte for byte.
+    Those bytes are the key, and the keys are built for as many rows at a
+    time as have BATCH_POINTS mask points."""
     k, n = len(xs), xs.shape[1]
     # a mask has a grid axis for each decision variable its constraint reads
     points = sum(resolution ** sum(i >= n for i in _reads(f)) for f in keyed)
@@ -302,10 +301,7 @@ def _group_rows(
         for f in keyed:
             mask = ex.eval_open(f, cols) <= TOL_GEOM
             parts.append(np.packbits(mask.reshape(len(mask), -1), axis=1))
-        out[sl] = [
-            groups.setdefault(hashlib.blake2b(key, digest_size=16).digest(), len(groups))
-            for key in map(bytes, np.hstack(parts))
-        ]
+        out[sl] = [groups.setdefault(key, len(groups)) for key in map(bytes, np.hstack(parts))]
     return out
 
 
@@ -543,7 +539,7 @@ def value_subdiff_estimate(
     reason = {"reason": "expression class is Lipschitz by construction"}
     record(ledger, "cost function locally Lipschitz", "verified", reason)
     return ValueEstimate(
-        basic=PolytopeUnion.create(parts),
+        basic=PolytopeUnion(parts),
         singular=tuple(singular),
         notes=notes,
         ledger=ledger,

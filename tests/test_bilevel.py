@@ -132,7 +132,7 @@ def test_kkt_reports_a_later_branch_of_a_2d_union():
 
 def test_over_cap_searches_refuse_before_any_lp(monkeypatch):
     # 13 factors of two branches each: 8192 combinations > MAX_BRANCH_COMBOS
-    two = PolytopeUnion.create([Polytope.singleton([-1.0]), Polytope.singleton([-2.0])])
+    two = PolytopeUnion([Polytope.singleton([-1.0]), Polytope.singleton([-2.0])])
     term = B._Term((np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])), True)
     kkt = B.LipschitzProgram(fx("(- 0 (abs x))"), (fx("(- 0 (abs x))"),) * 12)
     # min(-y, -2y) has the branches -1 and -2 in y, so every qualification

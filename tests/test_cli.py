@@ -296,6 +296,30 @@ origin 0 0
     assert "refused" in report["results"]
 
 
+def test_cmd_normalcone_of_a_needle_polyhedron(tmp_path, capsys):
+    # the cone LP of the row (-1e-9, 1) broke down in phase 1: exit 3
+    text = """
+[vars]
+upper x
+lower y
+[lower]
+objective y
+constraint (- y)
+constraint x
+constraint (- x)
+constraint (- y (* 1e-9 x))
+[candidates]
+origin 0 0
+"""
+    path = tmp_path / "needle.vp"
+    path.write_text(text)
+    code, out, _ = run_cli(
+        ["normalcone", str(path), "--set", "lower", "--at", "origin", "--json"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["qualification"] == "polyhedral-exact"
+
+
 def test_cmd_normalcone_oracle_refusal_exit2(tmp_path, capsys):
     # four dimensions: the projection oracle supports at most three
     text = """

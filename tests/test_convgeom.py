@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import sys
 from pathlib import Path
 
@@ -77,7 +78,7 @@ def test_polytopes_and_cones_are_canonical_once_built(points):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(G, "_dedupe_rows", spy)
-        union = G.PolytopeUnion.create([P, Q])
+        union = G.PolytopeUnion([P, Q])
     # the union keeps the very parts it was given and runs no hull filter
     assert filtered == []
     assert all(part is P or part is Q for part in union.parts)
@@ -133,7 +134,7 @@ def test_clear_hulls_and_vertex_memberships_run_no_lp(monkeypatch):
     assert G.convex_hull([[1e6 + 50.0], [1e6]]).vertices.tolist() == [[1e6], [1e6 + 50.0]]
     assert all(square.contains(v) for v in square.vertices)
     # the parts' vertices are vertices of the larger part
-    union = G.PolytopeUnion.create([G.Polytope.singleton([1.0]), G.Polytope(np.array([[0.0], [1.0]]))])
+    union = G.PolytopeUnion([G.Polytope.singleton([1.0]), G.Polytope(np.array([[0.0], [1.0]]))])
     assert union.canonical_key() == (((0.0,), (1.0,)),)
     # planar hulls, and memberships of points that are no stored vertex
     pts = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5], [0.25, 0.0]]
@@ -350,6 +351,35 @@ def test_lp_certificates_verify():
             z = out.assignment
             assert A @ z == pytest.approx(b, abs=1e-7)
             assert np.all(z >= -1e-7) and np.all(z[:n] <= 10.0 + 1e-7)
+
+
+def test_a_needle_cone_builds():
+    # rounding left a reduced cost of -1.00000008e-9 on a column whose one
+    # positive entry is 1e-9, below the ratio test's TOL_LP: phase 1 took
+    # that column and refused with "unbounded pivot column in phase 1"
+    c = G.ConeSpec(2, [[0, -1], [1, 0], [-1, 0], [1e-9, 1]])
+    assert c.generators.shape == (4, 2)
+    assert c.contains([1.0, 0.0])
+
+
+def test_cone_lps_with_tiny_entries_never_break_down_unbounded():
+    # 2-D cones of integer generators, one entry 1e-10..1e-8: each
+    # generator against the cone of the others, as ConeSpec tests it
+    rng = np.random.default_rng(7)
+    feasible = 0
+    for _ in range(300):
+        gens = rng.integers(-1, 2, (int(rng.integers(3, 6)), 2)).astype(float)
+        gens[rng.integers(len(gens)), rng.integers(2)] = rng.choice([-1, 1]) * 10 ** rng.uniform(-10, -8)
+        for i, g in enumerate(gens):
+            if np.linalg.norm(g) > 1e-7:
+                A, b = np.delete(gens, i, axis=0).T, g / np.linalg.norm(g)
+                out = G.lp_feasible(A, b)
+                assert not (isinstance(out, G.LPBreakdown) and "unbounded" in out.reason)
+                if isinstance(out, G.LPFeasible):
+                    feasible += 1
+                    assert np.abs(A @ out.assignment - b).max() <= G.TOL_ASSIGN
+                    assert out.assignment.min() >= -G.TOL_ASSIGN
+    assert feasible > 400
 
 
 @pytest.mark.parametrize(
@@ -698,7 +728,7 @@ def test_contains_segment_and_singleton():
     assert not seg.contains([1.1]) and not seg.contains([-1e-3])
     point = G.Polytope.singleton([0.0])
     assert point.contains([5e-8]) and not point.contains([2e-7])
-    union = G.PolytopeUnion.create([point, G.Polytope([[2.0], [3.0]])])
+    union = G.PolytopeUnion([point, G.Polytope([[2.0], [3.0]])])
     assert union.contains([-5e-8]) and union.contains([2.5])
     assert not union.contains([1.0])
     # membership has one fixed tolerance: 1e-7 for a singleton, the LP's for a hull
@@ -711,19 +741,19 @@ def test_contains_segment_and_singleton():
 
 
 def test_hausdorff_identity():
-    p = G.PolytopeUnion.create([G.Polytope([[-1.0], [1.0]])])
+    p = G.PolytopeUnion([G.Polytope([[-1.0], [1.0]])])
     assert G.hausdorff_distance(p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hausdorff_two_points():
-    a = G.PolytopeUnion.create([G.Polytope.singleton([0.0])])
-    b = G.PolytopeUnion.create([G.Polytope.singleton([1.0])])
+    a = G.PolytopeUnion([G.Polytope.singleton([0.0])])
+    b = G.PolytopeUnion([G.Polytope.singleton([1.0])])
     assert G.hausdorff_distance(a, b) == pytest.approx(1.0)
 
 
 def test_hausdorff_union_vs_hull():
-    union = G.PolytopeUnion.create([G.Polytope.singleton([-1.0]), G.Polytope.singleton([1.0])])
-    interval = G.PolytopeUnion.create([G.Polytope([[-1.0], [1.0]])])
+    union = G.PolytopeUnion([G.Polytope.singleton([-1.0]), G.Polytope.singleton([1.0])])
+    interval = G.PolytopeUnion([G.Polytope([[-1.0], [1.0]])])
     assert G.hausdorff_distance(union, interval) == pytest.approx(1.0, abs=1e-9)
     # the union's points lie in the interval, whose midpoint is 1 from both
     assert G.directed_distance(union, interval) == 0.0
@@ -733,17 +763,17 @@ def test_hausdorff_union_vs_hull():
 def test_hausdorff_symmetric_convex():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        a = G.PolytopeUnion.create([G.Polytope(rng.uniform(-2, 2, (4, 2)))])
-        b = G.PolytopeUnion.create([G.Polytope(rng.uniform(-2, 2, (4, 2)))])
+        a = G.PolytopeUnion([G.Polytope(rng.uniform(-2, 2, (4, 2)))])
+        b = G.PolytopeUnion([G.Polytope(rng.uniform(-2, 2, (4, 2)))])
         assert G.hausdorff_distance(a, b) == pytest.approx(G.hausdorff_distance(b, a), abs=1e-12)
 
 
 def test_hausdorff_zero_iff_equal_canonical():
-    a = G.PolytopeUnion.create([G.Polytope([[0, 0], [1, 0], [0, 1]])])
-    b = G.PolytopeUnion.create([G.Polytope([[0, 0], [1, 0], [0, 1], [0.2, 0.2]])])
+    a = G.PolytopeUnion([G.Polytope([[0, 0], [1, 0], [0, 1]])])
+    b = G.PolytopeUnion([G.Polytope([[0, 0], [1, 0], [0, 1], [0.2, 0.2]])])
     assert G.hausdorff_distance(a, b) == pytest.approx(0.0, abs=1e-12)
     assert a.canonical_key() == b.canonical_key()
-    c = G.PolytopeUnion.create([G.Polytope([[0, 0], [1, 0], [0, 1.5]])])
+    c = G.PolytopeUnion([G.Polytope([[0, 0], [1, 0], [0, 1.5]])])
     assert G.hausdorff_distance(a, c) > 1e-6
     assert a.canonical_key() != c.canonical_key()
 
@@ -752,7 +782,7 @@ def test_hausdorff_reads_an_array_as_singletons():
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3):
         hull = G.Polytope(rng.uniform(-1, 1, (dim + 1, dim)))
-        sym = G.PolytopeUnion.create([hull, G.Polytope.singleton(rng.uniform(-1, 1, dim))])
+        sym = G.PolytopeUnion([hull, G.Polytope.singleton(rng.uniform(-1, 1, dim))])
         cloud = rng.uniform(-1.2, 1.2, (200, dim))
         cloud[7] = -0.0
         parts = G.PolytopeUnion(tuple(G.Polytope(c.reshape(1, -1)) for c in cloud))
@@ -762,7 +792,7 @@ def test_hausdorff_reads_an_array_as_singletons():
 
 
 def test_hausdorff_rejects_an_empty_or_non_finite_array():
-    sym = G.PolytopeUnion.create([G.Polytope.singleton([0.0, 0.0])])
+    sym = G.PolytopeUnion([G.Polytope.singleton([0.0, 0.0])])
     with pytest.raises(G.GeometryError, match="at least one part"):
         G.hausdorff_distance(sym, np.zeros((0, 2)))
     with pytest.raises(G.GeometryError, match="finite"):
@@ -776,7 +806,7 @@ def test_hausdorff_rejects_an_empty_or_non_finite_array():
 
 
 def test_union_absorbs_contained_parts():
-    u = G.PolytopeUnion.create(
+    u = G.PolytopeUnion(
         [
             G.Polytope([[-1.0], [1.0]]),
             G.Polytope.singleton([0.5]),
@@ -787,8 +817,46 @@ def test_union_absorbs_contained_parts():
 
 
 def test_union_keeps_distinct_parts():
-    u = G.PolytopeUnion.create([G.Polytope.singleton([0.0]), G.Polytope.singleton([1.0])])
+    u = G.PolytopeUnion([G.Polytope.singleton([0.0]), G.Polytope.singleton([1.0])])
     assert len(u.parts) == 2
+
+
+@st.composite
+def polytope_lists(draw):
+    """1 to 4 polytopes of 1 to 5 points each, in one dimension of 1-3, on
+    a half-integer lattice so that parts meet, nest and repeat."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-4, 4).map(lambda k: k / 2)
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    return draw(st.lists(st.lists(point, min_size=1, max_size=5), min_size=1, max_size=4))
+
+
+def _inside(p, q):
+    return all(q.contains(v) for v in p.vertices)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polytope_lists())
+def test_a_union_is_canonical_once_built(point_lists):
+    given_parts = [G.Polytope(points) for points in point_lists]
+    u = G.PolytopeUnion(given_parts)
+    again = G.PolytopeUnion(u.parts)
+    assert [p.vertices.tobytes() for p in again.parts] == [p.vertices.tobytes() for p in u.parts]
+    for p, q in itertools.permutations(u.parts, 2):
+        assert not _inside(p, q)
+    for p in given_parts:
+        assert any(_inside(p, q) for q in u.parts)
+
+
+def test_a_union_drops_a_part_inside_a_part_with_fewer_vertices():
+    # a square kept first is inside the triangle that comes after it
+    square = G.Polytope([[0.1, 0.1], [0.2, 0.1], [0.1, 0.2], [0.2, 0.2]])
+    triangle = G.Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    inner, outer = G.Polytope([[0.0], [1.0]]), G.Polytope([[-1.0], [2.0]])
+    for parts, kept in [([square, triangle], triangle), ([inner, outer], outer)]:
+        u = G.PolytopeUnion(parts)
+        assert len(u.parts) == 1 and u.parts[0] is kept
+    assert not hasattr(G.PolytopeUnion, "create") and not hasattr(G, "_absorb_parts")
 
 
 def test_minkowski_sum_intervals():

@@ -453,7 +453,7 @@ def _rebuilt_full(g, x):
     parts = [p for p in parts if p is not None]
     if not parts:
         raise S.EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
-    return regular, PolytopeUnion.create(parts)
+    return regular, PolytopeUnion(parts)
 
 
 def _bytes(regular, basic):

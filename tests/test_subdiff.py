@@ -250,7 +250,7 @@ def test_census_equals_one_call_per_radius_on_the_corpus(seed):
 
 def test_oracle_abs_covers_interval():
     cloud = S.sampled_subdiff_oracle(f("(abs x)"), [0.0], FAST)
-    sym = G.PolytopeUnion.create([interval(-1.0, 1.0)])
+    sym = G.PolytopeUnion([interval(-1.0, 1.0)])
     assert G.hausdorff_distance(sym, cloud.as_singletons()) <= 0.05
 
 
@@ -424,6 +424,34 @@ def test_normal_cone_singleton_full_space():
     spec = S.SetSpec.singleton([0.0])
     nc = S.normal_cone(spec, [0.0], FAST)
     assert nc.parts[0].contains([5.0]) and nc.parts[0].contains([-5.0])
+
+
+def test_a_normal_cone_keeps_one_of_two_equal_parts():
+    first = G.ConeSpec(2, [[1.0, 0.0], [0.0, 1.0]])
+    second = G.ConeSpec(2, [[0.0, 2.0], [3.0, 0.0], [1.0, 1.0]])
+    nc = S.NormalCone((first, second), "verified", (0,))
+    assert len(nc.parts) == 1 and nc.parts[0] is first
+
+
+def test_a_spec_built_from_constraints_validates_itself():
+    # the parent's graph spec read fns[0] of an empty list: IndexError
+    with pytest.raises(S.SubdiffError, match="graph spec needs at least one constraint"):
+        S.SetSpec.graph([], 1, 1)
+    with pytest.raises(S.SubdiffError, match="sublevel spec needs at least one constraint"):
+        S.SetSpec(())
+    mixed = [f("(- y x)", XY), f("(- z x)", E.VarSpace.of("x", "z"))]
+    with pytest.raises(S.DimensionError, match="graph constraints live in different spaces"):
+        S.SetSpec.graph(mixed, 1, 1)
+    with pytest.raises(S.DimensionError, match="sublevel constraints live in different spaces"):
+        S.SetSpec(tuple(mixed))
+    with pytest.raises(S.DimensionError, match="must live in the product space"):
+        S.SetSpec(tuple(mixed[:1]), block_dims=(1, 2))
+    spec = S.SetSpec([f("x"), f("(- x 1)")])
+    assert isinstance(spec.functions, tuple)
+    assert [a.tolist() for a in spec.polyhedron] == [[[1.0], [1.0]], [0.0, 1.0]]
+    assert spec.polyhedron is spec.polyhedron
+    assert S.SetSpec.sublevel([f("(abs x)")]).polyhedron is None
+    assert S.SetSpec.singleton([0.0]).polyhedron is None
 
 
 def test_projection_oracle_halfline():
@@ -1169,7 +1197,6 @@ REMOVED_OPTIONS = [
     (G._as_vertex_array, "dim"),
     (E.to_text, "space"),
     (S.verify_difference_rule, "claimed_local_minimizer"),
-    (G.PolytopeUnion.create, "canonicalize"),
     (G.lp_feasible, "upper"),
 ]
 
