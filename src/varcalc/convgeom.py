@@ -256,9 +256,9 @@ class Polytope:
         return Polytope(np.asarray(point, dtype=float).reshape(1, -1))
 
     def contains(self, point: Sequence[float]) -> bool:
-        """Membership: a single vertex is matched to within 1e-7, a point
-        equal to a stored vertex is inside, and otherwise _near_planar_hull
-        decides in one and two dimensions and a hull LP in three and four."""
+        """Membership: within 1e-7 of a single vertex, equal to a stored
+        vertex, or else within TOL_GEOM of the vertices' _planar_ring in
+        one and two dimensions and in the hull by an LP in three and four."""
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             raise DimensionError("point dim mismatch")
@@ -267,7 +267,8 @@ class Polytope:
         if np.any(np.all(self.vertices == p, axis=1)):
             return True
         if self.dim < 3:
-            return _near_planar_hull(p, self.vertices)
+            q, *pts = _planar(np.vstack([p, self.vertices]))
+            return _ring_gap(q, [pts[i] for i in _planar_ring(pts)]) <= TOL_GEOM
         return _in_hull_lp(p, self.vertices)
 
     def translate(self, v: Sequence[float]) -> "Polytope":
@@ -332,37 +333,57 @@ def _planar_ring(pts: list[list[float]]) -> list[int]:
     monotone chain, which drops a point that lies on or left of the chord
     from its predecessor to its successor, or within TOL_GEOM of it.  The
     lower and upper chains meet at two points that no chord tested, so
-    the ring is then rescanned until each of its points is a corner."""
-    def corner(i: int, j: int, k: int) -> bool:
-        side, gap = _chord(pts[i], pts[j], pts[k])
-        return side < 0 and gap > TOL_GEOM
-
+    the ring is then rescanned until each of its points is a corner.
+    Drops near chords add up along a gentle arc, so while one so dropped
+    lies farther than TOL_GEOM from the ring, the farthest is kept from
+    them and the ring rebuilt; then each point kept is let go if none ends
+    farther without it.  None can: the distance is largest at a vertex of
+    the exact hull, which only a drop near a chord removes."""
     order = sorted(range(len(pts)), key=pts.__getitem__)
-    ring: list[int] = []
-    for half in (order, order[::-1]):
-        chain: list[int] = []
-        for i in half:
-            while len(chain) > 1 and not corner(chain[-2], chain[-1], i):
-                chain.pop()
-            chain.append(i)
-        ring += chain[:-1]
-    k = 0
-    while 2 < len(ring) and k < len(ring):
-        if corner(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]):
-            k += 1
-        else:
-            del ring[k]
-            k = 0
+
+    def ring_and_gaps(kept: list[int]) -> tuple[list[int], dict[int, float]]:
+        def corner(i: int, j: int, k: int) -> bool:
+            side, gap = _chord(pts[i], pts[j], pts[k])
+            if side < 0 and gap <= TOL_GEOM and j not in kept:
+                near.add(j)
+                return False
+            return side < 0
+
+        near: set[int] = set()  # the points dropped within TOL_GEOM of a chord
+        ring: list[int] = []
+        for half in (order, order[::-1]):
+            chain: list[int] = []
+            for i in half:
+                while len(chain) > 1 and not corner(chain[-2], chain[-1], i):
+                    chain.pop()
+                chain.append(i)
+            ring += chain[:-1]
+        k = 0
+        while 2 < len(ring) and k < len(ring):
+            if corner(ring[k - 1], ring[k], ring[(k + 1) % len(ring)]):
+                k += 1
+            else:
+                del ring[k]
+                k = 0
+        return ring, {i: _ring_gap(pts[i], [pts[j] for j in ring]) for i in sorted(near)}
+
+    kept: list[int] = []
+    ring, gaps = ring_and_gaps(kept)
+    while max(gaps.values(), default=0.0) > TOL_GEOM:
+        kept.append(max(gaps, key=gaps.get))
+        ring, gaps = ring_and_gaps(kept)
+    for j in list(kept):
+        fewer = [i for i in kept if i != j]
+        ring_j, gaps_j = ring_and_gaps(fewer)
+        if max(gaps_j.values(), default=0.0) <= TOL_GEOM:
+            kept, ring = fewer, ring_j
     return ring
 
 
-def _near_planar_hull(p: np.ndarray, V: np.ndarray) -> bool:
-    """Whether the 1-D or 2-D point p lies within TOL_GEOM of conv(V): left
-    of every edge of V's ring, or within TOL_GEOM of one of them."""
-    q, *pts = _planar(np.vstack([p, V]))
-    ring = [pts[i] for i in _planar_ring(pts)]
+def _ring_gap(q: list[float], ring: list[list[float]]) -> float:
+    """The distance from q to the hull of a counterclockwise planar ring."""
     sides, gaps = zip(*(_chord(a, q, b) for a, b in zip(ring, ring[1:] + ring[:1])))
-    return (len(ring) > 2 and min(sides) >= 0) or min(gaps) <= TOL_GEOM
+    return 0.0 if len(ring) > 2 and min(sides) >= 0 else min(gaps)
 
 
 def clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> Polytope | None:

@@ -16,27 +16,30 @@ addressed by the node's path from the root (tuple of child indices).
 
 Each FunctionDef is lowered once to a tape: its nodes in post-order,
 each entry (kind, child slots, payload, path), a slot being an entry's
-position and the root the last entry.  All numeric work is two passes
-over the tape on one array per variable: the columns of an (N, dim)
-array of points, where scalar entry points use one row, or broadcastable
-arrays such as an open grid, where each op runs at the broadcast shape
-of its own inputs.  A choice of branches has one form, Branches: the
-tuple of branch indices each piecewise node keeps, by path, as
-ActivePattern.as_dict() gives it; a selection keeps one branch at each
-node.  The forward pass computes every node's value and, given tau_act,
-each piecewise node's (N, branches) activity mask; given branches, each
-piecewise node is restricted to its kept ones, so the function a
-pattern leaves needs no tree of its own.  The
-reverse pass propagates adjoints from the root along one selection and
-returns the (N, dim) branch gradients and each reached piecewise node's
-adjoint.  Arithmetic is numpy float64 in tape order: sums and products
-accumulate left to right with + and *, pow is numpy's power, and
-overflow gives inf or nan (the passes run under np.errstate); evaluate
-and gradient_and_contexts raise ExprError on a non-finite result.
+position and the root the last entry.  Structure is read off the tape
+once and without sampling: the variables read, the piecewise nodes and
+affinity (no piecewise node and degree at most 1).  Numeric work is two
+passes over the tape on one array per variable: the columns of an
+(N, dim) array of points, where scalar entry points use one row, or
+broadcastable arrays such as an open grid, where each op runs at the
+broadcast shape of its own inputs.  A choice of branches has one form,
+Branches: the tuple of branch indices each piecewise node keeps, by
+path, which is also the form of an active pattern; a selection keeps
+one branch at each node.  The forward pass computes every node's value
+and, given tau_act, each piecewise node's (N, branches) activity mask;
+given branches, each piecewise node is restricted to its kept ones, so
+the function a pattern leaves needs no tree of its own.  The reverse
+pass propagates adjoints from the root along one selection and returns
+the (N, dim) branch gradients and each reached piecewise node's adjoint.
+Arithmetic is numpy float64 in tape order: sums and products accumulate
+left to right with + and *, pow is numpy's power, and overflow gives inf
+or nan (the passes run under np.errstate); evaluate and
+gradient_and_contexts raise ExprError on a non-finite result.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,11 +178,8 @@ class FunctionDef:
     root: ExprNode
 
     def __post_init__(self):
-        for op in self.tape:
-            if op.kind == "var" and op.payload >= self.space.dim:
-                raise ExprError(
-                    f"variable index {op.payload} out of range for dim {self.space.dim}"
-                )
+        if max(self.reads, default=0) >= self.space.dim:
+            raise ExprError(f"variable index {max(self.reads)} out of range for dim {self.space.dim}")
 
     @cached_property
     def tape(self) -> tuple[Op, ...]:
@@ -200,29 +200,34 @@ class FunctionDef:
         return dict(sorted(slots))
 
     @cached_property
+    def reads(self) -> frozenset[int]:
+        """The indices of the variables the tape reads."""
+        return frozenset(op.payload for op in self.tape if op.kind == "var")
+
+    @cached_property
     def affine(self) -> tuple[np.ndarray, float] | None:
-        """affine_parts, detected from no piecewise nodes, a constant
-        gradient at probe points and exact agreement of the affine model
-        at the probes."""
-        if self.piecewise:
-            return None
-        dim = self.space.dim
-        rng = np.random.default_rng(20240901)
-        probes = rng.uniform(-1.3, 1.7, size=(4, dim))
-        pts = np.vstack([probes, np.zeros((1, dim))])
-        vals, _ = _forward(self, pts.T, pts.shape[:1], keep=True)
-        grads, _ = _reverse(self, vals, {})
-        if not (np.all(np.isfinite(vals[-1])) and np.all(np.isfinite(grads))):
-            return None
-        g0 = grads[0].copy()
-        g0.flags.writeable = False
-        if not all(np.allclose(g, g0, atol=1e-10, rtol=0) for g in grads[1:4]):
-            return None
-        b = float(vals[-1][4])
-        for p, v in zip(probes, vals[-1][:4]):
-            if abs(float(v) - (float(g0 @ p) + b)) > 1e-9 * (1 + abs(b)):
+        """affine_parts: the gradient and value at the origin, where the tape
+        has no piecewise node and polynomial degree at most 1, so that no
+        adjoint depends on the point; else None, as for non-finite parts."""
+        degree: list[int] = []
+        for kind, args, payload, _ in self.tape:
+            ds = [degree[j] for j in args]
+            if kind in PIECEWISE_KINDS:
                 return None
-        return g0, b
+            if kind == "mul":
+                degree.append(sum(ds))
+            elif kind == "intpow":
+                degree.append(ds[0] * payload)
+            else:
+                degree.append(max(ds, default=int(kind == "var")))
+        if degree[-1] > 1:
+            return None
+        vals, _ = _forward(self, np.zeros((self.space.dim, 1)), (1,), keep=True)
+        grads, _ = _reverse(self, vals, {})
+        if not (np.isfinite(vals[-1][0]) and np.all(np.isfinite(grads))):
+            return None
+        grads.flags.writeable = False
+        return grads[0], float(vals[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -528,32 +533,16 @@ def eval_open(f: FunctionDef, cols: Sequence[np.ndarray]) -> np.ndarray:
 # Activity analysis and branch gradients
 
 
-@dataclass(frozen=True)
-class ActivePattern:
-    """Active branch indices per piecewise node, keyed by node path."""
-
-    selections: tuple[tuple[Path, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        for _, act in self.selections:
-            if len(act) == 0:
-                raise ExprError("active pattern has an empty selection")
-
-    def as_dict(self) -> dict[Path, tuple[int, ...]]:
-        return dict(self.selections)
-
-    def is_smooth(self) -> bool:
-        return all(len(act) == 1 for _, act in self.selections)
-
-
 def active_patterns(
     f: FunctionDef,
     points: np.ndarray,
     tau_act: float = TAU_ACT_DEFAULT,
     branches: Branches | None = None,
-) -> tuple[list[ActivePattern], np.ndarray]:
+) -> tuple[list[Branches], np.ndarray]:
     """The distinct active patterns over the rows of points, in order of
     first occurrence, and the index of each row's pattern in that list.
+    A pattern is a Branches dict, in path order; ExprError if a node has
+    no active branch, as where a value is NaN.
 
     Rows are independent: a row's pattern is active_pattern at that row
     alone, whatever other rows share the call, so callers may stack the
@@ -580,7 +569,7 @@ def active_patterns(
             if i in reached:
                 reached.update(args)
     if not masks:
-        return [ActivePattern(())], np.zeros(pts.shape[0], dtype=np.intp)
+        return [{}], np.zeros(pts.shape[0], dtype=np.intp)
     cols = [masks[slot] for slot in f.piecewise.values()]
     bits = np.hstack(cols)
     # one opaque key per row, the row's bits packed into bytes
@@ -588,16 +577,17 @@ def active_patterns(
     keys = packed.view(f"V{packed.shape[1]}").reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    rank = np.argsort(order)
     bounds = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
     patterns = [
-        ActivePattern(tuple(
-            (path, tuple(b for b, on in enumerate(row[lo:hi]) if on))
-            for path, lo, hi in zip(f.piecewise, bounds[:-1], bounds[1:])
-        ))
+        {
+            path: tuple(b for b, on in enumerate(row[lo:hi]) if on)
+            for path, lo, hi in zip(f.piecewise, bounds, bounds[1:])
+        }
         for row in bits[first[order]].tolist()
     ]
+    if not all(all(pat.values()) for pat in patterns):
+        raise ExprError("active pattern has an empty selection")
     return patterns, rank[inverse]
 
 
@@ -606,18 +596,15 @@ def active_pattern(
     point: Sequence[float],
     tau_act: float = TAU_ACT_DEFAULT,
     branches: Branches | None = None,
-) -> ActivePattern:
+) -> Branches:
     """Active branches within absolute tolerance tau_act at the point."""
     return active_patterns(f, as_point(f.space, point)[None, :], tau_act, branches)[0][0]
 
 
-def branch_combinations(pattern: ActivePattern) -> list[dict[Path, tuple[int]]]:
+def branch_combinations(pattern: Branches) -> list[dict[Path, tuple[int]]]:
     """All selections compatible with the pattern, one branch per node,
-    in a deterministic order."""
-    combos: list[dict[Path, tuple[int]]] = [{}]
-    for path, act in pattern.selections:
-        combos = [{**c, path: (b,)} for c in combos for b in act]
-    return combos
+    in itertools.product order over the nodes in the pattern's order."""
+    return [dict(zip(pattern, ((b,) for b in combo))) for combo in itertools.product(*pattern.values())]
 
 
 def branch_gradients(

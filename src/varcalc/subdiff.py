@@ -198,6 +198,12 @@ class SetSpec:
     def singleton(point: Sequence[float]) -> "SetSpec":
         return SetSpec(point=np.asarray(point, dtype=float))
 
+    def as_point(self, point: Sequence[float]) -> np.ndarray:
+        p = np.asarray(point, dtype=float)
+        if p.shape != (self.dim,):
+            raise DimensionError(f"point of shape {p.shape} does not match the set's dim {self.dim}")
+        return p
+
     def constraint_functions(self) -> tuple[ex.FunctionDef, ...]:
         if self.point is None:
             return self.functions
@@ -237,7 +243,7 @@ class SetSpec:
 
 
 def set_membership(spec: SetSpec, point: Sequence[float]) -> bool:
-    p = np.asarray(point, dtype=float)
+    p = spec.as_point(point)
     if spec.point is not None:
         return bool(np.linalg.norm(p - spec.point) <= TOL_GEOM)
     return all(ex.evaluate(f, p) <= TOL_GEOM for f in spec.functions)
@@ -284,7 +290,7 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
     conditions, that is lies in the set and has nonnegative multipliers,
     both up to a tolerance relative to the size of the data.  Non-polyhedral sets have no closed-form projector here;
     callers needing one should use the grid-based oracle."""
-    p = np.asarray(point, dtype=float)
+    p = spec.as_point(point)
     if spec.point is not None:
         return spec.point.copy()
     A, b = _polyhedron(spec)
@@ -310,36 +316,28 @@ def project_onto(spec: SetSpec, point: Sequence[float]) -> np.ndarray:
 # Regular subdifferential
 
 
-def _combo_data(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePattern):
+def _combo_data(f: ex.FunctionDef, x: np.ndarray, pattern: ex.Branches):
     """Each allowed branch selection's gradient at x and node sensitivities."""
     # counted before any combination is built: the product can be huge
-    check_combinations([len(act) for _, act in pattern.selections], "the pattern's branch gradients")
+    check_combinations([len(act) for act in pattern.values()], "the pattern's branch gradients")
     grads, contexts = zip(*(ex.gradient_and_contexts(f, x, sel) for sel in ex.branch_combinations(pattern)))
     return np.array(grads), contexts
 
 
-def _pattern_is_max_like(pattern: ex.ActivePattern, f: ex.FunctionDef, contexts) -> bool:
+def _pattern_is_max_like(pattern: ex.Branches, f: ex.FunctionDef, contexts) -> bool:
     """True when every tied piecewise node carries a sign making the kink
     convex: max nodes with nonnegative sensitivity, min nodes with
-    nonpositive sensitivity (zero sensitivity is neutral)."""
-    tol = 1e-9
-    for path, act in pattern.selections:
-        if len(act) < 2:
-            continue
-        kind = f.tape[f.piecewise[path]].kind
-        vals = [ctx.get(path, 0.0) for ctx in contexts]
-        if all(abs(v) <= tol for v in vals):
-            continue
-        if kind in ("max", "abs"):
-            if any(v < -tol for v in vals):
-                return False
-        else:
-            if any(v > tol for v in vals):
-                return False
-    return True
+    nonpositive sensitivity, both within 1e-9."""
+    sign = {"max": 1.0, "abs": 1.0, "min": -1.0}
+    return not any(
+        sign[f.tape[f.piecewise[path]].kind] * ctx.get(path, 0.0) < -1e-9
+        for path, act in pattern.items()
+        if len(act) > 1
+        for ctx in contexts
+    )
 
 
-def _curvature_estimate(f: ex.FunctionDef, x: np.ndarray, pattern: ex.ActivePattern) -> float:
+def _curvature_estimate(f: ex.FunctionDef, x: np.ndarray, pattern: ex.Branches) -> float:
     """Rough bound on branch-composition curvature near x via central
     second differences of f under the pattern's first 8 selections along
     every signed axis and signed axis pair, so mixed derivatives count."""
@@ -396,14 +394,14 @@ def regular_subdifferential(
 
 def _realizable_patterns(
     f: ex.FunctionDef, p: np.ndarray, params: SampleParams
-) -> tuple[list[ex.ActivePattern], list[dict]]:
+) -> tuple[list[ex.Branches], list[dict]]:
     """Patterns seen on the sample grid around p, plus p's own pattern:
     p's own first, then those realized at the smallest radius in order of
     first occurrence there.
 
     Only patterns realized at the smallest radius (or at p itself) feed
     the limiting union; the full census is kept for audit, one entry per
-    pattern, sorted by its "pattern" (the repr of its selections).  Thin
+    pattern, sorted by its "pattern" (the repr of its items).  Thin
     patterns that no sampled ray enters can be missed, which is why
     results carry the census.
 
@@ -418,7 +416,7 @@ def _realizable_patterns(
     _, first = np.unique(smallest, return_index=True)
     chosen = dict.fromkeys([0, *smallest[np.sort(first)].tolist()])
     census = [
-        {"pattern": repr(pat.selections), "count": count, "at_smallest_radius": k in chosen}
+        {"pattern": repr(tuple(pat.items())), "count": count, "at_smallest_radius": k in chosen}
         for k, (pat, count) in enumerate(zip(patterns, np.bincount(inverse).tolist()))
     ]
     return [patterns[k] for k in chosen], sorted(census, key=lambda e: e["pattern"])
@@ -440,11 +438,8 @@ def basic_subdifferential_with_census(
 ) -> tuple[PolytopeUnion, list[dict]]:
     p = ex.as_point(f.space, x)
     patterns, census = _realizable_patterns(f, p, params)
-    parts: list[Polytope] = []
-    for pat in patterns:
-        piece = _regular(f, p, params, pat.as_dict())[0]
-        if piece is not None:
-            parts.append(piece)
+    pieces = [_regular(f, p, params, pat)[0] for pat in patterns]
+    parts = [piece for piece in pieces if piece is not None]
     if not parts:
         raise EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
     return PolytopeUnion(parts), census
@@ -655,12 +650,12 @@ def sampled_subdiff_oracle(
     flat = us.reshape(-1, dim)
     patterns, inverse = ex.active_patterns(f, np.vstack([p[None, :], flat]), params.tau_act)
     inverse = inverse[1:]
-    smooth = np.array([pat.is_smooth() for pat in patterns])
+    smooth = np.array([all(len(act) == 1 for act in pat.values()) for pat in patterns])
     grads = np.zeros_like(flat)
     for k in np.flatnonzero(smooth).tolist():
         rows = inverse == k
         if rows.any():
-            grads[rows] = ex.branch_gradients(f, flat[rows], patterns[k].as_dict())[0]
+            grads[rows] = ex.branch_gradients(f, flat[rows], patterns[k])[0]
     grads = grads.reshape(us.shape)
     # stencils[level, di] = [u + rr * s for rr in (r / 32, r / 64) for s in stencil_dirs]
     # with u = us[level, di] and r = radii[level]
@@ -885,7 +880,7 @@ def normal_cone(
     parts, valid under the positive-combination qualification condition;
     when that condition fails the operation refuses with a witness.
     """
-    p = np.asarray(x, dtype=float)
+    p = spec.as_point(x)
     if not set_membership(spec, p):
         raise SubdiffError("point not in the set")
     if spec.point is not None:
@@ -1072,7 +1067,7 @@ def sampled_normal_cone_oracle(
     admits a sliver of width sqrt(tol) along curved boundaries, which
     would tilt projection directions by far more than the grid step.
     """
-    p = np.asarray(x, dtype=float)
+    p = spec.as_point(x)
     dim = spec.dim
     if dim > 3:
         raise SubdiffError("projection oracle supports dim <= 3")

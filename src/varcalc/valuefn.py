@@ -164,11 +164,6 @@ def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution
     return worst
 
 
-def _reads(f: ex.FunctionDef) -> set[int]:
-    """The indices of the variables f's tape reads."""
-    return {op.payload for op in f.tape if op.kind == "var"}
-
-
 def _open_grid(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
     """Each row's axes, (K, resolution, d), and the open grid of the rows:
     x_i constant, y_a varying along axis a + 1; broadcast, it is each row's
@@ -290,7 +285,7 @@ def _group_rows(
     time as have BATCH_POINTS mask points."""
     k, n = len(xs), xs.shape[1]
     # a mask has a grid axis for each decision variable its constraint reads
-    points = sum(resolution ** sum(i >= n for i in _reads(f)) for f in keyed)
+    points = sum(resolution ** sum(i >= n for i in f.reads) for f in keyed)
     per = max(1, BATCH_POINTS // max(points, 1))
     groups: dict[bytes, int] = {}
     out = np.empty(k, dtype=np.intp)
@@ -356,7 +351,7 @@ def evaluate_values(
     n, res = len(unique), grid.resolution
     lo = np.tile([b[0] for b in grid.y_box], (n, 1)).astype(float)
     hi = np.tile([b[1] for b in grid.y_box], (n, 1)).astype(float)
-    reads_x = lambda f: min(_reads(f), default=prob.x_dim) < prob.x_dim
+    reads_x = lambda f: min(f.reads, default=prob.x_dim) < prob.x_dim
     keyed = None if reads_x(prob.cost) else [f for f in prob.constraints if reads_x(f)]
     results: list = [None] * n
     active = np.arange(n)

@@ -5,7 +5,8 @@ by dense enumeration over lattice weight grids, so they can cross-check
 the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
-interpreter over the expression tree and its branch-restricted passes
+interpreter over the expression tree, its affinity against a recursive
+degree, and its branch-restricted passes
 against the tree rebuilt with the left-out branches pruned, the batched point-to-polytope
 distance against a one-point-at-a-time face enumeration, the planar
 hulls against a distance over every triple and pair of points, the batched
@@ -279,20 +280,20 @@ def reference_realizable_patterns(f, p: np.ndarray, params) -> tuple[list, list[
     """The pattern census one active_patterns call per radius, after a
     one-point call at p, as ``subdiff._realizable_patterns`` returns it."""
     census: dict[tuple, dict] = {}
-    chosen: dict[tuple, E.ActivePattern] = {}
+    chosen: dict[tuple, E.Branches] = {}
     own = E.active_pattern(f, p, params.tau_act)
-    census[own.selections] = {"count": 1, "smallest": True}
-    chosen[own.selections] = own
+    census[tuple(own.items())] = {"count": 1, "smallest": True}
+    chosen[tuple(own.items())] = own
     dirs = params.directions(f.space.dim)
     for level, r in enumerate(params.radii):
         smallest = level == len(params.radii) - 1
         patterns, inverse = E.active_patterns(f, p + r * dirs, params.tau_act)
         for pat, count in zip(patterns, np.bincount(inverse).tolist()):
-            info = census.setdefault(pat.selections, {"count": 0, "smallest": False})
+            info = census.setdefault(tuple(pat.items()), {"count": 0, "smallest": False})
             info["count"] += count
             if smallest:
                 info["smallest"] = True
-                chosen.setdefault(pat.selections, pat)
+                chosen.setdefault(tuple(pat.items()), pat)
     entries = sorted(census.items(), key=lambda kv: repr(kv[0]))
     return list(chosen.values()), [
         {"pattern": repr(key), "count": info["count"], "at_smallest_radius": info["smallest"]}
@@ -390,7 +391,7 @@ def reference_forward(f, point, tau_act=E.TAU_ACT_DEFAULT, selection=None):
         return v
 
     value = ev(f.root, ())
-    return value, E.ActivePattern(tuple(sorted(sels))), values
+    return value, dict(sorted(sels)), values
 
 
 def reference_gradient(f, point, selection):
@@ -433,20 +434,30 @@ def reference_gradient(f, point, selection):
     return grad, contexts
 
 
+def reference_degree(n) -> int:
+    """The polynomial degree of a tree with no piecewise node, by a
+    recursive walk: the sum over a product's factors, the base's degree
+    times the exponent for a power, else the largest child's."""
+    ds = [reference_degree(c) for c in n.children]
+    if n.kind == "mul":
+        return sum(ds)
+    if n.kind == "intpow":
+        return ds[0] * n.payload
+    return max(ds, default=int(n.kind == "var"))
+
+
 def restrict_to_pattern(f, pattern):
     """f rebuilt with each piecewise node pruned to the branches active in
     the pattern: the reference for the expression layer's restricted
     passes.  A node kept to one branch collapses to that branch (negated
     for the negative abs branch); max/min keep their kind over the
     surviving children."""
-    sel = pattern.as_dict()
-
     def rebuild(n, path):
         if n.kind in ("const", "var"):
             return n
         if n.kind not in E.PIECEWISE_KINDS:
             return E.ExprNode(n.kind, tuple(rebuild(c, path + (i,)) for i, c in enumerate(n.children)), n.payload)
-        act = sel[path]
+        act = pattern[path]
         if n.kind == "abs":
             child = rebuild(n.children[0], path + (0,))
             if act == (0, 1):

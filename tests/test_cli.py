@@ -320,6 +320,31 @@ origin 0 0
     assert json.loads(out)["results"]["qualification"] == "polyhedral-exact"
 
 
+def test_cmd_normalcone_of_a_near_affine_constraint(tmp_path, capsys):
+    # -y + 1e-11 x y is not affine: its cone at the origin is the span of
+    # its gradient there, (0, -1); read as affine from sampled probes it
+    # was a "polyhedral-exact" cone with generator (5.01e-12, -1)
+    text = """
+[vars]
+upper x
+lower y
+[lower]
+objective y
+constraint (+ (- 0 y) (* 1e-11 x y))
+[candidates]
+origin 0 0
+"""
+    path = tmp_path / "near_affine.vp"
+    path.write_text(text)
+    code, out, _ = run_cli(
+        ["normalcone", str(path), "--set", "lower", "--at", "origin", "--json"], capsys
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["parts"] == [{"generators": [[0.0, -1.0]], "lineality": []}]
+    assert results["qualification"] == "verified"
+
+
 def test_cmd_normalcone_oracle_refusal_exit2(tmp_path, capsys):
     # four dimensions: the projection oracle supports at most three
     text = """

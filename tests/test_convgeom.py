@@ -216,6 +216,48 @@ def test_planar_hulls_cover_their_points_and_keep_only_corners(pts):
         assert B.planar_hull_distance(V[i], np.delete(V, i, axis=0)) > G.TOL_GEOM
 
 
+DRIFTED_ARC = [
+    [0.0, 0.0], [10.270236526699865, -2.86821224332799e-08], [12.687103777056191, -2.4236405555306892e-08],
+    [14.455863759067809, -1.8279803315615305e-08], [16.269278493293982, -9.801071426332047e-09],
+    [17.919266482691793, 0.0],
+]
+
+
+@st.composite
+def gentle_arcs(draw):
+    """Three to twelve points on a parabolic arc, chord length 1 to 20,
+    that bows 0.5 to 8 TOL_GEOM below its chord, turned by an angle: each
+    point lies near the chord of its neighbours, the middle ones far from
+    the whole chord."""
+    n = draw(st.integers(3, 12))
+    length = draw(st.floats(1.0, 20.0))
+    depth = draw(st.floats(0.5, 8.0)) * G.TOL_GEOM
+    xs = np.sort([0.0, length, *(draw(st.floats(0.0, length)) for _ in range(n - 2))])
+    arc = np.c_[xs, -4 * depth * xs * (length - xs) / length**2]
+    angle = draw(st.one_of(st.just(0.0), st.floats(0.0, 2 * np.pi)))
+    c, s = np.cos(angle), np.sin(angle)
+    return arc @ np.array([[c, s], [-s, c]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gentle_arcs())
+def test_planar_hulls_of_gentle_arcs_do_not_drift(pts):
+    # drops within TOL_GEOM of a chord added up: the hull of DRIFTED_ARC
+    # was the bare chord, 2.87 TOL_GEOM from its second point
+    hull = G.convex_hull(pts)
+    for q in pts:
+        assert hull.contains(q)
+        assert B.planar_hull_distance(q, hull.vertices) <= G.TOL_GEOM + 1e-14
+    assert G.convex_hull(hull.vertices).vertices.tobytes() == hull.vertices.tobytes()
+
+
+def test_the_drifted_arc_keeps_the_points_its_chord_left_out():
+    hull = G.convex_hull(DRIFTED_ARC)
+    assert all(hull.contains(q) for q in DRIFTED_ARC)
+    assert hull.num_vertices > 2
+    assert G.convex_hull(hull.vertices).vertices.tobytes() == hull.vertices.tobytes()
+
+
 def test_hull_collinear_degenerate():
     p = G.convex_hull([[0, 0], [1, 1], [2, 2], [0.5, 0.5]])
     assert p.num_vertices == 2

@@ -79,10 +79,10 @@ def test_branch_restricted_eval_matches_where_uniquely_active():
     f = E.parse_function("(max (* x x) x)", E.VarSpace.of("x"))
     for p, expect_piece in [(0.5, "x"), (-0.5, "(* x x)")]:
         pat = E.active_pattern(f, [p])
-        assert pat.is_smooth()
+        assert all(len(act) == 1 for act in pat.values())
         rng = np.random.default_rng(1)
         for u in p + rng.uniform(-0.05, 0.05, 12):
-            assert E.evaluate(f, [u], pat.as_dict()) == pytest.approx(E.evaluate(f, [u]), abs=1e-12)
+            assert E.evaluate(f, [u], pat) == pytest.approx(E.evaluate(f, [u]), abs=1e-12)
 
 
 def test_verify_suite_lp_count_stays_at_its_measured_figure(monkeypatch):
@@ -138,4 +138,4 @@ def test_verify_suite_pattern_and_forward_pass_counts_stay_at_their_measured_fig
     spy("active_patterns")
     spy("_forward")
     assert C.run_verify_suite().all_passed
-    assert calls == {"active_patterns": 420, "_forward": 1354}
+    assert calls == {"active_patterns": 420, "_forward": 1350}

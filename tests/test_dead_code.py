@@ -2,7 +2,7 @@
 function or class is named somewhere else in the package, or is public
 (``varcalc.__all__``), or is wrapped by the benchmark's tracer
 (``TARGETS`` in ``bench/tracer.py``).  Helpers that only tests call live
-in ``tests/brute.py``."""
+in ``tests/brute.py``.  It draws random numbers in one place only."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,23 @@ def test_every_module_level_definition_is_used():
     ]
     assert len(defined) > 100
     assert unused == []
+
+
+RANDOM_NAMES = {"random", "default_rng", "RandomState", "SeedSequence", "secrets", "urandom", "uuid4"}
+
+
+def test_only_the_direction_fill_draws_random_numbers():
+    # the seeded fill of convgeom.directions is the one generator: no
+    # structural decision, such as whether a function is affine, rests on
+    # a sample
+    users = []
+    for path in sorted((ROOT / "src" / "varcalc").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.alias, ast.ImportFrom)):
+                    name = node.name if isinstance(node, ast.alias) else node.module
+                else:
+                    name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if name and name.split(".")[-1] in RANDOM_NAMES:
+                    users.append((path.name, getattr(top, "name", None)))
+    assert sorted(set(users)) == [("convgeom.py", "directions")]

@@ -80,7 +80,7 @@ def test_every_tree_walk_runs_at_the_nesting_cap():
     at_depth(300, lambda: hash(g))
     at_depth(300, lambda: E.parse_function(E.to_text(g), XS))
     at_depth(300, lambda: E.shape_class(E.FunctionDef(XS, E.ExprNode("mul", (g.root, h.root)))))
-    at_depth(300, lambda: E.active_pattern(g, [0.5], branches=pattern.as_dict()))
+    at_depth(300, lambda: E.active_pattern(g, [0.5], branches=pattern))
     at_depth(300, lambda: E.lift_to_product(g, XY, 1).tape)
 
 
@@ -89,8 +89,8 @@ def test_negation_vs_subtraction():
     assert f("(- x 1)").root == E.ExprNode("sub", (E.var(0), E.const(1.0)))
 
 
-def _operators(children):
-    return st.one_of(
+def _smooth_operators(children):
+    return [
         st.tuples(children, children).map(lambda t: E.ExprNode("add", t)),
         st.tuples(children, children).map(lambda t: E.ExprNode("sub", t)),
         st.tuples(children).map(lambda t: E.ExprNode("sub", t)),
@@ -99,20 +99,25 @@ def _operators(children):
         st.tuples(children, st.integers(0, 4)).map(
             lambda t: E.ExprNode("intpow", (t[0],), t[1])
         ),
+    ]
+
+
+def _operators(children):
+    return st.one_of(
+        *_smooth_operators(children),
         st.tuples(children).map(lambda t: E.ExprNode("abs", t)),
         st.tuples(children, children, children).map(lambda t: E.ExprNode("max", t)),
         st.tuples(children, children).map(lambda t: E.ExprNode("min", t)),
     )
 
 
-_node_strategy = st.recursive(
-    st.one_of(
-        st.floats(-4, 4, allow_nan=False).map(lambda c: E.const(round(c, 3))),
-        st.integers(0, 1).map(E.var),
-    ),
-    _operators,
-    max_leaves=32,
+_leaves = st.one_of(
+    st.floats(-4, 4, allow_nan=False).map(lambda c: E.const(round(c, 3))),
+    st.integers(0, 1).map(E.var),
 )
+_node_strategy = st.recursive(_leaves, _operators, max_leaves=32)
+# abs/max/min-free expressions, small enough that many have degree <= 1
+_smooth_nodes = st.recursive(_leaves, lambda c: st.one_of(*_smooth_operators(c)), max_leaves=12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,17 +244,17 @@ def test_active_pattern_rejects_nan_tau_act():
 def test_active_pattern_tie():
     g = f("(max x (* 2 x))")
     pat = E.active_pattern(g, [0.0], 1e-9)
-    assert pat.as_dict() == {(): (0, 1)}
+    assert pat == {(): (0, 1)}
 
 
 def test_active_pattern_abs_positive():
     pat = E.active_pattern(f("(abs x)"), [1.0])
-    assert pat.as_dict() == {(): (0,)}
+    assert pat == {(): (0,)}
 
 
 def test_active_pattern_min_within_tolerance():
     pat = E.active_pattern(f("(min 0 x)"), [1e-12], 1e-9)
-    assert pat.as_dict() == {(): (0, 1)}
+    assert pat == {(): (0, 1)}
 
 
 def _random_branches(g, rng):
@@ -269,7 +274,7 @@ def _assert_rows_independent(g, pts, branches):
     # are distinct and listed in order of first occurrence
     patterns, inverse = E.active_patterns(g, pts, branches=branches)
     assert list(dict.fromkeys(inverse.tolist())) == list(range(len(patterns)))
-    assert len(set(patterns)) == len(patterns)
+    assert len({tuple(p.items()) for p in patterns}) == len(patterns)
     for p, k in zip(pts, inverse):
         assert E.active_pattern(g, p, branches=branches) == patterns[k]
 
@@ -341,9 +346,9 @@ def test_gradient_matches_central_differences():
         g = f(text, space)
         p = rng.uniform(-2, 2, size=space.dim)
         pat = E.active_pattern(g, p, 1e-7)
-        if not pat.is_smooth():
+        if any(len(act) > 1 for act in pat.values()):
             continue
-        grad = E.branch_gradient(g, p, pat.as_dict())
+        grad = E.branch_gradient(g, p, pat)
         for k in range(space.dim):
             e = np.zeros(space.dim)
             e[k] = h
@@ -380,9 +385,8 @@ def test_restrict_to_pattern_collapses_singletons():
     g = f("(min 0 x)")
     pat = E.active_pattern(g, [1.0])  # only the 0 branch active
     assert brute.restrict_to_pattern(g, pat).root == E.const(0.0)
-    branches = pat.as_dict()
-    assert E.evaluate(g, [-3.0], branches) == 0.0
-    assert E.active_pattern(g, [-3.0], branches=branches) == pat
+    assert E.evaluate(g, [-3.0], pat) == 0.0
+    assert E.active_pattern(g, [-3.0], branches=pat) == pat
 
 
 def test_restrict_keeps_partial_max():
@@ -395,9 +399,9 @@ def test_restrict_keeps_partial_max():
     # x = 6 where it is the max
     g = f("(max x (* 2 x) (- (* 3 x) 5))")
     xs = np.array([[-1.0], [0.0], [6.0]])
-    assert E.eval_batch(g, xs, pat.as_dict()).tolist() == [-1.0, 0.0, 12.0]
-    assert E.active_pattern(g, [6.0], branches=pat.as_dict()).as_dict() == {(): (1,)}
-    assert E.active_pattern(g, [0.0], branches=pat.as_dict()).as_dict() == {(): (0, 1)}
+    assert E.eval_batch(g, xs, pat).tolist() == [-1.0, 0.0, 12.0]
+    assert E.active_pattern(g, [6.0], branches=pat) == {(): (1,)}
+    assert E.active_pattern(g, [0.0], branches=pat) == {(): (0, 1)}
 
 
 def test_restricted_gradient_needs_one_branch():
@@ -412,7 +416,7 @@ def _renumbered(g, branches, pattern):
     tree brute.restrict_to_pattern builds (a node left with one branch is
     gone, or a negation for abs, and kept children count from 0), and the
     path in g of each node that tree keeps, by its path there."""
-    act, out, paths = pattern.as_dict(), [], {}
+    out, paths = [], {}
 
     def walk(n, path, hpath):
         if n.kind not in E.PIECEWISE_KINDS:
@@ -422,7 +426,7 @@ def _renumbered(g, branches, pattern):
         kept = branches[path]
         if len(kept) > 1:
             paths[hpath] = path
-            out.append((hpath, tuple(kept.index(b) for b in act[path])))
+            out.append((hpath, tuple(kept.index(b) for b in pattern[path])))
         if n.kind == "abs":
             walk(n.children[0], path + (0,), hpath if kept == (0,) else hpath + (0,))
         else:
@@ -430,7 +434,7 @@ def _renumbered(g, branches, pattern):
                 walk(n.children[b], path + (b,), hpath + (k,) if len(kept) > 1 else hpath)
 
     walk(g.root, (), ())
-    return E.ActivePattern(tuple(sorted(out))), paths
+    return dict(sorted(out)), paths
 
 
 def _outcome(fn, *args):
@@ -472,9 +476,8 @@ def test_restricted_passes_equal_rebuilt_trees(node, tie):
     except brute.NonFinite:
         assume(False)
     pts = np.vstack([x, x + 1e-3 * directions(2, 16)])
-    for pat in E.active_patterns(g, pts)[0]:
-        branches = pat.as_dict()
-        h = brute.restrict_to_pattern(g, pat)
+    for branches in E.active_patterns(g, pts)[0]:
+        h = brute.restrict_to_pattern(g, branches)
         assert np.array_equal(E.eval_batch(g, pts, branches), E.eval_batch(h, pts), equal_nan=True)
         own = E.active_pattern(g, x, branches=branches)
         renumbered, paths = _renumbered(g, branches, own)
@@ -530,8 +533,43 @@ def test_affine_parts():
     w, b = E.affine_parts(f("(- (* 2 x) (+ y 1))", XY))
     assert w == pytest.approx([2.0, -1.0])
     assert b == pytest.approx(-1.0)
+    w, b = E.affine_parts(f("(- (* 2 (+ x 1)) (pow (* x y) 0))", XY))
+    assert (w.tolist(), b) == ([2.0, 0.0], 1.0)
+    assert E.affine_parts(f("(* 3 (pow x 1) (pow y 0))", XY))[0].tolist() == [3.0, 0.0]
     assert E.affine_parts(f("(* x x)")) is None
     assert E.affine_parts(f("(abs x)")) is None
+    # the first two agreed with an affine model at sampled probes to
+    # within the probes' tolerances; the third is identically affine, but
+    # affinity is the tape's degree
+    for text in ["(+ y (* 1e-11 x y))", "(+ x (* 1e-12 x x))", "(* 0 (* x x))", "(* (+ x 1) (- y 1))"]:
+        assert E.affine_parts(f(text, XY)) is None
+
+
+def test_reads_are_the_variables_on_the_tape():
+    assert E.FunctionDef(XY, E.const(1.0)).reads == frozenset()
+    assert f("(+ y (* 2 y))", XY).reads == frozenset({1})
+    with pytest.raises(E.ExprError, match="variable index 2 out of range for dim 2"):
+        E.FunctionDef(XY, E.ExprNode("add", (E.var(2), E.var(0))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_smooth_nodes)
+@example(E.ExprNode("add", (E.var(1), E.ExprNode("mul", (E.const(1e-11), E.var(0), E.var(1))))))
+@example(E.ExprNode("mul", (E.const(0.0), E.ExprNode("intpow", (E.var(0),), 2))))
+def test_affine_parts_equal_the_reference_at_the_origin(node):
+    # a tape of degree at most 1 is affine, its parts the recursive
+    # interpreter's gradient and value at the origin; any other is not
+    g = E.FunctionDef(XY, node)
+    try:
+        value, _, _ = brute.reference_forward(g, [0.0, 0.0])
+        grad, _ = brute.reference_gradient(g, [0.0, 0.0], {})
+    except brute.NonFinite:
+        assume(False)
+    if brute.reference_degree(node) > 1:
+        assert E.affine_parts(g) is None
+    else:
+        w, b = E.affine_parts(g)
+        assert np.array_equal(w, grad) and b == value
 
 
 def test_lift_to_product():

@@ -454,6 +454,25 @@ def test_a_spec_built_from_constraints_validates_itself():
     assert S.SetSpec.singleton([0.0]).polyhedron is None
 
 
+def test_a_point_of_the_wrong_length_is_refused_by_every_set():
+    # the singleton's membership broadcast a 1-D point against (0, 0) and
+    # held, and the projection raised a numpy ValueError
+    singleton = S.SetSpec.singleton([0.0, 0.0])
+    plane = S.SetSpec.sublevel([f("(- x y)", XY)])
+    for call in (
+        lambda: S.set_membership(singleton, [0.0]),
+        lambda: S.normal_cone(singleton, [0.0]),
+        lambda: S.set_membership(plane, [0.0]),
+        lambda: S.normal_cone(plane, [0.0, 0.0, 0.0]),
+        lambda: S.project_onto(plane, [1.0]),
+        lambda: S.project_onto(singleton, [[1.0, 0.0]]),
+        lambda: S.sampled_normal_cone_oracle(plane, [0.0]),
+    ):
+        with pytest.raises(S.DimensionError, match="does not match the set's dim 2"):
+            call()
+    assert S.set_membership(singleton, [0.0, 0.0]) and S.set_membership(plane, [0.0, 1.0])
+
+
 def test_projection_oracle_halfline():
     spec = S.SetSpec.sublevel([f("x")])
     cloud = S.sampled_normal_cone_oracle(spec, [0.0], S.SampleParams(dirs_per_radius=16))
