@@ -339,6 +339,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         if not args.file:
             raise CliError("verify needs a file or --builtin-corpus")
         pf = _load(args.file)
+        if not pf.candidates:
+            raise CliError("verify needs a [candidates] section with at least one candidate")
         digest = pf.digest
         params = replace(pf.sample_params, seed=seed, dirs_per_radius=args.dirs)
         report = cp.verify_problem_file(pf, params)

@@ -199,7 +199,7 @@ def run_verify_suite(
                 CheckResult("regular-in-basic-hull", entry.name, worst <= 1e-7, worst)
             )
 
-        if ex.is_syntactically_convex(f):
+        if f.convex:
             same = (
                 result.regular is not None
                 and len(result.basic.parts) == 1

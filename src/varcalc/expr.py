@@ -17,8 +17,10 @@ addressed by the node's path from the root (tuple of child indices).
 Each FunctionDef is lowered once to a tape: its nodes in post-order,
 each entry (kind, child slots, payload, path), a slot being an entry's
 position and the root the last entry.  Structure is read off the tape
-once and without sampling: the variables read, the piecewise nodes and
-affinity (no piecewise node and degree at most 1).  Numeric work is two
+once and without sampling: the variables read, the piecewise nodes and,
+from one forward walk, each slot's polynomial degree and curvature,
+which give affinity (no piecewise node and degree at most 1) and
+convexity by the rules of FunctionDef.shapes.  Numeric work is two
 passes over the tape on one array per variable: the columns of an
 (N, dim) array of points, where scalar entry points use one row, or
 broadcastable arrays such as an open grid, where each op runs at the
@@ -40,6 +42,7 @@ gradient_and_contexts raise ExprError on a non-finite result.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,10 +52,11 @@ import numpy as np
 
 TAU_ACT_DEFAULT = 1e-9
 MAX_DIM = 8
-# Lists nested deeper than this are a ParseError.  Every tree walk here
-# recurses once per level, and the shallowest (ExprNode equality) takes
-# about four interpreter frames per level, so under Python's default
-# recursion limit of 1000 it fails near depth 250.
+# Lists nested deeper than this are a ParseError.  The tree walks left
+# (tape lowering, ExprNode equality and hash, the parser, to_text and
+# lift_to_product) recurse once per level, and the shallowest (ExprNode
+# equality) takes about four interpreter frames per level, so under
+# Python's default recursion limit of 1000 it fails near depth 250.
 MAX_NESTING = 100
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -205,22 +209,72 @@ class FunctionDef:
         return frozenset(op.payload for op in self.tape if op.kind == "var")
 
     @cached_property
+    def shapes(self) -> tuple[tuple[int, bool, bool], ...]:
+        """(degree, convex, concave) of each slot, from one forward walk of
+        the tape with no numeric pass.  The degree is polynomial, abs, max
+        and min taking their largest child's.  The curvature is certain
+        from the structure alone, affine being both convex and concave:
+        sums keep it, subtraction flips the subtrahend, const factors scale
+        it (a zero scale is affine), the product of two equal affine
+        factors and an even power of an affine base are convex, abs of an
+        affine child is convex, max of convex children is convex and min
+        of concave children concave."""
+        tape = self.tape
+        first: list[int] = []  # in post-order, slot i's subtree is tape[first[i]:i + 1]
+        shapes: list[tuple[int, bool, bool]] = []
+
+        def subtree(i: int) -> list:
+            return [(kind, len(args), payload) for kind, args, payload, _ in tape[first[i]:i + 1]]
+
+        for i, (kind, args, payload, _) in enumerate(tape):
+            first.append(first[args[0]] if args else i)
+            kids = [shapes[j] for j in args]
+            degree = max((d for d, _, _ in kids), default=int(kind == "var"))
+            vex, cav = all(v for _, v, _ in kids), all(c for _, _, c in kids)
+            if kind == "sub" and len(kids) == 1:
+                vex, cav = cav, vex
+            elif kind == "sub":
+                (_, v0, c0), (_, v1, c1) = kids
+                vex, cav = v0 and c1, c0 and v1
+            elif kind == "mul":
+                degree = sum(d for d, _, _ in kids)
+                sign = math.prod(tape[j].payload for j in args if tape[j].kind == "const")
+                factors = [j for j in args if tape[j].kind != "const"]
+                if len(factors) == 1 and sign != 0:
+                    _, v, c = shapes[factors[0]]
+                    vex, cav = (v, c) if sign > 0 else (c, v)
+                elif (
+                    len(factors) == 2
+                    and all(shapes[factors[0]][1:])
+                    and subtree(factors[0]) == subtree(factors[1])
+                ):
+                    vex, cav = not sign < 0, not sign > 0
+                else:
+                    vex = cav = len(factors) < 2
+            elif kind == "intpow":
+                degree *= payload
+                if payload != 1:
+                    vex, cav = payload == 0 or (vex and cav and payload % 2 == 0), payload == 0
+            elif kind == "abs":
+                vex, cav = vex and cav, False
+            elif kind == "max":
+                cav = False
+            elif kind == "min":
+                vex = False
+            shapes.append((degree, vex, cav))
+        return tuple(shapes)
+
+    @property
+    def convex(self) -> bool:
+        """Convex, affine included, by the structural rules of shapes."""
+        return self.shapes[-1][1]
+
+    @cached_property
     def affine(self) -> tuple[np.ndarray, float] | None:
         """affine_parts: the gradient and value at the origin, where the tape
         has no piecewise node and polynomial degree at most 1, so that no
         adjoint depends on the point; else None, as for non-finite parts."""
-        degree: list[int] = []
-        for kind, args, payload, _ in self.tape:
-            ds = [degree[j] for j in args]
-            if kind in PIECEWISE_KINDS:
-                return None
-            if kind == "mul":
-                degree.append(sum(ds))
-            elif kind == "intpow":
-                degree.append(ds[0] * payload)
-            else:
-                degree.append(max(ds, default=int(kind == "var")))
-        if degree[-1] > 1:
+        if self.piecewise or self.shapes[-1][0] > 1:
             return None
         vals, _ = _forward(self, np.zeros((self.space.dim, 1)), (1,), keep=True)
         grads, _ = _reverse(self, vals, {})
@@ -669,86 +723,6 @@ def lift_to_product(f: FunctionDef, product: VarSpace, offset: int) -> FunctionD
         return ExprNode(n.kind, tuple(rebuild(c) for c in n.children), n.payload)
 
     return FunctionDef(product, rebuild(f.root))
-
-
-# ---------------------------------------------------------------------------
-# Shape heuristics
-
-_AFFINE = "affine"
-_CONVEX = "convex"
-_CONCAVE = "concave"
-_UNKNOWN = "unknown"
-
-
-def shape_class(f: FunctionDef) -> str:
-    """Conservative syntactic convexity check.
-
-    Returns one of affine/convex/concave/unknown; "convex" is only
-    reported when convexity is certain from the structure.
-    """
-
-    def shape(n: ExprNode) -> str:
-        if n.kind in ("const", "var"):
-            return _AFFINE
-        if n.kind == "add":
-            return _combine_sum([shape(c) for c in n.children])
-        if n.kind == "sub":
-            if len(n.children) == 1:
-                return _flip(shape(n.children[0]))
-            return _combine_sum([shape(n.children[0]), _flip(shape(n.children[1]))])
-        if n.kind == "mul":
-            shapes = [shape(c) for c in n.children]
-            non_const = [(c, s) for c, s in zip(n.children, shapes) if c.kind != "const"]
-            sign = 1.0
-            for c in n.children:
-                if c.kind == "const":
-                    sign *= c.payload
-            if not non_const:
-                return _AFFINE
-            if len(non_const) == 1:
-                s = non_const[0][1]
-                if sign == 0:
-                    return _AFFINE
-                return s if sign > 0 else _flip(s)
-            if len(non_const) == 2 and non_const[0][0] == non_const[1][0] and non_const[0][1] == _AFFINE:
-                return _CONVEX if sign > 0 else (_CONCAVE if sign < 0 else _AFFINE)
-            return _UNKNOWN
-        if n.kind == "intpow":
-            s = shape(n.children[0])
-            if n.payload == 0:
-                return _AFFINE
-            if n.payload == 1:
-                return s
-            if s == _AFFINE and n.payload % 2 == 0:
-                return _CONVEX
-            return _UNKNOWN
-        if n.kind == "abs":
-            return _CONVEX if shape(n.children[0]) == _AFFINE else _UNKNOWN
-        if n.kind == "max":
-            shapes = [shape(c) for c in n.children]
-            return _CONVEX if all(s in (_AFFINE, _CONVEX) for s in shapes) else _UNKNOWN
-        shapes = [shape(c) for c in n.children]
-        return _CONCAVE if all(s in (_AFFINE, _CONCAVE) for s in shapes) else _UNKNOWN
-
-    return shape(f.root)
-
-
-def _flip(s: str) -> str:
-    return {_AFFINE: _AFFINE, _CONVEX: _CONCAVE, _CONCAVE: _CONVEX, _UNKNOWN: _UNKNOWN}[s]
-
-
-def _combine_sum(shapes: list[str]) -> str:
-    if all(s == _AFFINE for s in shapes):
-        return _AFFINE
-    if all(s in (_AFFINE, _CONVEX) for s in shapes):
-        return _CONVEX
-    if all(s in (_AFFINE, _CONCAVE) for s in shapes):
-        return _CONCAVE
-    return _UNKNOWN
-
-
-def is_syntactically_convex(f: FunctionDef) -> bool:
-    return shape_class(f) in (_AFFINE, _CONVEX)
 
 
 def affine_parts(f: FunctionDef) -> tuple[np.ndarray, float] | None:

@@ -6,7 +6,8 @@ the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
 interpreter over the expression tree, its affinity against a recursive
-degree, and its branch-restricted passes
+degree, its curvature against a recursive shape class, and its
+branch-restricted passes
 against the tree rebuilt with the left-out branches pruned, the batched point-to-polytope
 distance against a one-point-at-a-time face enumeration, the planar
 hulls against a distance over every triple and pair of points, the batched
@@ -446,6 +447,80 @@ def reference_degree(n) -> int:
     return max(ds, default=int(n.kind == "var"))
 
 
+_AFFINE = "affine"
+_CONVEX = "convex"
+_CONCAVE = "concave"
+_UNKNOWN = "unknown"
+
+
+def reference_shape_class(f) -> str:
+    """Conservative syntactic convexity check by a recursive walk of the
+    tree: the reference for the curvature in FunctionDef.shapes.
+
+    Returns one of affine/convex/concave/unknown; "convex" is only
+    reported when convexity is certain from the structure.
+    """
+
+    def shape(n: E.ExprNode) -> str:
+        if n.kind in ("const", "var"):
+            return _AFFINE
+        if n.kind == "add":
+            return _combine_sum([shape(c) for c in n.children])
+        if n.kind == "sub":
+            if len(n.children) == 1:
+                return _flip(shape(n.children[0]))
+            return _combine_sum([shape(n.children[0]), _flip(shape(n.children[1]))])
+        if n.kind == "mul":
+            shapes = [shape(c) for c in n.children]
+            non_const = [(c, s) for c, s in zip(n.children, shapes) if c.kind != "const"]
+            sign = 1.0
+            for c in n.children:
+                if c.kind == "const":
+                    sign *= c.payload
+            if not non_const:
+                return _AFFINE
+            if len(non_const) == 1:
+                s = non_const[0][1]
+                if sign == 0:
+                    return _AFFINE
+                return s if sign > 0 else _flip(s)
+            if len(non_const) == 2 and non_const[0][0] == non_const[1][0] and non_const[0][1] == _AFFINE:
+                return _CONVEX if sign > 0 else (_CONCAVE if sign < 0 else _AFFINE)
+            return _UNKNOWN
+        if n.kind == "intpow":
+            s = shape(n.children[0])
+            if n.payload == 0:
+                return _AFFINE
+            if n.payload == 1:
+                return s
+            if s == _AFFINE and n.payload % 2 == 0:
+                return _CONVEX
+            return _UNKNOWN
+        if n.kind == "abs":
+            return _CONVEX if shape(n.children[0]) == _AFFINE else _UNKNOWN
+        if n.kind == "max":
+            shapes = [shape(c) for c in n.children]
+            return _CONVEX if all(s in (_AFFINE, _CONVEX) for s in shapes) else _UNKNOWN
+        shapes = [shape(c) for c in n.children]
+        return _CONCAVE if all(s in (_AFFINE, _CONCAVE) for s in shapes) else _UNKNOWN
+
+    return shape(f.root)
+
+
+def _flip(s: str) -> str:
+    return {_AFFINE: _AFFINE, _CONVEX: _CONCAVE, _CONCAVE: _CONVEX, _UNKNOWN: _UNKNOWN}[s]
+
+
+def _combine_sum(shapes: list[str]) -> str:
+    if all(s == _AFFINE for s in shapes):
+        return _AFFINE
+    if all(s in (_AFFINE, _CONVEX) for s in shapes):
+        return _CONVEX
+    if all(s in (_AFFINE, _CONCAVE) for s in shapes):
+        return _CONCAVE
+    return _UNKNOWN
+
+
 def restrict_to_pattern(f, pattern):
     """f rebuilt with each piecewise node pruned to the branches active in
     the pattern: the reference for the expression layer's restricted
@@ -751,7 +826,7 @@ def point_to_union_distance(p, u: PolytopeUnion) -> float:
 
 
 def convex_entries() -> list[corpus.CorpusEntry]:
-    return [c for c in corpus.CORPUS if E.is_syntactically_convex(c.function())]
+    return [c for c in corpus.CORPUS if c.function().convex]
 
 
 def penalized_grid_search(

@@ -795,6 +795,16 @@ def test_cmd_verify_file(tmp_path, capsys):
     assert report["results"]["failed"] == []
 
 
+def test_cmd_verify_file_without_candidates_exit2(tmp_path, capsys):
+    # no candidate means no check, which must not read as a pass
+    path = tmp_path / "nocand.vp"
+    path.write_text(WORKED.read_text().replace("[candidates]\norigin 0 0\noffopt 1 -1\n", ""))
+    code, out, err = run_cli(["verify", str(path), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify needs a [candidates] section with at least one candidate\n"
+
+
 def test_cmd_verify_file_reads_the_files_params_but_not_its_seed(tmp_path, capsys):
     """verify FILE takes tau_act from [params], but its seed stays --seed
     (default 0), whatever the file's seed."""

@@ -79,7 +79,7 @@ def test_every_tree_walk_runs_at_the_nesting_cap():
     at_depth(300, lambda: g == h)
     at_depth(300, lambda: hash(g))
     at_depth(300, lambda: E.parse_function(E.to_text(g), XS))
-    at_depth(300, lambda: E.shape_class(E.FunctionDef(XS, E.ExprNode("mul", (g.root, h.root)))))
+    at_depth(300, lambda: E.FunctionDef(XS, E.ExprNode("mul", (g.root, h.root))).convex)
     at_depth(300, lambda: E.active_pattern(g, [0.5], branches=pattern))
     at_depth(300, lambda: E.lift_to_product(g, XY, 1).tape)
 
@@ -512,6 +512,41 @@ def test_census_equals_one_call_per_radius(node, tie):
 # AST surgery and shape heuristics
 
 
+def _with_squares(node):
+    # the rule for a product of two equal factors, unscaled and scaled
+    return st.sampled_from(
+        [node, E.ExprNode("mul", (node, node)), E.ExprNode("mul", (E.const(-2.0), node, node))]
+    )
+
+
+def _post_order(node):
+    for child in node.children:
+        yield from _post_order(child)
+    yield node
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_node_strategy.flatmap(_with_squares))
+@example(f("(abs x)", XY).root)
+@example(f("(- (abs x))", XY).root)
+@example(f("(min 0 x)", XY).root)
+@example(f("(* x x)", XY).root)
+@example(f("(max (abs x) (abs y))", XY).root)
+@example(f("(+ x 1)", XY).root)
+@example(f("(abs (- (* x x) 1))", XY).root)
+@example(f("(* x y)", XY).root)
+def test_the_tape_curvature_equals_the_reference_shape_class(node):
+    # g and -g together cover all four classes
+    g = E.FunctionDef(XY, node)
+    shape = brute.reference_shape_class(g)
+    assert g.convex == (shape in ("affine", "convex"))
+    assert E.negate(g).convex == (shape in ("affine", "concave"))
+    # and so does every slot, its subtree a function of its own
+    for (_, vex, cav), sub in zip(g.shapes, _post_order(node)):
+        shape = brute.reference_shape_class(E.FunctionDef(XY, sub))
+        assert (vex, cav) == (shape in ("affine", "convex"), shape in ("affine", "concave"))
+
+
 @pytest.mark.parametrize(
     "text,space,expected",
     [
@@ -526,7 +561,12 @@ def test_census_equals_one_call_per_radius(node, tie):
     ],
 )
 def test_shape_class(text, space, expected):
-    assert E.shape_class(f(text, space)) == expected
+    # the tape's class and the reference's, against known answers
+    g = f(text, space)
+    assert brute.reference_shape_class(g) == expected
+    assert (g.convex, E.negate(g).convex) == (
+        expected in ("affine", "convex"), expected in ("affine", "concave")
+    )
 
 
 def test_affine_parts():
