@@ -19,10 +19,19 @@ row whose box holds no feasible grid point gets its InfeasibleOnBox back
 in place of a sample.  The probes and estimates below, and the bilevel
 calmness probe, pass all their parameters in one call; evaluate_value is
 the one-parameter form.
+
+A pass does only the work that reaches a result.  It works out the next
+level's boxes first, then builds results only for the rows that finish
+there: a ValueSample, with its argmins, for a feasible row whose box did
+not shrink, and an InfeasibleOnBox, with its constraint margins and slope
+bound, for a row with no feasible grid point.  A refined search so builds
+one result per distinct parameter, and a group's members take their
+head's sample only once the head finishes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -121,9 +130,15 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 3:
             raise ValueFnError("resolution must be at least 3")
-        for lo, hi in self.y_box:
+        for a, (lo, hi) in enumerate(self.y_box):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueFnError("box bounds must be finite with lo < hi")
+            step = (hi - lo) / (self.resolution - 1)
+            if not 0 < step < math.inf:
+                raise ValueFnError(
+                    f"box axis {a} [{lo!r}, {hi!r}] has grid step {step!r} at "
+                    f"resolution {self.resolution}; it must be finite and nonzero"
+                )
         if not (math.isfinite(self.x_stencil_radius) and self.x_stencil_radius > 0):
             raise ValueFnError("stencil radius must be finite and positive")
         if self.x_stencil_count < 1:
@@ -158,22 +173,42 @@ def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution
     worst = np.zeros(k)
     for a in range(d):
         h = (hi[:, a] - lo[:, a]) / (resolution - 1)
-        q = np.abs(np.diff(arr, axis=a + 1)) / h.reshape((k,) + (1,) * d)
+        # inf - inf, overflow and a zero step give non-finite quotients,
+        # which are discarded
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            q = np.abs(np.diff(arr, axis=a + 1)) / h.reshape((k,) + (1,) * d)
         q[~np.isfinite(q)] = -np.inf
         worst = np.maximum(worst, q.reshape(k, -1).max(axis=1))
     return worst
 
 
+@functools.lru_cache(maxsize=4)
+def _ramp(resolution: int) -> np.ndarray:
+    ramp = np.arange(resolution, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _open_grid(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
-    """Each row's axes, (K, resolution, d), and the open grid of the rows:
+    """Each row's axes, (K, d, resolution), and the open grid of the rows:
     x_i constant, y_a varying along axis a + 1; broadcast, it is each row's
-    grid in np.meshgrid(..., indexing="ij") order."""
+    grid in np.meshgrid(..., indexing="ij") order.  Each axis equals, bit
+    for bit, np.linspace(lo, hi, resolution) of its own bounds: numpy's
+    arithmetic, i * step + lo with the last point hi, or (i / (resolution
+    - 1)) * (hi - lo) + lo where step underflows to 0, taken per axis of
+    each row rather than once for the batch."""
     k, d = lo.shape
-    # per row, the scalar linspace bit for bit; increasing along each axis
-    axes = np.linspace(lo, hi, resolution, axis=1)
+    ramp = _ramp(resolution)
+    delta = hi - lo
+    step = delta / (resolution - 1)
+    axes = ramp * step[:, :, None] + lo[:, :, None]
+    zero = step == 0
+    if zero.any():
+        axes[zero] = (ramp / (resolution - 1)) * delta[zero, None] + lo[zero, None]
+    axes[:, :, -1] = hi
     cols = [xs[:, i].reshape((k,) + (1,) * d) for i in range(xs.shape[1])]
     for a in range(d):
-        cols.append(axes[:, :, a].reshape((k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)))
+        cols.append(axes[:, a].reshape((k,) + (1,) * a + (resolution,) + (1,) * (d - a - 1)))
     return axes, cols
 
 
@@ -186,43 +221,58 @@ def _grid_pass(
     last: bool,
 ) -> tuple[list, tuple | None]:
     """One exhaustive pass for the parameters xs (K rows), each on its own
-    box [lo[k], hi[k]].  Returns each row's ValueSample or InfeasibleOnBox
-    and, unless this is the last pass, the boxes shrunk around the cells
-    that could still hide the minimum with a mask of the rows that shrank."""
+    box [lo[k], hi[k]].  Returns, per row that finishes here, its
+    ValueSample or InfeasibleOnBox, and None for a row that goes on to a
+    shrunk box; unless this is the last pass, also the shrunk boxes of the
+    cells that could still hide the minimum with a mask of the rows that
+    shrank.  Every row finishes at the last pass."""
     k, d = lo.shape
     cube = (k,) + (resolution,) * d
     axes, cols = _open_grid(xs, lo, hi, resolution)
     step = ((hi - lo) / (resolution - 1)).max(axis=1)
-    mask = np.ones(cube, dtype=bool)
-    worst = np.full(cube, -np.inf)
+    # the mask and each constraint's values keep their open-grid shape
+    mask = np.ones((1,) * (d + 1), dtype=bool)
+    values = []
     for f in prob.constraints:
         vals = ex.eval_open(f, cols)
-        mask &= vals <= TOL_GEOM
-        np.maximum(worst, vals, out=worst)
-    feasible = mask.reshape(k, -1).any(axis=1)
+        mask = mask & (vals <= TOL_GEOM)
+        values.append(vals)
+    feasible = np.broadcast_to(mask.any(axis=tuple(range(1, d + 1))), (k,))
+    out: list = [None] * k
+    infeasible = np.flatnonzero(~feasible)
+    if infeasible.size:
+        # an infeasible row's margin and slope bound come from its own
+        # constraint values (a single row when the constraint reads no x)
+        worst = np.full((infeasible.size,) + cube[1:], -np.inf)
+        for vals in values:
+            np.maximum(worst, vals if len(vals) == 1 else vals[infeasible], out=worst)
+        slope = _slope_bounds(worst, lo[infeasible], hi[infeasible], resolution)
+        margins = worst.reshape(infeasible.size, -1).min(axis=1)
+        for r, m, s in zip(infeasible.tolist(), margins.tolist(), slope.tolist()):
+            out[r] = InfeasibleOnBox(m, float(step[r]), s)
     costs = np.broadcast_to(ex.eval_open(prob.cost, cols), cube)
     costs_feasible = np.where(mask, costs, np.inf).reshape(k, -1)
     theta = costs_feasible.min(axis=1)
-    # an infeasible row has theta = inf, so every point would count as near
-    near = (costs_feasible <= (theta + TOL_ARG)[:, None]) & feasible[:, None]
-    owner, flat = np.nonzero(near)
-    ys = np.stack(
-        [axes[owner, i, a] for a, i in enumerate(np.unravel_index(flat, cube[1:]))], axis=1
-    )
-    argmins = np.split(ys, np.cumsum(near.sum(axis=1))[:-1])
-    out: list = []
-    if not feasible.all():
-        slope = _slope_bounds(worst, lo, hi, resolution)
-        margins = worst.reshape(k, -1).min(axis=1)
-    for r in range(k):
-        if feasible[r]:
-            out.append(ValueSample(xs[r].copy(), float(theta[r]), argmins[r], float(step[r])))
-        else:
-            out.append(InfeasibleOnBox(float(margins[r]), float(step[r]), float(slope[r])))
-    if last:
-        return out, None
+    boxes = None if last else _shrink(axes, costs, costs_feasible, theta, feasible, lo, hi, step)
+    rows = np.flatnonzero(feasible if boxes is None else feasible & ~boxes[2])
+    # argmins only for the rows that finish feasible, cut from one gather
+    near = costs_feasible[rows] <= (theta[rows] + TOL_ARG)[:, None]
+    owner, *index = np.unravel_index(np.flatnonzero(near), near.shape[:1] + cube[1:])
+    ys = np.stack([axes[rows[owner], a, i] for a, i in enumerate(index)], axis=1)
+    ends = np.cumsum(np.bincount(owner, minlength=rows.size)).tolist()
+    for r, t, start, end in zip(rows.tolist(), theta[rows].tolist(), [0] + ends, ends):
+        out[r] = ValueSample(xs[r].copy(), t, ys[start:end], float(step[r]))
+    return out, boxes
+
+
+def _shrink(axes, costs, costs_feasible, theta, feasible, lo, hi, step):
+    """The boxes of the cells that could still hide each row's minimum
+    (window certified by a sampled slope bound of the cost), and the mask
+    of the rows whose box shrank."""
+    k, d = lo.shape
+    resolution = axes.shape[2]
     margin = 2.0 * (_slope_bounds(costs, lo, hi, resolution) + 1.0) * step
-    candidates = (costs_feasible <= (theta + margin)[:, None]).reshape(cube)
+    candidates = (costs_feasible <= (theta + margin)[:, None]).reshape(costs.shape)
     # the extreme candidate coordinates along an increasing axis sit at the
     # first and last grid index any candidate has on it
     new_lo, new_hi = np.empty_like(lo), np.empty_like(hi)
@@ -231,8 +281,8 @@ def _grid_pass(
         hit = candidates.any(axis=tuple(b + 1 for b in range(d) if b != a))
         first = hit.argmax(axis=1)
         last_hit = resolution - 1 - hit[:, ::-1].argmax(axis=1)
-        new_lo[:, a] = axes[rows, first, a] - 2 * step
-        new_hi[:, a] = axes[rows, last_hit, a] + 2 * step
+        new_lo[:, a] = axes[rows, a, first] - 2 * step
+        new_hi[:, a] = axes[rows, a, last_hit] + 2 * step
     # clip to the box as Python's max/min would, keeping the new bound on ties
     new_lo = np.where(lo > new_lo, lo, new_lo)
     new_hi = np.where(hi < new_hi, hi, new_hi)
@@ -240,7 +290,7 @@ def _grid_pass(
     # an infeasible row stops here; so does a row with theta = nan, which
     # has no candidate cell to shrink around
     shrunk &= feasible & ~np.isnan(theta)
-    return out, (new_lo, new_hi, shrunk)
+    return new_lo, new_hi, shrunk
 
 
 def _search(
@@ -254,9 +304,10 @@ def _search(
     results: list,
 ) -> np.ndarray:
     """Search the parameters xs[rows], as many per pass as have
-    BATCH_POINTS grid points between them (at least one): store each row's
-    result in results, move each row that shrank to its new box in lo and
-    hi, and return the mask of those rows."""
+    BATCH_POINTS grid points between them (at least one): store the result
+    of each row that finishes in results (None for the others), move each
+    row that shrank to its new box in lo and hi, and return the mask of
+    those rows."""
     per = max(1, BATCH_POINTS // resolution ** lo.shape[1])
     shrunk = np.zeros(rows.size, dtype=bool)
     for start in range(0, rows.size, per):
@@ -364,8 +415,9 @@ def evaluate_values(
             heads = active[np.unique(group, return_index=True)[1]]
             shrunk = _search(prob, unique, lo, hi, heads, res, last, results)
             alone = []
-            for r, head in zip(active, heads[group]):
-                if r == head:
+            # a member takes its head's sample once the head finishes
+            for r, head, moves_on in zip(active, heads[group], shrunk[group]):
+                if r == head or moves_on:
                     continue
                 sample = results[head]
                 if isinstance(sample, InfeasibleOnBox):

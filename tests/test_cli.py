@@ -102,6 +102,9 @@ def test_bad_params_exit2(tmp_path, capsys, line):
         ("box y -2 2", "box y 1 0"),
         ("box y -2 2", "box y a 2"),
         ("box y -2 2", "box y"),
+        # the grid step 2e-322 / 400 underflows to 0; the width 1e308 - -1e308 overflows
+        ("box y -2 2", "box y -1e-322 1e-322"),
+        ("box y -2 2", "box y -1e308 1e308"),
     ],
 )
 def test_bad_grid_exit2(tmp_path, capsys, old, new):
@@ -685,6 +688,19 @@ def test_cmd_certify_t74_isc_failure_exit5(capsys):
     last = report["hypothesis_ledger"][-1]
     assert last["hypothesis"] == "argminimum mapping inner semicontinuous at the candidate"
     assert last["status"] == "failed"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_certify_where_the_cost_overflows_warns_nothing(tmp_path, capsys):
+    # x * y**200 is inf or -inf over most of the box, so the grid's slope
+    # bound meets inf - inf; that quotient is discarded, without a warning
+    text = KINK.read_text().replace("objective (* x y)", "objective (* x (pow y 200))")
+    text = text.replace("(- (abs y) 1)", "(- (abs y) 1e3)").replace("box y -2 2", "box y -1e3 1e3")
+    path = tmp_path / "overflow.vp"
+    path.write_text(text)
+    code, _, err = run_cli(["certify", str(path), "--at", "top", "--theorem", "t74", "--json"], capsys)
+    assert code == 5
+    assert err == ""
 
 
 @pytest.mark.parametrize("theorem", ["t74", "t83"])

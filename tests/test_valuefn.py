@@ -1,13 +1,20 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests import brute as B
+from varcalc import bilevel as BL
 from varcalc import convgeom as G
 from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
+from varcalc.problemfile import parse_problem_file
+
+ROOT = Path(__file__).resolve().parent.parent
 
 XY = E.VarSpace.of("x", "y")
 FAST = S.SampleParams(dirs_per_radius=32)
@@ -58,6 +65,21 @@ def test_value_infeasible_on_box():
         V.evaluate_value(prob, [0.0], V.GridSpec(y_box=((0.0, 2.0),)))
     assert err.value.certified_empty
     assert err.value.margin == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "box,step",
+    [
+        # 2e-322 / 400 rounds to 0.0
+        ((-1e-322, 1e-322), "0.0"),
+        # 1e308 - -1e308 overflows
+        ((-1e308, 1e308), "inf"),
+    ],
+)
+def test_grid_rejects_a_box_whose_step_is_not_finite_and_nonzero(box, step):
+    with pytest.raises(V.ValueFnError, match=f"axis 1 .* has grid step {step} at resolution 401"):
+        V.GridSpec(y_box=((-2.0, 2.0), box))
+    assert V.GridSpec(y_box=((-1e-322, 1e-322),), resolution=3).step == 1e-322
 
 
 def test_value_refinement_monotone():
@@ -219,6 +241,55 @@ def test_value_search_is_ungrouped_when_the_cost_reads_x(monkeypatch):
     got = assert_same_as_reference(bang_problem(), _exactness_rows(2), GRID, 2)
     # x = -0.0 makes every cost x*y a zero of the other sign
     assert repr(got[0].theta) == "0.0" and repr(got[1].theta) == "-0.0"
+
+
+# a box of ordinary size, or one a few hundred subnormals wide, whose
+# grid step underflows to 0 or to a subnormal
+_boxes = st.one_of(
+    st.tuples(st.floats(-1e3, 1e3), st.floats(1e-9, 1e3)).map(lambda b: (b[0], b[0] + b[1])),
+    st.tuples(st.integers(-300, 300), st.integers(1, 600)).map(
+        lambda b: (b[0] * 5e-324, (b[0] + b[1]) * 5e-324)
+    ),
+).filter(lambda b: b[0] < b[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda d: st.lists(st.lists(_boxes, min_size=d, max_size=d), min_size=1, max_size=6)
+    ),
+    st.integers(3, 401),
+)
+@example([[(-2.0, 2.0)], [(0.0, 1e-322)]], 401)
+def test_open_grid_axes_are_each_rows_linspace(rows, resolution):
+    # batched np.linspace takes its divide-first formula for every row as
+    # soon as one row's step is 0; each axis here is its own scalar linspace
+    box = np.array(rows, dtype=float)
+    lo, hi = box[:, :, 0], box[:, :, 1]
+    axes, cols = V._open_grid(np.zeros((len(box), 1)), lo, hi, resolution)
+    for r, a in np.ndindex(lo.shape):
+        want = np.linspace(lo[r, a], hi[r, a], resolution)
+        assert axes[r, a].tobytes() == want.tobytes()
+        assert cols[1 + a][r].ravel().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name,candidate,rows,searched",
+    [("kink", "bottom", 649, 1368), ("worked", "origin", 686, 336)],
+)
+def test_refined_search_builds_one_sample_per_distinct_row(monkeypatch, name, candidate, rows, searched):
+    # the calmness probe's refine=2 search: a sample is built once its row
+    # finishes, not at each level (1 368 and 2 058 samples when each level
+    # built one for every row it searched)
+    pf = parse_problem_file((ROOT / "problems" / f"{name}.vp").read_text())
+    bp, point = pf.bilevel_problem(), pf.candidate(candidate)
+    built = []
+    sample = V.ValueSample
+    monkeypatch.setattr(V, "ValueSample", lambda *a: built.append(1) or sample(*a))
+    passed = _count_rows(monkeypatch)
+    BL._calmness_samples(bp, point, pf.grid, pf.sample_params)
+    assert len(built) == rows
+    assert sum(passed) == searched
 
 
 def test_batched_value_rejects_bad_rows():
