@@ -2,10 +2,10 @@
 
 Symbolic route: at a candidate point the active piecewise branches are
 enumerated; pure max-type kinks give the hull of active branch gradients,
-concave-type kinks fall back to clipping the candidate hull with sampled
-difference-quotient halfspaces.  Limiting (basic) subdifferentials union
-the contributions of every branch pattern realizable on the sample grid
-near the point.
+concave-type kinks clip that hull with Richardson difference-quotient
+halfspaces along sampled and, in two variables, kink directions.  Limiting
+(basic) subdifferentials union the contributions of every branch pattern
+realizable on the sample grid near the point.
 
 Numeric route: sampling oracles built directly from the limiting
 definitions (epsilon-enlarged regular subgradients, projection residual
@@ -337,21 +337,16 @@ def _pattern_is_max_like(pattern: ex.Branches, f: ex.FunctionDef, contexts) -> b
     )
 
 
-def _curvature_estimate(f: ex.FunctionDef, x: np.ndarray, pattern: ex.Branches) -> float:
-    """Rough bound on branch-composition curvature near x via central
-    second differences of f under the pattern's first 8 selections along
-    every signed axis and signed axis pair, so mixed derivatives count."""
-    dim = f.space.dim
-    r = 1e-3
-    probes = directions(dim, 2 * dim * dim)
-    pts = np.vstack([x + r * probes, x - r * probes, x[None, :]])
-    k = probes.shape[0]
-    worst = 0.0
-    for sel in ex.branch_combinations(pattern)[:8]:
-        vals = ex.eval_batch(f, pts, sel)
-        second = np.abs(vals[:k] + vals[k : 2 * k] - 2 * vals[-1]) / r**2
-        worst = max(worst, float(second.max(initial=0.0)))
-    return worst
+def _kink_directions(grads: np.ndarray) -> np.ndarray:
+    """In two variables, the unit directions where two selections' slopes
+    agree: each difference of two distinct gradients turned by 90 degrees,
+    both signs from a pair's two orders, within the combination cap."""
+    distinct = np.unique(grads, axis=0)
+    check_combinations([len(distinct), len(distinct) - 1], "the gradient pairs of the kink directions")
+    i, j = np.nonzero(~np.eye(len(distinct), dtype=bool))
+    diff = distinct[i] - distinct[j]
+    d = np.stack([-diff[:, 1], diff[:, 0]], axis=1)
+    return d / np.sqrt(np.vecdot(d, d))[:, None]
 
 
 def _regular(
@@ -366,10 +361,12 @@ def _regular(
     if _pattern_is_max_like(pattern, f, contexts):
         return candidate, True
     r = params.radii[-1]
-    eps = r / 10 + _curvature_estimate(f, p, pattern) * r
     dirs = params.directions(f.space.dim)
-    quotients = (ex.eval_batch(f, p[None, :] + r * dirs, branches) - ex.evaluate(f, p, branches)) / r
-    return clip_polytope(candidate, dirs, quotients + eps), False
+    if f.space.dim == 2:
+        dirs = np.vstack([dirs, _kink_directions(grads)])
+    rise = ex.eval_batch(f, p + np.vstack([r * dirs, r / 2 * dirs]), branches) - ex.evaluate(f, p, branches)
+    far, near = np.split(rise, 2)
+    return clip_polytope(candidate, dirs, (4 * near - far) / r + r / 10), False
 
 
 def regular_subdifferential(
@@ -381,9 +378,9 @@ def regular_subdifferential(
 
     Pure max-type patterns give the hull of active branch gradients
     directly.  Patterns with concave-type ties clip that candidate hull
-    with difference-quotient halfspaces sampled at the smallest radius,
-    relaxed by a tenth of that radius plus a curvature allowance, so the
-    result satisfies the defining inequality on all drawn samples.
+    with <v, d> <= 2 q(r/2) - q(r) + r/10, r the smallest radius and
+    q(h) = (f(x + h d) - f(x)) / h, a Richardson quotient free of q's O(r)
+    term, along sampled and, in two variables, kink directions.
     """
     return _regular(f, ex.as_point(f.space, x), params)[0]
 

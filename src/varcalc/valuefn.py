@@ -287,9 +287,9 @@ def _shrink(axes, costs, costs_feasible, theta, feasible, lo, hi, step):
     new_lo = np.where(lo > new_lo, lo, new_lo)
     new_hi = np.where(hi < new_hi, hi, new_hi)
     shrunk = ((new_hi - new_lo) < (hi - lo) * 0.75).any(axis=1)
-    # an infeasible row stops here; so does a row with theta = nan, which
-    # has no candidate cell to shrink around
-    shrunk &= feasible & ~np.isnan(theta)
+    # an infeasible row stops here; so does a row with theta = nan, which has
+    # no candidate cell to shrink around, and one whose grid step would be 0
+    shrunk &= feasible & ~np.isnan(theta) & ((new_hi - new_lo) / (resolution - 1) > 0).all(axis=1)
     return new_lo, new_hi, shrunk
 
 

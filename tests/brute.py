@@ -654,7 +654,7 @@ def reference_evaluate_value(prob, x, grid, refine: int = 0):
             if hi - lo < (box[a][1] - box[a][0]) * 0.75:
                 shrunk = True
             new_box.append((lo, hi))
-        if not shrunk:
+        if not shrunk or any((hi - lo) / (grid.resolution - 1) == 0 for lo, hi in new_box):
             break
         box = new_box
     return result

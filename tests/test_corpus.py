@@ -138,4 +138,4 @@ def test_verify_suite_pattern_and_forward_pass_counts_stay_at_their_measured_fig
     spy("active_patterns")
     spy("_forward")
     assert C.run_verify_suite().all_passed
-    assert calls == {"active_patterns": 420, "_forward": 1350}
+    assert calls == {"active_patterns": 420, "_forward": 1271}

@@ -188,11 +188,44 @@ def test_basic_subdifferential_builds_no_expression(monkeypatch):
 
 
 def test_curvature_probe_sees_a_mixed_second_derivative():
-    # y - xy is smooth with gradient (-1, 0) at (1, 1); a probe along the
-    # signed axes alone sees no curvature, and the clip came out empty
+    # y - xy is smooth with gradient (-1, 0) at (1, 1); its quotients carry
+    # an O(r) term from the mixed second derivative, which the clip's
+    # Richardson quotient cancels (a clip that missed it came out empty)
     g = f("(- (min y y) (* x y))", XY)
     assert S.regular_subdifferential(g, [1.0, 1.0]).vertices.tolist() == [[-1.0, 0.0]]
     assert S.basic_subdifferential(g, [1.0, 1.0]).canonical_key() == (((-1.0, 0.0),),)
+
+
+def test_the_clip_evaluates_f_in_one_batch(monkeypatch):
+    # the quotients at r and r/2 share one eval_batch call and one
+    # evaluate at the point, with no pass per branch selection
+    calls = {"eval_batch": 0, "evaluate": 0}
+    for name in calls:
+        real = getattr(E, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(E, name, counted)
+    assert S._regular(f("(min (max x (* 2 y)) (- y))", XY), np.zeros(2), S.DEFAULT_PARAMS)[1] is False
+    assert calls == {"eval_batch": 1, "evaluate": 1}
+
+
+def test_the_planar_clip_cuts_along_the_kink_directions():
+    # the regular subdifferential is {(18, 0)}; the 256 sampled directions
+    # missed the concave kink rays, and the answer was a sliver reaching
+    # (1.39, -2.77)
+    g = f("(* -3.0 (min (max (+ y x) (min y y)) (* 2.0 (* -3.0 x))))", XY)
+    regular = S.regular_subdifferential(g, [0.0, 0.0])
+    assert np.abs(regular.vertices - [18.0, 0.0]).max() <= 1e-5
+
+
+def test_the_kink_directions_are_capped_before_they_are_built():
+    # 8 tied abs terms have 93 distinct gradients, so 93 x 92 ordered pairs
+    terms = " ".join(f"(abs (+ x (* {k} y)))" for k in range(1, 9))
+    with pytest.raises(S.CombinatorialOverflow, match="93 x 92 = 8556 .* kink directions"):
+        S.regular_subdifferential(f(f"(- 0 (+ {terms}))", XY), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("text", ["(+ x (abs (min (+ y x) 0 (min x y))))", "(- (abs (max x (abs (min 0 y)))) 1)"])

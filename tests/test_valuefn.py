@@ -82,6 +82,16 @@ def test_grid_rejects_a_box_whose_step_is_not_finite_and_nonzero(box, step):
     assert V.GridSpec(y_box=((-1e-322, 1e-322),), resolution=3).step == 1e-322
 
 
+@pytest.mark.parametrize("refine", [0, 1, 2])
+def test_refinement_never_shrinks_a_box_to_a_zero_grid_step(refine):
+    # the shrunk box is about 2e-322 wide, and 2e-322 / 400 rounds to 0.0:
+    # the step read 0.0 at refine 1 and 2
+    grid = V.GridSpec(y_box=((-1e-320, 1e-320),))
+    out = V.evaluate_value(w_problem(), [0.0], grid, refine)
+    assert out.step == grid.step == 5e-323
+    assert B.reference_evaluate_value(w_problem(), [0.0], grid, refine).step == out.step
+
+
 def test_value_refinement_monotone():
     prob = parabola_problem()
     coarse = V.evaluate_value(prob, [0.3], V.GridSpec(y_box=((-2.0, 2.0),), resolution=201))
