@@ -34,6 +34,7 @@ class CorpusEntry:
     point: tuple[float, ...]
     expected_basic: tuple[tuple[tuple[float, ...], ...], ...]  # parts as vertex tuples
     regular_empty: bool = False
+    convex: bool = False  # checked for the convex-case reduction
 
     def function(self) -> ex.FunctionDef:
         return ex.parse_function(self.text, self.space)
@@ -42,32 +43,33 @@ class CorpusEntry:
         return PolytopeUnion([Polytope(part) for part in self.expected_basic])
 
 
-def _e(name, text, space, point, parts, regular_empty=False):
-    return CorpusEntry(name, text, space, point, parts, regular_empty)
+def _e(name, text, space, point, parts, regular_empty=False, convex=False):
+    return CorpusEntry(name, text, space, point, parts, regular_empty, convex)
 
 
 CORPUS: tuple[CorpusEntry, ...] = (
-    _e("abs", "(abs x)", X, (0.0,), (((-1.0,), (1.0,)),)),
+    _e("abs", "(abs x)", X, (0.0,), (((-1.0,), (1.0,)),), convex=True),
     _e("neg_abs", "(- (abs x))", X, (0.0,), (((-1.0,),), ((1.0,),)), regular_empty=True),
     _e("min_zero_x", "(min 0 x)", X, (0.0,), (((0.0,),), ((1.0,),)), regular_empty=True),
-    _e("max_x_2x", "(max x (* 2 x))", X, (0.0,), (((1.0,), (2.0,)),)),
-    _e("max_xy", "(max x y)", XY, (0.0, 0.0), (((0.0, 1.0), (1.0, 0.0)),)),
-    _e("square_at_one", "(* x x)", X, (1.0,), (((2.0,),),)),
-    _e("square_at_zero", "(* x x)", X, (0.0,), (((0.0,),),)),
-    _e("abs_plus_x", "(+ (abs x) x)", X, (0.0,), (((0.0,), (2.0,)),)),
-    _e("abs_minus_x", "(- (abs x) x)", X, (0.0,), (((-2.0,), (0.0,)),)),
-    _e("double_kink", "(+ (abs x) (abs (- x 1)))", X, (0.0,), (((-2.0,), (0.0,)),)),
-    _e("max_three_slopes", "(max x (- x) (* 2 x))", X, (0.0,), (((-1.0,), (2.0,)),)),
+    _e("max_x_2x", "(max x (* 2 x))", X, (0.0,), (((1.0,), (2.0,)),), convex=True),
+    _e("max_xy", "(max x y)", XY, (0.0, 0.0), (((0.0, 1.0), (1.0, 0.0)),), convex=True),
+    _e("square_at_one", "(* x x)", X, (1.0,), (((2.0,),),), convex=True),
+    _e("square_at_zero", "(* x x)", X, (0.0,), (((0.0,),),), convex=True),
+    _e("abs_plus_x", "(+ (abs x) x)", X, (0.0,), (((0.0,), (2.0,)),), convex=True),
+    _e("abs_minus_x", "(- (abs x) x)", X, (0.0,), (((-2.0,), (0.0,)),), convex=True),
+    _e("double_kink", "(+ (abs x) (abs (- x 1)))", X, (0.0,), (((-2.0,), (0.0,)),), convex=True),
+    _e("max_three_slopes", "(max x (- x) (* 2 x))", X, (0.0,), (((-1.0,), (2.0,)),), convex=True),
     _e("min_x_2x", "(min x (* 2 x))", X, (0.0,), (((1.0,),), ((2.0,),)), regular_empty=True),
     _e("abs_of_square_shift", "(abs (- (* x x) 1))", X, (1.0,), (((-2.0,), (2.0,)),)),
     _e("x_times_abs", "(* x (abs x))", X, (0.0,), (((0.0,),),)),
-    _e("max_square_linear", "(max (* x x) x)", X, (0.0,), (((0.0,), (1.0,)),)),
+    _e("max_square_linear", "(max (* x x) x)", X, (0.0,), (((0.0,), (1.0,)),), convex=True),
     _e(
         "l1_norm",
         "(+ (abs x) (abs y))",
         XY,
         (0.0, 0.0),
         (((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)),),
+        convex=True,
     ),
     _e(
         "linf_norm",
@@ -75,6 +77,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
         XY,
         (0.0, 0.0),
         (((-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)),),
+        convex=True,
     ),
     _e(
         "min_sum_zero",
@@ -199,7 +202,7 @@ def run_verify_suite(
                 CheckResult("regular-in-basic-hull", entry.name, worst <= 1e-7, worst)
             )
 
-        if f.convex:
+        if entry.convex:
             same = (
                 result.regular is not None
                 and len(result.basic.parts) == 1

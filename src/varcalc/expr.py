@@ -18,9 +18,8 @@ Each FunctionDef is lowered once to a tape: its nodes in post-order,
 each entry (kind, child slots, payload, path), a slot being an entry's
 position and the root the last entry.  Structure is read off the tape
 once and without sampling: the variables read, the piecewise nodes and,
-from one forward walk, each slot's polynomial degree and curvature,
-which give affinity (no piecewise node and degree at most 1) and
-convexity by the rules of FunctionDef.shapes.  Numeric work is two
+from one forward walk, each slot's polynomial degree, which gives
+affinity (no piecewise node and degree at most 1).  Numeric work is two
 passes over the tape on one array per variable: the columns of an
 (N, dim) array of points, where scalar entry points use one row, or
 broadcastable arrays such as an open grid, where each op runs at the
@@ -42,7 +41,6 @@ gradient_and_contexts raise ExprError on a non-finite result.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,72 +207,23 @@ class FunctionDef:
         return frozenset(op.payload for op in self.tape if op.kind == "var")
 
     @cached_property
-    def shapes(self) -> tuple[tuple[int, bool, bool], ...]:
-        """(degree, convex, concave) of each slot, from one forward walk of
-        the tape with no numeric pass.  The degree is polynomial, abs, max
-        and min taking their largest child's.  The curvature is certain
-        from the structure alone, affine being both convex and concave:
-        sums keep it, subtraction flips the subtrahend, const factors scale
-        it (a zero scale is affine), the product of two equal affine
-        factors and an even power of an affine base are convex, abs of an
-        affine child is convex, max of convex children is convex and min
-        of concave children concave."""
-        tape = self.tape
-        first: list[int] = []  # in post-order, slot i's subtree is tape[first[i]:i + 1]
-        shapes: list[tuple[int, bool, bool]] = []
-
-        def subtree(i: int) -> list:
-            return [(kind, len(args), payload) for kind, args, payload, _ in tape[first[i]:i + 1]]
-
-        for i, (kind, args, payload, _) in enumerate(tape):
-            first.append(first[args[0]] if args else i)
-            kids = [shapes[j] for j in args]
-            degree = max((d for d, _, _ in kids), default=int(kind == "var"))
-            vex, cav = all(v for _, v, _ in kids), all(c for _, _, c in kids)
-            if kind == "sub" and len(kids) == 1:
-                vex, cav = cav, vex
-            elif kind == "sub":
-                (_, v0, c0), (_, v1, c1) = kids
-                vex, cav = v0 and c1, c0 and v1
-            elif kind == "mul":
-                degree = sum(d for d, _, _ in kids)
-                sign = math.prod(tape[j].payload for j in args if tape[j].kind == "const")
-                factors = [j for j in args if tape[j].kind != "const"]
-                if len(factors) == 1 and sign != 0:
-                    _, v, c = shapes[factors[0]]
-                    vex, cav = (v, c) if sign > 0 else (c, v)
-                elif (
-                    len(factors) == 2
-                    and all(shapes[factors[0]][1:])
-                    and subtree(factors[0]) == subtree(factors[1])
-                ):
-                    vex, cav = not sign < 0, not sign > 0
-                else:
-                    vex = cav = len(factors) < 2
-            elif kind == "intpow":
-                degree *= payload
-                if payload != 1:
-                    vex, cav = payload == 0 or (vex and cav and payload % 2 == 0), payload == 0
-            elif kind == "abs":
-                vex, cav = vex and cav, False
-            elif kind == "max":
-                cav = False
-            elif kind == "min":
-                vex = False
-            shapes.append((degree, vex, cav))
-        return tuple(shapes)
-
-    @property
-    def convex(self) -> bool:
-        """Convex, affine included, by the structural rules of shapes."""
-        return self.shapes[-1][1]
+    def degrees(self) -> tuple[int, ...]:
+        """The polynomial degree of each slot, by one forward walk: a
+        product's the sum of its factors', a power's its base's times the
+        exponent, and any other node's its largest child's."""
+        degrees: list[int] = []
+        for kind, args, payload, _ in self.tape:
+            kids = [degrees[j] for j in args]
+            degree = sum(kids) if kind == "mul" else max(kids, default=int(kind == "var"))
+            degrees.append(degree * payload if kind == "intpow" else degree)
+        return tuple(degrees)
 
     @cached_property
     def affine(self) -> tuple[np.ndarray, float] | None:
         """affine_parts: the gradient and value at the origin, where the tape
         has no piecewise node and polynomial degree at most 1, so that no
         adjoint depends on the point; else None, as for non-finite parts."""
-        if self.piecewise or self.shapes[-1][0] > 1:
+        if self.piecewise or self.degrees[-1] > 1:
             return None
         vals, _ = _forward(self, np.zeros((self.space.dim, 1)), (1,), keep=True)
         grads, _ = _reverse(self, vals, {})

@@ -354,7 +354,8 @@ def _regular(
 ) -> tuple[Polytope | None, bool]:
     """``regular_subdifferential`` at the point p of f restricted to the
     branches if given, and whether p's pattern is max-like (the hull of
-    active branch gradients is then the answer, unclipped)."""
+    active branch gradients is then the answer, unclipped); the clip
+    reads the function p's pattern leaves."""
     pattern = ex.active_pattern(f, p, params.tau_act, branches)
     grads, contexts = _combo_data(f, p, pattern)
     candidate = convex_hull(grads)
@@ -364,7 +365,7 @@ def _regular(
     dirs = params.directions(f.space.dim)
     if f.space.dim == 2:
         dirs = np.vstack([dirs, _kink_directions(grads)])
-    rise = ex.eval_batch(f, p + np.vstack([r * dirs, r / 2 * dirs]), branches) - ex.evaluate(f, p, branches)
+    rise = ex.eval_batch(f, p + np.vstack([r * dirs, r / 2 * dirs]), pattern) - ex.evaluate(f, p, pattern)
     far, near = np.split(rise, 2)
     return clip_polytope(candidate, dirs, (4 * near - far) / r + r / 10), False
 
@@ -379,8 +380,9 @@ def regular_subdifferential(
     Pure max-type patterns give the hull of active branch gradients
     directly.  Patterns with concave-type ties clip that candidate hull
     with <v, d> <= 2 q(r/2) - q(r) + r/10, r the smallest radius and
-    q(h) = (f(x + h d) - f(x)) / h, a Richardson quotient free of q's O(r)
-    term, along sampled and, in two variables, kink directions.
+    q(h) = (f(x + h d) - f(x)) / h for f restricted to x's active pattern,
+    a Richardson quotient free of q's O(r) term, along sampled and, in two
+    variables, kink directions.
     """
     return _regular(f, ex.as_point(f.space, x), params)[0]
 
@@ -419,27 +421,26 @@ def _realizable_patterns(
     return [patterns[k] for k in chosen], sorted(census, key=lambda e: e["pattern"])
 
 
+def _census_pieces(
+    f: ex.FunctionDef, p: np.ndarray, params: SampleParams
+) -> tuple[PolytopeUnion, tuple[Polytope | None, bool], list[dict]]:
+    """The basic subdifferential at p, the census and p's own regular
+    piece with whether its pattern is max-like: one ``_regular`` per
+    realizable pattern, p's own first."""
+    patterns, census = _realizable_patterns(f, p, params)
+    pieces = [_regular(f, p, params, pat) for pat in patterns]
+    parts = [piece for piece, _ in pieces if piece is not None]
+    if not parts:
+        raise EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
+    return PolytopeUnion(parts), pieces[0], census
+
+
 def basic_subdifferential(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
 ) -> PolytopeUnion:
-    union, _ = basic_subdifferential_with_census(f, x, params)
-    return union
-
-
-def basic_subdifferential_with_census(
-    f: ex.FunctionDef,
-    x: Sequence[float],
-    params: SampleParams = DEFAULT_PARAMS,
-) -> tuple[PolytopeUnion, list[dict]]:
-    p = ex.as_point(f.space, x)
-    patterns, census = _realizable_patterns(f, p, params)
-    pieces = [_regular(f, p, params, pat)[0] for pat in patterns]
-    parts = [piece for piece in pieces if piece is not None]
-    if not parts:
-        raise EmptyBasicSubdifferential("no realizable pattern produced a subgradient set")
-    return PolytopeUnion(parts), census
+    return _census_pieces(f, ex.as_point(f.space, x), params)[0]
 
 
 def singular_subdifferential(f: ex.FunctionDef, x: Sequence[float]) -> ConeSpec:
@@ -464,8 +465,7 @@ def full_subdifferential(
     params: SampleParams = DEFAULT_PARAMS,
 ) -> SubdiffResult:
     p = ex.as_point(f.space, x)
-    regular, max_like = _regular(f, p, params)
-    basic, census = basic_subdifferential_with_census(f, p, params)
+    basic, (regular, max_like), census = _census_pieces(f, p, params)
     return SubdiffResult(
         regular=regular,
         basic=basic,

@@ -463,15 +463,17 @@ class ISCReport:
     threshold: float
 
 
-def _length(d: np.ndarray) -> float:
-    """Euclidean norm of d; where its square overflows, the norm at scale
-    s = max|d| as s * |d / s|, so a finite vector has a finite length."""
-    with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(d))
-    if math.isfinite(n):
-        return n
-    s = float(np.max(np.abs(d)))
-    return s * float(np.linalg.norm(d / s)) if math.isfinite(s) else math.inf
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of d; where a row's square overflows,
+    s * |row / s| at s = max|row|, so a finite row has a finite length."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.sqrt(np.vecdot(d, d))
+        big = ~np.isfinite(n)
+        if big.any():
+            s = np.max(np.abs(d[big]), axis=1)
+            u = d[big] / s[:, None]
+            n[big] = np.where(np.isfinite(s), s * np.sqrt(np.vecdot(u, u)), np.inf)
+    return n
 
 
 def inner_semicontinuity_probe(
@@ -501,7 +503,7 @@ def inner_semicontinuity_probe(
     for i, sample in enumerate(values):
         if isinstance(sample, InfeasibleOnBox):
             continue
-        dist = min(_length(yb - ym) for ym in sample.argmins)
+        dist = float(_lengths(yb - sample.argmins).min())
         if dist > worst_d:
             worst_d, worst_x = dist, sample.x.copy()
         if i >= smallest and dist > threshold:

@@ -5,10 +5,10 @@ by dense enumeration over lattice weight grids, so they can cross-check
 the simplex-based decisions independently.  The sampled normal-cone
 oracle's nearest-point search is checked against a dense scan over every
 grid point, the expression layer's tape passes against a recursive
-interpreter over the expression tree, its affinity against a recursive
-degree, its curvature against a recursive shape class, and its
-branch-restricted passes
-against the tree rebuilt with the left-out branches pruned, the batched point-to-polytope
+interpreter over the expression tree, its degrees against a recursive
+degree, and its branch-restricted passes against the tree rebuilt with
+the left-out branches pruned, the corpus's convex flags against a
+values-only midpoint-convexity probe, the batched point-to-polytope
 distance against a one-point-at-a-time face enumeration, the planar
 hulls against a distance over every triple and pair of points, the batched
 value-function search against a one-parameter-at-a-time grid loop, the
@@ -21,8 +21,8 @@ distance matrix, and the exact extremal-principle solver against SciPy's
 multi-start quasi-Newton descent with a simplex polish.
 
 The last section holds helpers that only tests call: vertex-wise polytope
-equality, the distance from a point to a union, the syntactically convex
-corpus entries and an exhaustive grid search of a penalized program.
+equality, the distance from a point to a union, the corpus entries
+flagged convex and an exhaustive grid search of a penalized program.
 """
 
 from __future__ import annotations
@@ -447,78 +447,16 @@ def reference_degree(n) -> int:
     return max(ds, default=int(n.kind == "var"))
 
 
-_AFFINE = "affine"
-_CONVEX = "convex"
-_CONCAVE = "concave"
-_UNKNOWN = "unknown"
-
-
-def reference_shape_class(f) -> str:
-    """Conservative syntactic convexity check by a recursive walk of the
-    tree: the reference for the curvature in FunctionDef.shapes.
-
-    Returns one of affine/convex/concave/unknown; "convex" is only
-    reported when convexity is certain from the structure.
-    """
-
-    def shape(n: E.ExprNode) -> str:
-        if n.kind in ("const", "var"):
-            return _AFFINE
-        if n.kind == "add":
-            return _combine_sum([shape(c) for c in n.children])
-        if n.kind == "sub":
-            if len(n.children) == 1:
-                return _flip(shape(n.children[0]))
-            return _combine_sum([shape(n.children[0]), _flip(shape(n.children[1]))])
-        if n.kind == "mul":
-            shapes = [shape(c) for c in n.children]
-            non_const = [(c, s) for c, s in zip(n.children, shapes) if c.kind != "const"]
-            sign = 1.0
-            for c in n.children:
-                if c.kind == "const":
-                    sign *= c.payload
-            if not non_const:
-                return _AFFINE
-            if len(non_const) == 1:
-                s = non_const[0][1]
-                if sign == 0:
-                    return _AFFINE
-                return s if sign > 0 else _flip(s)
-            if len(non_const) == 2 and non_const[0][0] == non_const[1][0] and non_const[0][1] == _AFFINE:
-                return _CONVEX if sign > 0 else (_CONCAVE if sign < 0 else _AFFINE)
-            return _UNKNOWN
-        if n.kind == "intpow":
-            s = shape(n.children[0])
-            if n.payload == 0:
-                return _AFFINE
-            if n.payload == 1:
-                return s
-            if s == _AFFINE and n.payload % 2 == 0:
-                return _CONVEX
-            return _UNKNOWN
-        if n.kind == "abs":
-            return _CONVEX if shape(n.children[0]) == _AFFINE else _UNKNOWN
-        if n.kind == "max":
-            shapes = [shape(c) for c in n.children]
-            return _CONVEX if all(s in (_AFFINE, _CONVEX) for s in shapes) else _UNKNOWN
-        shapes = [shape(c) for c in n.children]
-        return _CONCAVE if all(s in (_AFFINE, _CONCAVE) for s in shapes) else _UNKNOWN
-
-    return shape(f.root)
-
-
-def _flip(s: str) -> str:
-    return {_AFFINE: _AFFINE, _CONVEX: _CONCAVE, _CONCAVE: _CONVEX, _UNKNOWN: _UNKNOWN}[s]
-
-
-def _combine_sum(shapes: list[str]) -> str:
-    if all(s == _AFFINE for s in shapes):
-        return _AFFINE
-    if all(s in (_AFFINE, _CONVEX) for s in shapes):
-        return _CONVEX
-    if all(s in (_AFFINE, _CONCAVE) for s in shapes):
-        return _CONCAVE
-    return _UNKNOWN
+def midpoint_convexity_gap(
+    f, center, rng: np.random.Generator, radius: float = 2.0, segments: int = 512
+) -> float:
+    """The largest f(m) - (f(a) + f(b)) / 2 over seeded random segments
+    [a, b] in the box of the given radius around center, m the midpoint,
+    from eval_batch values alone: at most rounding where f is convex on
+    the box, and a violation is a witness that it is not."""
+    a, b = np.asarray(center, dtype=float) + radius * rng.uniform(-1.0, 1.0, (2, segments, len(center)))
+    fa, fb, fm = (E.eval_batch(f, pts) for pts in (a, b, (a + b) / 2))
+    return float(np.max(fm - (fa + fb) / 2))
 
 
 def restrict_to_pattern(f, pattern):
@@ -826,7 +764,7 @@ def point_to_union_distance(p, u: PolytopeUnion) -> float:
 
 
 def convex_entries() -> list[corpus.CorpusEntry]:
-    return [c for c in corpus.CORPUS if c.function().convex]
+    return [c for c in corpus.CORPUS if c.convex]
 
 
 def penalized_grid_search(

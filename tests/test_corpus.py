@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tests import brute
 from varcalc import cli
 from varcalc import convgeom as G
 from varcalc import corpus as C
@@ -20,6 +21,32 @@ def test_corpus_has_twenty_entries_with_required_functions():
         assert required in texts
     dims = {e.space.dim for e in C.CORPUS}
     assert dims == {1, 2}
+
+
+CONVEX = {
+    "abs",
+    "max_x_2x",
+    "max_xy",
+    "square_at_one",
+    "square_at_zero",
+    "abs_plus_x",
+    "abs_minus_x",
+    "double_kink",
+    "max_three_slopes",
+    "max_square_linear",
+    "l1_norm",
+    "linf_norm",
+}
+
+
+def test_every_entry_flagged_convex_is_midpoint_convex_around_its_point():
+    # the convex-reduction check runs on the flagged entries, so the flag
+    # is audited by values alone, and the set (12 checks) stays as it is
+    assert {e.name for e in C.CORPUS if e.convex} == CONVEX
+    rng = np.random.default_rng(0)
+    for entry in C.CORPUS:
+        if entry.convex:
+            assert brute.midpoint_convexity_gap(entry.function(), entry.point, rng) <= 1e-12, entry.name
 
 
 def test_corpus_expected_values_are_canonical():
@@ -123,7 +150,9 @@ def test_verify_suite_lp_rows_and_columns_stay_at_their_measured_figures(monkeyp
 
 def test_verify_suite_pattern_and_forward_pass_counts_stay_at_their_measured_figures(monkeypatch):
     # one active_patterns call per census and per oracle, over the point
-    # and every radius at once: a per-radius call back in either shows here
+    # and every radius at once, and the regular subdifferential taken from
+    # the census's first piece: a per-radius call or a second regular
+    # pass back in either shows here
     calls = {"active_patterns": 0, "_forward": 0}
 
     def spy(name):
@@ -138,4 +167,4 @@ def test_verify_suite_pattern_and_forward_pass_counts_stay_at_their_measured_fig
     spy("active_patterns")
     spy("_forward")
     assert C.run_verify_suite().all_passed
-    assert calls == {"active_patterns": 420, "_forward": 1271}
+    assert calls == {"active_patterns": 400, "_forward": 1193}

@@ -18,7 +18,7 @@ _combo_data.  The families:
 - ``polynomial-pieces-origin``: trees over x, y and the constants 0.5 and
   -1, built from + - * abs max min, squares and scalings by +-2 and +-3.
   f'(0; d) is read off a three-level Richardson table of the one-sided
-  quotients (f(t d) - f(0)) / t at t = 1e-3, 5e-4 and 2.5e-4, on 2 048
+  quotients (f(t d) - f(0)) / t at t = 1e-5, 5e-6 and 2.5e-6, on 2 048
   directions around the circle.
 
 Each tree counts as
@@ -109,9 +109,9 @@ def polynomial_draw(rng: np.random.Generator, depth: int = MAX_DEPTH) -> str:
 
 def richardson_slopes(f: E.FunctionDef, dirs: np.ndarray) -> np.ndarray:
     """f'(0; d) per row of dirs: one-sided quotients at t, t/2 and t/4 with
-    t = 1e-3, their O(t) terms cancelled pairwise, then the O(t^2) term."""
+    t = 1e-5, their O(t) terms cancelled pairwise, then the O(t^2) term."""
     base = E.evaluate(f, np.zeros(dirs.shape[1]))
-    q1, q2, q4 = ((E.eval_batch(f, t * dirs) - base) / t for t in (1e-3, 5e-4, 2.5e-4))
+    q1, q2, q4 = ((E.eval_batch(f, t * dirs) - base) / t for t in (1e-5, 5e-6, 2.5e-6))
     a, b = 2 * q2 - q1, 2 * q4 - q2
     return (4 * b - a) / 3
 
@@ -199,6 +199,14 @@ def test_write_refuses_to_record_a_risen_count(tmp_path, monkeypatch, capsys):
     assert write() == 1
     assert "homogeneous-pa-origin seed 7: unsound 0 -> 1" in capsys.readouterr().err
     assert json.loads(module.SCOREBOARD.read_text()) == board
+
+
+def test_the_richardson_reference_reads_a_ray_that_crosses_a_curved_kink():
+    # the ray along d stays on the piece y only for t < d_y / (9 d_x^2),
+    # about 3.4e-4, so the table's steps must lie below that
+    f = E.parse_function("(max (abs (pow (* 3 x) 2)) y)", E.VarSpace.of("x", "y"))
+    d = np.array([[1.0, 0.00307]]) / np.hypot(1.0, 0.00307)
+    assert abs(richardson_slopes(f, d)[0] - d[0, 1]) <= 1e-8
 
 
 def write() -> int:

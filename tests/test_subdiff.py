@@ -154,18 +154,22 @@ def test_singular_is_zero_cone():
 
 @pytest.mark.parametrize("text,method", [("(abs x)", "symbolic"), ("(min 0 x)", "sampled")])
 def test_full_subdifferential_builds_its_branch_table_once(text, method, monkeypatch):
+    # one _regular per census pattern, p's own first, and no unrestricted
+    # call: the regular subdifferential is the first pattern's piece
     g = f(text)
-    unrestricted = []
+    calls = []
     original = S._regular
 
     def counting(fn, p, params, branches=None):
-        unrestricted.append(fn is g and branches is None)
+        calls.append(branches)
         return original(fn, p, params, branches)
 
     monkeypatch.setattr(S, "_regular", counting)
     result = S.full_subdifferential(g, [0.0], FAST)
-    assert unrestricted.count(True) == 1
+    patterns, _ = S._realizable_patterns(g, np.zeros(1), FAST)
+    assert calls == patterns
     assert result.method == method
+    monkeypatch.setattr(S, "_regular", original)
     regular = S.regular_subdifferential(g, [0.0], FAST)
     assert (result.regular is None) == (regular is None)
     assert regular is None or polytopes_equal(result.regular, regular)
@@ -1220,7 +1224,6 @@ REMOVED_OPTIONS = [
     *((fn, "tau_act") for fn in (
         S.regular_subdifferential,
         S.basic_subdifferential,
-        S.basic_subdifferential_with_census,
         S._realizable_patterns,
         S.full_subdifferential,
         S.sampled_subdiff_oracle,

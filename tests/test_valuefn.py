@@ -413,9 +413,17 @@ def test_isc_witness_distance_stays_finite_past_overflow(point, grid, distance):
 
 def test_isc_distance_keeps_the_plain_norm_where_it_is_finite():
     rng = np.random.default_rng(5)
-    for d in rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-150, 150, (200, 1)):
-        assert V._length(d) == float(np.linalg.norm(d))
-    assert V._length(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+    rows = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-150, 200, (200, 1))
+    with np.errstate(over="ignore"):
+        plain = np.array([np.linalg.norm(d) for d in rows])
+    finite = np.isfinite(plain)
+    assert 0 < finite.sum() < len(rows)
+    lengths = V._lengths(rows)
+    assert np.array_equal(lengths[finite], plain[finite])
+    assert np.all(np.isfinite(lengths))
+    big = V._lengths(np.array([[3e300, -4e300], [3.0, 4.0], [np.inf, 0.0]]))
+    assert big[0] == pytest.approx(5e300, rel=1e-15)
+    assert big[1:].tolist() == [5.0, np.inf]
 
 
 def test_grid_point_budget():
