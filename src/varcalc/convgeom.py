@@ -35,6 +35,8 @@ HULL_MAX_DIM = 4
 MAX_LP_VARS = 512
 # support-function directions of hausdorff_distance
 HAUSDORFF_DIRS = 32
+# direction sets kept after their draw, oldest dropped first
+DIRECTION_SETS = 32
 
 
 class GeometryError(ValueError):
@@ -393,32 +395,67 @@ def clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> P
     the surviving vertices plus the crossings of vertex-pair segments
     with the hyperplane (crossings from non-edge pairs are interior and
     vanish under re-canonicalization).  Returns None when empty.
+
+    The halfspaces are taken in order.  One product of the vertices with
+    the normals of all that are left first screens out those that cannot
+    cut (see _cutting); each of the others takes the exact step, and after
+    a step that cuts, the halfspaces after it are screened again against
+    the new vertices.
     """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    count = min(len(normals), len(offsets))
     V = poly.vertices
-    for a, beta in zip(normals, offsets):
-        vals = V @ a
-        inside = vals <= beta + TOL_GEOM
-        if np.all(inside):
-            continue
-        if not np.any(inside):
-            return None
-        new_pts = [V[inside]]
-        ins = np.where(inside)[0]
-        outs = np.where(~inside)[0]
-        for i in ins:
-            for j in outs:
-                denom = vals[j] - vals[i]
-                if abs(denom) < 1e-15:
-                    continue
-                t = (beta - vals[i]) / denom
-                t = min(max(t, 0.0), 1.0)
-                new_pts.append(((1 - t) * V[i] + t * V[j]).reshape(1, -1))
-        V = np.vstack(new_pts)
-        if V.shape[0] > 4 * (poly.dim + 1):
-            V = convex_hull(V).vertices
+    start = 0
+    while start < count:
+        for j in start + _cutting(V, normals[start:count], offsets[start:count]):
+            a, beta = normals[j], offsets[j]
+            vals = V @ a
+            inside = vals <= beta + TOL_GEOM
+            if np.all(inside):
+                continue
+            if not np.any(inside):
+                return None
+            new_pts = [V[inside]]
+            ins = np.where(inside)[0]
+            outs = np.where(~inside)[0]
+            for i in ins:
+                for o in outs:
+                    denom = vals[o] - vals[i]
+                    if abs(denom) < 1e-15:
+                        continue
+                    t = (beta - vals[i]) / denom
+                    t = min(max(t, 0.0), 1.0)
+                    new_pts.append(((1 - t) * V[i] + t * V[o]).reshape(1, -1))
+            V = np.vstack(new_pts)
+            if V.shape[0] > 4 * (poly.dim + 1):
+                V = convex_hull(V).vertices
+            start = j + 1
+            break
+        else:
+            start = count
     return convex_hull(V)
+
+
+def _cutting(V: np.ndarray, A: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Indices of the halfspaces A[j] . v <= beta[j] for which the exact
+    step's V @ A[j] may put a vertex beyond beta[j] + TOL_GEOM.
+
+    Every other halfspace is proven to keep every vertex: with S =
+    |V| @ |A|.T and u the unit roundoff, P = V @ A.T plus the bound
+    (4 dim + 8) u S + 1e-300 stays at or below beta + TOL_GEOM.  A dot
+    product of dim terms is off its exact value by at most dim u / (1 -
+    dim u) times the matching entry of S in any summation order, so P and
+    the step's V @ a differ by at most about 2 dim u S, and the bound is
+    twice that and the rounding of the sum; 1e-300 covers underflow.  A
+    halfspace whose S exceeds 1e300 or is NaN, where a product could
+    overflow, is never screened out."""
+    u = np.finfo(float).eps / 2
+    with np.errstate(all="ignore"):
+        P = V @ A.T
+        S = np.abs(V) @ np.abs(A).T
+        kept = (P + ((4 * V.shape[1] + 8) * u * S + 1e-300) <= beta + TOL_GEOM) & (S <= 1e300)
+    return np.flatnonzero(~kept.all(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +674,21 @@ def minkowski_membership(
 # ---------------------------------------------------------------------------
 # Direction sets and Hausdorff distances
 
+# (dim, n, seed) -> the read-only set directions drew, in draw order
+_direction_sets: dict[tuple[int, int, int], np.ndarray] = {}
+
 
 def directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
     """Deterministic unit directions: signed axes, signed axis pairs, then
-    seeded random fill up to n."""
+    seeded random fill up to n.
+
+    Each (dim, n, seed) set is drawn once per process and kept with the
+    last DIRECTION_SETS drawn, keyed on all three whether or not the seed
+    is passed; the array returned is the kept one, read-only, so a caller
+    that needs to change it copies it first."""
+    key = (dim, n, seed)
+    if key in _direction_sets:
+        return _direction_sets[key]
     structured = []
     for i in range(dim):
         e = np.zeros(dim)
@@ -665,7 +713,12 @@ def directions(dim: int, n: int, seed: int = 0) -> np.ndarray:
             keep = nv > 1e-12
             out.append(v[keep] / nv[keep, None])
             got += len(out[-1])
-    return np.vstack(out)
+    dirs = np.vstack(out)
+    dirs.flags.writeable = False
+    if len(_direction_sets) >= DIRECTION_SETS:
+        del _direction_sets[next(iter(_direction_sets))]
+    _direction_sets[key] = dirs
+    return dirs
 
 
 def _hausdorff_operand(

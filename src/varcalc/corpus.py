@@ -220,7 +220,7 @@ def run_verify_suite(
         )
 
         if not entry.regular_empty and result.method == "symbolic":
-            epi = sd.epigraph_consistency_check(f, p, params)
+            epi = sd.epigraph_consistency_check(f, p, params, basic=result.basic)
             report.checks.append(
                 CheckResult(
                     "epigraph-consistency",

@@ -1628,12 +1628,15 @@ def epigraph_consistency_check(
     f: ex.FunctionDef,
     x: Sequence[float],
     params: SampleParams = DEFAULT_PARAMS,
+    basic: PolytopeUnion | None = None,
 ) -> EpigraphReport:
     """Compare the direct subdifferentials with the epigraph/coderivative
     route: slicing the epigraph normal cone at height one must reproduce
-    the basic subdifferential, and at height zero the singular one."""
+    the basic subdifferential, and at height zero the singular one.  A
+    caller that already holds basic_subdifferential(f, x, params) passes
+    it as basic, and it is not computed again."""
     p = ex.as_point(f.space, x)
-    direct = basic_subdifferential(f, p, params)
+    direct = basic_subdifferential(f, p, params) if basic is None else basic
     spec = SetSpec.epigraph(f)
     q = np.concatenate([p, [ex.evaluate(f, p)]])
     slices, zero_slices = coderivative(spec, q, [[1.0], [0.0]], params)

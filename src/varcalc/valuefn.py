@@ -167,7 +167,16 @@ class ValueSample:
 
 def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
     """Per row, the largest finite |difference quotient| of the row's grid
-    values along any axis of its box, 0 when there is none."""
+    values along any axis of its box, 0 when there is none.
+
+    Along an axis a row's quotients are fl(|d| / h) for its differences d
+    and step h >= 0.  Correctly rounded division by h > 0 is monotone, so
+    when fl(max|d| / h) is finite (so h > 0 and no |d| is NaN or
+    infinite) every quotient is finite and the largest is fl(max|d| / h),
+    bit for bit: three sweeps of the cube (difference, absolute value in
+    place, maximum) and one division per row.  A row where it is not
+    finite (a NaN or infinite value, an overflowing quotient, a zero step)
+    divides each |d| by h and drops the quotients that are not finite."""
     k, d = lo.shape
     arr = values.reshape((k,) + (resolution,) * d)
     worst = np.zeros(k)
@@ -176,9 +185,16 @@ def _slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution
         # inf - inf, overflow and a zero step give non-finite quotients,
         # which are discarded
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            q = np.abs(np.diff(arr, axis=a + 1)) / h.reshape((k,) + (1,) * d)
-        q[~np.isfinite(q)] = -np.inf
-        worst = np.maximum(worst, q.reshape(k, -1).max(axis=1))
+            diffs = np.diff(arr, axis=a + 1)
+            np.abs(diffs, out=diffs)
+            flat = diffs.reshape(k, -1)
+            q = flat.max(axis=1) / h
+            slow = np.flatnonzero(~np.isfinite(q))
+            if slow.size:
+                each = flat[slow] / h[slow, None]
+                each[~np.isfinite(each)] = -np.inf
+                q[slow] = each.max(axis=1)
+        worst = np.maximum(worst, q)
     return worst
 
 
@@ -255,13 +271,17 @@ def _grid_pass(
     theta = costs_feasible.min(axis=1)
     boxes = None if last else _shrink(axes, costs, costs_feasible, theta, feasible, lo, hi, step)
     rows = np.flatnonzero(feasible if boxes is None else feasible & ~boxes[2])
-    # argmins only for the rows that finish feasible, cut from one gather
-    near = costs_feasible[rows] <= (theta[rows] + TOL_ARG)[:, None]
+    # argmins only for the rows that finish feasible, cut from one gather;
+    # when every row finishes (every last pass) the cube is read in place
+    finishing = costs_feasible if rows.size == k else costs_feasible[rows]
+    near = finishing <= (theta[rows] + TOL_ARG)[:, None]
     owner, *index = np.unravel_index(np.flatnonzero(near), near.shape[:1] + cube[1:])
     ys = np.stack([axes[rows[owner], a, i] for a, i in enumerate(index)], axis=1)
     ends = np.cumsum(np.bincount(owner, minlength=rows.size)).tolist()
-    for r, t, start, end in zip(rows.tolist(), theta[rows].tolist(), [0] + ends, ends):
-        out[r] = ValueSample(xs[r].copy(), t, ys[start:end], float(step[r]))
+    # each sample's x is a row of one gather of the finishing parameters
+    fields = zip(rows.tolist(), xs[rows], theta[rows].tolist(), step[rows].tolist(), [0] + ends, ends)
+    for r, x, t, h, start, end in fields:
+        out[r] = ValueSample(x, t, ys[start:end], h)
     return out, boxes
 
 
@@ -278,7 +298,7 @@ def _shrink(axes, costs, costs_feasible, theta, feasible, lo, hi, step):
     new_lo, new_hi = np.empty_like(lo), np.empty_like(hi)
     rows = np.arange(k)
     for a in range(d):
-        hit = candidates.any(axis=tuple(b + 1 for b in range(d) if b != a))
+        hit = candidates if d == 1 else candidates.any(axis=tuple(b + 1 for b in range(d) if b != a))
         first = hit.argmax(axis=1)
         last_hit = resolution - 1 - hit[:, ::-1].argmax(axis=1)
         new_lo[:, a] = axes[rows, a, first] - 2 * step

@@ -13,7 +13,9 @@ distance against a one-point-at-a-time face enumeration, the planar
 hulls against a distance over every triple and pair of points, the batched
 value-function search against a one-parameter-at-a-time grid loop, the
 batched argmin slope bound and the seeded direction fill against their
-per-sample and per-vector loops, the oracles' batched acceptance test and
+per-sample and per-vector loops, the grid pass's slope bound against
+every quotient divided out, the screened polytope clip against the exact
+step for every halfspace, the oracles' batched acceptance test and
 cell-skipping clustering against their per-direction and per-point loops,
 the one-pass pattern census against one active-pattern call per radius,
 the sampled Lipschitz-like test's nearest-slice search against the full
@@ -40,7 +42,14 @@ from varcalc import corpus
 from varcalc import expr as E
 from varcalc import subdiff as S
 from varcalc import valuefn as V
-from varcalc.convgeom import TOL_GEOM, Polytope, PolytopeUnion, directions, point_to_polytope_distance
+from varcalc.convgeom import (
+    TOL_GEOM,
+    Polytope,
+    PolytopeUnion,
+    convex_hull,
+    directions,
+    point_to_polytope_distance,
+)
 
 WEIGHT_STEP = 1e-2
 TARGET_TOL = 1e-6
@@ -516,6 +525,36 @@ def reference_point_to_polytope_distance(p, poly: Polytope) -> float:
     return best
 
 
+def reference_clip_polytope(poly: Polytope, normals: np.ndarray, offsets: np.ndarray) -> Polytope | None:
+    """convgeom.clip_polytope with no screen: the exact step for every
+    halfspace in turn."""
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    V = poly.vertices
+    for a, beta in zip(normals, offsets):
+        vals = V @ a
+        inside = vals <= beta + TOL_GEOM
+        if np.all(inside):
+            continue
+        if not np.any(inside):
+            return None
+        new_pts = [V[inside]]
+        ins = np.where(inside)[0]
+        outs = np.where(~inside)[0]
+        for i in ins:
+            for j in outs:
+                denom = vals[j] - vals[i]
+                if abs(denom) < 1e-15:
+                    continue
+                t = (beta - vals[i]) / denom
+                t = min(max(t, 0.0), 1.0)
+                new_pts.append(((1 - t) * V[i] + t * V[j]).reshape(1, -1))
+        V = np.vstack(new_pts)
+        if V.shape[0] > 4 * (poly.dim + 1):
+            V = convex_hull(V).vertices
+    return convex_hull(V)
+
+
 def planar_hull_distance(q, S) -> float:
     """Distance from a 1-D or 2-D point q to the hull of the rows of S by
     brute force over the rows' triples, pairs and singles: 0 inside a
@@ -608,6 +647,25 @@ def _slope_bound(values: np.ndarray, box, resolution: int) -> float:
         finite = d[np.isfinite(d)]
         if finite.size:
             worst = max(worst, float(finite.max()))
+    return worst
+
+
+def reference_slope_bounds(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, resolution: int):
+    """valuefn._slope_bounds with every quotient divided out and the
+    non-finite ones masked: per row, the largest finite |difference
+    quotient| of the row's grid values along any axis of its box, 0 when
+    there is none."""
+    k, d = lo.shape
+    arr = values.reshape((k,) + (resolution,) * d)
+    worst = np.zeros(k)
+    for a in range(d):
+        h = (hi[:, a] - lo[:, a]) / (resolution - 1)
+        # inf - inf, overflow and a zero step give non-finite quotients,
+        # which are discarded
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            q = np.abs(np.diff(arr, axis=a + 1)) / h.reshape((k,) + (1,) * d)
+        q[~np.isfinite(q)] = -np.inf
+        worst = np.maximum(worst, q.reshape(k, -1).max(axis=1))
     return worst
 
 

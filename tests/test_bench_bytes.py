@@ -1,8 +1,9 @@
 """Bytes of the benchmark's jobs: the exit code and the sha256 of the
 stdout of every job that ``bench/jobs.make_jobs`` lists for the three
-workloads at seed 7, run in process through ``cli.main`` with the
-generated problem files written to a temporary directory.  The test
-only imports ``bench/jobs.py``; nothing under ``bench/`` is changed.
+workloads at seeds 7 and 311, run in process through ``cli.main`` with
+the generated problem files written to a temporary directory.  The
+hashes are keyed by seed, then by workload.  The test only imports
+``bench/jobs.py``; nothing under ``bench/`` is changed.
 
 A change that alters any of these bytes says why in CHANGES.md and
 rewrites the hashes with
@@ -28,7 +29,7 @@ from varcalc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 HASHES = ROOT / "tests" / "golden" / "bench_hashes.json"
-SEED = 7
+SEEDS = (7, 311)
 # stands for the temporary input directory in the recorded job keys
 WORKDIR = "$WORKDIR"
 
@@ -52,17 +53,23 @@ def run_workload(workload: str, seed: int, workdir: str) -> dict[str, dict]:
     return out
 
 
-@pytest.mark.parametrize("workload", jobs.WORKLOADS)
-def test_bench_job_bytes(workload, tmp_path, monkeypatch):
+# seed 7 keeps the bare workload as its test id
+@pytest.mark.parametrize(
+    "workload,seed",
+    [pytest.param(w, s, id=w if s == SEEDS[0] else f"{w}-seed{s}") for s in SEEDS for w in jobs.WORKLOADS],
+)
+def test_bench_job_bytes(workload, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    expected = json.loads(HASHES.read_text())[workload]
-    assert run_workload(workload, SEED, str(tmp_path)) == expected
+    expected = json.loads(HASHES.read_text())[str(seed)][workload]
+    assert run_workload(workload, seed, str(tmp_path)) == expected
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_bench_bytes.py --write")
     os.chdir(ROOT)
-    with tempfile.TemporaryDirectory() as workdir:
-        hashes = {w: run_workload(w, SEED, workdir) for w in jobs.WORKLOADS}
+    hashes = {}
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as workdir:
+            hashes[str(seed)] = {w: run_workload(w, seed, workdir) for w in jobs.WORKLOADS}
     HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")

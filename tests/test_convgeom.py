@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from tests import brute as B
@@ -677,6 +677,113 @@ def test_clip_triangle_to_point():
     assert np.all(np.linalg.norm(out.vertices - np.array([1.0, 1.0]), axis=1) < 1e-9)
 
 
+def _clip_outcome(clip, poly, normals, offsets):
+    try:
+        out = clip(poly, normals, offsets)
+    except G.GeometryError as exc:
+        return repr(exc)
+    return None if out is None else out.vertices.tobytes()
+
+
+def _offset_at(target):
+    """An offset beta with beta + TOL_GEOM rounding to target, or to a
+    neighbour of it when none does."""
+    beta = target - G.TOL_GEOM
+    for _ in range(4):
+        if beta + G.TOL_GEOM == target:
+            break
+        beta = np.nextafter(beta, -np.inf if beta + G.TOL_GEOM > target else np.inf)
+    return beta
+
+
+@st.composite
+def _clip_cases(draw):
+    # vertices from 1e-3 to 1e12 in magnitude, normals from a small pool (so
+    # halfspaces repeat), and offsets that leave every vertex inside, put a
+    # vertex within +-TOL_GEOM of the plane, or put beta + TOL_GEOM at a
+    # vertex's product as the first screen's V @ A.T or the exact step's
+    # V @ a takes it, or one bit off it (the two differ in the last bit for
+    # about a third of the products in two or more dimensions)
+    dim = draw(st.integers(1, 4))
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    points = np.array(draw(st.lists(point, min_size=1, max_size=2 * dim + 2)))
+    try:
+        poly = G.Polytope(points * 10.0 ** draw(st.integers(-3, 12)))
+    except G.GeometryError:  # a hull LP that breaks down at this scale
+        reject()
+    pool = np.array(draw(st.lists(point, min_size=1, max_size=4))) * 10.0 ** draw(st.integers(-3, 3))
+    normals = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))]
+    V = poly.vertices
+    products = (V @ normals.T, np.stack([V @ a for a in normals], axis=1))
+    offsets = []
+    for j in range(len(normals)):
+        i = draw(st.integers(0, len(V) - 1))
+        kind = draw(st.sampled_from(["inside", "near", "screen", "screen", "screen", "screen", "at", "repeat", "inf"]))
+        if kind == "repeat" and j and (normals[j] == normals[j - 1]).all():
+            beta = offsets[-1]
+        elif kind == "inside":
+            beta = float(np.max(products[1][:, j])) + draw(st.floats(0.0, 1e3)) * G.TOL_GEOM
+        elif kind == "near":
+            beta = products[1][i, j] + draw(st.floats(-2.0, 2.0)) * G.TOL_GEOM
+        elif kind == "inf":
+            beta = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        elif kind == "screen":
+            # at the vertex farthest along the normal as the first screen
+            # takes it no other vertex is outside, so the screen alone
+            # decides whether the exact step runs
+            beta = _offset_at(products[0][:, j].max())
+        else:
+            target = products[draw(st.integers(0, 1))][i, j]
+            side = draw(st.sampled_from([-np.inf, None, np.inf]))
+            beta = _offset_at(target if side is None else np.nextafter(target, side))
+        offsets.append(beta)
+    return poly, normals, np.array(offsets)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_clip_cases())
+# beta + TOL_GEOM at the first normal's farthest vertex as V @ A.T takes it,
+# one bit below V @ a there on an AVX-512 OpenBLAS kernel
+@example((
+    G.Polytope([[-0.566, -0.356], [0.083, -0.198], [-0.298, 0.948]]),
+    np.array([[-0.66, 0.228], [-0.923, -0.817], [-0.58, 0.983], [0.453, 0.736]]),
+    np.array([0.41282399, np.inf, np.inf, np.inf]),
+))
+def test_the_screened_clip_equals_the_exact_step_for_every_halfspace(case):
+    # the screen skips a halfspace only when its rounding bound proves
+    # that the exact step would keep every vertex
+    assert _clip_outcome(G.clip_polytope, *case) == _clip_outcome(B.reference_clip_polytope, *case)
+
+
+def test_a_clip_takes_the_exact_step_only_where_a_halfspace_cuts(monkeypatch):
+    # in one variable every direction is +-1; of 512 halfspaces, the
+    # screens leave the exact step only those that cut the current interval,
+    # the one the halfspaces before the screened ones cut out
+    dirs = G.directions(1, 512, 0)
+    offsets = np.abs(np.sin(np.arange(512.0))) + 0.5
+    poly = G.Polytope([[-4.0], [4.0]])
+    screens = []
+    cutting = G._cutting
+
+    def spy(V, A, beta):
+        start = (A.ctypes.data - dirs.ctypes.data) // dirs.strides[0]
+        before = B.reference_clip_polytope(poly, dirs[:start], offsets[:start])
+        assert np.sort(V, axis=0).tobytes() == before.vertices.tobytes()
+        left = cutting(V, A, beta)
+        cuts = np.flatnonzero(~(V @ A.T <= beta + G.TOL_GEOM).all(axis=0))
+        screens.append(start)
+        assert start + len(A) == len(dirs)
+        assert left.tolist() == cuts.tolist()
+        return left
+
+    monkeypatch.setattr(G, "_cutting", spy)
+    got = G.clip_polytope(poly, dirs, offsets)
+    assert got.vertices.tobytes() == B.reference_clip_polytope(poly, dirs, offsets).vertices.tobytes()
+    # the first screen sees all 512; each later one, every halfspace after a cut
+    assert screens[0] == 0 and screens == sorted(set(screens)) and len(screens) < 30
+
+
 def test_point_distance_exact():
     sq = G.Polytope([[0, 0], [1, 0], [0, 1], [1, 1]])
     assert G.point_to_polytope_distance([2.0, 0.5], sq) == pytest.approx(1.0)
@@ -939,3 +1046,66 @@ def test_directions_equal_the_per_vector_loop():
                 got, want = G.directions(dim, n, seed), B.reference_directions(dim, n, seed)
                 assert got.shape == want.shape == (n, dim)
                 assert got.tobytes() == want.tobytes()
+
+
+class _KeptSets(dict):
+    """directions' store of drawn sets, counting its lookups."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_a_direction_set_is_drawn_once_and_returned_read_only(monkeypatch):
+    monkeypatch.setattr(G, "_direction_sets", {})
+    for dim, n, seed in [(1, 256, 0), (2, 8, 3), (3, 40, 7), (4, 32, 0)]:
+        got = G.directions(dim, n, seed)
+        assert got is G.directions(dim, n, seed)
+        G._direction_sets.clear()
+        fresh = G.directions(dim, n, seed)
+        assert fresh is not got and got.tobytes() == fresh.tobytes()
+        assert got.tobytes() == B.reference_directions(dim, n, seed).tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 2.0
+    # a call that leaves the seed at its default shares the seed-0 set
+    assert G.directions(2, 24) is G.directions(2, 24, 0)
+
+
+def test_directions_keep_only_the_sets_drawn_last():
+    kept = _KeptSets()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "_direction_sets", kept)
+        keys = [(2, 8 + i, 0) for i in range(G.DIRECTION_SETS + 3)]
+        sets = [G.directions(*key) for key in keys]
+        assert list(kept) == keys[3:]
+        assert all(G.directions(*key) is got for key, got in zip(keys[3:], sets[3:]))
+        assert G.directions(*keys[0]) is not sets[0]
+        assert len(kept) == G.DIRECTION_SETS
+
+
+def test_verify_seeds_the_direction_fill_once_per_distinct_set(monkeypatch, capsys):
+    # before the store, one verify --builtin-corpus drew 191 sets, 8 of them
+    # distinct; now each (dim, n, seed) that needs a seeded fill seeds the
+    # generator once
+    from varcalc import cli
+
+    drawn = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        caller = sys._getframe(1)
+        assert caller.f_code is G.directions.__code__
+        drawn.append(tuple(caller.f_locals[k] for k in ("dim", "n", "seed")))
+        return default_rng(seed)
+
+    kept = _KeptSets()
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    monkeypatch.setattr(G, "_direction_sets", kept)
+    assert cli.main(["verify", "--builtin-corpus", "--json"]) == 0
+    capsys.readouterr()
+    assert drawn and len(set(drawn)) == len(drawn) and set(drawn) <= set(kept)
+    # nothing dropped, and more than four calls in five find their set kept
+    assert len(kept) < G.DIRECTION_SETS and kept.lookups > 5 * len(kept)

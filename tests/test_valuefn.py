@@ -283,6 +283,50 @@ def test_open_grid_axes_are_each_rows_linspace(rows, resolution):
         assert cols[1 + a][r].ravel().tobytes() == want.tobytes()
 
 
+# grid values from 1e-3 to 1e12 in magnitude; near the overflow threshold,
+# where differences and quotients overflow; and, mixed in, NaN, +-inf and
+# signed zeros.  A row takes one kind, so most rows have no special value.
+_ordinary = st.builds(
+    lambda m, e, neg: (-m if neg else m) * 10.0**e,
+    st.floats(1.0, 10.0), st.integers(-3, 12), st.booleans(),
+)
+_cells = {
+    "ordinary": _ordinary,
+    "huge": st.one_of(_ordinary, st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308])),
+    "special": st.one_of(_ordinary, st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])),
+}
+
+
+@st.composite
+def _slope_grids(draw):
+    d = draw(st.integers(1, 4))
+    resolution = draw(st.integers(3, 3 if d == 4 else 5))
+    kinds = st.sampled_from(sorted(_cells))
+    rows = draw(st.lists(st.tuples(st.lists(_boxes, min_size=d, max_size=d), kinds), min_size=1, max_size=4))
+    # each row's cells are picked from a few drawn values by a seeded index
+    n = resolution**d
+    values = []
+    for _, kind in rows:
+        pool = np.array(draw(st.lists(_cells[kind], min_size=1, max_size=6)))
+        values.append(pool[np.random.default_rng(draw(st.integers(0, 2**16))).integers(len(pool), size=n)])
+    box = np.array([b for b, _ in rows])
+    return np.array(values), box[:, :, 0], box[:, :, 1], resolution
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_slope_grids())
+@example((np.array([[np.nan, 1.0, 2.0], [0.0, 1e300, -1e300], [1.0, 2.0, 4.0]]),
+          np.array([[0.0], [0.0], [0.0]]), np.array([[1.0], [1e-10], [5e-324]]), 3))
+def test_slope_bounds_equal_every_quotient_divided_out(grid):
+    # one division per row where max|d| / h is finite; a row with a NaN,
+    # an infinite value, an overflowing quotient or a zero step divides
+    # each difference
+    values, lo, hi, resolution = grid
+    got = V._slope_bounds(values, lo, hi, resolution)
+    want = B.reference_slope_bounds(values, lo, hi, resolution)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "name,candidate,rows,searched",
     [("kink", "bottom", 649, 1368), ("worked", "origin", 686, 336)],
